@@ -8,11 +8,11 @@ instances map backward, tied together by the fundamental condition.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .errors import DomainMismatch, RespectViolation
-from .tokens import FrozenDict, Token, fdict, ltag, rtag, sorted_tokens, token_key
+from .errors import DomainMismatch, RespectViolation, check_total
+from .tokens import FrozenDict, Token, fdict, ltag, rtag, sorted_tokens
 
 
 @dataclass(frozen=True)
@@ -87,14 +87,8 @@ def infomorphism_valid(f: Infomorphism) -> tuple[bool, Optional[tuple]]:
     Raises DomainMismatch if either map is not total on its domain or
     leaves its codomain; that is an error distinct from condition failure.
     """
-    if set(f.type_map) != set(f.source.types):
-        raise DomainMismatch("type map is not total on source types")
-    if any(v not in f.target.types for v in f.type_map.values()):
-        raise DomainMismatch("type map leaves target types")
-    if set(f.instance_map) != set(f.target.instances):
-        raise DomainMismatch("instance map is not total on target instances")
-    if any(v not in f.source.instances for v in f.instance_map.values()):
-        raise DomainMismatch("instance map leaves source instances")
+    check_total(f.type_map, f.source.types, f.target.types, "type map")
+    check_total(f.instance_map, f.target.instances, f.source.instances, "instance map")
     for b in sorted_tokens(f.target.instances):
         for alpha in sorted_tokens(f.source.types):
             if f.source.classifies(f.instance_map[b], alpha) != \

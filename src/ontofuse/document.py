@@ -28,6 +28,15 @@ class FormError(OntofuseError):
         self.form = form
 
 
+def _map(form: str, pairs, what: str) -> dict:
+    """A dict from parsed pairs; a key given two different values is an error."""
+    out = {}
+    for k, v in pairs:
+        if out.setdefault(k, v) != v:
+            raise FormError(form, f"{what} gives {k!r} two values")
+    return out
+
+
 # --- structured tokens -------------------------------------------------------
 
 _RESERVED = {"set", "tuple", "map"}
@@ -61,7 +70,7 @@ def parse_token(v):
         if is_symbol(a) or len(a) != 2:
             raise FormError("token", f"map entry must be a pair, got {a!r}")
         pairs.append((parse_token(a[0]), parse_token(a[1])))
-    return fdict(pairs)
+    return fdict(_map("token", pairs, "map"))
 
 
 # --- expressions --------------------------------------------------------------
@@ -101,12 +110,12 @@ def parse_expression(v):
     if head in _QUANT_HEADS and len(args) == 2:
         return _QUANT_HEADS[head](parse_token(args[0]), parse_expression(args[1]))
     if head == "subst" and len(args) == 2 and not is_symbol(args[0]):
-        mapping = {}
+        pairs = []
         for p in args[0]:
             if is_symbol(p) or len(p) != 2:
                 raise FormError("expression", f"subst entry must be a pair, got {p!r}")
-            mapping[parse_token(p[0])] = parse_token(p[1])
-        return Subst.make(mapping, parse_expression(args[1]))
+            pairs.append((parse_token(p[0]), parse_token(p[1])))
+        return Subst.make(_map("expression", pairs, "subst"), parse_expression(args[1]))
     raise FormError("expression", f"unknown expression form {v!r}")
 
 
@@ -169,16 +178,16 @@ def _pairs(name: str, items, what: str):
 
 def _parse_language(name: str, body) -> TypeLanguage:
     c = _clauses(name, body)
-    relations = {}
+    relations = []
     for r in c.get("relations", ()):
         if is_symbol(r) or len(r) != 2 or is_symbol(r[1]):
             raise FormError(name, f"relation entry must be (R (vars...)), got {r!r}")
-        relations[parse_token(r[0])] = frozenset(parse_token(x) for x in r[1])
+        relations.append((parse_token(r[0]), frozenset(parse_token(x) for x in r[1])))
     return TypeLanguage.make(
         [parse_token(x) for x in c.get("variables", ())],
         [parse_token(a) for a in c.get("entity-types", ())],
-        dict(_pairs(name, c.get("reference", ()), "reference")),
-        relations)
+        _map(name, _pairs(name, c.get("reference", ()), "reference"), "reference"),
+        _map(name, relations, "relations"))
 
 
 def _parse_theory(name: str, body, doc: Document) -> Theory:
@@ -199,28 +208,34 @@ def _parse_model(name: str, body, doc: Document) -> Model:
     entities = [parse_token(e) for e in c.get("entities", ())]
     incidence = _pairs(name, c.get("incidence", ()), "incidence")
     if "tuples" in c or "relation-incidence" in c:
-        tuples, arity, valuation = [], {}, {}
+        entries = []
         for entry in c.get("tuples", ()):
             if is_symbol(entry) or len(entry) != 3:
                 raise FormError(name, f"tuple entry must be (TOKEN (arity ...) (valuation ...)), got {entry!r}")
-            tok = parse_token(entry[0])
             sub = _clauses(name, entry[1:])
-            tuples.append(tok)
-            arity[tok] = frozenset(parse_token(x) for x in sub.get("arity", ()))
-            valuation[tok] = fdict(_pairs(name, sub.get("valuation", ()), "valuation"))
+            entries.append((parse_token(entry[0]), (
+                frozenset(parse_token(x) for x in sub.get("arity", ())),
+                fdict(_map(name, _pairs(name, sub.get("valuation", ()), "valuation"),
+                           "valuation")))))
+        tuples = _map(name, entries, "tuples")
         rel_inc = _pairs(name, c.get("relation-incidence", ()), "relation-incidence")
         m = Model(lang, frozenset(entities), frozenset(incidence), frozenset(tuples),
-                  fdict(arity), fdict(valuation), frozenset(rel_inc))
+                  fdict({t: a for t, (a, _) in tuples.items()}),
+                  fdict({t: v for t, (_, v) in tuples.items()}), frozenset(rel_inc))
         m.check(well_sorted=False)
         return m
-    extents = {}
+    extents = []
     for entry in c.get("extents", ()):
         if is_symbol(entry) or not entry:
             raise FormError(name, f"extent entry must be (R assignments...), got {entry!r}")
-        rho = parse_token(entry[0])
-        extents[rho] = [fdict(_pairs(name, a, "assignment")) for a in entry[1:]]
-    extra = [fdict(_pairs(name, a, "assignment")) for a in c.get("extra-tuples", ())]
-    return Model.from_extents(lang, entities, incidence, extents, extra)
+        extents.append((parse_token(entry[0]),
+                        frozenset(_assignment(name, a) for a in entry[1:])))
+    extra = [_assignment(name, a) for a in c.get("extra-tuples", ())]
+    return Model.from_extents(lang, entities, incidence, _map(name, extents, "extents"), extra)
+
+
+def _assignment(name: str, items) -> FrozenDict:
+    return fdict(_map(name, _pairs(name, items, "assignment"), "assignment"))
 
 
 def _parse_logic(name: str, body, doc: Document) -> Logic:
@@ -234,7 +249,7 @@ def _parse_logic(name: str, body, doc: Document) -> Logic:
 
 def _parse_language_maps(name: str, c: dict, source: TypeLanguage,
                          target: TypeLanguage, refinement: bool) -> LanguageMorphism:
-    rel = {}
+    rel = []
     for p in c.get("relations", ()):
         if is_symbol(p) or len(p) != 2:
             raise FormError(name, f"relation map entry must be a pair, got {p!r}")
@@ -242,14 +257,14 @@ def _parse_language_maps(name: str, c: dict, source: TypeLanguage,
         if not is_symbol(img) and img and img[0] == "expr":
             if len(img) != 2:
                 raise FormError(name, "expected (expr EXPRESSION)")
-            rel[parse_token(p[0])] = parse_expression(img[1])
+            rel.append((parse_token(p[0]), parse_expression(img[1])))
         else:
-            rel[parse_token(p[0])] = parse_token(img)
+            rel.append((parse_token(p[0]), parse_token(img)))
     return LanguageMorphism.make(
         source, target,
-        dict(_pairs(name, c.get("variables", ()), "variable map")),
-        dict(_pairs(name, c.get("entity-types", ()), "entity map")),
-        rel, refinement=refinement)
+        _map(name, _pairs(name, c.get("variables", ()), "variable map"), "variable map"),
+        _map(name, _pairs(name, c.get("entity-types", ()), "entity map"), "entity map"),
+        _map(name, rel, "relation map"), refinement=refinement)
 
 
 def _parse_theory_morphism(name: str, body, doc: Document) -> TheoryMorphism:
@@ -269,8 +284,8 @@ def _parse_logic_morphism(name: str, body, doc: Document) -> LogicMorphism:
                               refinement="refinement" in c)
     return LogicMorphism.make(
         source, target, lm,
-        dict(_pairs(name, c.get("entity-map", ()), "entity map")),
-        dict(_pairs(name, c.get("tuple-map", ()), "tuple map")))
+        _map(name, _pairs(name, c.get("entity-map", ()), "entity map"), "entity map"),
+        _map(name, _pairs(name, c.get("tuple-map", ()), "tuple map"), "tuple map"))
 
 
 def _parse_alignment(name: str, body, doc: Document) -> Alignment:
@@ -333,12 +348,11 @@ def render_theory(name: str, t: Theory, language_name: str) -> list:
             ["axioms"] + [render_expression(a) for a in sorted_tokens(t.axioms)]]
 
 
-def _extent_faithful(m: Model) -> bool:
+def _extent_faithful(m: Model, extents: dict) -> bool:
     """Does from_extents on the derived extents rebuild this exact model?"""
     try:
         rebuilt = Model.from_extents(
-            m.language, m.entities, m.entity_incidence,
-            {rho: m.relation_extent(rho) for rho in m.language.relation_types},
+            m.language, m.entities, m.entity_incidence, extents,
             extra_tuples=[t for t in m.tuples
                           if isinstance(t, FrozenDict) and m.tuple_valuation[t] == t])
     except OntofuseError:
@@ -350,15 +364,15 @@ def render_model(name: str, m: Model, language_name: str) -> list:
     out = ["model", name, ["language", language_name],
            ["entities"] + [render_token(e) for e in sorted_tokens(m.entities)],
            _render_pairs("incidence", sorted_tokens(m.entity_incidence))]
-    if _extent_faithful(m):
-        extents = ["extents"]
+    extents = {rho: m.relation_extent(rho) for rho in m.language.relation_types}
+    if _extent_faithful(m, extents):
+        rendered = ["extents"]
         for rho in sorted_tokens(m.language.relation_types):
-            rows = sorted_tokens(m.relation_extent(rho))
-            extents.append([render_token(rho)] + [_render_assignment(a) for a in rows])
-        out.append(extents)
-        extra = [t for t in sorted_tokens(m.tuples)
-                 if not any(t in m.relation_extent(rho)
-                            for rho in m.language.relation_types)]
+            rows = sorted_tokens(extents[rho])
+            rendered.append([render_token(rho)] + [_render_assignment(a) for a in rows])
+        out.append(rendered)
+        covered = frozenset().union(*extents.values())
+        extra = [t for t in sorted_tokens(m.tuples) if t not in covered]
         if extra:
             out.append(["extra-tuples"] + [_render_assignment(t) for t in extra])
         return out

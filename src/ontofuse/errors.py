@@ -1,6 +1,8 @@
 """Exception types shared across the library."""
 from __future__ import annotations
 
+from typing import Collection, Mapping
+
 
 class OntofuseError(Exception):
     """Base class for all library errors."""
@@ -8,6 +10,14 @@ class OntofuseError(Exception):
 
 class DomainMismatch(OntofuseError):
     """A map is not total on its stated domain (or leaves its codomain)."""
+
+
+def check_total(m: Mapping, domain: Collection, codomain: Collection, what: str) -> None:
+    """Raise DomainMismatch unless m is total on domain and lands in codomain."""
+    if set(m) != set(domain):
+        raise DomainMismatch(f"{what} is not total on its domain")
+    if any(v not in codomain for v in m.values()):
+        raise DomainMismatch(f"{what} leaves its codomain")
 
 
 class RespectViolation(OntofuseError):

@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .errors import DomainMismatch, NameSetMismatch
-from .tokens import FrozenDict, Token, fdict, sorted_tokens
+from .errors import DomainMismatch, NameSetMismatch, check_total
+from .tokens import FrozenDict, fdict, sorted_tokens
 
 
 @dataclass(frozen=True)
@@ -33,11 +33,12 @@ class Hypergraph:
 
     def check(self) -> None:
         for e in self.hyperedges:
-            if not self.arity[e] <= self.names:
+            arity, tup = self.arity[e], self.valuation[e]
+            if not arity <= self.names:
                 raise DomainMismatch(f"edge {e!r} uses names outside the pool")
-            if set(self.valuation[e]) != set(self.arity[e]):
+            if tup.keys() != arity:
                 raise DomainMismatch(f"tuple of {e!r} not total exactly on its arity")
-            if any(n not in self.nodes for n in self.valuation[e].values()):
+            if not self.nodes.issuperset(tup.values()):
                 raise DomainMismatch(f"tuple of {e!r} leaves the node set")
 
 
@@ -56,15 +57,9 @@ class HypergraphMorphism:
 
 def hypergraph_morphism_valid(m: HypergraphMorphism) -> tuple[bool, Optional[tuple]]:
     """Check arity and tuple preservation; returns (ok, first counterexample)."""
-    if set(m.node_map) != set(m.source.nodes) or \
-            any(v not in m.target.nodes for v in m.node_map.values()):
-        raise DomainMismatch("node map not total source nodes -> target nodes")
-    if set(m.edge_map) != set(m.source.hyperedges) or \
-            any(v not in m.target.hyperedges for v in m.edge_map.values()):
-        raise DomainMismatch("edge map not total source edges -> target edges")
-    if set(m.name_map) != set(m.source.names) or \
-            any(v not in m.target.names for v in m.name_map.values()):
-        raise DomainMismatch("name map not total source names -> target names")
+    check_total(m.node_map, m.source.nodes, m.target.nodes, "node map")
+    check_total(m.edge_map, m.source.hyperedges, m.target.hyperedges, "edge map")
+    check_total(m.name_map, m.source.names, m.target.names, "name map")
     for e in sorted_tokens(m.source.hyperedges):
         image = m.edge_map[e]
         if m.target.arity[image] != frozenset(m.name_map[x] for x in m.source.arity[e]):

@@ -9,19 +9,18 @@ by the invariant the logical links induce.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from .errors import AgreementFailure, DomainMismatch, EdgeInvalid
-from .language import LanguageEndorelation, identity_language_morphism
-from .logic import (Logic, LogicMorphism, compose_logic_morphisms, counit,
-                    fiber, free_logic, free_to_mediating, fusion,
-                    identity_logic_morphism, is_sound, logic_morphism_valid,
-                    logic_sum, restrict_logic, transpose)
+from .language import identity_language_morphism, span_relation
+from .logic import (Logic, LogicMorphism, compose_logic_morphisms, fiber,
+                    free_to_mediating, fusion, identity_logic_morphism,
+                    is_sound, logic_morphism_valid, restrict_logic, transpose)
 from .model import Model, fdict
 from .theory import (DEFAULT_BUDGET, Theory, TheoryMorphism,
                      identity_theory_morphism, theory_morphism_valid,
                      theory_quotient, theory_sum)
-from .tokens import ltag, rtag, sorted_tokens
+from .tokens import sorted_tokens
 
 
 @dataclass(frozen=True)
@@ -174,7 +173,7 @@ def practical_integrate(l1: Logic, l2: Logic, c: Iterable, t: Theory,
                                compose_logic_morphisms(link1, v1),
                                compose_logic_morphisms(link2, v2))
     # structural claims: fusion theory and universe
-    fusion_th = _fusion_theory(l1.theory, l2.theory, t, g1, g2)
+    fusion_th = _fusion_theory(l1.theory, l2.theory, g1, g2)
     if fused.theory != fusion_th:
         raise AgreementFailure("fused theory differs from the fusion of the theories")
     if fused.model.entities != c:
@@ -207,19 +206,11 @@ def _check_agreement(fib1: Logic, fib2: Logic) -> None:
     raise AgreementFailure("fiber logics differ structurally")
 
 
-def _fusion_theory(t1: Theory, t2: Theory, t: Theory,
+def _fusion_theory(t1: Theory, t2: Theory,
                    g1: TheoryMorphism, g2: TheoryMorphism) -> Theory:
     """th(L1) +_T th(L2): quotient of the sum by the alignment-induced relation."""
     s, _, _ = theory_sum(t1, t2)
-    lm1, lm2 = g1.language_morphism, g2.language_morphism
-    rel = LanguageEndorelation.make(
-        entity_pairs=[(ltag(lm1.entity_map[a]), rtag(lm2.entity_map[a]))
-                      for a in t.language.entity_types],
-        relation_pairs=[(ltag(lm1.relation_map[r]), rtag(lm2.relation_map[r]))
-                        for r in t.language.relation_types],
-        variable_pairs=[(ltag(lm1.var_map[x]), rtag(lm2.var_map[x]))
-                        for x in t.language.variables])
-    q, _ = theory_quotient(s, rel)
+    q, _ = theory_quotient(s, span_relation(g1.language_morphism, g2.language_morphism))
     return q
 
 

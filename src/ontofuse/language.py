@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional
 
-from .errors import CaptureError, DomainMismatch, IncompatibleQuotient
+from .errors import CaptureError, DomainMismatch, IncompatibleQuotient, check_total
 from .classification import equivalence_closure
-from .tokens import FrozenDict, Token, fdict, ltag, rtag, sorted_tokens, token_key
+from .tokens import FrozenDict, Token, fdict, ltag, rtag, sorted_tokens
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,7 @@ class TypeLanguage:
         return lang
 
     def check(self) -> None:
-        if set(self.reference) != set(self.variables):
-            raise DomainMismatch("reference not total on variables")
-        if any(v not in self.entity_types for v in self.reference.values()):
-            raise DomainMismatch("reference leaves entity types")
+        check_total(self.reference, self.variables, self.entity_types, "reference")
         for rho in self.relation_types:
             if not self.arity[rho] <= self.variables:
                 raise DomainMismatch(f"arity of {rho!r} uses unknown variables")
@@ -233,12 +230,8 @@ def compose_language_morphisms(m1: LanguageMorphism, m2: LanguageMorphism) -> La
 
 def language_morphism_valid(m: LanguageMorphism) -> tuple[bool, Optional[tuple]]:
     """Reference and arity preservation; returns (ok, first counterexample)."""
-    if set(m.var_map) != set(m.source.variables) or \
-            any(v not in m.target.variables for v in m.var_map.values()):
-        raise DomainMismatch("variable map not total source -> target variables")
-    if set(m.entity_map) != set(m.source.entity_types) or \
-            any(v not in m.target.entity_types for v in m.entity_map.values()):
-        raise DomainMismatch("entity map not total source -> target entity types")
+    check_total(m.var_map, m.source.variables, m.target.variables, "variable map")
+    check_total(m.entity_map, m.source.entity_types, m.target.entity_types, "entity map")
     if set(m.relation_map) != set(m.source.relation_types):
         raise DomainMismatch("relation map not total on source relation types")
     for r, img in m.relation_map.items():
@@ -341,6 +334,18 @@ class LanguageEndorelation:
         return LanguageEndorelation(frozenset(tuple(p) for p in entity_pairs),
                                     frozenset(tuple(p) for p in relation_pairs),
                                     frozenset(tuple(p) for p in variable_pairs))
+
+
+def span_relation(m0: LanguageMorphism, m1: LanguageMorphism) -> LanguageEndorelation:
+    """Links, on the sum of the two targets, the tagged images of each source type."""
+    src = m0.source
+    return LanguageEndorelation.make(
+        entity_pairs=[(ltag(m0.entity_map[a]), rtag(m1.entity_map[a]))
+                      for a in src.entity_types],
+        relation_pairs=[(ltag(m0.relation_map[r]), rtag(m1.relation_map[r]))
+                        for r in src.relation_types],
+        variable_pairs=[(ltag(m0.var_map[x]), rtag(m1.var_map[x]))
+                        for x in src.variables])
 
 
 def language_quotient(lang: TypeLanguage, j: LanguageEndorelation) -> tuple[TypeLanguage, LanguageMorphism]:

@@ -11,17 +11,18 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
+from .classification import power_classification
 from .errors import BudgetExceeded, DomainMismatch, SoundnessViolation
 from .language import (Expression, LanguageMorphism, TypeLanguage,
                        compose_language_morphisms, identity_language_morphism,
-                       free_vars)
-from .model import (Model, ModelDualInvariant, ModelMorphism,
-                    compose_model_morphisms, fdict, holds, model_dual_quotient,
-                    model_morphism_valid, model_sum, token_satisfies)
+                       free_vars, span_relation)
+from .model import (Model, ModelDualInvariant, ModelMorphism, fdict, holds,
+                    model_dual_quotient, model_morphism_valid, model_sum,
+                    token_satisfies)
 from .theory import (DEFAULT_BUDGET, MorphismVerdict, Theory, TheoryMorphism,
                      identity_theory_morphism, theory_morphism_valid,
                      theory_quotient, theory_sum)
-from .tokens import Token, ltag, rtag, sorted_tokens
+from .tokens import Token, sorted_tokens
 
 
 @dataclass(frozen=True)
@@ -69,24 +70,8 @@ def is_sound(l: Logic) -> bool:
 
 def sound_part(l: Logic) -> Logic:
     """Throw away abnormal instances; restrict both classifications."""
-    m = l.model
-    entities = l.normal_entities
-    tuples = frozenset(t for t in l.normal_tuples
-                       if all(v in entities for v in m.tuple_valuation[t].values()))
-    restricted = Model(m.language, entities,
-                       frozenset(p for p in m.entity_incidence if p[0] in entities),
-                       tuples,
-                       fdict({t: m.tuple_arity[t] for t in tuples}),
-                       fdict({t: m.tuple_valuation[t] for t in tuples}),
-                       frozenset(p for p in m.relation_incidence if p[0] in tuples))
-    return Logic(l.theory, restricted, entities, tuples)
-
-
-def normality_holds(l: Logic) -> bool:
-    """Do the normal instances satisfy the axioms?  Evaluated in the sound part."""
-    sp = sound_part(l)
-    from .model import satisfies
-    return all(satisfies(sp.model, a) for a in l.theory.axioms)
+    restricted = l.model.restrict(l.normal_entities, l.normal_tuples)
+    return Logic(l.theory, restricted, restricted.entities, restricted.tuples)
 
 
 # --- morphisms -------------------------------------------------------------
@@ -185,17 +170,14 @@ def free_logic(t: Theory, budget: int = DEFAULT_BUDGET, strict: bool = False) ->
     n_entities = 2 ** len(lang.entity_types)
     if n_entities > budget:
         raise BudgetExceeded(f"power classification would have {n_entities} instances")
-    elems = sorted_tokens(lang.entity_types)
-    entities = [frozenset(c) for n in range(len(elems) + 1)
-                for c in itertools.combinations(elems, n)]
-    incidence = [(x, a) for x in entities for a in x]
+    power = power_classification(lang.entity_types)
     tokens = free_tuple_tokens(lang)
     if len(tokens) > budget:
         raise BudgetExceeded(f"free model would have {len(tokens)} tuples")
     arity = {tok: tok[0] for tok in tokens}
     valuation = {tok: fdict(free_signature(lang, tok[0], tok[1])) for tok in tokens}
     rel_inc = [(tok, r) for tok in tokens for r in tok[1]]
-    model = Model(lang, frozenset(entities), frozenset(incidence), frozenset(tokens),
+    model = Model(lang, power.instances, power.incidence, frozenset(tokens),
                   fdict(arity), fdict(valuation), frozenset(rel_inc))
     logic = Logic(t, model, model.entities,
                   frozenset(tok for tok in tokens if _tuple_conforms(model, t, tok)))
@@ -211,23 +193,11 @@ def _tuple_conforms(model: Model, t: Theory, token: tuple) -> bool:
 def counit(l: Logic) -> LogicMorphism:
     """Canonical morphism from the free logic over th(l) back to l.
 
-    Identity on types; an entity goes to its intent, a tuple to the pair
-    of its arity and the set of relation types that classify it.
+    The transpose of the identity on th(l): identity on types; an entity
+    goes to its intent, a tuple to the pair of its arity and the set of
+    relation types that classify it.
     """
-    if not is_sound(l):
-        raise SoundnessViolation("counit requires a sound logic")
-    free = free_logic(l.theory)
-    entity_map = {e: l.model.entity_intent(e) for e in l.model.entities}
-    tuple_map = {}
-    for t in l.model.tuples:
-        tok = (l.model.tuple_arity[t],
-               frozenset(r for r in l.language.relation_types
-                         if l.model.tuple_classifies(t, r)))
-        if tok not in free.model.tuples:
-            raise SoundnessViolation(f"image token {tok!r} was abnormal in the free logic")
-        tuple_map[t] = tok
-    return LogicMorphism.make(free, l, identity_language_morphism(l.language),
-                              entity_map, tuple_map)
+    return transpose(identity_theory_morphism(l.theory), l)
 
 
 def transpose(g: TheoryMorphism, l: Logic) -> LogicMorphism:
@@ -305,7 +275,6 @@ def fusion_invariant(f0: LogicMorphism, f1: LogicMorphism,
     (entities and tuples separately).  Types: tagged pairs linked by a
     type of the common source.
     """
-    from .language import LanguageEndorelation
     if f0.source != f1.source:
         raise DomainMismatch("fusion requires a common source logic")
     lm0, lm1 = f0.language_morphism, f1.language_morphism
@@ -316,15 +285,7 @@ def fusion_invariant(f0: LogicMorphism, f1: LogicMorphism,
                          if f0.entity_map[p[0]] == f1.entity_map[p[1]])
     tuples = frozenset(p for p in s.model.tuples
                        if f0.tuple_map[p[0]] == f1.tuple_map[p[1]])
-    src = f0.source.language
-    rel = LanguageEndorelation.make(
-        entity_pairs=[(ltag(lm0.entity_map[a]), rtag(lm1.entity_map[a]))
-                      for a in src.entity_types],
-        relation_pairs=[(ltag(lm0.relation_map[r]), rtag(lm1.relation_map[r]))
-                        for r in src.relation_types],
-        variable_pairs=[(ltag(lm0.var_map[x]), rtag(lm1.var_map[x]))
-                        for x in src.variables])
-    return ModelDualInvariant(entities, tuples, rel)
+    return ModelDualInvariant(entities, tuples, span_relation(lm0, lm1))
 
 
 def fusion(f0: LogicMorphism, f1: LogicMorphism) -> tuple[Logic, LogicMorphism, LogicMorphism, LogicMorphism]:
@@ -354,18 +315,11 @@ def restrict_logic(l: Logic, c: Iterable) -> tuple[Logic, LogicMorphism]:
     c = frozenset(c)
     if not c <= l.model.entities:
         raise DomainMismatch("restriction set is not a subset of the universe")
-    m = l.model
-    tuples = frozenset(t for t in m.tuples
-                       if all(v in c for v in m.tuple_valuation[t].values()))
-    restricted = Model(m.language, c,
-                       frozenset(p for p in m.entity_incidence if p[0] in c),
-                       tuples,
-                       fdict({t: m.tuple_arity[t] for t in tuples}),
-                       fdict({t: m.tuple_valuation[t] for t in tuples}),
-                       frozenset(p for p in m.relation_incidence if p[0] in tuples))
-    out = Logic(l.theory, restricted, c & l.normal_entities, tuples & l.normal_tuples)
+    restricted = l.model.restrict(c, l.model.tuples)
+    out = Logic(l.theory, restricted, c & l.normal_entities,
+                restricted.tuples & l.normal_tuples)
     portal = LogicMorphism.make(l, out, identity_language_morphism(l.language),
-                                {e: e for e in c}, {t: t for t in tuples})
+                                {e: e for e in c}, {t: t for t in restricted.tuples})
     return out, portal
 
 

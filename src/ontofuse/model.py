@@ -1,8 +1,9 @@
 """Finite first-order models over a type language, with lax satisfaction.
 
-A model pairs an entity classification with a relation classification
-over one language.  Relation instances are abstract tuple tokens, each
-carrying a variable-set arity and a valuation into the entities; the
+A model is an entity classification, a relation classification and an
+instance hypergraph over one language, and its sum and dual quotient
+are built from theirs.  Relation instances are abstract tuple tokens,
+each carrying a variable-set arity and a valuation into the entities; the
 common case (built by :meth:`Model.from_extents`) uses well-sorted
 assignments as their own tokens, with incidence derived by the lax rule
 "the restriction of the tuple lies in the extent".  Keeping tokens
@@ -12,18 +13,20 @@ instances that share a valuation but differ in incidence.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional
 
-from .errors import DomainMismatch, LaxViolation, NameSetMismatch
-from .hypergraph import Hypergraph
+from .classification import (Classification, ClassificationInvariant, Infomorphism,
+                             class_groups, classification_quotient,
+                             classification_sum, infomorphism_valid)
+from .errors import (DomainMismatch, IncompatibleQuotient, LaxViolation,
+                     RespectViolation, check_total)
+from .hypergraph import Hypergraph, hypergraph_product
 from .language import (And, Atomic, Exists, Expression, Forall, Implies,
                        LanguageEndorelation, LanguageMorphism, Not, Or, Subst,
                        TypeLanguage, free_vars, language_morphism_valid,
                        language_quotient, language_sum, identity_language_morphism,
                        compose_language_morphisms)
-from .classification import Classification, class_groups, equivalence_closure
-from .errors import IncompatibleQuotient, RespectViolation
 from .tokens import FrozenDict, Token, fdict, ltag, rtag, sorted_tokens
 
 
@@ -91,21 +94,29 @@ class Model:
         for (e, a) in self.entity_incidence:
             if e not in self.entities or a not in self.language.entity_types:
                 raise DomainMismatch(f"entity incidence pair ({e!r}, {a!r}) out of range")
-        for t in self.tuples:
-            if not self.tuple_arity[t] <= self.language.variables:
-                raise DomainMismatch(f"tuple {t!r} indexed by unknown variables")
-            if set(self.tuple_valuation[t]) != set(self.tuple_arity[t]):
-                raise DomainMismatch(f"tuple {t!r} valuation not total on its arity")
-            if not well_sorted:
-                continue
-            for x, e in self.tuple_valuation[t].items():
-                if not self.entity_classifies(e, self.language.reference[x]):
-                    raise DomainMismatch(f"tuple {t!r} ill-sorted at {x!r}")
+        self.instance_hypergraph().check()
+        if well_sorted:
+            for t in self.tuples:
+                for x, e in self.tuple_valuation[t].items():
+                    if not self.entity_classifies(e, self.language.reference[x]):
+                        raise DomainMismatch(f"tuple {t!r} ill-sorted at {x!r}")
         for (t, rho) in self.relation_incidence:
             if t not in self.tuples or rho not in self.language.relation_types:
                 raise DomainMismatch(f"relation incidence pair ({t!r}, {rho!r}) out of range")
             if not self.language.arity[rho] <= self.tuple_arity[t]:
                 raise DomainMismatch(f"{t!r} classified by {rho!r} of larger arity")
+
+    def restrict(self, entities: Iterable, tuples: Iterable) -> "Model":
+        """The sub-model on the given entities and those given tuples valued among them."""
+        entities = frozenset(entities)
+        tuples = frozenset(t for t in tuples
+                           if all(v in entities for v in self.tuple_valuation[t].values()))
+        return Model(self.language, entities,
+                     frozenset(p for p in self.entity_incidence if p[0] in entities),
+                     tuples,
+                     fdict({t: self.tuple_arity[t] for t in tuples}),
+                     fdict({t: self.tuple_valuation[t] for t in tuples}),
+                     frozenset(p for p in self.relation_incidence if p[0] in tuples))
 
     # -- views -------------------------------------------------------------
 
@@ -225,17 +236,12 @@ def model_morphism_valid(f: ModelMorphism) -> tuple[bool, Optional[tuple]]:
     lm = f.language_morphism
     if lm.source != f.source.language or lm.target != f.target.language:
         raise DomainMismatch("language morphism does not connect the models' languages")
-    if set(f.entity_map) != set(f.target.entities) or \
-            any(v not in f.source.entities for v in f.entity_map.values()):
-        raise DomainMismatch("entity map not total target -> source entities")
-    if set(f.tuple_map) != set(f.target.tuples) or \
-            any(v not in f.source.tuples for v in f.tuple_map.values()):
-        raise DomainMismatch("tuple map not total target -> source tuples")
-    for b in sorted_tokens(f.target.entities):
-        for alpha in sorted_tokens(f.source.language.entity_types):
-            if f.source.entity_classifies(f.entity_map[b], alpha) != \
-                    f.target.entity_classifies(b, lm.entity_map[alpha]):
-                return False, ("entity", b, alpha)
+    check_total(f.tuple_map, f.target.tuples, f.source.tuples, "tuple map")
+    ok, why = infomorphism_valid(Infomorphism(
+        f.source.entity_classification(), f.target.entity_classification(),
+        lm.entity_map, f.entity_map))
+    if not ok:
+        return False, ("entity",) + why
     var_image = frozenset(lm.var_map.values())
     for t in sorted_tokens(f.target.tuples):
         s = f.tuple_map[t]
@@ -276,42 +282,34 @@ def compose_model_morphisms(f: ModelMorphism, g: ModelMorphism) -> ModelMorphism
 def model_sum(a: Model, b: Model) -> tuple[Model, ModelMorphism, ModelMorphism]:
     """Sum over a shared variable pool: tagged language, product instances.
 
-    Hyperedges pair tuples of equal (untagged) arity; both tags of a
-    shared variable value the product pair, keeping the product
-    well-sorted against the tagged reference.
+    Entities are the classification sum of the entity classifications
+    and tuples the product of the instance hypergraphs, which pairs
+    tuples of equal (untagged) arity; both tags of a shared variable
+    value the product pair, keeping the product well-sorted against the
+    tagged reference.
     """
-    if a.language.variables != b.language.variables:
-        raise NameSetMismatch("summed models must share a variable pool")
     lang, inj1, inj2 = language_sum(a.language, b.language)
-    entities = [(x, y) for x in sorted_tokens(a.entities) for y in sorted_tokens(b.entities)]
-    incidence = []
-    for (x, y) in entities:
-        incidence.extend(((x, y), ltag(al)) for al in a.entity_intent(x))
-        incidence.extend(((x, y), rtag(al)) for al in b.entity_intent(y))
-    tuples, arity, valuation, rel_inc = [], {}, {}, []
-    for t1 in sorted_tokens(a.tuples):
-        for t2 in sorted_tokens(b.tuples):
-            if a.tuple_arity[t1] != b.tuple_arity[t2]:
-                continue
-            tok = (t1, t2)
-            tuples.append(tok)
-            pairs = {x: (a.tuple_valuation[t1][x], b.tuple_valuation[t2][x])
-                     for x in a.tuple_arity[t1]}
-            arity[tok] = frozenset(itertools.chain(
-                (ltag(x) for x in pairs), (rtag(x) for x in pairs)))
-            valuation[tok] = fdict({**{ltag(x): v for x, v in pairs.items()},
-                                    **{rtag(x): v for x, v in pairs.items()}})
-            rel_inc.extend((tok, ltag(r)) for r in a.language.relation_types
-                           if a.tuple_classifies(t1, r))
-            rel_inc.extend((tok, rtag(r)) for r in b.language.relation_types
-                           if b.tuple_classifies(t2, r))
-    s = Model(lang, frozenset(entities), frozenset(incidence), frozenset(tuples),
+    ents, ent1, ent2 = classification_sum(a.entity_classification(),
+                                          b.entity_classification())
+    prod, proj1, proj2 = hypergraph_product(a.instance_hypergraph(),
+                                            b.instance_hypergraph())
+    rel_a, rel_b = a.relation_classification(), b.relation_classification()
+    intent_a = {t: rel_a.intent(t) for t in a.tuples}
+    intent_b = {t: rel_b.intent(t) for t in b.tuples}
+    arity, valuation, rel_inc = {}, {}, []
+    for tok in prod.hyperedges:
+        pairs = prod.valuation[tok]
+        arity[tok] = frozenset(itertools.chain(
+            (ltag(x) for x in pairs), (rtag(x) for x in pairs)))
+        valuation[tok] = fdict({**{ltag(x): v for x, v in pairs.items()},
+                                **{rtag(x): v for x, v in pairs.items()}})
+        rel_inc.extend((tok, ltag(r)) for r in intent_a[tok[0]])
+        rel_inc.extend((tok, rtag(r)) for r in intent_b[tok[1]])
+    s = Model(lang, ents.instances, ents.incidence, prod.hyperedges,
               fdict(arity), fdict(valuation), frozenset(rel_inc))
     s.check(well_sorted=False)
-    nu1 = ModelMorphism.make(inj1, a, s, {p: p[0] for p in entities},
-                             {tok: tok[0] for tok in tuples})
-    nu2 = ModelMorphism.make(inj2, b, s, {p: p[1] for p in entities},
-                             {tok: tok[1] for tok in tuples})
+    nu1 = ModelMorphism(inj1, a, s, ent1.instance_map, proj1.edge_map)
+    nu2 = ModelMorphism(inj2, b, s, ent2.instance_map, proj2.edge_map)
     return s, nu1, nu2
 
 
@@ -345,22 +343,14 @@ def model_dual_quotient(a: Model, j: ModelDualInvariant) -> tuple[Model, ModelMo
     if not j.entity_subset <= a.entities or not j.tuple_subset <= a.tuples:
         raise DomainMismatch("invariant subsets exceed the model's instances")
     lang, canon = language_quotient(a.language, j.type_relation)
-    var_cls = {x: canon.var_map[x] for x in a.language.variables}
-    ent_cls = {al: canon.entity_map[al] for al in a.language.entity_types}
-    rel_cls = {r: canon.relation_map[r] for r in a.language.relation_types}
-    entities = j.entity_subset
-    tuples = [t for t in sorted_tokens(j.tuple_subset)
-              if all(v in entities for v in a.tuple_valuation[t].values())]
-    # respect conditions
-    ent_groups = class_groups(ent_cls)
+    kept = a.restrict(j.entity_subset, j.tuple_subset)
+    ents, ent_canon = classification_quotient(
+        kept.entity_classification(),
+        ClassificationInvariant(kept.entities, j.type_relation.entity_pairs))
+    var_cls, rel_cls = canon.var_map, canon.relation_map
+    tuples = sorted_tokens(kept.tuples)
+    # lax respect: a tuple is judged only on the relation types its arity covers
     rel_groups = class_groups(rel_cls)
-    for e in sorted_tokens(entities):
-        for cls in ent_groups:
-            hits = {a.entity_classifies(e, al) for al in cls}
-            if len(hits) > 1:
-                pos = next(al for al in cls if a.entity_classifies(e, al))
-                neg = next(al for al in cls if not a.entity_classifies(e, al))
-                raise RespectViolation(e, pos, neg)
     for t in tuples:
         for cls in rel_groups:
             applicable = [r for r in cls if a.language.arity[r] <= a.tuple_arity[t]]
@@ -379,11 +369,11 @@ def model_dual_quotient(a: Model, j: ModelDualInvariant) -> tuple[Model, ModelMo
                 raise IncompatibleQuotient(x, var_cls[x],
                                            f"tuple {t!r} values merged variables differently")
         valuation[t] = fdict(val)
-    incidence = frozenset((e, ent_cls[al]) for (e, al) in a.entity_incidence if e in entities)
-    rel_inc = frozenset((t, rel_cls[r]) for (t, r) in a.relation_incidence if t in set(tuples))
-    q = Model(lang, frozenset(entities), incidence, frozenset(tuples),
-              fdict(arity), fdict(valuation), rel_inc)
+    q = replace(kept, language=lang, entity_incidence=ents.incidence,
+                tuple_arity=fdict(arity), tuple_valuation=fdict(valuation),
+                relation_incidence=frozenset((t, rel_cls[r])
+                                             for (t, r) in kept.relation_incidence))
     q.check(well_sorted=False)
-    morphism = ModelMorphism.make(canon, a, q, {e: e for e in entities},
-                                  {t: t for t in tuples})
+    morphism = ModelMorphism.make(canon, a, q, ent_canon.instance_map,
+                                  {t: t for t in q.tuples})
     return q, morphism

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetExceeded, DomainMismatch
 from .language import (Expression, LanguageEndorelation, LanguageMorphism,
@@ -17,7 +17,7 @@ from .language import (Expression, LanguageEndorelation, LanguageMorphism,
                        enumerate_expressions, identity_language_morphism,
                        language_morphism_valid, language_quotient, language_sum,
                        translate_expression, well_formed)
-from .model import Model, fdict, satisfies
+from .model import Model, satisfies
 from .tokens import sorted_tokens
 
 DEFAULT_BUDGET = 10000

@@ -304,3 +304,158 @@ def logics_isomorphic(l1, l2):
             len(l1.normal_tuples) != len(l2.normal_tuples):
         return False
     return models_isomorphic(l1.model, l2.model)
+
+
+# --- model sum and dual quotient ----------------------------------------------
+
+def model_as_sets(m):
+    """A model's instance side as plain sets and dicts, for comparison."""
+    return {
+        "entities": set(m.entities),
+        "entity_incidence": set(m.entity_incidence),
+        "tuples": set(m.tuples),
+        "arity": {t: set(m.tuple_arity[t]) for t in m.tuples},
+        "valuation": {t: dict(m.tuple_valuation[t]) for t in m.tuples},
+        "relation_incidence": set(m.relation_incidence),
+    }
+
+
+def naive_model_sum(a, b):
+    """Entity pairs, equal-arity tuple pairs valued under both tags, tagged incidence."""
+    out = {"entities": set(), "entity_incidence": set(), "tuples": set(),
+           "arity": {}, "valuation": {}, "relation_incidence": set()}
+    for x in a.entities:
+        for y in b.entities:
+            out["entities"].add((x, y))
+            for (e, t) in a.entity_incidence:
+                if e == x:
+                    out["entity_incidence"].add(((x, y), ("left", t)))
+            for (e, t) in b.entity_incidence:
+                if e == y:
+                    out["entity_incidence"].add(((x, y), ("right", t)))
+    for s in a.tuples:
+        for t in b.tuples:
+            if set(a.tuple_arity[s]) != set(b.tuple_arity[t]):
+                continue
+            tok = (s, t)
+            out["tuples"].add(tok)
+            out["arity"][tok] = set()
+            out["valuation"][tok] = {}
+            for x in a.tuple_arity[s]:
+                value = (a.tuple_valuation[s][x], b.tuple_valuation[t][x])
+                for tag in ("left", "right"):
+                    out["arity"][tok].add((tag, x))
+                    out["valuation"][tok][(tag, x)] = value
+            for (u, r) in a.relation_incidence:
+                if u == s:
+                    out["relation_incidence"].add((tok, ("left", r)))
+            for (u, r) in b.relation_incidence:
+                if u == t:
+                    out["relation_incidence"].add((tok, ("right", r)))
+    return out
+
+
+def naive_classes(elements, pairs):
+    """Each element's equivalence class, as the frozenset of its members."""
+    cls = {e: frozenset([e]) for e in elements}
+    changed = True
+    while changed:
+        changed = False
+        for (p, q) in pairs:
+            if cls[p] != cls[q]:
+                merged = cls[p] | cls[q]
+                for e in merged:
+                    cls[e] = merged
+                changed = True
+    return cls
+
+
+def naive_dual_quotient(m, entity_subset, tuple_subset, relation):
+    """The dual quotient with classes named by their member sets.
+
+    Returns ("incompatible", None), ("respect", None), or ("ok", the
+    quotient's language and instance side as plain sets), checking in
+    the order the construction does: the type language, entity respect,
+    lax tuple respect (only relation types the tuple's arity covers are
+    compared), then tuples that value merged variables differently.
+    """
+    lang = m.language
+    var_cls = naive_classes(lang.variables, relation.variable_pairs)
+    ent_cls = naive_classes(lang.entity_types, relation.entity_pairs)
+    rel_cls = naive_classes(lang.relation_types, relation.relation_pairs)
+    for x in lang.variables:
+        for y in var_cls[x]:
+            if ent_cls[lang.reference[x]] != ent_cls[lang.reference[y]]:
+                return "incompatible", None
+    for r in lang.relation_types:
+        for s in rel_cls[r]:
+            if {var_cls[x] for x in lang.arity[r]} != {var_cls[x] for x in lang.arity[s]}:
+                return "incompatible", None
+    entities = set(entity_subset)
+    tuples = {t for t in tuple_subset
+              if all(v in entities for v in m.tuple_valuation[t].values())}
+    for e in entities:
+        for al in lang.entity_types:
+            for be in ent_cls[al]:
+                if ((e, al) in m.entity_incidence) != ((e, be) in m.entity_incidence):
+                    return "respect", None
+    for t in tuples:
+        covered = [r for r in lang.relation_types if set(lang.arity[r]) <= set(m.tuple_arity[t])]
+        for r in covered:
+            for s in covered:
+                if rel_cls[r] == rel_cls[s] and \
+                        ((t, r) in m.relation_incidence) != ((t, s) in m.relation_incidence):
+                    return "respect", None
+    for t in tuples:
+        for x in m.tuple_arity[t]:
+            for y in m.tuple_arity[t]:
+                if var_cls[x] == var_cls[y] and \
+                        m.tuple_valuation[t][x] != m.tuple_valuation[t][y]:
+                    return "incompatible", None
+    out = {
+        "variables": set(var_cls.values()),
+        "entity_types": set(ent_cls.values()),
+        "relation_types": set(rel_cls.values()),
+        "reference": {var_cls[x]: ent_cls[lang.reference[x]] for x in lang.variables},
+        "type_arity": {rel_cls[r]: {var_cls[x] for x in lang.arity[r]}
+                       for r in lang.relation_types},
+        "entities": entities,
+        "entity_incidence": {(e, ent_cls[al]) for (e, al) in m.entity_incidence
+                             if e in entities},
+        "tuples": tuples,
+        "arity": {t: {var_cls[x] for x in m.tuple_arity[t]} for t in tuples},
+        "valuation": {t: {var_cls[x]: m.tuple_valuation[t][x] for x in m.tuple_arity[t]}
+                      for t in tuples},
+        "relation_incidence": {(t, rel_cls[r]) for (t, r) in m.relation_incidence
+                               if t in tuples},
+    }
+    return "ok", out
+
+
+def quotient_as_sets(q, canon):
+    """A library quotient renamed to member-set classes, as naive_dual_quotient gives it."""
+    lm = canon.language_morphism
+
+    def members(mapping):
+        out = {}
+        for k, cls in mapping.items():
+            out.setdefault(cls, set()).add(k)
+        return {cls: frozenset(ks) for cls, ks in out.items()}
+    var, ent, rel = members(lm.var_map), members(lm.entity_map), members(lm.relation_map)
+    lang = q.language
+    out = {
+        "variables": {var[x] for x in lang.variables},
+        "entity_types": {ent[a] for a in lang.entity_types},
+        "relation_types": {rel[r] for r in lang.relation_types},
+        "reference": {var[x]: ent[lang.reference[x]] for x in lang.variables},
+        "type_arity": {rel[r]: {var[x] for x in lang.arity[r]} for r in lang.relation_types},
+    }
+    sets = model_as_sets(q)
+    out["entities"] = sets["entities"]
+    out["entity_incidence"] = {(e, ent[a]) for (e, a) in sets["entity_incidence"]}
+    out["tuples"] = sets["tuples"]
+    out["arity"] = {t: {var[x] for x in xs} for t, xs in sets["arity"].items()}
+    out["valuation"] = {t: {var[x]: v for x, v in val.items()}
+                        for t, val in sets["valuation"].items()}
+    out["relation_incidence"] = {(t, rel[r]) for (t, r) in sets["relation_incidence"]}
+    return out

@@ -52,6 +52,19 @@ def test_check_invalid_morphism_reports_witness(tmp_path, capsys):
     assert "acme" in out  # witness names the offending instance
 
 
+def test_check_rejects_tuple_valued_outside_entities(tmp_path, capsys):
+    path = tmp_path / "ghost.iff"
+    path.write_text(
+        "(language W (variables x) (entity-types T) (reference (x T)) "
+        "(relations (R (x))))\n"
+        "(model M (language W) (entities a) (incidence (a T))\n"
+        "  (tuples (t1 (arity x) (valuation (x ghost))))\n"
+        "  (relation-incidence (t1 R)))\n")
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 1
+    assert "fail:" in out
+
+
 def test_check_syntax_error_exit_one(tmp_path, capsys):
     path = tmp_path / "broken.iff"
     path.write_text("(language L (variables")

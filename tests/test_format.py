@@ -56,6 +56,31 @@ def test_duplicate_names_rejected():
         parse_document(text)
 
 
+def test_conflicting_reference_keys_rejected():
+    text = ("(language W (variables x) (entity-types A B) "
+            "(reference (x B) (x A)) (relations))")
+    with pytest.raises(FormError, match="'x' two values"):
+        parse_document(text)
+
+
+def test_conflicting_assignment_keys_rejected():
+    text = ("(language W (variables x) (entity-types T) (reference (x T)) "
+            "(relations (R (x))))\n"
+            "(model M (language W) (entities a b) (incidence (a T) (b T)) "
+            "(extents (R ((x a) (x b)))))")
+    with pytest.raises(FormError, match="'x' two values"):
+        parse_document(text)
+
+
+def test_repeated_identical_keys_accepted():
+    text = ("(language W (variables x) (entity-types T) "
+            "(reference (x T) (x T)) (relations (R (x))))\n"
+            "(model M (language W) (entities a) (incidence (a T)) "
+            "(extents (R ((x a) (x a)))))")
+    m = parse_document(text).get("M", "model")
+    assert m.relation_extent("R") == {fdict({"x": "a"})}
+
+
 def test_unresolved_reference_rejected():
     with pytest.raises(FormError):
         parse_document("(theory T (language Missing) (axioms))")

@@ -15,10 +15,13 @@ from ontofuse.model import (Model, ModelDualInvariant, ModelMorphism,
 from ontofuse.theory import theory_of_model
 from ontofuse.tokens import fdict, ltag, rtag, sorted_tokens
 
-from fixtures import (VARS, rand_expression, rand_language, rand_model,
+from fixtures import (VARS, rand_expression, rand_language, rand_logic,
+                      rand_model, relabeled_target, separated_logic,
                       w_language, w_logic, wp_logic)
-from oracles import (all_model_morphisms, models_isomorphic, morphisms_equal,
-                     naive_holds, naive_satisfies)
+from oracles import (all_model_morphisms, model_as_sets, models_isomorphic,
+                     morphisms_equal, naive_classes, naive_dual_quotient,
+                     naive_holds, naive_model_sum, naive_satisfies,
+                     quotient_as_sets)
 
 
 def w_model():
@@ -237,6 +240,25 @@ def test_sum_pairs_equal_arity_tuples_only():
         assert a.tuple_arity[t1] == b.tuple_arity[t2]
 
 
+def rand_summand(rng, tag):
+    """A small model with assignment tuples or, every third draw, abstract ones."""
+    if rng.random() < 1 / 3:
+        return separated_logic(rng, tag).model
+    return rand_model(rng, rand_language(rng, tag), max_entities=3)
+
+
+def test_sum_matches_naive_oracle_randomized():
+    rng = random.Random(73)
+    for _ in range(150):
+        a, b = rand_summand(rng, "a"), rand_summand(rng, "b")
+        s, n1, n2 = model_sum(a, b)
+        assert model_as_sets(s) == naive_model_sum(a, b)
+        assert dict(n1.entity_map) == {p: p[0] for p in s.entities}
+        assert dict(n2.entity_map) == {p: p[1] for p in s.entities}
+        assert dict(n1.tuple_map) == {t: t[0] for t in s.tuples}
+        assert dict(n2.tuple_map) == {t: t[1] for t in s.tuples}
+
+
 def test_sum_coproduct_universal_property_small_random():
     rng = random.Random(71)
     cones = 0
@@ -327,6 +349,105 @@ def test_quotient_rejects_tuple_valuing_merged_variables_differently():
     j = LanguageEndorelation.make(variable_pairs=[("x", "y")])
     with pytest.raises(IncompatibleQuotient):
         model_dual_quotient(m, ModelDualInvariant.make(m.entities, m.tuples, j))
+
+
+def test_quotient_respect_is_lax_on_uncovered_relation_types():
+    # R(x) and S(y) are merged and so are x and y; the tuple {x: a} lies
+    # in R and its arity does not cover S, so S is not compared
+    lang = TypeLanguage.make(VARS, ["T"], {"x": "T", "y": "T"},
+                             {"R": ("x",), "S": ("y",)})
+    m = Model.from_extents(lang, ["a"], [("a", "T")], {"R": [{"x": "a"}]})
+    j = LanguageEndorelation.make(relation_pairs=[("R", "S")],
+                                  variable_pairs=[("x", "y")])
+    q, canon = model_dual_quotient(m, ModelDualInvariant.make(m.entities, m.tuples, j))
+    (t,) = q.tuples
+    assert q.tuple_classifies(t, canon.language_morphism.relation_map["R"])
+    assert q.tuple_arity[t] == {canon.language_morphism.var_map["x"]}
+
+
+def rand_summand_pair(rng):
+    """Two small models; every other draw the right one relabels the left.
+
+    A relabelled copy is the shape fusion quotients: linking each type
+    with its copy is respected on the diagonal.  The copy's types are
+    the left's with a "c" in front.
+    """
+    k = separated_logic(rng, "a") if rng.random() < 1 / 3 else rand_logic(rng, "a")
+    if rng.random() < 0.5:
+        return k.model, rand_summand(rng, "b"), False
+    copy, _ = relabeled_target(rng, k, "c")
+    return k.model, copy.model, True
+
+
+def rand_sum_invariant(rng, s, a, b, copied):
+    """A type relation across the two halves of a sum, and retained instances.
+
+    Variables are mostly merged with their namesakes, references
+    alongside, and relation types only at equal arity over merged
+    variables, so the type language mostly quotients; most draws then
+    keep only instances that respect the relation, so most quotients
+    succeed.
+    """
+    la, lb = a.language, b.language
+    merged = [x for x in VARS if rng.random() < 0.8]
+    variable_pairs = [(x, x) for x in merged]
+    if rng.random() < 0.15:
+        variable_pairs.append((rng.choice(VARS), rng.choice(VARS)))
+    entity_pairs = [(la.reference[x], lb.reference[y]) for x, y in variable_pairs]
+    if copied:
+        entity_pairs += [(p, "c" + p) for p in sorted_tokens(la.entity_types)
+                         if rng.random() < 0.8]
+    else:
+        entity_pairs += [(p, q) for p in sorted_tokens(la.entity_types)
+                         for q in sorted_tokens(lb.entity_types) if rng.random() < 0.2]
+    relation_pairs = [(r, q) for r in sorted_tokens(la.relation_types)
+                      for q in sorted_tokens(lb.relation_types)
+                      if la.arity[r] == lb.arity[q] and la.arity[r] <= set(merged)
+                      and rng.random() < 0.6]
+    rel = LanguageEndorelation.make(
+        [(ltag(p), rtag(q)) for p, q in entity_pairs],
+        [(ltag(p), rtag(q)) for p, q in relation_pairs],
+        [(ltag(p), rtag(q)) for p, q in variable_pairs])
+    if rng.random() < 0.15:
+        return (frozenset(e for e in s.entities if rng.random() < 0.8),
+                frozenset(t for t in s.tuples if rng.random() < 0.8), rel)
+    ent_cls = naive_classes(s.language.entity_types, rel.entity_pairs)
+    rel_cls = naive_classes(s.language.relation_types, rel.relation_pairs)
+    entities = frozenset(
+        e for e in s.entities if rng.random() < 0.95
+        and all(s.entity_classifies(e, p) == s.entity_classifies(e, q)
+                for p in ent_cls for q in ent_cls[p]))
+    tuples = frozenset(
+        t for t in s.tuples if rng.random() < 0.95
+        and all(s.tuple_classifies(t, p) == s.tuple_classifies(t, q)
+                for p in rel_cls for q in rel_cls[p]
+                if s.language.arity[p] | s.language.arity[q] <= s.tuple_arity[t]))
+    return entities, tuples, rel
+
+
+def test_dual_quotient_matches_naive_oracle_randomized():
+    rng = random.Random(79)
+    succeeded = 0
+    for _ in range(400):
+        a, b, copied = rand_summand_pair(rng)
+        s, _, _ = model_sum(a, b)
+        entities, tuples, rel = rand_sum_invariant(rng, s, a, b, copied)
+        j = ModelDualInvariant.make(entities, tuples, rel)
+        verdict, expected = naive_dual_quotient(s, entities, tuples, rel)
+        if verdict == "respect":
+            with pytest.raises(RespectViolation):
+                model_dual_quotient(s, j)
+            continue
+        if verdict == "incompatible":
+            with pytest.raises(IncompatibleQuotient):
+                model_dual_quotient(s, j)
+            continue
+        q, canon = model_dual_quotient(s, j)
+        assert quotient_as_sets(q, canon) == expected
+        assert dict(canon.entity_map) == {e: e for e in q.entities}
+        assert dict(canon.tuple_map) == {t: t for t in q.tuples}
+        succeeded += 1
+    assert succeeded >= 300
 
 
 # --- theory of a model -----------------------------------------------------------
