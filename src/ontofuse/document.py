@@ -15,7 +15,7 @@ from .language import (And, Atomic, Exists, Expression, Forall, Implies,
                        LanguageMorphism, Not, Or, Subst, TypeLanguage)
 from .logic import Logic, LogicMorphism
 from .model import Model, fdict
-from .sexpr import is_symbol, parse_all, write_all
+from .sexpr import MAX_DEPTH, is_symbol, parse_all, write_all
 from .theory import Theory, TheoryMorphism
 from .tokens import FrozenDict, sorted_tokens
 
@@ -98,24 +98,33 @@ def render_expression(e: Expression):
 
 
 def parse_expression(v):
+    """The expression an S-expression value spells, at most MAX_DEPTH deep."""
+    return _parse_expression(v, 1)
+
+
+def _parse_expression(v, depth: int):
+    if depth > MAX_DEPTH:
+        raise FormError("expression", f"nested deeper than {MAX_DEPTH} levels")
     if is_symbol(v) or not v or not is_symbol(v[0]):
         raise FormError("expression", f"expected an expression, got {v!r}")
     head, args = v[0], v[1:]
     if head == "atom" and len(args) == 1:
         return Atomic(parse_token(args[0]))
     if head == "not" and len(args) == 1:
-        return Not(parse_expression(args[0]))
+        return Not(_parse_expression(args[0], depth + 1))
     if head in _BINARY_HEADS and len(args) == 2:
-        return _BINARY_HEADS[head](parse_expression(args[0]), parse_expression(args[1]))
+        return _BINARY_HEADS[head](_parse_expression(args[0], depth + 1),
+                                   _parse_expression(args[1], depth + 1))
     if head in _QUANT_HEADS and len(args) == 2:
-        return _QUANT_HEADS[head](parse_token(args[0]), parse_expression(args[1]))
+        return _QUANT_HEADS[head](parse_token(args[0]), _parse_expression(args[1], depth + 1))
     if head == "subst" and len(args) == 2 and not is_symbol(args[0]):
         pairs = []
         for p in args[0]:
             if is_symbol(p) or len(p) != 2:
                 raise FormError("expression", f"subst entry must be a pair, got {p!r}")
             pairs.append((parse_token(p[0]), parse_token(p[1])))
-        return Subst.make(_map("expression", pairs, "subst"), parse_expression(args[1]))
+        return Subst.make(_map("expression", pairs, "subst"),
+                          _parse_expression(args[1], depth + 1))
     raise FormError("expression", f"unknown expression form {v!r}")
 
 

@@ -9,11 +9,19 @@ assignments as their own tokens, with incidence derived by the lax rule
 "the restriction of the tuple lies in the extent".  Keeping tokens
 abstract matters because the free model over a theory has relation
 instances that share a valuation but differ in incidence.
+
+Evaluation reads two indexes that a model builds on first use: for
+each relation type its classified rows (valuations restricted to the
+relation's arity, as value tuples in one fixed variable order), and for
+each entity type its entities in token order.  A model is frozen, so
+the indexes never go stale; a copy made with ``dataclasses.replace``
+builds its own.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .classification import (Classification, ClassificationInvariant, Infomorphism,
@@ -118,24 +126,37 @@ class Model:
                      fdict({t: self.tuple_valuation[t] for t in tuples}),
                      frozenset(p for p in self.relation_incidence if p[0] in tuples))
 
+    # -- indexes -----------------------------------------------------------
+
+    @cached_property
+    def _rows(self) -> dict:
+        """Relation type -> (its variables in a fixed order, the classified rows)."""
+        order = {rho: tuple(xs) for rho, xs in self.language.arity.items()}
+        rows = {rho: set() for rho in order}
+        for (t, rho) in self.relation_incidence:
+            rows[rho].add(tuple(map(self.tuple_valuation[t].__getitem__, order[rho])))
+        return {rho: (order[rho], frozenset(rows[rho])) for rho in order}
+
+    @cached_property
+    def _pools(self) -> dict:
+        """Entity type -> its entities, in token order."""
+        pools = {a: [] for a in self.language.entity_types}
+        for (e, a) in self.entity_incidence:
+            pools[a].append(e)
+        return {a: tuple(sorted_tokens(es)) for a, es in pools.items()}
+
     # -- views -------------------------------------------------------------
 
     def entity_classifies(self, e: Token, a: Token) -> bool:
         return (e, a) in self.entity_incidence
 
     def entity_extent(self, a: Token) -> frozenset:
-        return frozenset(e for e in self.entities if (e, a) in self.entity_incidence)
-
-    def entity_intent(self, e: Token) -> frozenset:
-        return frozenset(a for a in self.language.entity_types if (e, a) in self.entity_incidence)
+        return frozenset(self._pools.get(a, ()))
 
     def relation_extent(self, rho: Token) -> frozenset:
         """Extent as assignments with domain exactly arity(rho), from incidence."""
-        out = set()
-        for (t, r) in self.relation_incidence:
-            if r == rho:
-                out.add(restrict(self.tuple_valuation[t], self.language.arity[rho]))
-        return frozenset(out)
+        order, rows = self._rows[rho]
+        return frozenset(fdict(zip(order, row)) for row in rows)
 
     def tuple_classifies(self, t: Token, rho: Token) -> bool:
         return (t, rho) in self.relation_incidence
@@ -153,7 +174,7 @@ class Model:
     def well_sorted_assignments(self, domain: Iterable) -> list[Assignment]:
         """All assignments with the given domain, each value in its sort's extent."""
         dom = sorted_tokens(set(domain))
-        pools = [sorted_tokens(self.entity_extent(self.language.reference[x])) for x in dom]
+        pools = [self._pools[self.language.reference[x]] for x in dom]
         return [fdict(zip(dom, combo)) for combo in itertools.product(*pools)]
 
 
@@ -164,12 +185,13 @@ def holds(m: Model, t: Mapping, e: Expression) -> bool:
     fv = free_vars(m.language, e)
     if not fv <= set(t):
         raise LaxViolation(f"assignment domain {sorted_tokens(t)} lacks {sorted_tokens(fv - set(t))}")
-    return _eval(m, dict(t), e)
+    return _eval(m, t, e)
 
 
-def _eval(m: Model, t: dict, e: Expression) -> bool:
+def _eval(m: Model, t: Mapping, e: Expression) -> bool:
     if isinstance(e, Atomic):
-        return restrict(t, m.language.arity[e.relation]) in m.relation_extent(e.relation)
+        order, rows = m._rows[e.relation]
+        return tuple(map(t.__getitem__, order)) in rows
     if isinstance(e, Not):
         return not _eval(m, t, e.body)
     if isinstance(e, And):
@@ -179,8 +201,8 @@ def _eval(m: Model, t: dict, e: Expression) -> bool:
     if isinstance(e, Implies):
         return (not _eval(m, t, e.left)) or _eval(m, t, e.right)
     if isinstance(e, (Exists, Forall)):
-        pool = m.entity_extent(m.language.reference[e.var])
-        results = (_eval(m, {**t, e.var: c}, e.body) for c in sorted_tokens(pool))
+        pool = m._pools[m.language.reference[e.var]]
+        results = (_eval(m, {**t, e.var: c}, e.body) for c in pool)
         return any(results) if isinstance(e, Exists) else all(results)
     if isinstance(e, Subst):
         inner = {y: t[e.mapping[y]] for y in free_vars(m.language, e.body)}
@@ -189,8 +211,12 @@ def _eval(m: Model, t: dict, e: Expression) -> bool:
 
 
 def satisfies(m: Model, e: Expression) -> bool:
-    """True iff e holds under every well-sorted assignment on its free variables."""
-    return all(holds(m, t, e) for t in m.well_sorted_assignments(free_vars(m.language, e)))
+    """True iff e holds under every well-sorted assignment on its free variables.
+
+    Each assignment has exactly the free variables as its domain, so the
+    lax domain check of :func:`holds` is not repeated.
+    """
+    return all(_eval(m, t, e) for t in m.well_sorted_assignments(free_vars(m.language, e)))
 
 
 # --- morphisms -------------------------------------------------------------

@@ -3,7 +3,8 @@
 Values are either symbols (plain strings) or lists of values.  Symbols
 are any run of characters excluding whitespace, parentheses, and the
 comment character.  The reader tracks line and column for error
-reporting; the writer emits one canonical layout.
+reporting and refuses lists nested deeper than MAX_DEPTH; the writer
+emits one canonical layout.
 """
 from __future__ import annotations
 
@@ -21,6 +22,12 @@ class SexprSyntaxError(OntofuseError):
 
 _DELIMS = "()"
 _COMMENT = ";"
+
+# Deepest list nesting the reader accepts.  The reader, the writer and
+# the recursive passes over expressions (free variables, well-formedness,
+# evaluation, token order) take one or two Python frames per level, so
+# this keeps them well inside the interpreter's default recursion limit.
+MAX_DEPTH = 200
 
 
 @dataclass
@@ -57,11 +64,13 @@ class _Reader:
             else:
                 return
 
-    def read_value(self):
+    def read_value(self, depth: int = 1):
         self.skip_blank()
         if not self.peek():
             raise self.error("unexpected end of input")
         if self.peek() == "(":
+            if depth > MAX_DEPTH:
+                raise self.error(f"lists nested deeper than {MAX_DEPTH} levels")
             start_line, start_col = self.line, self.column
             self.advance()
             items = []
@@ -72,7 +81,7 @@ class _Reader:
                 if self.peek() == ")":
                     self.advance()
                     return items
-                items.append(self.read_value())
+                items.append(self.read_value(depth + 1))
         if self.peek() == ")":
             raise self.error("unmatched closing parenthesis")
         chars = []

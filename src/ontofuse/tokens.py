@@ -54,10 +54,20 @@ def sorted_tokens(ts: Iterable[Token]) -> list:
 
 
 class FrozenDict(dict):
-    """Hashable, mutation-blocked dict used for maps inside frozen values."""
+    """Hashable, mutation-blocked dict used for maps inside frozen values.
+
+    The hash is computed on first use and kept, which is sound because
+    every mutating method, ``|=`` included, is blocked.
+    """
+
+    __slots__ = ("_hash",)
 
     def __hash__(self) -> int:  # type: ignore[override]
-        return hash(frozenset(self.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash(frozenset(self.items()))
+            return h
 
     def _blocked(self, *a: Any, **k: Any) -> None:
         raise TypeError("FrozenDict is immutable")
@@ -69,6 +79,7 @@ class FrozenDict(dict):
     popitem = _blocked  # type: ignore[assignment]
     clear = _blocked  # type: ignore[assignment]
     setdefault = _blocked  # type: ignore[assignment]
+    __ior__ = _blocked  # type: ignore[assignment]
 
 
 def fdict(m: Mapping | Iterable = ()) -> FrozenDict:

@@ -111,6 +111,7 @@ def rand_expression(rng: random.Random, lang: TypeLanguage, depth: int):
     from ontofuse.language import (And, Atomic, Exists, Forall, Implies, Not,
                                    Or, Subst)
     rels = sorted_tokens(lang.relation_types)
+    variables = sorted_tokens(lang.variables)
     if depth <= 1 or not rels:
         if not rels:
             raise ValueError("language has no relation types")
@@ -126,12 +127,12 @@ def rand_expression(rng: random.Random, lang: TypeLanguage, depth: int):
                     rand_expression(rng, lang, depth - 1))
     if kind == 5:
         ctor = rng.choice((Exists, Forall))
-        return ctor(rng.choice(VARS), rand_expression(rng, lang, depth - 1))
+        return ctor(rng.choice(variables), rand_expression(rng, lang, depth - 1))
     body = rand_expression(rng, lang, depth - 1)
     from ontofuse.language import free_vars
     mapping = {}
     for x in free_vars(lang, body):
-        same_sort = [y for y in VARS if lang.reference[y] == lang.reference[x]]
+        same_sort = [y for y in variables if lang.reference[y] == lang.reference[x]]
         mapping[x] = rng.choice(same_sort)
     return Subst.make(mapping, body)
 

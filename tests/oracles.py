@@ -7,6 +7,7 @@ package under test.
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 from ontofuse.language import (And, Atomic, Exists, Forall, Implies, Not, Or,
                                Subst)
@@ -78,6 +79,50 @@ def naive_satisfies(m, e):
     pools = [naive_sort_pool(m, m.language.reference[x]) for x in fv]
     return all(naive_holds(m, dict(zip(fv, combo)), e)
                for combo in itertools.product(*pools))
+
+
+# --- bounded model enumeration ----------------------------------------------------
+
+def brute_force_models(theory, bound):
+    """Every model of the theory over _e0.._e(n-1), n <= bound, by brute force.
+
+    A candidate takes a set of (entity, type) incidence pairs and, for
+    each relation type, a set of rows: assignments on its arity valued
+    in the sorts' entities.  Its tuples are all those rows, each
+    classified by every relation type whose arity it covers and whose
+    rows hold its restriction.  Candidates whose axioms hold under
+    naive_satisfies are kept, as plain objects with a model's fields.
+    """
+    lang = theory.language
+    types = sorted(lang.entity_types, key=str)
+    rels = sorted(lang.relation_types, key=str)
+    out = []
+    for n in range(bound + 1):
+        entities = [f"_e{i}" for i in range(n)]
+        for incidence in powerset((e, a) for e in entities for a in types):
+            rows = []
+            for r in rels:
+                xs = sorted(lang.arity[r], key=str)
+                pools = [[e for e in entities if (e, lang.reference[x]) in incidence]
+                         for x in xs]
+                rows.append([fdict(zip(xs, combo)) for combo in itertools.product(*pools)])
+            for choice in itertools.product(*(powerset(r) for r in rows)):
+                extents = dict(zip(rels, choice))
+                tuples = set()
+                for ext in choice:
+                    tuples |= ext
+                rel_inc = {(t, r) for t in tuples for r in rels
+                           if set(lang.arity[r]) <= set(t)
+                           and fdict({x: t[x] for x in lang.arity[r]}) in extents[r]}
+                m = SimpleNamespace(
+                    language=lang, entities=frozenset(entities),
+                    entity_incidence=frozenset(incidence), tuples=frozenset(tuples),
+                    tuple_arity={t: frozenset(t) for t in tuples},
+                    tuple_valuation={t: t for t in tuples},
+                    relation_incidence=frozenset(rel_inc))
+                if all(naive_satisfies(m, a) for a in theory.axioms):
+                    out.append(m)
+    return out
 
 
 # --- free-logic brute force ---------------------------------------------------

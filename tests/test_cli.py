@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, reports, determinism."""
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ from ontofuse.cli import main
 from ontofuse.document import Document, parse_document, serialize_document
 from ontofuse.language import LanguageMorphism
 from ontofuse.logic import LogicMorphism
+from ontofuse.sexpr import MAX_DEPTH
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
@@ -162,6 +164,57 @@ def test_reports_deterministic(tmp_path, capsys):
     assert outs[0] == outs[1]
     assert (tmp_path / "fused0.iff").read_text() == \
         (tmp_path / "fused1.iff").read_text()
+
+
+# --- hostile nesting ------------------------------------------------------------------
+
+NEST_LANGUAGE = ("(language L (variables x) (entity-types T) (reference (x T)) "
+                 "(relations (R (x))))\n")
+
+
+def nested_nots(k):
+    return "(not " * k + "(atom R)" + ")" * k
+
+
+@pytest.mark.parametrize("text", [
+    NEST_LANGUAGE + f"(theory T (language L) (axioms {nested_nots(3000)}))\n",
+    "(" * 5000 + ")" * 5000 + "\n",
+], ids=["3000-nots", "5000-parentheses"])
+def test_deep_nesting_is_one_error_line(tmp_path, text):
+    path = tmp_path / "deep.iff"
+    path.write_text(text)
+    for argv, stream in ((["check", str(path)], "stdout"),
+                         (["entails", str(path), "--theory", "T",
+                           "--query", "(atom R)"], "stderr")):
+        r = subprocess.run([sys.executable, "-m", "ontofuse.cli", *argv],
+                           capture_output=True, text=True)
+        assert r.returncode == 1
+        assert "Traceback" not in r.stdout + r.stderr
+        lines = (r.stdout + r.stderr).splitlines()
+        assert len(lines) == 1
+        assert lines[0] in getattr(r, stream)
+        head = "fail" if argv[0] == "check" else "error"
+        assert re.search(head + r": \d+:\d+: lists nested deeper than", lines[0])
+
+
+def test_document_at_the_nesting_limit_checks(tmp_path, capsys):
+    # the axiom's innermost list sits MAX_DEPTH lists deep
+    text = NEST_LANGUAGE + \
+        f"(theory T (language L) (axioms {nested_nots(MAX_DEPTH - 3)}))\n"
+    path = tmp_path / "deep.iff"
+    path.write_text(text)
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0
+    assert out.splitlines() == [f"{path}: ok: language L", f"{path}: ok: theory T"]
+    code, out, _ = run(capsys, "entails", str(path), "--theory", "T",
+                       "--query", nested_nots(MAX_DEPTH - 1), "--bound", "2")
+    assert code == 0 and out == "no counterexample up to 2 entities\n"
+    doc = parse_document(text)
+    assert serialize_document(parse_document(serialize_document(doc))) == \
+        serialize_document(doc)
+    path.with_name("deeper.iff").write_text(text.replace("(atom R)", "(not (atom R))"))
+    code, out, _ = run(capsys, "check", str(path.with_name("deeper.iff")))
+    assert code == 1 and "nested deeper than" in out
 
 
 def test_console_script_runs():

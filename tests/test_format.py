@@ -8,7 +8,7 @@ from ontofuse.document import (Document, FormError, parse_document,
                                render_expression, render_token,
                                serialize_document)
 from ontofuse.language import And, Atomic, Exists, Not, Subst
-from ontofuse.sexpr import SexprSyntaxError, parse_all, write_all
+from ontofuse.sexpr import MAX_DEPTH, SexprSyntaxError, parse_all, write_all
 from ontofuse.tokens import fdict
 
 from fixtures import w_language
@@ -42,6 +42,22 @@ def test_syntax_error_carries_line_and_column():
         parse_all("(language W\n  (variables x y")
     assert err.value.line == 2
     assert err.value.column is not None
+
+
+def test_reader_refuses_lists_nested_beyond_the_limit():
+    assert parse_all("(" * MAX_DEPTH + ")" * MAX_DEPTH)
+    with pytest.raises(SexprSyntaxError) as err:
+        parse_all("(a\n " + "(" * MAX_DEPTH + ")" * (MAX_DEPTH + 1))
+    assert (err.value.line, err.value.column) == (2, MAX_DEPTH + 1)
+
+
+def test_parse_expression_refuses_nesting_beyond_the_limit():
+    v = ["atom", "R"]
+    for _ in range(MAX_DEPTH - 1):
+        v = ["not", v]
+    assert isinstance(parse_expression(v), Not)
+    with pytest.raises(FormError):
+        parse_expression(["not", v])
 
 
 def test_unbalanced_close_rejected():

@@ -1,18 +1,20 @@
 """Models: lax satisfaction, morphisms, sums, dual quotients."""
 import random
+from dataclasses import replace
 
 import pytest
 
 from ontofuse.errors import (IncompatibleQuotient, LaxViolation,
                              NameSetMismatch, RespectViolation)
-from ontofuse.language import (And, Atomic, Forall, LanguageEndorelation,
+from ontofuse.language import (And, Atomic, Exists, Forall, LanguageEndorelation,
                                LanguageMorphism, Not, Or, TypeLanguage,
                                free_vars)
 from ontofuse.model import (Model, ModelDualInvariant, ModelMorphism,
                             compose_model_morphisms, holds,
                             identity_model_morphism, model_dual_quotient,
                             model_morphism_valid, model_sum, satisfies)
-from ontofuse.theory import theory_of_model
+from ontofuse.logic import free_logic
+from ontofuse.theory import Theory, theory_of_model
 from ontofuse.tokens import fdict, ltag, rtag, sorted_tokens
 
 from fixtures import (VARS, rand_expression, rand_language, rand_logic,
@@ -20,8 +22,8 @@ from fixtures import (VARS, rand_expression, rand_language, rand_logic,
                       w_language, w_logic, wp_logic)
 from oracles import (all_model_morphisms, model_as_sets, models_isomorphic,
                      morphisms_equal, naive_classes, naive_dual_quotient,
-                     naive_holds, naive_model_sum, naive_satisfies,
-                     quotient_as_sets)
+                     naive_extent, naive_holds, naive_model_sum,
+                     naive_satisfies, naive_sort_pool, quotient_as_sets)
 
 
 def w_model():
@@ -448,6 +450,108 @@ def test_dual_quotient_matches_naive_oracle_randomized():
         assert dict(canon.tuple_map) == {t: t for t in q.tuples}
         succeeded += 1
     assert succeeded >= 300
+
+
+# --- evaluation against the naive evaluator, beyond from_extents models -----------
+
+def assert_evaluates_like_naive(rng, m, expressions=3):
+    """Extents, sort pools, holds and satisfies of m agree with the oracles."""
+    lang = m.language
+    for rho in lang.relation_types:
+        assert {frozenset(a.items()) for a in m.relation_extent(rho)} == \
+            naive_extent(m, rho)
+    for a in lang.entity_types:
+        assert m.entity_extent(a) == set(naive_sort_pool(m, a))
+    for x in lang.variables:
+        assert [t[x] for t in m.well_sorted_assignments([x])] == \
+            naive_sort_pool(m, lang.reference[x])
+    if not lang.relation_types:
+        return
+    for _ in range(expressions):
+        e = rand_expression(rng, lang, rng.randint(1, 3))
+        fv = free_vars(lang, e)
+        assert satisfies(m, e) == naive_satisfies(m, e)
+        for env in m.well_sorted_assignments(fv):
+            assert holds(m, env, e) == naive_holds(m, dict(env), e)
+        # lax: a tuple's valuation may cover more than fv, and free
+        # models value coordinates outside the sorts
+        for t in m.tuples:
+            if fv <= m.tuple_arity[t]:
+                val = m.tuple_valuation[t]
+                assert holds(m, val, e) == naive_holds(m, dict(val), e)
+
+
+def half_incidence(rng, m):
+    """A copy of m keeping about half of each incidence; callers evaluate m
+    first, so an index left over from m would show."""
+    return replace(m, entity_incidence=frozenset(p for p in m.entity_incidence
+                                                 if rng.random() < 0.5),
+                   relation_incidence=frozenset(p for p in m.relation_incidence
+                                                if rng.random() < 0.5))
+
+
+def test_evaluation_on_sums_quotients_and_free_logics_randomized():
+    rng = random.Random(83)
+    quotients = 0
+    for _ in range(60):
+        a, b, copied = rand_summand_pair(rng)
+        s, _, _ = model_sum(a, b)
+        assert_evaluates_like_naive(rng, s)
+        assert_evaluates_like_naive(rng, half_incidence(rng, s))
+        entities, tuples, rel = rand_sum_invariant(rng, s, a, b, copied)
+        if naive_dual_quotient(s, entities, tuples, rel)[0] == "ok":
+            q, _ = model_dual_quotient(s, ModelDualInvariant.make(entities, tuples, rel))
+            assert_evaluates_like_naive(rng, q)
+            quotients += 1
+    assert quotients >= 30
+    for _ in range(40):
+        lang = rand_language(rng, max_ents=2, max_rels=2)
+        if not lang.relation_types:
+            continue
+        axioms = [rand_expression(rng, lang, 2) for _ in range(rng.randint(0, 2))]
+        m = free_logic(Theory.make(lang, axioms)).model
+        assert_evaluates_like_naive(rng, m)
+        assert_evaluates_like_naive(rng, half_incidence(rng, m))
+
+
+def abstract_tuple_model():
+    """Tuples t1, t2 share the valuation {x: a, y: b} but only t1 lies in S;
+    t2 lies in R, whose arity is smaller than the tuples'."""
+    lang = TypeLanguage.make(VARS, ["T"], {"x": "T", "y": "T"},
+                             {"R": ("x",), "S": ("x", "y")})
+    val = fdict({"x": "a", "y": "b"})
+    m = Model(lang, frozenset({"a", "b"}), frozenset({("a", "T"), ("b", "T")}),
+              frozenset({"t1", "t2", "t3"}),
+              fdict({"t1": frozenset(VARS), "t2": frozenset(VARS), "t3": frozenset({"y"})}),
+              fdict({"t1": val, "t2": val, "t3": fdict({"y": "a"})}),
+              frozenset({("t1", "S"), ("t2", "R")}))
+    m.check()
+    return m
+
+
+def test_evaluation_with_shared_valuations_and_larger_arity():
+    m = abstract_tuple_model()
+    assert m.relation_extent("R") == {fdict({"x": "a"})}
+    assert m.relation_extent("S") == {fdict({"x": "a", "y": "b"})}
+    assert holds(m, {"x": "a", "y": "a"}, Atomic("R"))
+    assert not holds(m, {"x": "b", "y": "b"}, And(Atomic("R"), Atomic("S")))
+    assert satisfies(m, Exists("x", Forall("y", Or(Atomic("S"), Not(Atomic("S"))))))
+    assert_evaluates_like_naive(random.Random(89), m, expressions=60)
+
+
+def test_replaced_model_answers_from_its_own_incidence():
+    m = abstract_tuple_model()
+    assert satisfies(m, Exists("x", Atomic("R")))
+    assert m.entity_extent("T") == {"a", "b"}
+    moved = replace(m, relation_incidence=frozenset({("t1", "R")}),
+                    entity_incidence=frozenset({("b", "T")}))
+    assert moved.relation_extent("R") == {fdict({"x": "a"})}
+    assert moved.relation_extent("S") == set()
+    assert not satisfies(moved, Exists("x", Atomic("R")))
+    assert moved.entity_extent("T") == {"b"}
+    assert not holds(moved, {"x": "a", "y": "b"}, Atomic("S"))
+    assert holds(m, {"x": "a", "y": "b"}, Atomic("S"))
+    assert_evaluates_like_naive(random.Random(97), moved, expressions=30)
 
 
 # --- theory of a model -----------------------------------------------------------

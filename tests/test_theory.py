@@ -1,6 +1,7 @@
 """Theories: bounded entailment, morphism and refinement checks, sums, quotients."""
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,8 @@ from ontofuse.theory import (NoCounterexampleUpTo, Refuted, Theory,
                              theory_quotient, theory_sum)
 from ontofuse.tokens import ltag, sorted_tokens
 
-from fixtures import VARS, w_language, wp_language
+from fixtures import VARS, rand_expression, w_language, wp_language
+from oracles import brute_force_models, model_as_sets, naive_satisfies
 
 
 def prop_theory(axioms):
@@ -64,6 +66,49 @@ def test_enumerated_models_satisfy_axioms():
     models = list(enumerate_models(t, 1))
     assert models
     assert all(satisfies(m, Atomic("p")) for m in models)
+
+
+def frozen_model(m):
+    """model_as_sets(m) as one hashable value."""
+    s = model_as_sets(m)
+    return (frozenset(s["entities"]), frozenset(s["entity_incidence"]),
+            frozenset(s["tuples"]),
+            frozenset((t, frozenset(xs)) for t, xs in s["arity"].items()),
+            frozenset((t, frozenset(v.items())) for t, v in s["valuation"].items()),
+            frozenset(s["relation_incidence"]))
+
+
+def small_theory(rng):
+    """One sort, one or two relation types over x and y, up to two axioms."""
+    arity = {f"R{i}": rng.sample(VARS, rng.randint(0, 2))
+             for i in range(rng.randint(1, 2))}
+    lang = TypeLanguage.make(VARS, ["T"], {"x": "T", "y": "T"}, arity)
+    return Theory.make(lang, [rand_expression(rng, lang, rng.randint(1, 3))
+                              for _ in range(rng.randint(0, 2))])
+
+
+def test_enumeration_and_entailment_match_brute_force_oracle():
+    rng = random.Random(97)
+    verdicts = Counter()
+    for _ in range(80):
+        t = small_theory(rng)
+        bound = rng.randint(0, 2)
+        found = Counter(frozen_model(m) for m in enumerate_models(t, bound))
+        models = brute_force_models(t, bound)
+        assert found == Counter(frozen_model(m) for m in models)
+        for _ in range(4):
+            q = rand_expression(rng, t.language, rng.randint(1, 3))
+            verdict = entails(t, q, bound)
+            assert bool(verdict) == all(naive_satisfies(m, q) for m in models)
+            if isinstance(verdict, Refuted):
+                cm = verdict.counter_model
+                assert len(cm.entities) <= bound
+                assert all(naive_satisfies(cm, a) for a in t.axioms)
+                assert not naive_satisfies(cm, q)
+            else:
+                assert verdict == NoCounterexampleUpTo(bound)
+            verdicts[type(verdict)] += 1
+    assert verdicts[Refuted] >= 100 and verdicts[NoCounterexampleUpTo] >= 100
 
 
 # --- entailment -----------------------------------------------------------------
