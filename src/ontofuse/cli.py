@@ -236,9 +236,20 @@ def cmd_integrate(args) -> int:
 
 # --- argument plumbing ---------------------------------------------------------
 
+def _entity_bound(text: str) -> int:
+    """Type of --bound: an entity count, so a negative value is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def _common(p, output_required: bool = True, default_name: str = "result") -> None:
     p.add_argument("doc", help="input document file")
-    p.add_argument("--bound", type=int, default=2,
+    p.add_argument("--bound", type=_entity_bound, default=2,
                    help="entity cap for entailment and model enumeration")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="candidate cap for combinatorial enumerations")
@@ -255,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate every form in each document")
     p.add_argument("files", nargs="+")
-    p.add_argument("--bound", type=int, default=2)
+    p.add_argument("--bound", type=_entity_bound, default=2)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_check)
 

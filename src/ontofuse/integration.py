@@ -12,14 +12,13 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import AgreementFailure, DomainMismatch, EdgeInvalid
-from .language import identity_language_morphism, span_relation
+from .language import identity_language_morphism
 from .logic import (Logic, LogicMorphism, compose_logic_morphisms, fiber,
                     free_to_mediating, fusion, identity_logic_morphism,
                     is_sound, logic_morphism_valid, restrict_logic, transpose)
 from .model import Model, fdict
 from .theory import (DEFAULT_BUDGET, Theory, TheoryMorphism,
-                     identity_theory_morphism, theory_morphism_valid,
-                     theory_quotient, theory_sum)
+                     identity_theory_morphism, theory_morphism_valid)
 from .tokens import sorted_tokens
 
 
@@ -125,7 +124,7 @@ class PracticalReport:
     mediating_logic: Logic  # the common fiber L@C
     free_to_mediating: LogicMorphism  # log(T) => L@C
     comparison: LogicMorphism  # free fusion => C fusion, identity on types
-    fusion_theory: Theory  # th(L1) +_T th(L2), recomputed independently
+    fusion_theory: Theory  # th(L1) +_T th(L2), the fused logic's theory
     universe: frozenset  # of the fused logic, relabelled back to C
 
 
@@ -137,7 +136,9 @@ def practical_integrate(l1: Logic, l2: Logic, c: Iterable, t: Theory,
     The three agreements: the mediating universe is C, the mediating
     theory is t, and both fiber images of the restricted portals are the
     same logic.  The fused logic is relabelled along the diagonal so its
-    universe is literally C.
+    universe is literally C.  The free fusion it is compared with fuses
+    the transposes of g1 and g2, which, the fibers agreeing, are the
+    mediating counit followed by the fiber inclusions.
     """
     c = frozenset(c)
     if not c <= l1.model.entities & l2.model.entities:
@@ -158,36 +159,31 @@ def practical_integrate(l1: Logic, l2: Logic, c: Iterable, t: Theory,
     m2 = LogicMorphism.make(k, p2, g2.language_morphism,
                             {e: e for e in p2.model.entities},
                             {tok: tok for tok in p2.model.tuples})
-    fused, q, v1, v2 = fusion(m1, m2)
+    pairs, q, v1, v2 = fusion(m1, m2)
     # instances that agree are exactly the diagonal pairs; relabel (x, x) -> x
-    entity_relabel = {p: p[0] for p in fused.model.entities}
-    tuple_relabel = {p: p[0] for p in fused.model.tuples}
-    if any(p[0] != p[1] for p in fused.model.entities) or \
-            any(p[0] != p[1] for p in fused.model.tuples):
+    if any(p[0] != p[1] for p in pairs.model.entities) or \
+            any(p[0] != p[1] for p in pairs.model.tuples):
         raise AgreementFailure("fused instances are not diagonal pairs")
-    fused = _relabel_logic(fused, entity_relabel, tuple_relabel)
-    q = _retarget(q, fused, entity_relabel, tuple_relabel)
-    v1 = _retarget(v1, fused, entity_relabel, tuple_relabel)
-    v2 = _retarget(v2, fused, entity_relabel, tuple_relabel)
+    diag_entities = {p[0]: p for p in pairs.model.entities}
+    diag_tuples = {p[0]: p for p in pairs.model.tuples}
+    fused = _relabel_logic(pairs)
+    relabel = LogicMorphism.make(pairs, fused, identity_language_morphism(fused.language),
+                                 diag_entities, diag_tuples)
+    q, v1, v2 = (compose_logic_morphisms(f, relabel) for f in (q, v1, v2))
     result = IntegrationResult(fused, q, v1, v2,
                                compose_logic_morphisms(link1, v1),
                                compose_logic_morphisms(link2, v2))
-    # structural claims: fusion theory and universe
-    fusion_th = _fusion_theory(l1.theory, l2.theory, g1, g2)
-    if fused.theory != fusion_th:
-        raise AgreementFailure("fused theory differs from the fusion of the theories")
     if fused.model.entities != c:
         raise AgreementFailure("fused universe differs from C")
     # free-logic path and its comparison morphism into the C-fusion
     km = free_to_mediating(t, k)
-    k1 = transpose(g1, p1)
-    k2 = transpose(g2, p2)
-    free_fused, _, _, _ = fusion(k1, k2)
-    comparison = _free_fusion_comparison(free_fused, fused, entity_relabel, tuple_relabel)
+    free_fused, _, _, _ = fusion(compose_logic_morphisms(km, m1),
+                                 compose_logic_morphisms(km, m2))
+    comparison = _free_fusion_comparison(free_fused, fused, diag_entities, diag_tuples)
     verdict = logic_morphism_valid(comparison, bound, budget)
     if not verdict:
         raise AgreementFailure(f"comparison morphism invalid: {verdict.detail!r}")
-    report = PracticalReport(k, km, comparison, fusion_th, fused.model.entities)
+    report = PracticalReport(k, km, comparison, fused.theory, fused.model.entities)
     return result, report
 
 
@@ -206,44 +202,27 @@ def _check_agreement(fib1: Logic, fib2: Logic) -> None:
     raise AgreementFailure("fiber logics differ structurally")
 
 
-def _fusion_theory(t1: Theory, t2: Theory,
-                   g1: TheoryMorphism, g2: TheoryMorphism) -> Theory:
-    """th(L1) +_T th(L2): quotient of the sum by the alignment-induced relation."""
-    s, _, _ = theory_sum(t1, t2)
-    q, _ = theory_quotient(s, span_relation(g1.language_morphism, g2.language_morphism))
-    return q
-
-
-def _relabel_logic(l: Logic, entity_map: Mapping, tuple_map: Mapping) -> Logic:
+def _relabel_logic(l: Logic) -> Logic:
+    """Rename each instance of l, a diagonal pair (x, x), to x."""
     m = l.model
     model = Model(m.language,
-                  frozenset(entity_map[e] for e in m.entities),
-                  frozenset((entity_map[e], a) for (e, a) in m.entity_incidence),
-                  frozenset(tuple_map[t] for t in m.tuples),
-                  fdict({tuple_map[t]: m.tuple_arity[t] for t in m.tuples}),
-                  fdict({tuple_map[t]: fdict({x: entity_map[e] for x, e in m.tuple_valuation[t].items()})
-                         for t in m.tuples}),
-                  frozenset((tuple_map[t], r) for (t, r) in m.relation_incidence))
+                  frozenset(e for e, _ in m.entities),
+                  frozenset((e[0], a) for (e, a) in m.entity_incidence),
+                  frozenset(t for t, _ in m.tuples),
+                  fdict({t[0]: arity for t, arity in m.tuple_arity.items()}),
+                  fdict({t[0]: fdict({x: e[0] for x, e in val.items()})
+                         for t, val in m.tuple_valuation.items()}),
+                  frozenset((t[0], r) for (t, r) in m.relation_incidence))
     return Logic(l.theory, model,
-                 frozenset(entity_map[e] for e in l.normal_entities),
-                 frozenset(tuple_map[t] for t in l.normal_tuples))
-
-
-def _retarget(f: LogicMorphism, new_target: Logic, entity_relabel: Mapping,
-              tuple_relabel: Mapping) -> LogicMorphism:
-    return LogicMorphism.make(
-        f.source, new_target, f.language_morphism,
-        {entity_relabel[e]: f.entity_map[e] for e in f.entity_map},
-        {tuple_relabel[t]: f.tuple_map[t] for t in f.tuple_map})
+                 frozenset(e for e, _ in l.normal_entities),
+                 frozenset(t for t, _ in l.normal_tuples))
 
 
 def _free_fusion_comparison(free_fused: Logic, c_fused: Logic,
-                            entity_relabel: Mapping, tuple_relabel: Mapping) -> LogicMorphism:
+                            diag_entities: Mapping, diag_tuples: Mapping) -> LogicMorphism:
     """Identity on types, the diagonal function on instances in C."""
     if free_fused.language != c_fused.language:
         raise AgreementFailure("free fusion and C fusion have different type languages")
-    diag_entities = {e: (e, e) for e in c_fused.model.entities}
-    diag_tuples = {t: (t, t) for t in c_fused.model.tuples}
     missing = [p for p in diag_entities.values() if p not in free_fused.model.entities]
     missing += [p for p in diag_tuples.values() if p not in free_fused.model.tuples]
     if missing:

@@ -9,7 +9,6 @@ variable-for-variable substitution.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -40,10 +39,6 @@ class TypeLanguage:
         for rho in self.relation_types:
             if not self.arity[rho] <= self.variables:
                 raise DomainMismatch(f"arity of {rho!r} uses unknown variables")
-
-    def signature(self, rho: Token) -> FrozenDict:
-        """Reference restricted to the relation type's arity."""
-        return fdict({x: self.reference[x] for x in self.arity[rho]})
 
 
 # --- Expressions -----------------------------------------------------------
@@ -155,12 +150,11 @@ def expression_depth(e: Expression) -> int:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def enumerate_expressions(lang: TypeLanguage, depth: int,
-                          include_subst: bool = False) -> list[Expression]:
+def enumerate_expressions(lang: TypeLanguage, depth: int) -> list[Expression]:
     """All well-formed expressions up to the given constructor depth.
 
-    Substitutions are omitted by default: every Subst over a depth-bounded
-    body is semantically a relabelling and they blow up the count.
+    Substitutions are omitted: every Subst over a depth-bounded body is
+    semantically a relabelling and they blow up the count.
     """
     if depth < 1:
         raise ValueError("depth bound must be >= 1")
@@ -177,13 +171,6 @@ def enumerate_expressions(lang: TypeLanguage, depth: int,
             level.extend(ctor(a, b) for a in prev for b in exact if expression_depth(a) < d - 1)
         for x in sorted_tokens(lang.variables):
             level.extend(ctor(x, e) for ctor in _QUANT for e in exact)
-        if include_subst:
-            for e in exact:
-                fv = sorted_tokens(free_vars(lang, e))
-                sorts = [sorted_tokens(v for v in lang.variables
-                                       if lang.reference[v] == lang.reference[x]) for x in fv]
-                for combo in itertools.product(*sorts):
-                    level.append(Subst.make(dict(zip(fv, combo)), e))
         by_depth.append(level)
     return [e for level in by_depth[1:] for e in level]
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .classification import power_classification
 from .errors import BudgetExceeded, DomainMismatch, SoundnessViolation
@@ -22,7 +22,7 @@ from .model import (Model, ModelDualInvariant, ModelMorphism, fdict, holds,
 from .theory import (DEFAULT_BUDGET, MorphismVerdict, Theory, TheoryMorphism,
                      identity_theory_morphism, theory_morphism_valid,
                      theory_quotient, theory_sum)
-from .tokens import Token, sorted_tokens
+from .tokens import sorted_tokens
 
 
 @dataclass(frozen=True)
@@ -130,19 +130,21 @@ def logic_morphism_valid(f: LogicMorphism, max_entities: int,
 
 # --- free logic and the adjunction -----------------------------------------
 
-def free_tuple_tokens(lang: TypeLanguage) -> list[tuple]:
-    """All (X, R) pairs: X a variable subset, R relation types with arity within X."""
-    out = []
+def free_tuple_tokens(lang: TypeLanguage) -> Iterator[tuple]:
+    """All (X, R) pairs: X a variable subset, R relation types with arity within X.
+
+    The pairs are produced lazily, so a caller can stop at a budget
+    before the 2^|variables| subsets are all listed.
+    """
     variables = sorted_tokens(lang.variables)
-    for n in range(len(variables) + 1):
-        for xs in itertools.combinations(variables, n):
-            x_set = frozenset(xs)
-            fitting = [r for r in sorted_tokens(lang.relation_types)
-                       if lang.arity[r] <= x_set]
-            for k in range(len(fitting) + 1):
-                for rs in itertools.combinations(fitting, k):
-                    out.append((x_set, frozenset(rs)))
-    return out
+    relations = sorted_tokens(lang.relation_types)
+    x_sets = (frozenset(xs) for n in range(len(variables) + 1)
+              for xs in itertools.combinations(variables, n))
+    return ((x_set, frozenset(rs))
+            for x_set in x_sets
+            for fitting in ([r for r in relations if lang.arity[r] <= x_set],)
+            for k in range(len(fitting) + 1)
+            for rs in itertools.combinations(fitting, k))
 
 
 def free_signature(lang: TypeLanguage, x_set: frozenset, rels: frozenset) -> dict:
@@ -171,9 +173,9 @@ def free_logic(t: Theory, budget: int = DEFAULT_BUDGET, strict: bool = False) ->
     if n_entities > budget:
         raise BudgetExceeded(f"power classification would have {n_entities} instances")
     power = power_classification(lang.entity_types)
-    tokens = free_tuple_tokens(lang)
+    tokens = list(itertools.islice(free_tuple_tokens(lang), budget + 1))
     if len(tokens) > budget:
-        raise BudgetExceeded(f"free model would have {len(tokens)} tuples")
+        raise BudgetExceeded(f"free model would have more than {budget} tuples")
     arity = {tok: tok[0] for tok in tokens}
     valuation = {tok: fdict(free_signature(lang, tok[0], tok[1])) for tok in tokens}
     rel_inc = [(tok, r) for tok in tokens for r in tok[1]]
@@ -205,35 +207,42 @@ def transpose(g: TheoryMorphism, l: Logic) -> LogicMorphism:
 
     Types via g; an entity of l goes to the set of mediating entity types
     whose image classifies it, a tuple to (varMap-preimage arity, the
-    mediating relation types whose image classifies it).
+    mediating relation types whose image classifies it): the intents of
+    the inverse image of l along g.
     """
-    if g.target != l.theory:
-        raise DomainMismatch("transpose target theory must be the logic's theory")
-    if not is_sound(l):
-        raise SoundnessViolation("transpose requires a sound logic")
+    entity_map, arities, intents = _reclassify(g, l)
     free = free_logic(g.source)
-    lm = g.language_morphism
-    entity_map = {e: frozenset(a for a in g.source.language.entity_types
-                               if l.model.entity_classifies(e, lm.entity_map[a]))
-                  for e in l.model.entities}
-    tuple_map = {}
-    for t in l.model.tuples:
-        x_set = frozenset(x for x in g.source.language.variables
-                          if lm.var_map[x] in l.model.tuple_arity[t])
-        rels = frozenset(r for r in g.source.language.relation_types
-                         if g.source.language.arity[r] <= x_set
-                         and _image_classifies(l.model, t, lm.relation_map[r]))
-        tok = (x_set, rels)
+    tuple_map = {t: (arities[t], intents[t]) for t in l.model.tuples}
+    for tok in tuple_map.values():
         if tok not in free.model.tuples:
             raise SoundnessViolation(f"image token {tok!r} was abnormal in the free logic")
-        tuple_map[t] = tok
-    return LogicMorphism.make(free, l, lm, entity_map, tuple_map)
+    return LogicMorphism.make(free, l, g.language_morphism, entity_map, tuple_map)
 
 
-def _image_classifies(model: Model, t: Token, image) -> bool:
-    if image in model.language.relation_types:
-        return model.tuple_classifies(t, image)
-    return token_satisfies(model, t, image)
+def _reclassify(g: TheoryMorphism, l: Logic) -> tuple[dict, dict, dict]:
+    """Inverse image of the sound logic l along g : T => th(l).
+
+    Returns each entity's intent over T's entity types, each tuple's
+    varMap-preimage arity, and each tuple's intent over the T relation
+    types that arity covers, a type classifying a tuple exactly when l
+    classifies the tuple by the type's image.
+    """
+    if g.target != l.theory:
+        raise DomainMismatch("g's target theory must be the logic's theory")
+    if not is_sound(l):
+        raise SoundnessViolation("reclassification along g requires a sound logic")
+    lm, lang, m = g.language_morphism, g.source.language, l.model
+    entity_intents = {e: frozenset(a for a in lang.entity_types
+                                   if m.entity_classifies(e, lm.entity_map[a]))
+                      for e in m.entities}
+    arities, tuple_intents = {}, {}
+    for t in m.tuples:
+        x_set = frozenset(x for x in lang.variables if lm.var_map[x] in m.tuple_arity[t])
+        arities[t] = x_set
+        tuple_intents[t] = frozenset(r for r in lang.relation_types
+                                     if lang.arity[r] <= x_set
+                                     and token_satisfies(m, t, lm.relation_map[r]))
+    return entity_intents, arities, tuple_intents
 
 
 # --- sums, quotients, fusion -----------------------------------------------
@@ -330,25 +339,14 @@ def fiber(g: TheoryMorphism, p: Logic) -> Logic:
     classifies it by the type's image; tuple arities are re-indexed by
     the varMap preimage.
     """
-    if g.target != p.theory:
-        raise DomainMismatch("fiber requires g's target to be the logic's theory")
-    if not is_sound(p):
-        raise SoundnessViolation("fiber requires a sound logic")
-    lm = g.language_morphism
-    lang = g.source.language
-    m = p.model
-    incidence = frozenset((e, a) for e in m.entities for a in lang.entity_types
-                          if m.entity_classifies(e, lm.entity_map[a]))
-    arity, valuation = {}, {}
-    for t in m.tuples:
-        pre = frozenset(x for x in lang.variables if lm.var_map[x] in m.tuple_arity[t])
-        arity[t] = pre
-        valuation[t] = fdict({x: m.tuple_valuation[t][lm.var_map[x]] for x in pre})
-    rel_inc = frozenset((t, r) for t in m.tuples for r in lang.relation_types
-                        if lang.arity[r] <= arity[t]
-                        and _image_classifies(m, t, lm.relation_map[r]))
-    model = Model(lang, m.entities, incidence, m.tuples,
-                  fdict(arity), fdict(valuation), rel_inc)
+    entity_intents, arities, tuple_intents = _reclassify(g, p)
+    lm, m = g.language_morphism, p.model
+    valuation = {t: fdict({x: m.tuple_valuation[t][lm.var_map[x]] for x in arities[t]})
+                 for t in m.tuples}
+    model = Model(g.source.language, m.entities,
+                  frozenset((e, a) for e, intent in entity_intents.items() for a in intent),
+                  m.tuples, fdict(arities), fdict(valuation),
+                  frozenset((t, r) for t, intent in tuple_intents.items() for r in intent))
     model.check()
     return Logic(g.source, model, m.entities, m.tuples)
 

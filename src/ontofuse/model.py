@@ -238,14 +238,20 @@ class ModelMorphism:
                              fdict(entity_map), fdict(tuple_map))
 
 
-def token_satisfies(m: Model, t: Token, e: Expression) -> bool:
-    """Lax expression incidence for a tuple token (atomics use incidence)."""
-    if isinstance(e, Atomic):
-        return m.tuple_classifies(t, e.relation)
-    fv = free_vars(m.language, e)
+def token_satisfies(m: Model, t: Token, image: Token | Expression) -> bool:
+    """Whether tuple t satisfies an image: a relation type or an expression.
+
+    Relation types (expression languages use atomics as relation types)
+    and atomics read incidence; any other expression is satisfied laxly.
+    """
+    if image in m.language.relation_types:
+        return m.tuple_classifies(t, image)
+    if isinstance(image, Atomic):
+        return m.tuple_classifies(t, image.relation)
+    fv = free_vars(m.language, image)
     if not fv <= m.tuple_arity[t]:
         return False
-    return holds(m, m.tuple_valuation[t], e)
+    return holds(m, m.tuple_valuation[t], image)
 
 
 def model_morphism_valid(f: ModelMorphism) -> tuple[bool, Optional[tuple]]:
@@ -278,11 +284,8 @@ def model_morphism_valid(f: ModelMorphism) -> tuple[bool, Optional[tuple]]:
         if frozenset(lm.var_map[x] for x in f.source.tuple_arity[s]) != t_arity & var_image:
             return False, ("arity-image", t)
         for rho in sorted_tokens(f.source.language.relation_types):
-            img = lm.relation_map[rho]
-            target_side = f.target.tuple_classifies(t, img) \
-                if img in lm.target.relation_types \
-                else token_satisfies(f.target, t, img)
-            if f.source.tuple_classifies(s, rho) != target_side:
+            if f.source.tuple_classifies(s, rho) != \
+                    token_satisfies(f.target, t, lm.relation_map[rho]):
                 return False, ("relation", t, rho)
     return True, None
 

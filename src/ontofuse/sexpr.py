@@ -29,6 +29,8 @@ _COMMENT = ";"
 # this keeps them well inside the interpreter's default recursion limit.
 MAX_DEPTH = 200
 
+WIDTH = 78  # the writer puts a value on one line when it fits in this many columns
+
 
 @dataclass
 class _Reader:
@@ -106,19 +108,19 @@ def is_symbol(v) -> bool:
     return isinstance(v, str)
 
 
-def write_value(v, indent: int = 0, width: int = 78) -> str:
+def write_value(v, indent: int = 0) -> str:
     """Canonical text: one line when it fits, else head-aligned wrapping."""
     flat = _flat(v)
-    if len(flat) + indent <= width or is_symbol(v):
+    if len(flat) + indent <= WIDTH or is_symbol(v):
         return flat
     pad = " " * (indent + 2)
     if not v or not is_symbol(v[0]):
-        body = ("\n" + pad).join(write_value(i, indent + 2, width) for i in v)
+        body = ("\n" + pad).join(write_value(i, indent + 2) for i in v)
         return "(" + body + ")"
     # keep the head (and a symbolic name right after it) on the first line
     split = 2 if len(v) > 1 and is_symbol(v[1]) else 1
     head = " ".join(v[:split])
-    rest = ("\n" + pad).join(write_value(i, indent + 2, width) for i in v[split:])
+    rest = ("\n" + pad).join(write_value(i, indent + 2) for i in v[split:])
     return f"({head}\n{pad}{rest})"
 
 

@@ -231,3 +231,22 @@ def rand_span(rng: random.Random, duplicates: bool = True):
     l0, f0 = relabeled_target(rng, k, "A", duplicates)
     l1, f1 = relabeled_target(rng, k, "B", duplicates)
     return k, f0, f1
+
+
+def practical_scenarios():
+    """The fixture and 20 seeded cases for the practical path: two
+    relabelled copies of one random logic, aligned by the relabellings,
+    over its whole universe."""
+    l1, l2, t, g1, g2 = alignment_links()
+    scenarios = [(l1, l2, {"bob", "acme"}, t, g1, g2)]
+    rng = random.Random(131)
+    while len(scenarios) < 21:
+        k = rand_logic(rng, tag="K", max_entities=2)
+        # duplicates stay out: an empty-arity duplicate would survive the
+        # restriction to C and break the exact fiber agreement
+        l1, f1 = relabeled_target(rng, k, "A", duplicates=False)
+        l2, f2 = relabeled_target(rng, k, "B", duplicates=False)
+        g1 = TheoryMorphism.make(f1.language_morphism, k.theory, l1.theory)
+        g2 = TheoryMorphism.make(f2.language_morphism, k.theory, l2.theory)
+        scenarios.append((l1, l2, k.model.entities, k.theory, g1, g2))
+    return scenarios

@@ -21,8 +21,8 @@ from ontofuse.theory import (Theory, TheoryMorphism, compose_theory_morphisms,
                              theory_sum)
 from ontofuse.tokens import ltag, rtag, sorted_tokens
 
-from fixtures import (VARS, alignment_links, rand_expression, rand_language,
-                      rand_logic, rand_model, rand_span, relabeled_target,
+from fixtures import (VARS, practical_scenarios, rand_expression,
+                      rand_language, rand_logic, rand_model, rand_span,
                       separated_logic, w_logic, wp_logic)
 from ontofuse.integration import self_integration, trivial_integration, \
     practical_integrate
@@ -196,18 +196,6 @@ def test_criterion_6_fusion_soundness_and_respect(capsys):
     report(capsys, 6, "fusion respect and soundness, 200 spans", started)
 
 
-def practical_scenario(rng):
-    k = rand_logic(rng, tag="K", max_entities=2)
-    # duplicates stay out: an empty-arity duplicate would survive the
-    # restriction to C and break the exact fiber agreement
-    l1, f1 = relabeled_target(rng, k, "A", duplicates=False)
-    l2, f2 = relabeled_target(rng, k, "B", duplicates=False)
-    c = k.model.entities
-    g1 = TheoryMorphism.make(f1.language_morphism, k.theory, l1.theory)
-    g2 = TheoryMorphism.make(f2.language_morphism, k.theory, l2.theory)
-    return l1, l2, c, k.theory, g1, g2
-
-
 def fusion_theory_oracle(t1, t2, t, g1, g2):
     s, _, _ = theory_sum(t1, t2)
     lm1, lm2 = g1.language_morphism, g2.language_morphism
@@ -223,12 +211,7 @@ def fusion_theory_oracle(t1, t2, t, g1, g2):
 
 def test_criterion_7_practical_structural_theorem(capsys):
     started = time.monotonic()
-    l1, l2, t, g1, g2 = alignment_links()
-    scenarios = [(l1, l2, {"bob", "acme"}, t, g1, g2)]
-    rng = random.Random(131)
-    while len(scenarios) < 21:
-        scenarios.append(practical_scenario(rng))
-    for (l1, l2, c, t, g1, g2) in scenarios:
+    for (l1, l2, c, t, g1, g2) in practical_scenarios():
         result, rep = practical_integrate(l1, l2, c, t, g1, g2, 1)
         assert result.fused.theory == fusion_theory_oracle(
             l1.theory, l2.theory, t, g1, g2)

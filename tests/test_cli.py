@@ -103,6 +103,18 @@ def test_usage_error_exit_two():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["entails", str(CORPUS / "employment.iff"), "--theory", "TW",
+     "--query", "(implies (atom WorksFor) (atom Employed))"],
+    ["check", str(CORPUS / "employment.iff")],
+], ids=["entails", "check"])
+def test_negative_bound_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--bound", "-1"])
+    assert err.value.code == 2
+    assert "--bound" in capsys.readouterr().err
+
+
 # --- pipeline commands -----------------------------------------------------------
 
 def test_free_logic_command(tmp_path, capsys):
@@ -113,6 +125,22 @@ def test_free_logic_command(tmp_path, capsys):
     assert "sound: yes" in out
     doc = parse_document(out_file.read_text())
     assert doc.get("F", "logic") is not None
+
+
+def test_free_logic_over_the_budget_is_one_error_line(tmp_path, capsys):
+    # 2^40 variable subsets: the budget stops the listing, not its end
+    variables = " ".join(f"x{i}" for i in range(40))
+    reference = " ".join(f"(x{i} T)" for i in range(40))
+    path = tmp_path / "wide.iff"
+    path.write_text(f"(language L (variables {variables}) (entity-types T) "
+                    f"(reference {reference}) (relations (R (x0))))\n"
+                    "(theory TL (language L) (axioms))\n")
+    code, out, err = run(capsys, "free-logic", str(path), "--theory", "TL",
+                         "-o", str(tmp_path / "free.iff"))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not (tmp_path / "free.iff").exists()
 
 
 def test_sum_command(tmp_path, capsys):

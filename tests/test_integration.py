@@ -8,16 +8,17 @@ from ontofuse.language import (LanguageEndorelation, LanguageMorphism,
                                TypeLanguage)
 from ontofuse.integration import (build_alignment, practical_integrate,
                                   self_integration, trivial_integration, unify)
-from ontofuse.logic import (Logic, compose_logic_morphisms,
+from ontofuse.logic import (Logic, LogicMorphism, compose_logic_morphisms,
+                            fiber, free_to_mediating, fusion,
                             identity_logic_morphism, is_sound, logic_sum,
-                            logic_morphism_valid, transpose)
+                            logic_morphism_valid, restrict_logic, transpose)
 from ontofuse.model import Model
 from ontofuse.theory import (Theory, TheoryMorphism, identity_theory_morphism,
                              theory_quotient, theory_sum)
 from ontofuse.tokens import ltag, rtag, sorted_tokens
 
-from fixtures import (VARS, alignment_links, mediating_theory, separated_logic,
-                      w_logic, wp_logic, wp_language)
+from fixtures import (VARS, alignment_links, practical_scenarios,
+                      separated_logic, w_logic, wp_logic, wp_language)
 from oracles import logics_isomorphic, morphisms_equal
 
 
@@ -217,3 +218,20 @@ def test_practical_fused_instance_content_matches_restriction():
     tok = next(iter(fused.model.tuples))
     val = fused.model.tuple_valuation[tok]
     assert set(val.values()) == {"bob", "acme"}
+
+
+def test_practical_free_fusion_fuses_the_transposes():
+    # the fibers agree, so each transpose is the mediating counit followed
+    # by the inclusion of the fiber into its portal
+    for (l1, l2, c, t, g1, g2) in practical_scenarios():
+        result, report = practical_integrate(l1, l2, c, t, g1, g2, 1)
+        p1, p2 = restrict_logic(l1, c)[0], restrict_logic(l2, c)[0]
+        km = free_to_mediating(t, fiber(g1, p1))
+        for g, p in ((g1, p1), (g2, p2)):
+            m = LogicMorphism.make(km.target, p, g.language_morphism,
+                                   {e: e for e in p.model.entities},
+                                   {tok: tok for tok in p.model.tuples})
+            assert transpose(g, p) == compose_logic_morphisms(km, m)
+        assert report.comparison.source == \
+            fusion(transpose(g1, p1), transpose(g2, p2))[0]
+        assert report.fusion_theory == result.fused.theory

@@ -1,9 +1,11 @@
 """Logics: soundness, free logics and the adjunction, sums, quotients,
 fusion, restriction, and fibers."""
+import pathlib
 import random
 
 import pytest
 
+from ontofuse.document import parse_document
 from ontofuse.errors import BudgetExceeded, DomainMismatch, SoundnessViolation
 from ontofuse.language import LanguageEndorelation, TypeLanguage
 from ontofuse.logic import (Logic, LogicDualInvariant, LogicMorphism,
@@ -17,9 +19,12 @@ from ontofuse.model import Model, model_dual_quotient
 from ontofuse.theory import Theory, TheoryMorphism, identity_theory_morphism
 from ontofuse.tokens import fdict, ltag, rtag, sorted_tokens
 
-from fixtures import (VARS, alignment_links, rand_logic, rand_span, w_language,
-                      w_logic, wp_logic)
-from oracles import brute_free_signature, brute_free_tokens, logics_isomorphic
+from fixtures import (VARS, alignment_links, rand_language, rand_logic,
+                      rand_span, w_language, w_logic, wp_logic)
+from oracles import (all_language_morphisms, brute_free_signature,
+                     brute_free_tokens, logics_isomorphic)
+
+CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
 
 # --- soundness ---------------------------------------------------------------
@@ -118,6 +123,15 @@ def test_free_logic_budget_guard():
         free_logic(Theory.make(lang, []), budget=100)
 
 
+def test_free_logic_budget_guard_stops_before_listing_the_tuples():
+    # 2^40 variable subsets: the guard must fire after budget + 1 tuples
+    variables = [f"x{i}" for i in range(40)]
+    lang = TypeLanguage.make(variables, ["T"], {x: "T" for x in variables},
+                             {"R": ("x0",)})
+    with pytest.raises(BudgetExceeded):
+        free_logic(Theory.make(lang, []))
+
+
 def test_free_logic_strict_mode_requires_unary_coverage():
     lang = w_language()  # WorksFor is binary, no unary types
     with pytest.raises(DomainMismatch):
@@ -186,6 +200,48 @@ def test_transpose_recovers_type_maps():
     l1, _, _, g1, _ = alignment_links()
     hat = transpose(g1, l1)
     assert hat.language_morphism == g1.language_morphism
+
+
+def refined_fine_logic():
+    """corpus/refinement.iff's refine (Good -> Cheap and Sturdy) and a Fine
+    logic with Cheap = {a, b} and Sturdy = {b}."""
+    doc = parse_document((CORPUS / "refinement.iff").read_text())
+    lang = doc.get("Fine", "language")
+    m = Model.from_extents(lang, ["a", "b"], [("a", "Thing"), ("b", "Thing")],
+                           {"Cheap": [{"x": "a"}, {"x": "b"}],
+                            "Sturdy": [{"x": "b"}]})
+    return doc.get("refine", "theory-morphism"), Logic.make(doc.get("TF", "theory"), m)
+
+
+def test_fiber_and_transpose_read_an_expression_image():
+    g, l = refined_fine_logic()
+    assert fiber(g, l).model.relation_extent("Good") == {fdict({"x": "b"})}
+    hat = transpose(g, l)
+    assert hat.tuple_map[fdict({"x": "b"})] == (frozenset({"x"}), frozenset({"Good"}))
+    assert hat.tuple_map[fdict({"x": "a"})] == (frozenset({"x"}), frozenset())
+    assert logic_morphism_valid(hat, 1).ok
+
+
+def test_fiber_intents_are_the_transpose_maps_randomized():
+    rng = random.Random(151)
+    checked = 0
+    for _ in range(30):
+        l = rand_logic(rng)
+        links = [identity_theory_morphism(l.theory)]
+        source = rand_language(rng, tag="S")
+        candidates = all_language_morphisms(source, l.language)
+        if candidates:
+            links.append(TheoryMorphism.make(rng.choice(candidates),
+                                             Theory.make(source, []), l.theory))
+        for g in links:
+            fib, hat = fiber(g, l).model, transpose(g, l)
+            ents = fib.entity_classification()
+            rels = fib.relation_classification()
+            assert dict(hat.entity_map) == {e: ents.intent(e) for e in fib.entities}
+            assert dict(hat.tuple_map) == {t: (fib.tuple_arity[t], rels.intent(t))
+                                           for t in fib.tuples}
+            checked += 1
+    assert checked > 40
 
 
 # --- sums --------------------------------------------------------------------------
