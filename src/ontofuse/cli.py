@@ -195,7 +195,7 @@ def cmd_fiber(args) -> int:
     doc = _load(args.doc)
     g = doc.get(args.morphism, "theory-morphism")
     p = doc.get(args.logic, "logic")
-    out = fiber_op(g, p)
+    out, _ = fiber_op(g, p)
     print(f"fiber: {_logic_summary(out)}")
     _write(_logic_document(out, args.name), args.output)
     return 0
@@ -236,8 +236,8 @@ def cmd_integrate(args) -> int:
 
 # --- argument plumbing ---------------------------------------------------------
 
-def _entity_bound(text: str) -> int:
-    """Type of --bound: an entity count, so a negative value is a usage error."""
+def _count(text: str) -> int:
+    """Type of --bound and --budget: a count, so a negative value is a usage error."""
     try:
         value = int(text)
     except ValueError:
@@ -249,9 +249,9 @@ def _entity_bound(text: str) -> int:
 
 def _common(p, output_required: bool = True, default_name: str = "result") -> None:
     p.add_argument("doc", help="input document file")
-    p.add_argument("--bound", type=_entity_bound, default=2,
+    p.add_argument("--bound", type=_count, default=2,
                    help="entity cap for entailment and model enumeration")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
                    help="candidate cap for combinatorial enumerations")
     p.add_argument("-o", "--output", required=output_required,
                    help="output document file")
@@ -266,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate every form in each document")
     p.add_argument("files", nargs="+")
-    p.add_argument("--bound", type=_entity_bound, default=2)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--bound", type=_count, default=2)
+    p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("entails", help="bounded countermodel search")

@@ -13,9 +13,9 @@ from typing import Iterable, Mapping
 
 from .errors import AgreementFailure, DomainMismatch, EdgeInvalid
 from .language import identity_language_morphism
-from .logic import (Logic, LogicMorphism, compose_logic_morphisms, fiber,
-                    free_to_mediating, fusion, identity_logic_morphism,
-                    is_sound, logic_morphism_valid, restrict_logic, transpose)
+from .logic import (Logic, LogicMorphism, compose_logic_morphisms, counit, fiber,
+                    fusion, identity_logic_morphism, is_sound,
+                    logic_morphism_valid, restrict_logic, transpose)
 from .model import Model, fdict
 from .theory import (DEFAULT_BUDGET, Theory, TheoryMorphism,
                      identity_theory_morphism, theory_morphism_valid)
@@ -136,9 +136,10 @@ def practical_integrate(l1: Logic, l2: Logic, c: Iterable, t: Theory,
     The three agreements: the mediating universe is C, the mediating
     theory is t, and both fiber images of the restricted portals are the
     same logic.  The fused logic is relabelled along the diagonal so its
-    universe is literally C.  The free fusion it is compared with fuses
-    the transposes of g1 and g2, which, the fibers agreeing, are the
-    mediating counit followed by the fiber inclusions.
+    universe is literally C.  The C-fusion fuses the two fiber
+    inclusions; the free fusion it is compared with fuses the mediating
+    counit followed by each inclusion, which are the transposes of g1
+    and g2, as both fibers are the mediating logic.
     """
     c = frozenset(c)
     if not c <= l1.model.entities & l2.model.entities:
@@ -149,16 +150,9 @@ def practical_integrate(l1: Logic, l2: Logic, c: Iterable, t: Theory,
         raise DomainMismatch("alignment links must start at the mediating theory")
     if g1.target != p1.theory or g2.target != p2.theory:
         raise DomainMismatch("alignment links must target the community theories")
-    fib1 = fiber(g1, p1)
-    fib2 = fiber(g2, p2)
-    _check_agreement(fib1, fib2)
-    k = fib1  # the mediating logic L@C
-    m1 = LogicMorphism.make(k, p1, g1.language_morphism,
-                            {e: e for e in p1.model.entities},
-                            {tok: tok for tok in p1.model.tuples})
-    m2 = LogicMorphism.make(k, p2, g2.language_morphism,
-                            {e: e for e in p2.model.entities},
-                            {tok: tok for tok in p2.model.tuples})
+    k, m1 = fiber(g1, p1)  # the mediating logic L@C and its inclusion
+    fib2, m2 = fiber(g2, p2)
+    _check_agreement(k, fib2)
     pairs, q, v1, v2 = fusion(m1, m2)
     # instances that agree are exactly the diagonal pairs; relabel (x, x) -> x
     if any(p[0] != p[1] for p in pairs.model.entities) or \
@@ -176,7 +170,7 @@ def practical_integrate(l1: Logic, l2: Logic, c: Iterable, t: Theory,
     if fused.model.entities != c:
         raise AgreementFailure("fused universe differs from C")
     # free-logic path and its comparison morphism into the C-fusion
-    km = free_to_mediating(t, k)
+    km = counit(k)
     free_fused, _, _, _ = fusion(compose_logic_morphisms(km, m1),
                                  compose_logic_morphisms(km, m2))
     comparison = _free_fusion_comparison(free_fused, fused, diag_entities, diag_tuples)

@@ -138,18 +138,6 @@ def well_formed(lang: TypeLanguage, e: Expression) -> bool:
     return False
 
 
-def expression_depth(e: Expression) -> int:
-    if isinstance(e, Atomic):
-        return 1
-    if isinstance(e, (Not, Subst)):
-        return 1 + expression_depth(e.body)
-    if isinstance(e, _BINARY):
-        return 1 + max(expression_depth(e.left), expression_depth(e.right))
-    if isinstance(e, _QUANT):
-        return 1 + expression_depth(e.body)
-    raise TypeError(f"not an expression: {e!r}")
-
-
 def enumerate_expressions(lang: TypeLanguage, depth: int) -> list[Expression]:
     """All well-formed expressions up to the given constructor depth.
 
@@ -161,14 +149,15 @@ def enumerate_expressions(lang: TypeLanguage, depth: int) -> list[Expression]:
     by_depth: list[list[Expression]] = [[]]
     by_depth.append([Atomic(r) for r in sorted_tokens(lang.relation_types)])
     for d in range(2, depth + 1):
-        prev = [e for level in by_depth[1:d] for e in level]
+        shallower = [e for level in by_depth[1:d - 1] for e in level]
         exact = by_depth[d - 1]
+        prev = shallower + exact
         level: list[Expression] = []
         level.extend(Not(e) for e in exact)
         for ctor in _BINARY:
             # at least one side at depth d-1
             level.extend(ctor(a, b) for a in exact for b in prev)
-            level.extend(ctor(a, b) for a in prev for b in exact if expression_depth(a) < d - 1)
+            level.extend(ctor(a, b) for a in shallower for b in exact)
         for x in sorted_tokens(lang.variables):
             level.extend(ctor(x, e) for ctor in _QUANT for e in exact)
         by_depth.append(level)

@@ -1,9 +1,11 @@
 """Logics (theory + model + normal instances) and their calculus.
 
 This layer carries the integration machinery: soundness, free logics
-and the adjunction (counit, transpose), sums, dual quotients, fusion
-pushouts, restriction to a sub-universe, and fiber reclassification
-along a theory morphism.
+and the adjunction, sums, dual quotients, fusion pushouts, restriction
+to a sub-universe, and fiber reclassification along a theory morphism.
+The adjunction is built from its parts: the transpose of g : T => th(l)
+is the counit of the fiber of l along g, followed by the fiber's
+inclusion into l.
 """
 from __future__ import annotations
 
@@ -15,13 +17,12 @@ from .classification import power_classification
 from .errors import BudgetExceeded, DomainMismatch, SoundnessViolation
 from .language import (Expression, LanguageMorphism, TypeLanguage,
                        compose_language_morphisms, identity_language_morphism,
-                       free_vars, span_relation)
+                       free_vars, language_morphism_valid, span_relation)
 from .model import (Model, ModelDualInvariant, ModelMorphism, fdict, holds,
                     model_dual_quotient, model_morphism_valid, model_sum,
                     token_satisfies)
 from .theory import (DEFAULT_BUDGET, MorphismVerdict, Theory, TheoryMorphism,
-                     identity_theory_morphism, theory_morphism_valid,
-                     theory_quotient, theory_sum)
+                     theory_morphism_valid, theory_quotient, theory_sum)
 from .tokens import sorted_tokens
 
 
@@ -193,56 +194,32 @@ def _tuple_conforms(model: Model, t: Theory, token: tuple) -> bool:
 
 
 def counit(l: Logic) -> LogicMorphism:
-    """Canonical morphism from the free logic over th(l) back to l.
+    """Canonical morphism from the free logic over th(l) back to the sound logic l.
 
-    The transpose of the identity on th(l): identity on types; an entity
-    goes to its intent, a tuple to the pair of its arity and the set of
-    relation types that classify it.
+    Identity on types; an entity goes to its intent, a tuple to the pair
+    of its arity and its intent, each a token of the free logic.
     """
-    return transpose(identity_theory_morphism(l.theory), l)
+    if not is_sound(l):
+        raise SoundnessViolation("the counit requires a sound logic")
+    free = free_logic(l.theory)
+    entity_intent = l.model.entity_classification().intent
+    tuple_intent = l.model.relation_classification().intent
+    tuple_map = {t: (l.model.tuple_arity[t], tuple_intent(t)) for t in l.model.tuples}
+    for tok in tuple_map.values():
+        if tok not in free.model.tuples:
+            raise SoundnessViolation(f"image token {tok!r} was abnormal in the free logic")
+    return LogicMorphism.make(free, l, identity_language_morphism(l.language),
+                              {e: entity_intent(e) for e in l.model.entities}, tuple_map)
 
 
 def transpose(g: TheoryMorphism, l: Logic) -> LogicMorphism:
     """Adjoint transpose: lift g : T => th(l) to free_logic(T) => l.
 
-    Types via g; an entity of l goes to the set of mediating entity types
-    whose image classifies it, a tuple to (varMap-preimage arity, the
-    mediating relation types whose image classifies it): the intents of
-    the inverse image of l along g.
+    The counit of the fiber of l along g, followed by the fiber's
+    inclusion into l.
     """
-    entity_map, arities, intents = _reclassify(g, l)
-    free = free_logic(g.source)
-    tuple_map = {t: (arities[t], intents[t]) for t in l.model.tuples}
-    for tok in tuple_map.values():
-        if tok not in free.model.tuples:
-            raise SoundnessViolation(f"image token {tok!r} was abnormal in the free logic")
-    return LogicMorphism.make(free, l, g.language_morphism, entity_map, tuple_map)
-
-
-def _reclassify(g: TheoryMorphism, l: Logic) -> tuple[dict, dict, dict]:
-    """Inverse image of the sound logic l along g : T => th(l).
-
-    Returns each entity's intent over T's entity types, each tuple's
-    varMap-preimage arity, and each tuple's intent over the T relation
-    types that arity covers, a type classifying a tuple exactly when l
-    classifies the tuple by the type's image.
-    """
-    if g.target != l.theory:
-        raise DomainMismatch("g's target theory must be the logic's theory")
-    if not is_sound(l):
-        raise SoundnessViolation("reclassification along g requires a sound logic")
-    lm, lang, m = g.language_morphism, g.source.language, l.model
-    entity_intents = {e: frozenset(a for a in lang.entity_types
-                                   if m.entity_classifies(e, lm.entity_map[a]))
-                      for e in m.entities}
-    arities, tuple_intents = {}, {}
-    for t in m.tuples:
-        x_set = frozenset(x for x in lang.variables if lm.var_map[x] in m.tuple_arity[t])
-        arities[t] = x_set
-        tuple_intents[t] = frozenset(r for r in lang.relation_types
-                                     if lang.arity[r] <= x_set
-                                     and token_satisfies(m, t, lm.relation_map[r]))
-    return entity_intents, arities, tuple_intents
+    fib, inclusion = fiber(g, l)
+    return compose_logic_morphisms(counit(fib), inclusion)
 
 
 # --- sums, quotients, fusion -----------------------------------------------
@@ -332,27 +309,36 @@ def restrict_logic(l: Logic, c: Iterable) -> tuple[Logic, LogicMorphism]:
     return out, portal
 
 
-def fiber(g: TheoryMorphism, p: Logic) -> Logic:
-    """Inverse-image reclassification of p along g: same instances, theory g.source.
+def fiber(g: TheoryMorphism, p: Logic) -> tuple[Logic, LogicMorphism]:
+    """Inverse-image reclassification of the sound logic p along g : T => th(p).
 
-    An instance is classified by a mediating type exactly when p
-    classifies it by the type's image; tuple arities are re-indexed by
-    the varMap preimage.
+    The fiber has p's instances and theory T: a T type classifies an
+    instance exactly when p classifies it by the type's image, and tuple
+    arities are re-indexed by the varMap preimage.  Returns the fiber
+    and its inclusion fiber => p (g on types, identity on instances).
+    g must preserve reference, so the fiber is well-sorted wherever p
+    is; sort membership is not checked, as free logics do not have it.
     """
-    entity_intents, arities, tuple_intents = _reclassify(g, p)
-    lm, m = g.language_morphism, p.model
-    valuation = {t: fdict({x: m.tuple_valuation[t][lm.var_map[x]] for x in arities[t]})
-                 for t in m.tuples}
-    model = Model(g.source.language, m.entities,
-                  frozenset((e, a) for e, intent in entity_intents.items() for a in intent),
-                  m.tuples, fdict(arities), fdict(valuation),
-                  frozenset((t, r) for t, intent in tuple_intents.items() for r in intent))
-    model.check()
-    return Logic(g.source, model, m.entities, m.tuples)
-
-
-def free_to_mediating(t: Theory, l_at_c: Logic) -> LogicMorphism:
-    """The counit formula aimed at a mediating fiber logic with theory t."""
-    if l_at_c.theory != t:
-        raise DomainMismatch("mediating logic must have the given theory")
-    return transpose(identity_theory_morphism(t), l_at_c)
+    if g.target != p.theory:
+        raise DomainMismatch("g's target theory must be the logic's theory")
+    if not is_sound(p):
+        raise SoundnessViolation("reclassification along g requires a sound logic")
+    lm, lang, m = g.language_morphism, g.source.language, p.model
+    ok, witness = language_morphism_valid(lm)
+    if not ok:
+        raise DomainMismatch(f"g does not preserve {witness[0]} at {witness[1]!r}")
+    arities = {t: frozenset(x for x in lang.variables if lm.var_map[x] in m.tuple_arity[t])
+               for t in m.tuples}
+    model = Model(lang, m.entities,
+                  frozenset((e, a) for e in m.entities for a in lang.entity_types
+                            if m.entity_classifies(e, lm.entity_map[a])),
+                  m.tuples, fdict(arities),
+                  fdict({t: fdict({x: m.tuple_valuation[t][lm.var_map[x]] for x in arities[t]})
+                         for t in m.tuples}),
+                  frozenset((t, r) for t in m.tuples for r in lang.relation_types
+                            if lang.arity[r] <= arities[t]
+                            and token_satisfies(m, t, lm.relation_map[r])))
+    model.check(well_sorted=False)
+    fib = Logic(g.source, model, m.entities, m.tuples)
+    return fib, LogicMorphism.make(fib, p, lm, {e: e for e in m.entities},
+                                   {t: t for t in m.tuples})

@@ -41,10 +41,6 @@ from .tokens import FrozenDict, Token, fdict, ltag, rtag, sorted_tokens
 Assignment = FrozenDict  # variables -> entities, finite domain
 
 
-def assignment(m: Mapping) -> Assignment:
-    return fdict(m)
-
-
 def restrict(t: Mapping, domain: Iterable) -> Assignment:
     return fdict({x: t[x] for x in domain})
 

@@ -80,9 +80,6 @@ class NoCounterexampleUpTo:
         return True
 
 
-EntailmentVerdict = object  # Refuted | NoCounterexampleUpTo
-
-
 # --- bounded model enumeration ---------------------------------------------
 
 def entity_token(i: int) -> str:

@@ -109,10 +109,11 @@ def test_usage_error_exit_two():
     ["check", str(CORPUS / "employment.iff")],
 ], ids=["entails", "check"])
 def test_negative_bound_exit_two(argv, capsys):
-    with pytest.raises(SystemExit) as err:
-        main(argv + ["--bound", "-1"])
-    assert err.value.code == 2
-    assert "--bound" in capsys.readouterr().err
+    for option in ("--bound", "--budget"):
+        with pytest.raises(SystemExit) as err:
+            main(argv + [option, "-1"])
+        assert err.value.code == 2
+        assert option in capsys.readouterr().err
 
 
 # --- pipeline commands -----------------------------------------------------------

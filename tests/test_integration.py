@@ -9,7 +9,7 @@ from ontofuse.language import (LanguageEndorelation, LanguageMorphism,
 from ontofuse.integration import (build_alignment, practical_integrate,
                                   self_integration, trivial_integration, unify)
 from ontofuse.logic import (Logic, LogicMorphism, compose_logic_morphisms,
-                            fiber, free_to_mediating, fusion,
+                            counit, fiber, fusion,
                             identity_logic_morphism, is_sound, logic_sum,
                             logic_morphism_valid, restrict_logic, transpose)
 from ontofuse.model import Model
@@ -226,7 +226,7 @@ def test_practical_free_fusion_fuses_the_transposes():
     for (l1, l2, c, t, g1, g2) in practical_scenarios():
         result, report = practical_integrate(l1, l2, c, t, g1, g2, 1)
         p1, p2 = restrict_logic(l1, c)[0], restrict_logic(l2, c)[0]
-        km = free_to_mediating(t, fiber(g1, p1))
+        km = counit(fiber(g1, p1)[0])
         for g, p in ((g1, p1), (g2, p2)):
             m = LogicMorphism.make(km.target, p, g.language_morphism,
                                    {e: e for e in p.model.entities},

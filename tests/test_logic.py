@@ -7,10 +7,10 @@ import pytest
 
 from ontofuse.document import parse_document
 from ontofuse.errors import BudgetExceeded, DomainMismatch, SoundnessViolation
-from ontofuse.language import LanguageEndorelation, TypeLanguage
+from ontofuse.language import LanguageEndorelation, LanguageMorphism, TypeLanguage
 from ontofuse.logic import (Logic, LogicDualInvariant, LogicMorphism,
                             compose_logic_morphisms, counit, fiber,
-                            free_logic, free_signature, free_to_mediating,
+                            free_logic, free_signature,
                             free_tuple_tokens, fusion, fusion_invariant,
                             identity_logic_morphism, is_sound,
                             logic_dual_quotient, logic_morphism_valid,
@@ -215,7 +215,7 @@ def refined_fine_logic():
 
 def test_fiber_and_transpose_read_an_expression_image():
     g, l = refined_fine_logic()
-    assert fiber(g, l).model.relation_extent("Good") == {fdict({"x": "b"})}
+    assert fiber(g, l)[0].model.relation_extent("Good") == {fdict({"x": "b"})}
     hat = transpose(g, l)
     assert hat.tuple_map[fdict({"x": "b"})] == (frozenset({"x"}), frozenset({"Good"}))
     assert hat.tuple_map[fdict({"x": "a"})] == (frozenset({"x"}), frozenset())
@@ -234,7 +234,7 @@ def test_fiber_intents_are_the_transpose_maps_randomized():
             links.append(TheoryMorphism.make(rng.choice(candidates),
                                              Theory.make(source, []), l.theory))
         for g in links:
-            fib, hat = fiber(g, l).model, transpose(g, l)
+            fib, hat = fiber(g, l)[0].model, transpose(g, l)
             ents = fib.entity_classification()
             rels = fib.relation_classification()
             assert dict(hat.entity_map) == {e: ents.intent(e) for e in fib.entities}
@@ -388,7 +388,8 @@ def test_restriction_morphism_valid_randomized():
 
 def test_fiber_along_identity_is_the_logic():
     l = w_logic()
-    f = fiber(identity_theory_morphism(l.theory), l)
+    f, inclusion = fiber(identity_theory_morphism(l.theory), l)
+    assert inclusion == identity_logic_morphism(l)
     assert f.model == l.model
     assert f.theory == l.theory
     assert is_sound(f)
@@ -396,7 +397,7 @@ def test_fiber_along_identity_is_the_logic():
 
 def test_fiber_pulls_extents_back_on_fixture():
     l1, _, t, g1, _ = alignment_links()
-    f = fiber(g1, l1)
+    f, _ = fiber(g1, l1)
     assert set(f.language.entity_types) == {"Agent", "Org"}
     assert f.model.relation_extent("Emp") == l1.model.relation_extent("WorksFor")
     assert f.model.entity_extent("Agent") == l1.model.entity_extent("Person")
@@ -410,35 +411,29 @@ def test_fiber_of_sound_logic_sound_randomized():
         k = rand_logic(rng, tag="K", max_entities=2)
         target, f = relabeled_target(rng, k, "T")
         g = TheoryMorphism.make(f.language_morphism, k.theory, target.theory)
-        fib = fiber(g, target)
+        fib, inclusion = fiber(g, target)
         assert is_sound(fib)
         fib.model.check(well_sorted=False)
+        assert logic_morphism_valid(inclusion, 1).ok
 
 
-# --- mediating comparison ------------------------------------------------------------
-
-def test_free_to_mediating_type_component_identity():
-    l = w_logic()
-    h = free_to_mediating(l.theory, l)
-    lm = h.language_morphism
-    assert all(lm.entity_map[a] == a for a in l.language.entity_types)
-
-
-def test_free_to_mediating_on_free_logic_is_counit():
+def test_fiber_of_free_logic_along_identity_is_the_free_logic():
+    # a free logic values uncovered coordinates outside their sort
     t = Theory.make(w_language(), [])
     fl = free_logic(t)
-    h = free_to_mediating(t, fl)
-    eps = counit(fl)
-    assert dict(h.entity_map) == dict(eps.entity_map)
-    assert dict(h.tuple_map) == dict(eps.tuple_map)
+    f, _ = fiber(identity_theory_morphism(t), fl)
+    assert f.model == fl.model
+    assert transpose(identity_theory_morphism(t), fl) == counit(fl)
 
 
-def test_free_to_mediating_valid_on_fixture():
+def test_fiber_rejects_a_link_that_breaks_reference():
     l = w_logic()
-    assert logic_morphism_valid(free_to_mediating(l.theory, l), 1).ok
-
-
-def test_free_to_mediating_requires_matching_theory():
-    l = w_logic()
+    lang = l.language
+    swap = LanguageMorphism.make(lang, lang, {"x": "y", "y": "x"},
+                                 {a: a for a in lang.entity_types},
+                                 {r: r for r in lang.relation_types})
+    g = TheoryMorphism(swap, l.theory, l.theory)
     with pytest.raises(DomainMismatch):
-        free_to_mediating(Theory.make(wp_logic().language, []), l)
+        fiber(g, l)
+    with pytest.raises(DomainMismatch):
+        transpose(g, l)
