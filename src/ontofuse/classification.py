@@ -89,8 +89,9 @@ def infomorphism_valid(f: Infomorphism) -> tuple[bool, Optional[tuple]]:
     """
     check_total(f.type_map, f.source.types, f.target.types, "type map")
     check_total(f.instance_map, f.target.instances, f.source.instances, "instance map")
+    alphas = sorted_tokens(f.source.types)
     for b in sorted_tokens(f.target.instances):
-        for alpha in sorted_tokens(f.source.types):
+        for alpha in alphas:
             if f.source.classifies(f.instance_map[b], alpha) != \
                     f.target.classifies(b, f.type_map[alpha]):
                 return False, (b, alpha)
@@ -183,8 +184,9 @@ def classification_quotient(c: Classification, j: ClassificationInvariant) -> tu
     if not j.instance_subset <= c.instances:
         raise DomainMismatch("invariant instance subset not contained in instances")
     cls = equivalence_closure(c.types, j.type_relation)
+    kept = sorted_tokens(j.instance_subset)
     for members in class_groups(cls):
-        for a in sorted_tokens(j.instance_subset):
+        for a in kept:
             hits = {c.classifies(a, t) for t in members}
             if len(hits) > 1:
                 pos = next(t for t in members if c.classifies(a, t))

@@ -37,6 +37,15 @@ def _map(form: str, pairs, what: str) -> dict:
     return out
 
 
+def _pairs(name: str, items, what: str):
+    out = []
+    for p in items:
+        if is_symbol(p) or len(p) != 2:
+            raise FormError(name, f"{what} entry must be a pair, got {p!r}")
+        out.append((parse_token(p[0]), parse_token(p[1])))
+    return out
+
+
 # --- structured tokens -------------------------------------------------------
 
 _RESERVED = {"set", "tuple", "map"}
@@ -65,12 +74,7 @@ def parse_token(v):
         return frozenset(parse_token(a) for a in args)
     if head == "tuple":
         return tuple(parse_token(a) for a in args)
-    pairs = []
-    for a in args:
-        if is_symbol(a) or len(a) != 2:
-            raise FormError("token", f"map entry must be a pair, got {a!r}")
-        pairs.append((parse_token(a[0]), parse_token(a[1])))
-    return fdict(_map("token", pairs, "map"))
+    return fdict(_map("token", _pairs("token", args, "map"), "map"))
 
 
 # --- expressions --------------------------------------------------------------
@@ -118,12 +122,7 @@ def _parse_expression(v, depth: int):
     if head in _QUANT_HEADS and len(args) == 2:
         return _QUANT_HEADS[head](parse_token(args[0]), _parse_expression(args[1], depth + 1))
     if head == "subst" and len(args) == 2 and not is_symbol(args[0]):
-        pairs = []
-        for p in args[0]:
-            if is_symbol(p) or len(p) != 2:
-                raise FormError("expression", f"subst entry must be a pair, got {p!r}")
-            pairs.append((parse_token(p[0]), parse_token(p[1])))
-        return Subst.make(_map("expression", pairs, "subst"),
+        return Subst.make(_map("expression", _pairs("expression", args[0], "subst"), "subst"),
                           _parse_expression(args[1], depth + 1))
     raise FormError("expression", f"unknown expression form {v!r}")
 
@@ -173,15 +172,6 @@ def _clauses(name: str, body) -> dict:
         if clause[0] in out:
             raise FormError(name, f"duplicate clause {clause[0]}")
         out[clause[0]] = clause[1:]
-    return out
-
-
-def _pairs(name: str, items, what: str):
-    out = []
-    for p in items:
-        if is_symbol(p) or len(p) != 2:
-            raise FormError(name, f"{what} entry must be a pair, got {p!r}")
-        out.append((parse_token(p[0]), parse_token(p[1])))
     return out
 
 

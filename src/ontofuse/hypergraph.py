@@ -85,8 +85,9 @@ def hypergraph_product(a: Hypergraph, b: Hypergraph) -> tuple[Hypergraph, Hyperg
         raise NameSetMismatch(f"name pools differ: {sorted_tokens(a.names)} vs {sorted_tokens(b.names)}")
     nodes = [(x, y) for x in sorted_tokens(a.nodes) for y in sorted_tokens(b.nodes)]
     edges = {}
+    b_edges = sorted_tokens(b.hyperedges)
     for e in sorted_tokens(a.hyperedges):
-        for f in sorted_tokens(b.hyperedges):
+        for f in b_edges:
             if a.arity[e] == b.arity[f]:
                 edges[(e, f)] = {x: (a.valuation[e][x], b.valuation[f][x]) for x in a.arity[e]}
     prod = Hypergraph.make(a.names, nodes, edges)

@@ -271,6 +271,7 @@ def model_morphism_valid(f: ModelMorphism) -> tuple[bool, Optional[tuple]]:
     if not ok:
         return False, ("entity",) + why
     var_image = frozenset(lm.var_map.values())
+    rhos = sorted_tokens(f.source.language.relation_types)
     for t in sorted_tokens(f.target.tuples):
         s = f.tuple_map[t]
         t_arity = f.target.tuple_arity[t]
@@ -279,7 +280,7 @@ def model_morphism_valid(f: ModelMorphism) -> tuple[bool, Optional[tuple]]:
             return False, ("arity-preimage", t)
         if frozenset(lm.var_map[x] for x in f.source.tuple_arity[s]) != t_arity & var_image:
             return False, ("arity-image", t)
-        for rho in sorted_tokens(f.source.language.relation_types):
+        for rho in rhos:
             if f.source.tuple_classifies(s, rho) != \
                     token_satisfies(f.target, t, lm.relation_map[rho]):
                 return False, ("relation", t, rho)

@@ -2,13 +2,14 @@
 
 Values are either symbols (plain strings) or lists of values.  Symbols
 are any run of characters excluding whitespace, parentheses, and the
-comment character.  The reader tracks line and column for error
-reporting and refuses lists nested deeper than MAX_DEPTH; the writer
-emits one canonical layout.
+comment character.  The reader is one pass of a tokenizer over the
+text with a stack of open lists; it refuses lists nested deeper than
+MAX_DEPTH and works out the line and column of a syntax error from its
+offset only when it raises.  The writer emits one canonical layout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .errors import OntofuseError
 
@@ -20,88 +21,46 @@ class SexprSyntaxError(OntofuseError):
         self.column = column
 
 
-_DELIMS = "()"
-_COMMENT = ";"
-
-# Deepest list nesting the reader accepts.  The reader, the writer and
-# the recursive passes over expressions (free variables, well-formedness,
-# evaluation, token order) take one or two Python frames per level, so
-# this keeps them well inside the interpreter's default recursion limit.
+# Deepest list nesting the reader accepts.  The reader keeps its own
+# stack and does not recurse, but what it reads goes on to
+# parse_expression, the writer, free_vars, token_key and evaluation,
+# which take one or two Python frames per level; this keeps them well
+# inside the interpreter's default recursion limit.
 MAX_DEPTH = 200
 
 WIDTH = 78  # the writer puts a value on one line when it fits in this many columns
 
+# whitespace, a comment, a parenthesis, or a symbol: every character is in one token
+_TOKEN = re.compile(r"\s+|;[^\n]*|[()]|[^\s();]+")
 
-@dataclass
-class _Reader:
-    text: str
-    pos: int = 0
-    line: int = 1
-    column: int = 1
 
-    def error(self, message: str) -> SexprSyntaxError:
-        return SexprSyntaxError(message, self.line, self.column)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def advance(self) -> str:
-        c = self.text[self.pos]
-        self.pos += 1
-        if c == "\n":
-            self.line += 1
-            self.column = 1
-        else:
-            self.column += 1
-        return c
-
-    def skip_blank(self) -> None:
-        while self.pos < len(self.text):
-            c = self.peek()
-            if c.isspace():
-                self.advance()
-            elif c == _COMMENT:
-                while self.pos < len(self.text) and self.peek() != "\n":
-                    self.advance()
-            else:
-                return
-
-    def read_value(self, depth: int = 1):
-        self.skip_blank()
-        if not self.peek():
-            raise self.error("unexpected end of input")
-        if self.peek() == "(":
-            if depth > MAX_DEPTH:
-                raise self.error(f"lists nested deeper than {MAX_DEPTH} levels")
-            start_line, start_col = self.line, self.column
-            self.advance()
-            items = []
-            while True:
-                self.skip_blank()
-                if not self.peek():
-                    raise SexprSyntaxError("unclosed parenthesis", start_line, start_col)
-                if self.peek() == ")":
-                    self.advance()
-                    return items
-                items.append(self.read_value(depth + 1))
-        if self.peek() == ")":
-            raise self.error("unmatched closing parenthesis")
-        chars = []
-        while self.peek() and not self.peek().isspace() \
-                and self.peek() not in _DELIMS and self.peek() != _COMMENT:
-            chars.append(self.advance())
-        return "".join(chars)
+def _error(text: str, pos: int, message: str) -> SexprSyntaxError:
+    return SexprSyntaxError(message, text.count("\n", 0, pos) + 1,
+                            pos - text.rfind("\n", 0, pos))
 
 
 def parse_all(text: str) -> list:
     """All top-level values in the text, in order."""
-    r = _Reader(text)
-    out = []
-    while True:
-        r.skip_blank()
-        if r.pos >= len(r.text):
-            return out
-        out.append(r.read_value())
+    out = items = []
+    opened = []  # (offset of its "(", enclosing list) for each open list
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok == "(":
+            if len(opened) == MAX_DEPTH:
+                raise _error(text, m.start(), f"lists nested deeper than {MAX_DEPTH} levels")
+            opened.append((m.start(), items))
+            items = []
+        elif tok == ")":
+            if not opened:
+                raise _error(text, m.start(), "unmatched closing parenthesis")
+            outer = opened.pop()[1]
+            outer.append(items)
+            items = outer
+        elif not (tok[0] == ";" or tok[0].isspace()):
+            items.append(tok)
+    if opened:
+        raise _error(text, opened[-1][0], "unclosed parenthesis")
+    return out
 
 
 def is_symbol(v) -> bool:
@@ -110,24 +69,24 @@ def is_symbol(v) -> bool:
 
 def write_value(v, indent: int = 0) -> str:
     """Canonical text: one line when it fits, else head-aligned wrapping."""
-    flat = _flat(v)
-    if len(flat) + indent <= WIDTH or is_symbol(v):
-        return flat
-    pad = " " * (indent + 2)
+    return _write(v, indent)[1]
+
+
+def _write(v, indent: int) -> tuple[str, str]:
+    """v's one-line text and its text laid out at this indent."""
+    if is_symbol(v):
+        return v, v
+    parts = [_write(i, indent + 2) for i in v]
+    flat = "(" + " ".join(p[0] for p in parts) + ")"
+    if len(flat) + indent <= WIDTH:
+        return flat, flat
+    pad = "\n" + " " * (indent + 2)
     if not v or not is_symbol(v[0]):
-        body = ("\n" + pad).join(write_value(i, indent + 2) for i in v)
-        return "(" + body + ")"
+        return flat, "(" + pad.join(p[1] for p in parts) + ")"
     # keep the head (and a symbolic name right after it) on the first line
     split = 2 if len(v) > 1 and is_symbol(v[1]) else 1
-    head = " ".join(v[:split])
-    rest = ("\n" + pad).join(write_value(i, indent + 2) for i in v[split:])
-    return f"({head}\n{pad}{rest})"
-
-
-def _flat(v) -> str:
-    if is_symbol(v):
-        return v
-    return "(" + " ".join(_flat(i) for i in v) + ")"
+    rest = pad.join(p[1] for p in parts[split:])
+    return flat, "(" + " ".join(v[:split]) + pad + rest + ")"
 
 
 def write_all(values) -> str:

@@ -97,14 +97,15 @@ def enumerate_models(t: Theory, max_entities: int,
         raise ValueError("max_entities must be >= 0")
     lang = t.language
     seen = 0
+    sorts = sorted_tokens(lang.entity_types)
+    rhos = sorted_tokens(lang.relation_types)
     for n in range(max_entities + 1):
         entities = [entity_token(i) for i in range(n)]
-        slots = [(e, a) for e in entities for a in sorted_tokens(lang.entity_types)]
+        slots = [(e, a) for e in entities for a in sorts]
         for inc_bits in itertools.product((False, True), repeat=len(slots)):
             incidence = [s for s, bit in zip(slots, inc_bits) if bit]
             skeleton = Model.from_extents(lang, entities, incidence, {})
             pools = []
-            rhos = sorted_tokens(lang.relation_types)
             for rho in rhos:
                 assignments = skeleton.well_sorted_assignments(lang.arity[rho])
                 subsets = [frozenset(c) for k in range(len(assignments) + 1)

@@ -504,3 +504,27 @@ def quotient_as_sets(q, canon):
                         for t, val in sets["valuation"].items()}
     out["relation_incidence"] = {(t, rel[r]) for (t, r) in sets["relation_incidence"]}
     return out
+
+
+# --- S-expression reading -------------------------------------------------------
+
+def naive_parse(text, max_depth):
+    """Values by stripping comments, padding parentheses and splitting.
+
+    None when the parentheses do not balance or nest deeper than max_depth.
+    """
+    words = " ".join(line.split(";", 1)[0] for line in text.split("\n"))
+    stack = [[]]
+    for w in words.replace("(", " ( ").replace(")", " ) ").split():
+        if w == "(":
+            stack.append([])
+            if len(stack) > max_depth + 1:
+                return None
+        elif w == ")":
+            if len(stack) == 1:
+                return None
+            done = stack.pop()
+            stack[-1].append(done)
+        else:
+            stack[-1].append(w)
+    return stack[0] if len(stack) == 1 else None

@@ -1,17 +1,26 @@
 """The S-expression ontology format: parsing, canonical serialization."""
+import contextlib
+import io
 import pathlib
+import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ontofuse.cli import main
 from ontofuse.document import (Document, FormError, parse_document,
                                parse_expression, parse_token,
                                render_expression, render_token,
                                serialize_document)
 from ontofuse.language import And, Atomic, Exists, Not, Subst
-from ontofuse.sexpr import MAX_DEPTH, SexprSyntaxError, parse_all, write_all
+from ontofuse.errors import OntofuseError
+from ontofuse.sexpr import (MAX_DEPTH, WIDTH, SexprSyntaxError, parse_all,
+                            write_all, write_value)
 from ontofuse.tokens import fdict
 
 from fixtures import w_language
+from oracles import naive_parse
 
 CORPUS = sorted(pathlib.Path(__file__).parent.parent.joinpath("corpus").glob("*.iff"))
 
@@ -49,6 +58,32 @@ def test_reader_refuses_lists_nested_beyond_the_limit():
     with pytest.raises(SexprSyntaxError) as err:
         parse_all("(a\n " + "(" * MAX_DEPTH + ")" * (MAX_DEPTH + 1))
     assert (err.value.line, err.value.column) == (2, MAX_DEPTH + 1)
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    # an unclosed list reports its innermost open "("
+    ("(a\n  (b (c)\n", "unclosed parenthesis", 2, 3),
+    ("; (not ( a list\n(a\n\t(b ; )\n", "unclosed parenthesis", 3, 2),
+    ("(a \r(b\x1c(c))", "unclosed parenthesis", 1, 1),
+    # an unmatched ")" reports its own position
+    ("(a)\r )", "unmatched closing parenthesis", 1, 6),
+    ("; ) in a comment\n(a)\n\t\x1c)", "unmatched closing parenthesis", 3, 3),
+    (")", "unmatched closing parenthesis", 1, 1),
+    # list MAX_DEPTH + 1 reports its "(", before the missing ")"s
+    (";c\n\t" + "(" * (MAX_DEPTH + 1), f"lists nested deeper than {MAX_DEPTH} levels",
+     2, MAX_DEPTH + 2),
+    ("(a)\r\n x " + "(" * (MAX_DEPTH + 5) + ")", f"lists nested deeper than {MAX_DEPTH} levels",
+     2, MAX_DEPTH + 4),
+])
+def test_syntax_error_message_line_and_column(text, message, line, column):
+    with pytest.raises(SexprSyntaxError) as err:
+        parse_all(text)
+    assert (str(err.value), err.value.line, err.value.column) == \
+        (f"{line}:{column}: {message}", line, column)
+
+
+def test_reader_whitespace_and_comments():
+    assert parse_all("a\x1cb\r(c\td) ; (e\r f\n\x85g;h") == ["a", "b", ["c", "d"], "g"]
 
 
 def test_parse_expression_refuses_nesting_beyond_the_limit():
@@ -169,3 +204,94 @@ def test_model_with_explicit_tuples_round_trips():
 def test_write_all_parses_back():
     values = [["a", "b", ["c", "d"]], ["e"]]
     assert parse_all(write_all(values)) == values
+
+
+# --- writer layout ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("indent", [0, 4, 30])
+def test_writer_keeps_a_list_that_just_fits_on_one_line(indent):
+    fits = ["f", ["x" * (WIDTH - indent - 6)]]  # "(f (xx...))"
+    assert len(write_value(fits)) == WIDTH - indent
+    assert write_value(fits, indent) == f"(f ({fits[1][0]}))"
+    over = ["f", ["x" * (WIDTH - indent - 5)]]
+    assert write_value(over, indent) == f"(f\n{' ' * (indent + 2)}({over[1][0]}))"
+
+
+def test_writer_wraps_a_list_with_a_non_symbol_head_one_child_per_line():
+    v = [["a"], "b" * 40, ["c", "d" * 40]]
+    assert write_value(v, 2) == f"((a)\n    {'b' * 40}\n    (c {'d' * 40}))"
+
+
+def test_writer_keeps_a_symbolic_name_beside_the_head():
+    v = ["model", "M", ["entities"] + [f"entity{i}" for i in range(8)], ["x"]]
+    entities = "(entities " + " ".join(f"entity{i}" for i in range(8)) + ")"
+    assert write_value(v) == f"(model M\n  {entities}\n  (x))"
+    assert write_value(["model", "M" * WIDTH]) == f"(model {'M' * WIDTH}\n  )"
+
+
+def test_writer_leaves_symbols_and_empty_lists_unwrapped_at_any_indent():
+    assert write_value("s" * 100, 10) == "s" * 100
+    for indent in (77, 78, 80):
+        assert write_value([], indent) == "()"
+        assert write_value([[]], indent) == "(())"
+    assert write_value(["a", []], 77) == "(a\n" + " " * 79 + "())"
+
+
+# --- differential and fuzz --------------------------------------------------------------
+
+CORPUS_TEXTS = [p.read_text() for p in CORPUS]
+_NOISE = ["", "(", ")", "((", "))", " ", "\n", "\t", "\r", "\x1c", ";", "x", "set",
+          "(map (a b))", "(tuple)", "(" * (MAX_DEPTH + 1)]
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        j = rng.randint(i, min(len(text), i + 20))
+        text = text[:i] + rng.choice(_NOISE) + text[j:]
+    return text
+
+
+def _parse_or_none(text):
+    try:
+        return parse_all(text)
+    except SexprSyntaxError:
+        return None
+
+
+def _random_value(rng: random.Random, depth: int = 0):
+    if depth > 5 or rng.random() < 0.4:
+        return rng.choice(["a", "set", "x" * rng.randint(1, 30), "é"])
+    return [_random_value(rng, depth + 1) for _ in range(rng.randint(0, 6))]
+
+
+def test_reader_agrees_with_the_oracle_on_corpus_and_mutated_texts():
+    rng = random.Random(8)
+    texts = CORPUS_TEXTS + [_mutate(rng, rng.choice(CORPUS_TEXTS)) for _ in range(400)]
+    for text in texts:
+        assert _parse_or_none(text) == naive_parse(text, MAX_DEPTH), text
+
+
+def test_written_values_read_back():
+    rng = random.Random(9)
+    for _ in range(300):
+        values = [_random_value(rng) for _ in range(rng.randint(0, 4))]
+        assert parse_all(write_all(values)) == values
+
+
+@given(st.sampled_from(CORPUS_TEXTS), st.randoms(use_true_random=False))
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_mutated_documents_fail_only_with_ontofuse_errors(text, rng):
+    text = _mutate(rng, text)
+    try:
+        assert isinstance(parse_document(text), Document)
+    except OntofuseError:
+        pass
+    with tempfile.TemporaryDirectory() as d:
+        path = pathlib.Path(d, "mutated.iff")
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", str(path)])
+    assert code in (0, 1)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
