@@ -124,7 +124,7 @@ def power_classification(s: Iterable) -> Classification:
 def classification_sum(a: Classification, b: Classification) -> tuple[Classification, Infomorphism, Infomorphism]:
     """Tagged type union, instance product; returns (sum, left inj, right inj)."""
     types = [ltag(t) for t in a.types] + [rtag(t) for t in b.types]
-    instances = [(x, y) for x in sorted_tokens(a.instances) for y in sorted_tokens(b.instances)]
+    instances = [(x, y) for x in a.instances for y in b.instances]
     incidence = []
     for (x, y) in instances:
         incidence.extend(((x, y), ltag(t)) for t in a.types if a.classifies(x, t))

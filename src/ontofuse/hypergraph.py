@@ -83,11 +83,10 @@ def hypergraph_product(a: Hypergraph, b: Hypergraph) -> tuple[Hypergraph, Hyperg
     """
     if a.names != b.names:
         raise NameSetMismatch(f"name pools differ: {sorted_tokens(a.names)} vs {sorted_tokens(b.names)}")
-    nodes = [(x, y) for x in sorted_tokens(a.nodes) for y in sorted_tokens(b.nodes)]
+    nodes = [(x, y) for x in a.nodes for y in b.nodes]
     edges = {}
-    b_edges = sorted_tokens(b.hyperedges)
-    for e in sorted_tokens(a.hyperedges):
-        for f in b_edges:
+    for e in a.hyperedges:
+        for f in b.hyperedges:
             if a.arity[e] == b.arity[f]:
                 edges[(e, f)] = {x: (a.valuation[e][x], b.valuation[f][x]) for x in a.arity[e]}
     prod = Hypergraph.make(a.names, nodes, edges)

@@ -9,7 +9,7 @@ by the invariant the logical links induce.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import AgreementFailure, DomainMismatch, EdgeInvalid
 from .language import identity_language_morphism
@@ -69,8 +69,8 @@ def build_alignment(l1: Logic, l2: Logic, p1: Logic, p2: Logic,
         verdict = theory_morphism_valid(g, bound, budget)
         if not verdict:
             raise EdgeInvalid(name, verdict.detail or verdict.per_axiom)
-    k1 = transpose(g1, p1)
-    k2 = transpose(g2, p2)
+    k1 = transpose(g1, p1, budget)
+    k2 = transpose(g2, p2, budget)
     for k, name in ((k1, "left logical link"), (k2, "right logical link")):
         verdict = logic_morphism_valid(k, bound, budget)
         if not verdict:
@@ -123,7 +123,7 @@ def _empty_morphism_into(t: Theory):
 class PracticalReport:
     mediating_logic: Logic  # the common fiber L@C
     free_to_mediating: LogicMorphism  # log(T) => L@C
-    comparison: LogicMorphism  # free fusion => C fusion, identity on types
+    comparison: LogicMorphism  # free fusion => C fusion: its diagonal, relabelled
     fusion_theory: Theory  # th(L1) +_T th(L2), the fused logic's theory
     universe: frozenset  # of the fused logic, relabelled back to C
 
@@ -135,11 +135,13 @@ def practical_integrate(l1: Logic, l2: Logic, c: Iterable, t: Theory,
 
     The three agreements: the mediating universe is C, the mediating
     theory is t, and both fiber images of the restricted portals are the
-    same logic.  The fused logic is relabelled along the diagonal so its
-    universe is literally C.  The C-fusion fuses the two fiber
-    inclusions; the free fusion it is compared with fuses the mediating
-    counit followed by each inclusion, which are the transposes of g1
-    and g2, as both fibers are the mediating logic.
+    same logic.  Only the free fusion is built: it fuses the mediating
+    counit followed by each fiber inclusion, which are the transposes of
+    g1 and g2, as both fibers are the mediating logic.  Where the two
+    inclusions agree their composites agree too, and both spans induce
+    the same type relation, so the C-fusion is the free fusion's
+    diagonal part, relabelled (x, x) -> x so its universe is literally
+    C; the comparison morphism is that restriction and relabelling.
     """
     c = frozenset(c)
     if not c <= l1.model.entities & l2.model.entities:
@@ -153,30 +155,28 @@ def practical_integrate(l1: Logic, l2: Logic, c: Iterable, t: Theory,
     k, m1 = fiber(g1, p1)  # the mediating logic L@C and its inclusion
     fib2, m2 = fiber(g2, p2)
     _check_agreement(k, fib2)
-    pairs, q, v1, v2 = fusion(m1, m2)
-    # instances that agree are exactly the diagonal pairs; relabel (x, x) -> x
-    if any(p[0] != p[1] for p in pairs.model.entities) or \
-            any(p[0] != p[1] for p in pairs.model.tuples):
-        raise AgreementFailure("fused instances are not diagonal pairs")
-    diag_entities = {p[0]: p for p in pairs.model.entities}
-    diag_tuples = {p[0]: p for p in pairs.model.tuples}
-    fused = _relabel_logic(pairs)
-    relabel = LogicMorphism.make(pairs, fused, identity_language_morphism(fused.language),
-                                 diag_entities, diag_tuples)
-    q, v1, v2 = (compose_logic_morphisms(f, relabel) for f in (q, v1, v2))
-    result = IntegrationResult(fused, q, v1, v2,
-                               compose_logic_morphisms(link1, v1),
-                               compose_logic_morphisms(link2, v2))
+    km = counit(k, budget)
+    free_fused, q, v1, v2 = fusion(compose_logic_morphisms(km, m1),
+                                   compose_logic_morphisms(km, m2))
+    m = free_fused.model
+    diag = m.restrict((p for p in m.entities if p[0] == p[1]),
+                      (p for p in m.tuples if p[0] == p[1]))
+    fused = _relabel_logic(Logic(free_fused.theory, diag,
+                                 free_fused.normal_entities & diag.entities,
+                                 free_fused.normal_tuples & diag.tuples))
     if fused.model.entities != c:
         raise AgreementFailure("fused universe differs from C")
-    # free-logic path and its comparison morphism into the C-fusion
-    km = counit(k)
-    free_fused, _, _, _ = fusion(compose_logic_morphisms(km, m1),
-                                 compose_logic_morphisms(km, m2))
-    comparison = _free_fusion_comparison(free_fused, fused, diag_entities, diag_tuples)
+    comparison = LogicMorphism.make(free_fused, fused,
+                                    identity_language_morphism(fused.language),
+                                    {x: (x, x) for x in fused.model.entities},
+                                    {x: (x, x) for x in fused.model.tuples})
     verdict = logic_morphism_valid(comparison, bound, budget)
     if not verdict:
         raise AgreementFailure(f"comparison morphism invalid: {verdict.detail!r}")
+    q, v1, v2 = (compose_logic_morphisms(f, comparison) for f in (q, v1, v2))
+    result = IntegrationResult(fused, q, v1, v2,
+                               compose_logic_morphisms(link1, v1),
+                               compose_logic_morphisms(link2, v2))
     report = PracticalReport(k, km, comparison, fused.theory, fused.model.entities)
     return result, report
 
@@ -189,6 +189,9 @@ def _check_agreement(fib1: Logic, fib2: Logic) -> None:
     for field, a, b in (("entities", m1.entities, m2.entities),
                         ("entity incidence", m1.entity_incidence, m2.entity_incidence),
                         ("tuples", m1.tuples, m2.tuples),
+                        ("tuple arity", m1.tuple_arity.items(), m2.tuple_arity.items()),
+                        ("tuple valuation", m1.tuple_valuation.items(),
+                         m2.tuple_valuation.items()),
                         ("relation incidence", m1.relation_incidence, m2.relation_incidence)):
         if a != b:
             diff = sorted_tokens(a ^ b)[0]
@@ -210,17 +213,3 @@ def _relabel_logic(l: Logic) -> Logic:
     return Logic(l.theory, model,
                  frozenset(e for e, _ in l.normal_entities),
                  frozenset(t for t, _ in l.normal_tuples))
-
-
-def _free_fusion_comparison(free_fused: Logic, c_fused: Logic,
-                            diag_entities: Mapping, diag_tuples: Mapping) -> LogicMorphism:
-    """Identity on types, the diagonal function on instances in C."""
-    if free_fused.language != c_fused.language:
-        raise AgreementFailure("free fusion and C fusion have different type languages")
-    missing = [p for p in diag_entities.values() if p not in free_fused.model.entities]
-    missing += [p for p in diag_tuples.values() if p not in free_fused.model.tuples]
-    if missing:
-        raise AgreementFailure(f"diagonal instance {missing[0]!r} missing from the free fusion")
-    return LogicMorphism.make(free_fused, c_fused,
-                              identity_language_morphism(c_fused.language),
-                              diag_entities, diag_tuples)

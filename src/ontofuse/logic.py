@@ -193,7 +193,7 @@ def _tuple_conforms(model: Model, t: Theory, token: tuple) -> bool:
                for a in t.axioms if free_vars(model.language, a) <= arity)
 
 
-def counit(l: Logic) -> LogicMorphism:
+def counit(l: Logic, budget: int = DEFAULT_BUDGET) -> LogicMorphism:
     """Canonical morphism from the free logic over th(l) back to the sound logic l.
 
     Identity on types; an entity goes to its intent, a tuple to the pair
@@ -201,7 +201,7 @@ def counit(l: Logic) -> LogicMorphism:
     """
     if not is_sound(l):
         raise SoundnessViolation("the counit requires a sound logic")
-    free = free_logic(l.theory)
+    free = free_logic(l.theory, budget)
     entity_intent = l.model.entity_classification().intent
     tuple_intent = l.model.relation_classification().intent
     tuple_map = {t: (l.model.tuple_arity[t], tuple_intent(t)) for t in l.model.tuples}
@@ -212,14 +212,14 @@ def counit(l: Logic) -> LogicMorphism:
                               {e: entity_intent(e) for e in l.model.entities}, tuple_map)
 
 
-def transpose(g: TheoryMorphism, l: Logic) -> LogicMorphism:
+def transpose(g: TheoryMorphism, l: Logic, budget: int = DEFAULT_BUDGET) -> LogicMorphism:
     """Adjoint transpose: lift g : T => th(l) to free_logic(T) => l.
 
     The counit of the fiber of l along g, followed by the fiber's
     inclusion into l.
     """
     fib, inclusion = fiber(g, l)
-    return compose_logic_morphisms(counit(fib), inclusion)
+    return compose_logic_morphisms(counit(fib, budget), inclusion)
 
 
 # --- sums, quotients, fusion -----------------------------------------------

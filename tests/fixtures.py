@@ -181,15 +181,18 @@ def separated_logic(rng: random.Random, tag: str = "") -> Logic:
 
 
 def relabeled_target(rng: random.Random, k: Logic, tag: str,
-                     duplicates: bool = True):
-    """A logic obtained from k by bijectively renaming its types, with
-    optional duplicated instances; returns (target, morphism k => target)."""
+                     duplicates: bool = True, var_map=None):
+    """A logic obtained from k by bijectively renaming its types, and its
+    variables by the permutation var_map when given, with optional
+    duplicated instances; returns (target, morphism k => target)."""
     lang = k.language
+    vm = var_map or {x: x for x in lang.variables}
     em = {a: f"{tag}{a}" for a in lang.entity_types}
     rm = {r: f"{tag}{r}" for r in lang.relation_types}
     tgt_lang = TypeLanguage.make(lang.variables, em.values(),
-                                 {x: em[lang.reference[x]] for x in lang.variables},
-                                 {rm[r]: lang.arity[r] for r in lang.relation_types})
+                                 {vm[x]: em[lang.reference[x]] for x in lang.variables},
+                                 {rm[r]: frozenset(vm[x] for x in lang.arity[r])
+                                  for r in lang.relation_types})
     entity_map = {e: e for e in k.model.entities}
     tuple_map = {t: t for t in k.model.tuples}
     entities = set(k.model.entities)
@@ -208,11 +211,9 @@ def relabeled_target(rng: random.Random, k: Logic, tag: str,
     m = k.model
     incidence = [(e, em[a]) for e in entities
                  for a in lang.entity_types if m.entity_classifies(entity_map[e], a)]
-    arity = {t: m.tuple_arity[tuple_map[t]] for t in tuples}
-    valuation = {}
-    for t in tuples:
-        src_val = m.tuple_valuation[tuple_map[t]]
-        valuation[t] = fdict({x: src_val[x] for x in arity[t]})
+    arity = {t: frozenset(vm[x] for x in m.tuple_arity[tuple_map[t]]) for t in tuples}
+    valuation = {t: fdict({vm[x]: v for x, v in m.tuple_valuation[tuple_map[t]].items()})
+                 for t in tuples}
     rel_inc = [(t, rm[r]) for t in tuples for r in lang.relation_types
                if m.tuple_classifies(tuple_map[t], r)]
     tgt_model = Model(tgt_lang, frozenset(entities), frozenset(incidence),
@@ -220,7 +221,7 @@ def relabeled_target(rng: random.Random, k: Logic, tag: str,
                       frozenset(rel_inc))
     tgt_model.check()
     target = Logic.make(Theory.make(tgt_lang, []), tgt_model)
-    lm = LanguageMorphism.make(lang, tgt_lang, {x: x for x in lang.variables}, em, rm)
+    lm = LanguageMorphism.make(lang, tgt_lang, vm, em, rm)
     f = LogicMorphism.make(k, target, lm, entity_map, tuple_map)
     return target, f
 
@@ -248,5 +249,41 @@ def practical_scenarios():
         l2, f2 = relabeled_target(rng, k, "B", duplicates=False)
         g1 = TheoryMorphism.make(f1.language_morphism, k.theory, l1.theory)
         g2 = TheoryMorphism.make(f2.language_morphism, k.theory, l2.theory)
+        scenarios.append((l1, l2, k.model.entities, k.theory, g1, g2))
+    return scenarios
+
+
+def permuted_practical_scenarios(seed: int, n: int):
+    """Seeded practical-path cases whose right link permutes the variables.
+
+    Either the right community carries the same permutation, so the
+    fibers agree but the fused tuples may value merged variables
+    differently, or it does not, so the right fiber is re-indexed and
+    differs from the left one (when the permuted link is valid at all).
+    """
+    rng = random.Random(seed)
+    perm = dict(zip(VARS, VARS[1:] + VARS[:1]))
+    scenarios = []
+    for _ in range(n):
+        # one sort holding every entity, so that swapping the variables
+        # preserves reference and most tuples can tell x from y
+        lang = rand_language(rng, "K", max_ents=1, max_rels=3)
+        entities = [f"e{i}" for i in range(rng.randint(1, 3))]
+        rows = {r: [dict(zip(sorted_tokens(xs), vs)) for vs in
+                    itertools.product(entities, repeat=len(xs)) if rng.random() < 0.5]
+                for r, xs in sorted_tokens(lang.arity.items())}
+        k = Logic.make(Theory.make(lang, []), Model.from_extents(
+            lang, entities, [(e, a) for e in entities for a in lang.entity_types], rows))
+        l1, f1 = relabeled_target(rng, k, "A", duplicates=False)
+        if rng.random() < 0.5:
+            l2, f2 = relabeled_target(rng, k, "B", duplicates=False, var_map=perm)
+            lm2 = f2.language_morphism
+        else:
+            l2, f2 = relabeled_target(rng, k, "B", duplicates=False)
+            lm2 = LanguageMorphism.make(k.language, l2.language, perm,
+                                        f2.language_morphism.entity_map,
+                                        f2.language_morphism.relation_map)
+        g1 = TheoryMorphism.make(f1.language_morphism, k.theory, l1.theory)
+        g2 = TheoryMorphism.make(lm2, k.theory, l2.theory)
         scenarios.append((l1, l2, k.model.entities, k.theory, g1, g2))
     return scenarios

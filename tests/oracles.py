@@ -11,9 +11,14 @@ from types import SimpleNamespace
 
 from ontofuse.language import (And, Atomic, Exists, Forall, Implies, Not, Or,
                                Subst)
+from ontofuse.errors import AgreementFailure, DomainMismatch
+from ontofuse.integration import (IntegrationResult, PracticalReport,
+                                  _check_agreement, _relabel_logic)
 from ontofuse.model import ModelMorphism, model_morphism_valid
-from ontofuse.logic import LogicMorphism, compose_logic_morphisms, logic_morphism_valid
-from ontofuse.language import LanguageMorphism, language_morphism_valid
+from ontofuse.logic import (LogicMorphism, compose_logic_morphisms, counit, fiber,
+                            fusion, logic_morphism_valid, restrict_logic)
+from ontofuse.language import (LanguageMorphism, identity_language_morphism,
+                               language_morphism_valid)
 from ontofuse.theory import TheoryMorphism, theory_morphism_valid
 from ontofuse.tokens import fdict, sorted_tokens
 
@@ -528,3 +533,56 @@ def naive_parse(text, max_depth):
         else:
             stack[-1].append(w)
     return stack[0] if len(stack) == 1 else None
+
+
+# --- the practical path, fusing twice -------------------------------------------
+
+def two_fusion_practical_integrate(l1, l2, c, t, g1, g2, bound, budget):
+    """The practical path as two fusions: the C-fusion of the fiber
+    inclusions, then the free fusion of the transposes, compared by the
+    diagonal morphism.  Built from the library's fiber, fusion and
+    counit, it checks that the single-fusion path reproduces the
+    results and the failures of fusing twice."""
+    c = frozenset(c)
+    if not c <= l1.model.entities & l2.model.entities:
+        raise DomainMismatch("C must be a subset of both universes")
+    p1, link1 = restrict_logic(l1, c)
+    p2, link2 = restrict_logic(l2, c)
+    if g1.source != t or g2.source != t:
+        raise DomainMismatch("alignment links must start at the mediating theory")
+    if g1.target != p1.theory or g2.target != p2.theory:
+        raise DomainMismatch("alignment links must target the community theories")
+    k, m1 = fiber(g1, p1)
+    fib2, m2 = fiber(g2, p2)
+    _check_agreement(k, fib2)
+    pairs, q, v1, v2 = fusion(m1, m2)
+    if any(p[0] != p[1] for p in pairs.model.entities) or \
+            any(p[0] != p[1] for p in pairs.model.tuples):
+        raise AgreementFailure("fused instances are not diagonal pairs")
+    diag_entities = {p[0]: p for p in pairs.model.entities}
+    diag_tuples = {p[0]: p for p in pairs.model.tuples}
+    fused = _relabel_logic(pairs)
+    relabel = LogicMorphism.make(pairs, fused, identity_language_morphism(fused.language),
+                                 diag_entities, diag_tuples)
+    q, v1, v2 = (compose_logic_morphisms(f, relabel) for f in (q, v1, v2))
+    result = IntegrationResult(fused, q, v1, v2,
+                               compose_logic_morphisms(link1, v1),
+                               compose_logic_morphisms(link2, v2))
+    if fused.model.entities != c:
+        raise AgreementFailure("fused universe differs from C")
+    km = counit(k, budget)
+    free_fused, _, _, _ = fusion(compose_logic_morphisms(km, m1),
+                                 compose_logic_morphisms(km, m2))
+    if free_fused.language != fused.language:
+        raise AgreementFailure("free fusion and C fusion have different type languages")
+    missing = [p for p in diag_entities.values() if p not in free_fused.model.entities]
+    missing += [p for p in diag_tuples.values() if p not in free_fused.model.tuples]
+    if missing:
+        raise AgreementFailure(f"diagonal instance {missing[0]!r} missing from the free fusion")
+    comparison = LogicMorphism.make(free_fused, fused,
+                                    identity_language_morphism(fused.language),
+                                    diag_entities, diag_tuples)
+    verdict = logic_morphism_valid(comparison, bound, budget)
+    if not verdict:
+        raise AgreementFailure(f"comparison morphism invalid: {verdict.detail!r}")
+    return result, PracticalReport(k, km, comparison, fused.theory, fused.model.entities)

@@ -181,6 +181,19 @@ def test_integrate_practical_matches_golden(tmp_path, capsys):
     assert out_file.read_text() == (CORPUS / "fused.golden.iff").read_text()
 
 
+@pytest.mark.parametrize("practical", [(), ("--practical",)])
+def test_integrate_budget_caps_the_free_logic(tmp_path, capsys, practical):
+    # the mediating theory has two sorts, so its free logic has 4 entities
+    out_file = tmp_path / "fused.iff"
+    code, out, err = run(capsys, "integrate", str(CORPUS / "fixture.iff"),
+                         "--left", "L1", "--right", "L2", "--alignment", "A",
+                         "--budget", "3", *practical, "-o", str(out_file))
+    assert code == 1
+    assert out == ""
+    assert err == "error: power classification would have 4 instances\n"
+    assert not out_file.exists()
+
+
 def test_reports_deterministic(tmp_path, capsys):
     outs = []
     for i in range(2):

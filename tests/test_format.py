@@ -3,6 +3,7 @@ import contextlib
 import io
 import pathlib
 import random
+import re
 import tempfile
 
 import pytest
@@ -293,5 +294,34 @@ def test_mutated_documents_fail_only_with_ontofuse_errors(text, rng):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["check", str(path)])
+    assert code in (0, 1)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+FIXTURE_TEXT = re.sub(r";[^\n]*", "", CORPUS[0].with_name("fixture.iff").read_text())
+FIXTURE_SYMBOLS = sorted(set(re.findall(r"[^\s();]+", FIXTURE_TEXT)))
+
+
+def _swap_symbols(rng: random.Random, text: str) -> str:
+    """Replace one to three symbols by symbols of the fixture, so the text
+    still parses and fails, if at all, in alignment or fusion."""
+    for _ in range(rng.randint(1, 3)):
+        m = rng.choice(list(re.finditer(r"[^\s();]+", text)))
+        text = text[:m.start()] + rng.choice(FIXTURE_SYMBOLS) + text[m.end():]
+    return text
+
+
+@given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_mutated_fixture_integrates_or_fails_with_an_error(rng, by_symbol, practical):
+    text = (_swap_symbols if by_symbol else _mutate)(rng, FIXTURE_TEXT)
+    with tempfile.TemporaryDirectory() as d:
+        path = pathlib.Path(d, "mutated.iff")
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["integrate", str(path), "--left", "L1", "--right", "L2",
+                         "--alignment", "A", *["--practical"][:practical],
+                         "-o", str(pathlib.Path(d, "fused.iff"))])
     assert code in (0, 1)
     assert "Traceback" not in out.getvalue() + err.getvalue()

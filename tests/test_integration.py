@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from ontofuse.errors import AgreementFailure, DomainMismatch, EdgeInvalid
+from ontofuse.document import parse_document
+from ontofuse.errors import (AgreementFailure, DomainMismatch, EdgeInvalid,
+                             IncompatibleQuotient, OntofuseError)
 from ontofuse.language import (LanguageEndorelation, LanguageMorphism,
                                TypeLanguage)
 from ontofuse.integration import (build_alignment, practical_integrate,
@@ -13,13 +15,15 @@ from ontofuse.logic import (Logic, LogicMorphism, compose_logic_morphisms,
                             identity_logic_morphism, is_sound, logic_sum,
                             logic_morphism_valid, restrict_logic, transpose)
 from ontofuse.model import Model
-from ontofuse.theory import (Theory, TheoryMorphism, identity_theory_morphism,
-                             theory_quotient, theory_sum)
+from ontofuse.theory import (DEFAULT_BUDGET, Theory, TheoryMorphism,
+                             identity_theory_morphism, theory_quotient, theory_sum)
 from ontofuse.tokens import ltag, rtag, sorted_tokens
 
-from fixtures import (VARS, alignment_links, practical_scenarios,
-                      separated_logic, w_logic, wp_logic, wp_language)
-from oracles import logics_isomorphic, morphisms_equal
+from fixtures import (VARS, alignment_links, permuted_practical_scenarios,
+                      practical_scenarios, separated_logic, w_logic, wp_logic,
+                      wp_language)
+from oracles import (logics_isomorphic, morphisms_equal,
+                     two_fusion_practical_integrate)
 
 
 def fixture_diagram(bound=1):
@@ -204,6 +208,60 @@ def test_practical_agreement_failure_names_difference():
     assert "bob" in str(err.value)
 
 
+TUPLES_FORM = """
+(language W (variables x y) (entity-types Thing) (reference (x Thing) (y Thing))
+  (relations (R (x y))))
+(language Wp (variables x y) (entity-types Item) (reference (x Item) (y Item))
+  (relations (S (x y))))
+(language TL (variables x y) (entity-types Any) (reference (x Any) (y Any)) (relations))
+(theory TW (language W) (axioms))
+(theory TWp (language Wp) (axioms))
+(theory T (language TL) (axioms))
+(model M1 (language W) (entities a b) (incidence (a Thing) (b Thing)) %s)
+(model M2 (language Wp) (entities a b) (incidence (a Item) (b Item)) %s)
+(logic L1 (theory TW) (model M1))
+(logic L2 (theory TWp) (model M2))
+(theory-morphism g1 (source T) (target TW)
+  (variables (x x) (y y)) (entity-types (Any Thing)) (relations))
+(theory-morphism g2 (source T) (target TWp)
+  (variables (x x) (y y)) (entity-types (Any Item)) (relations))
+"""
+
+
+def tuples_form_scenario(left_tuples, right_tuples):
+    doc = parse_document(TUPLES_FORM % (left_tuples, right_tuples))
+    return (doc.get("L1", "logic"), doc.get("L2", "logic"), {"a", "b"},
+            doc.get("T", "theory"), doc.get("g1", "theory-morphism"),
+            doc.get("g2", "theory-morphism"))
+
+
+def test_practical_agreement_failure_names_tuple_arity():
+    # the fibers have the same instances and incidences; only t's arity differs
+    scenario = tuples_form_scenario(
+        "(tuples (t (arity x y) (valuation (x a) (y b)))) (relation-incidence)",
+        "(tuples (t (arity x) (valuation (x a)))) (relation-incidence)")
+    with pytest.raises(AgreementFailure) as err:
+        practical_integrate(*scenario, 1)
+    assert "tuple arity" in str(err.value)
+    assert "'t'" in str(err.value)
+
+
+def test_practical_keeps_only_diagonal_tuples():
+    # t and u have one valuation and the same (empty) mediating intent, so
+    # the free fusion also keeps the pairs (t, u) and (u, t), valued on
+    # the diagonal; only t is in the unaligned relations R and S
+    tuples = "(tuples (t (arity x y) (valuation (x a) (y b))) " \
+             "(u (arity x y) (valuation (x a) (y b))))"
+    scenario = tuples_form_scenario(tuples + " (relation-incidence (t R))",
+                                    tuples + " (relation-incidence (t S))")
+    result, report = practical_integrate(*scenario, 1)
+    fused = result.fused.model
+    assert fused.tuples == {"t", "u"}
+    assert fused.relation_classification().intent("u") == frozenset()
+    assert ("t", "u") in report.comparison.source.model.tuples
+    assert (result, report) == two_fusion_practical_integrate(*scenario, 1, DEFAULT_BUDGET)
+
+
 def test_practical_requires_shared_tokens():
     l1, l2, _, t, g1, g2 = practical_fixture()
     with pytest.raises(DomainMismatch):
@@ -235,3 +293,28 @@ def test_practical_free_fusion_fuses_the_transposes():
         assert report.comparison.source == \
             fusion(transpose(g1, p1), transpose(g2, p2))[0]
         assert report.fusion_theory == result.fused.theory
+
+
+def _practical_outcome(run, scenario):
+    try:
+        return run(*scenario, 1, DEFAULT_BUDGET)
+    except OntofuseError as e:
+        return e
+
+
+def test_practical_fuses_once_like_fusing_twice():
+    # the single free fusion, restricted to its diagonal, gives what the
+    # C-fusion and the free fusion gave together; a right link that
+    # swaps the variables makes some cases fail, and both fail alike
+    outcomes = []
+    for scenario in practical_scenarios() + permuted_practical_scenarios(211, 120):
+        expected = _practical_outcome(two_fusion_practical_integrate, scenario)
+        got = _practical_outcome(practical_integrate, scenario)
+        if isinstance(expected, Exception):
+            assert type(got) is type(expected), (got, expected)
+            assert str(got) == str(expected)
+        else:
+            assert got == expected
+        outcomes.append(type(got))
+    assert outcomes.count(tuple) > 21
+    assert IncompatibleQuotient in outcomes and AgreementFailure in outcomes
