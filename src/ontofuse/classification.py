@@ -8,11 +8,12 @@ instances map backward, tied together by the fundamental condition.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import DomainMismatch, RespectViolation, check_total
-from .tokens import FrozenDict, Token, fdict, ltag, rtag, sorted_tokens
+from .tokens import FrozenDict, Token, fdict, ltag, rtag, sorted_tokens, token_key
 
 
 @dataclass(frozen=True)
@@ -121,18 +122,45 @@ def power_classification(s: Iterable) -> Classification:
     return Classification.make(instances, elems, incidence)
 
 
-def classification_sum(a: Classification, b: Classification) -> tuple[Classification, Infomorphism, Infomorphism]:
-    """Tagged type union, instance product; returns (sum, left inj, right inj)."""
-    types = [ltag(t) for t in a.types] + [rtag(t) for t in b.types]
-    instances = [(x, y) for x in a.instances for y in b.instances]
-    incidence = []
-    for (x, y) in instances:
-        incidence.extend(((x, y), ltag(t)) for t in a.types if a.classifies(x, t))
-        incidence.extend(((x, y), rtag(t)) for t in b.types if b.classifies(y, t))
-    s = Classification.make(instances, types, incidence)
+def unkeyed(_: Token) -> None:
+    """The constant key: a product over it pairs everything."""
+    return None
+
+
+def keyed_pairs(xs: Iterable, ys: Iterable, key_x: Callable = unkeyed,
+                key_y: Callable = unkeyed) -> list:
+    """The pairs (x, y) on which the keys agree: the pullback of xs and ys
+    over their keys, found by grouping ys by key.  Constant keys give the
+    whole product."""
+    groups: dict = {}
+    for y in ys:
+        groups.setdefault(key_y(y), []).append(y)
+    return [(x, y) for x in xs for y in groups.get(key_x(x), ())]
+
+
+def classification_sum(a: Classification, b: Classification, key_a: Callable = unkeyed,
+                       key_b: Callable = unkeyed) -> tuple[Classification, Infomorphism, Infomorphism]:
+    """Tagged type union, instance product; returns (sum, left inj, right inj).
+
+    With keys, only the instance pairs on which they agree are kept.
+    """
+    tags_a, tags_b = tagged_intents(a, ltag), tagged_intents(b, rtag)
+    instances = keyed_pairs(a.instances, b.instances, key_a, key_b)
+    incidence = [(p, t) for p in instances
+                 for t in itertools.chain(tags_a.get(p[0], ()), tags_b.get(p[1], ()))]
+    s = Classification.make(instances, [ltag(t) for t in a.types] + [rtag(t) for t in b.types],
+                            incidence)
     inj_a = Infomorphism.make(a, s, {t: ltag(t) for t in a.types}, {p: p[0] for p in instances})
     inj_b = Infomorphism.make(b, s, {t: rtag(t) for t in b.types}, {p: p[1] for p in instances})
     return s, inj_a, inj_b
+
+
+def tagged_intents(c: Classification, tag: Callable) -> dict:
+    """Instance -> the tagged types classifying it (instances with none are left out)."""
+    intents: dict = {}
+    for (i, t) in c.incidence:
+        intents.setdefault(i, []).append(tag(t))
+    return intents
 
 
 def equivalence_closure(elements: Iterable, pairs: Iterable) -> dict:
@@ -179,19 +207,23 @@ def classification_quotient(c: Classification, j: ClassificationInvariant) -> tu
     """Quotient types by the closure of j's relation, keep j's instances.
 
     Raises RespectViolation if some retained instance distinguishes two
-    related types.
+    related types, naming the token-order-first such instance.
     """
     if not j.instance_subset <= c.instances:
         raise DomainMismatch("invariant instance subset not contained in instances")
     cls = equivalence_closure(c.types, j.type_relation)
-    kept = sorted_tokens(j.instance_subset)
-    for members in class_groups(cls):
-        for a in kept:
-            hits = {c.classifies(a, t) for t in members}
-            if len(hits) > 1:
-                pos = next(t for t in members if c.classifies(a, t))
-                neg = next(t for t in members if not c.classifies(a, t))
-                raise RespectViolation(a, pos, neg)
+    groups = [members for members in class_groups(cls) if len(members) > 1]
+    group_of = {t: g for g, members in enumerate(groups) for t in members}
+    # an instance splits a group it is classified by some, not all, members of
+    hits = Counter((a, group_of[t]) for (a, t) in c.incidence
+                   if t in group_of and a in j.instance_subset)
+    split = [(a, g) for (a, g), n in hits.items() if n < len(groups[g])]
+    if split:
+        a = min((a for a, _ in split), key=token_key)
+        members = groups[min(g for b, g in split if b == a)]
+        pos = next(t for t in members if c.classifies(a, t))
+        neg = next(t for t in members if not c.classifies(a, t))
+        raise RespectViolation(a, pos, neg)
     types = frozenset(cls.values())
     incidence = frozenset((a, cls[t]) for (a, t) in c.incidence if a in j.instance_subset)
     q = Classification(frozenset(j.instance_subset), types, incidence)

@@ -175,7 +175,7 @@ def cmd_fuse(args) -> int:
     doc = _load(args.doc)
     f0 = doc.get(args.left_link, "logic-morphism")
     f1 = doc.get(args.right_link, "logic-morphism")
-    fused, _, _, _ = fusion(f0, f1)
+    fused, _, _ = fusion(f0, f1)
     print(f"fused: {_logic_summary(fused)}")
     _write(_logic_document(fused, args.name), args.output)
     return 0

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from typing import Collection, Mapping
 
+from .tokens import token_key
+
 
 class OntofuseError(Exception):
     """Base class for all library errors."""
@@ -13,11 +15,20 @@ class DomainMismatch(OntofuseError):
 
 
 def check_total(m: Mapping, domain: Collection, codomain: Collection, what: str) -> None:
-    """Raise DomainMismatch unless m is total on domain and lands in codomain."""
-    if set(m) != set(domain):
-        raise DomainMismatch(f"{what} is not total on its domain")
-    if any(v not in codomain for v in m.values()):
-        raise DomainMismatch(f"{what} leaves its codomain")
+    """Raise DomainMismatch unless m is total on domain and lands in codomain.
+
+    The message names the token-order-first missing key, else extra key,
+    else value outside the codomain.
+    """
+    keys, domain = set(m), set(domain)
+    if keys != domain:
+        missing = domain - keys
+        kind, witness = ("missing", missing) if missing else ("extra", keys - domain)
+        raise DomainMismatch(f"{what} is not total on its domain: "
+                             f"{kind} {min(witness, key=token_key)!r}")
+    outside = [v for v in m.values() if v not in codomain]
+    if outside:
+        raise DomainMismatch(f"{what} leaves its codomain: {min(outside, key=token_key)!r}")
 
 
 class RespectViolation(OntofuseError):

@@ -7,8 +7,9 @@ the instance-side skeleton of models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
+from .classification import keyed_pairs, unkeyed
 from .errors import DomainMismatch, NameSetMismatch, check_total
 from .tokens import FrozenDict, fdict, sorted_tokens
 
@@ -75,20 +76,28 @@ def identity_hypergraph_morphism(h: Hypergraph) -> HypergraphMorphism:
                                    {e: e for e in h.hyperedges}, {x: x for x in h.names})
 
 
-def hypergraph_product(a: Hypergraph, b: Hypergraph) -> tuple[Hypergraph, HypergraphMorphism, HypergraphMorphism]:
-    """Pairwise product over a shared name pool.
+def hypergraph_product(a: Hypergraph, b: Hypergraph,
+                       node_keys: tuple[Callable, Callable] = (unkeyed, unkeyed),
+                       edge_keys: tuple[Callable, Callable] = (unkeyed, unkeyed),
+                       ) -> tuple[Hypergraph, HypergraphMorphism, HypergraphMorphism]:
+    """Pairwise product over a shared name pool, over keys.
 
-    Hyperedges pair only edges of equal arity, so the projection tuples
-    are well-defined.  Returns (product, left projection, right projection).
+    Nodes pair when their node keys agree.  Edges pair when their edge
+    keys and arities agree, so the projection tuples are well-defined,
+    and every coordinate is a node pair.  The constant keys (the default)
+    give the whole product.  Returns (product, left projection, right
+    projection).
     """
     if a.names != b.names:
         raise NameSetMismatch(f"name pools differ: {sorted_tokens(a.names)} vs {sorted_tokens(b.names)}")
-    nodes = [(x, y) for x in a.nodes for y in b.nodes]
+    (node_a, node_b), (edge_a, edge_b) = node_keys, edge_keys
+    nodes = keyed_pairs(a.nodes, b.nodes, node_a, node_b)
     edges = {}
-    for e in a.hyperedges:
-        for f in b.hyperedges:
-            if a.arity[e] == b.arity[f]:
-                edges[(e, f)] = {x: (a.valuation[e][x], b.valuation[f][x]) for x in a.arity[e]}
+    for e, f in keyed_pairs(a.hyperedges, b.hyperedges, lambda e: (edge_a(e), a.arity[e]),
+                            lambda f: (edge_b(f), b.arity[f])):
+        tup = {x: (a.valuation[e][x], b.valuation[f][x]) for x in a.arity[e]}
+        if all(node_a(v) == node_b(w) for v, w in tup.values()):
+            edges[(e, f)] = tup
     prod = Hypergraph.make(a.names, nodes, edges)
     proj_a = HypergraphMorphism.make(prod, a, {p: p[0] for p in nodes},
                                      {ef: ef[0] for ef in edges}, {x: x for x in a.names})

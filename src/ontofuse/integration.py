@@ -3,8 +3,10 @@
 Alignment builds the W-shaped diagram: community logics, portals,
 portal links, a mediating theory with theoretical links into the
 portals' theories, and the derived logical links obtained by the free
-adjunction.  Unification fuses the diagram: quotient of the portal sum
-by the invariant the logical links induce.
+adjunction.  Unification fuses the diagram: the pushout of the logical
+links, the quotient of the portal sum by the invariant they induce,
+which fusion computes as a join of the portals over the free logic
+without building the sum.
 """
 from __future__ import annotations
 
@@ -39,8 +41,7 @@ class AlignmentDiagram:
 
 @dataclass(frozen=True)
 class IntegrationResult:
-    fused: Logic
-    canonical: LogicMorphism  # sum => fused
+    fused: Logic  # the pushout of the logical links
     injection_left: LogicMorphism  # P1 => fused
     injection_right: LogicMorphism  # P2 => fused
     final_left: LogicMorphism  # L1 => fused
@@ -80,9 +81,9 @@ def build_alignment(l1: Logic, l2: Logic, p1: Logic, p2: Logic,
 
 def unify(d: AlignmentDiagram) -> IntegrationResult:
     """Fusion of the alignment diagram, with the final integration opspan."""
-    fused, q, v1, v2 = fusion(d.logical_link_left, d.logical_link_right)
+    fused, v1, v2 = fusion(d.logical_link_left, d.logical_link_right)
     return IntegrationResult(
-        fused, q, v1, v2,
+        fused, v1, v2,
         compose_logic_morphisms(d.portal_link_left, v1),
         compose_logic_morphisms(d.portal_link_right, v2))
 
@@ -156,8 +157,8 @@ def practical_integrate(l1: Logic, l2: Logic, c: Iterable, t: Theory,
     fib2, m2 = fiber(g2, p2)
     _check_agreement(k, fib2)
     km = counit(k, budget)
-    free_fused, q, v1, v2 = fusion(compose_logic_morphisms(km, m1),
-                                   compose_logic_morphisms(km, m2))
+    free_fused, v1, v2 = fusion(compose_logic_morphisms(km, m1),
+                                compose_logic_morphisms(km, m2))
     m = free_fused.model
     diag = m.restrict((p for p in m.entities if p[0] == p[1]),
                       (p for p in m.tuples if p[0] == p[1]))
@@ -173,8 +174,8 @@ def practical_integrate(l1: Logic, l2: Logic, c: Iterable, t: Theory,
     verdict = logic_morphism_valid(comparison, bound, budget)
     if not verdict:
         raise AgreementFailure(f"comparison morphism invalid: {verdict.detail!r}")
-    q, v1, v2 = (compose_logic_morphisms(f, comparison) for f in (q, v1, v2))
-    result = IntegrationResult(fused, q, v1, v2,
+    v1, v2 = (compose_logic_morphisms(f, comparison) for f in (v1, v2))
+    result = IntegrationResult(fused, v1, v2,
                                compose_logic_morphisms(link1, v1),
                                compose_logic_morphisms(link2, v2))
     report = PracticalReport(k, km, comparison, fused.theory, fused.model.entities)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .classification import power_classification
-from .errors import BudgetExceeded, DomainMismatch, SoundnessViolation
+from .errors import BudgetExceeded, DomainMismatch, SoundnessViolation, check_total
 from .language import (Expression, LanguageMorphism, TypeLanguage,
                        compose_language_morphisms, identity_language_morphism,
                        free_vars, language_morphism_valid, span_relation)
@@ -253,6 +253,15 @@ def logic_dual_quotient(l: Logic, j: ModelDualInvariant) -> tuple[Logic, LogicMo
     return q, canon
 
 
+def _check_span(f0: LogicMorphism, f1: LogicMorphism) -> None:
+    """Raise DomainMismatch unless the legs share a source and neither refines."""
+    if f0.source != f1.source:
+        raise DomainMismatch("fusion requires a common source logic")
+    for f in (f0, f1):
+        if any(isinstance(v, Expression) for v in f.language_morphism.relation_map.values()):
+            raise DomainMismatch("fusion requires non-refinement alignment links")
+
+
 def fusion_invariant(f0: LogicMorphism, f1: LogicMorphism,
                      s: Logic) -> ModelDualInvariant:
     """The dual invariant a span induces on the sum of its targets.
@@ -261,33 +270,54 @@ def fusion_invariant(f0: LogicMorphism, f1: LogicMorphism,
     (entities and tuples separately).  Types: tagged pairs linked by a
     type of the common source.
     """
-    if f0.source != f1.source:
-        raise DomainMismatch("fusion requires a common source logic")
-    lm0, lm1 = f0.language_morphism, f1.language_morphism
-    for lm in (lm0, lm1):
-        if any(isinstance(v, Expression) for v in lm.relation_map.values()):
-            raise DomainMismatch("fusion requires non-refinement alignment links")
+    _check_span(f0, f1)
+    relation = span_relation(f0.language_morphism, f1.language_morphism)
     entities = frozenset(p for p in s.model.entities
                          if f0.entity_map[p[0]] == f1.entity_map[p[1]])
     tuples = frozenset(p for p in s.model.tuples
                        if f0.tuple_map[p[0]] == f1.tuple_map[p[1]])
-    return ModelDualInvariant(entities, tuples, span_relation(lm0, lm1))
+    return ModelDualInvariant(entities, tuples, relation)
 
 
-def fusion(f0: LogicMorphism, f1: LogicMorphism) -> tuple[Logic, LogicMorphism, LogicMorphism, LogicMorphism]:
-    """Pushout of a span: quotient of the sum by the induced invariant.
+def fusion(f0: LogicMorphism, f1: LogicMorphism) -> tuple[Logic, LogicMorphism, LogicMorphism]:
+    """Pushout of a span f0: K => L0, f1: K => L1, computed as a pullback join.
 
-    Returns (fused, canonical q, injection from f0.target, injection
-    from f1.target); the injections are the sum injections composed
-    with q.
+    The pushout is the quotient of the sum of L0 and L1 by the invariant
+    the span induces (:func:`fusion_invariant`), which keeps the instance
+    pairs on which the backward maps agree: the pullback of the span.
+    The join builds only those pairs, as the product of the two models
+    keyed by each leg's instance maps, and quotients it by the span's
+    type relation.  Returns (fused, injection from L0, injection from L1).
     """
     for f in (f0, f1):
         if not (is_sound(f.source) and is_sound(f.target)):
             raise SoundnessViolation("fusion requires sound logics throughout")
-    s, nu0, nu1 = logic_sum(f0.target, f1.target)
-    j = fusion_invariant(f0, f1, s)
-    fused, q = logic_dual_quotient(s, j)
-    return fused, q, compose_logic_morphisms(nu0, q), compose_logic_morphisms(nu1, q)
+    _check_span(f0, f1)
+    k = f0.source
+    for f, side in ((f0, "left"), (f1, "right")):
+        lm, lang, m = f.language_morphism, f.target.language, f.target.model
+        check_total(lm.var_map, k.language.variables, lang.variables, f"{side} variable map")
+        check_total(lm.entity_map, k.language.entity_types, lang.entity_types,
+                    f"{side} entity-type map")
+        check_total(lm.relation_map, k.language.relation_types, lang.relation_types,
+                    f"{side} relation map")
+        check_total(f.entity_map, m.entities, k.model.entities, f"{side} entity map")
+        check_total(f.tuple_map, m.tuples, k.model.tuples, f"{side} tuple map")
+    relation = span_relation(f0.language_morphism, f1.language_morphism)
+    st, ti0, ti1 = theory_sum(f0.target.theory, f1.target.theory)
+    joined = f0.target.model.product(
+        f1.target.model, (f0.entity_map.__getitem__, f1.entity_map.__getitem__),
+        (f0.tuple_map.__getitem__, f1.tuple_map.__getitem__))
+    fused, q = logic_dual_quotient(
+        Logic(st, joined, joined.entities, joined.tuples),
+        ModelDualInvariant(joined.entities, joined.tuples, relation))
+
+    def injection(half: int, f: LogicMorphism, inj: TheoryMorphism) -> LogicMorphism:
+        lm = compose_language_morphisms(inj.language_morphism, q.language_morphism)
+        return LogicMorphism.make(f.target, fused, lm,
+                                  {p: p[half] for p in fused.model.entities},
+                                  {t: t[half] for t in fused.model.tuples})
+    return fused, injection(0, f0, ti0), injection(1, f1, ti1)
 
 
 # --- restriction and fibers ------------------------------------------------

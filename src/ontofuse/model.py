@@ -22,11 +22,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .classification import (Classification, ClassificationInvariant, Infomorphism,
                              class_groups, classification_quotient,
-                             classification_sum, infomorphism_valid)
+                             classification_sum, infomorphism_valid,
+                             tagged_intents, unkeyed)
 from .errors import (DomainMismatch, IncompatibleQuotient, LaxViolation,
                      RespectViolation, check_total)
 from .hypergraph import Hypergraph, hypergraph_product
@@ -35,7 +36,7 @@ from .language import (And, Atomic, Exists, Expression, Forall, Implies,
                        TypeLanguage, free_vars, language_morphism_valid,
                        language_quotient, language_sum, identity_language_morphism,
                        compose_language_morphisms)
-from .tokens import FrozenDict, Token, fdict, ltag, rtag, sorted_tokens
+from .tokens import FrozenDict, Token, fdict, ltag, rtag, sorted_tokens, token_key
 
 
 Assignment = FrozenDict  # variables -> entities, finite domain
@@ -109,6 +110,38 @@ class Model:
                 raise DomainMismatch(f"relation incidence pair ({t!r}, {rho!r}) out of range")
             if not self.language.arity[rho] <= self.tuple_arity[t]:
                 raise DomainMismatch(f"{t!r} classified by {rho!r} of larger arity")
+
+    def product(self, other: "Model", entity_keys: tuple[Callable, Callable] = (unkeyed, unkeyed),
+                tuple_keys: tuple[Callable, Callable] = (unkeyed, unkeyed)) -> "Model":
+        """The instance pairs on which the keys agree, over the sum of the languages.
+
+        Entities pair as in the classification sum and tuples as in the
+        hypergraph product, both over the keys.  A pair is classified by
+        its members' tagged intents, and both tags of a shared variable
+        value a tuple pair, keeping it well-sorted against the tagged
+        reference.  The constant keys (the default) give the model sum;
+        a span's backward instance maps give its pullback.
+        """
+        lang, _, _ = language_sum(self.language, other.language)
+        ents, _, _ = classification_sum(self.entity_classification(),
+                                        other.entity_classification(), *entity_keys)
+        prod, _, _ = hypergraph_product(self.instance_hypergraph(), other.instance_hypergraph(),
+                                        entity_keys, tuple_keys)
+        intents_a = tagged_intents(self.relation_classification(), ltag)
+        intents_b = tagged_intents(other.relation_classification(), rtag)
+        arity, valuation, rel_inc = {}, {}, []
+        for tok in prod.hyperedges:
+            pairs = prod.valuation[tok]
+            arity[tok] = frozenset(itertools.chain(
+                (ltag(x) for x in pairs), (rtag(x) for x in pairs)))
+            valuation[tok] = fdict({**{ltag(x): v for x, v in pairs.items()},
+                                    **{rtag(x): v for x, v in pairs.items()}})
+            rel_inc.extend((tok, r) for r in intents_a.get(tok[0], ()))
+            rel_inc.extend((tok, r) for r in intents_b.get(tok[1], ()))
+        s = Model(lang, ents.instances, ents.incidence, prod.hyperedges,
+                  fdict(arity), fdict(valuation), frozenset(rel_inc))
+        s.check(well_sorted=False)
+        return s
 
     def restrict(self, entities: Iterable, tuples: Iterable) -> "Model":
         """The sub-model on the given entities and those given tuples valued among them."""
@@ -306,36 +339,17 @@ def compose_model_morphisms(f: ModelMorphism, g: ModelMorphism) -> ModelMorphism
 # --- sums and dual quotients ----------------------------------------------
 
 def model_sum(a: Model, b: Model) -> tuple[Model, ModelMorphism, ModelMorphism]:
-    """Sum over a shared variable pool: tagged language, product instances.
+    """Sum over a shared variable pool: tagged language, every instance pair.
 
-    Entities are the classification sum of the entity classifications
-    and tuples the product of the instance hypergraphs, which pairs
-    tuples of equal (untagged) arity; both tags of a shared variable
-    value the product pair, keeping the product well-sorted against the
-    tagged reference.
+    The product of the two models under the constant keys, with the
+    projections of each pair as the injections' instance maps.
     """
     lang, inj1, inj2 = language_sum(a.language, b.language)
-    ents, ent1, ent2 = classification_sum(a.entity_classification(),
-                                          b.entity_classification())
-    prod, proj1, proj2 = hypergraph_product(a.instance_hypergraph(),
-                                            b.instance_hypergraph())
-    rel_a, rel_b = a.relation_classification(), b.relation_classification()
-    intent_a = {t: rel_a.intent(t) for t in a.tuples}
-    intent_b = {t: rel_b.intent(t) for t in b.tuples}
-    arity, valuation, rel_inc = {}, {}, []
-    for tok in prod.hyperedges:
-        pairs = prod.valuation[tok]
-        arity[tok] = frozenset(itertools.chain(
-            (ltag(x) for x in pairs), (rtag(x) for x in pairs)))
-        valuation[tok] = fdict({**{ltag(x): v for x, v in pairs.items()},
-                                **{rtag(x): v for x, v in pairs.items()}})
-        rel_inc.extend((tok, ltag(r)) for r in intent_a[tok[0]])
-        rel_inc.extend((tok, rtag(r)) for r in intent_b[tok[1]])
-    s = Model(lang, ents.instances, ents.incidence, prod.hyperedges,
-              fdict(arity), fdict(valuation), frozenset(rel_inc))
-    s.check(well_sorted=False)
-    nu1 = ModelMorphism(inj1, a, s, ent1.instance_map, proj1.edge_map)
-    nu2 = ModelMorphism(inj2, b, s, ent2.instance_map, proj2.edge_map)
+    s = a.product(b)
+    nu1 = ModelMorphism.make(inj1, a, s, {p: p[0] for p in s.entities},
+                             {t: t[0] for t in s.tuples})
+    nu2 = ModelMorphism.make(inj2, b, s, {p: p[1] for p in s.entities},
+                             {t: t[1] for t in s.tuples})
     return s, nu1, nu2
 
 
@@ -364,7 +378,8 @@ def model_dual_quotient(a: Model, j: ModelDualInvariant) -> tuple[Model, ModelMo
     Tuples referencing dropped entities are dropped (sub-hypergraph
     closure).  Raises RespectViolation when a retained instance
     distinguishes two identified types, IncompatibleQuotient when a
-    retained tuple values two merged variables differently.
+    retained tuple values two merged variables differently; each names
+    the token-order-first such instance.
     """
     if not j.entity_subset <= a.entities or not j.tuple_subset <= a.tuples:
         raise DomainMismatch("invariant subsets exceed the model's instances")
@@ -374,27 +389,30 @@ def model_dual_quotient(a: Model, j: ModelDualInvariant) -> tuple[Model, ModelMo
         kept.entity_classification(),
         ClassificationInvariant(kept.entities, j.type_relation.entity_pairs))
     var_cls, rel_cls = canon.var_map, canon.relation_map
-    tuples = sorted_tokens(kept.tuples)
     # lax respect: a tuple is judged only on the relation types its arity covers
-    rel_groups = class_groups(rel_cls)
-    for t in tuples:
+    rel_groups = [cls for cls in class_groups(rel_cls) if len(cls) > 1]
+    violations = []
+    for t in kept.tuples:
         for cls in rel_groups:
             applicable = [r for r in cls if a.language.arity[r] <= a.tuple_arity[t]]
-            hits = {a.tuple_classifies(t, r) for r in applicable}
-            if len(hits) > 1:
-                pos = next(r for r in applicable if a.tuple_classifies(t, r))
-                neg = next(r for r in applicable if not a.tuple_classifies(t, r))
-                raise RespectViolation(t, pos, neg)
-    arity, valuation = {}, {}
-    for t in tuples:
-        arity[t] = frozenset(var_cls[x] for x in a.tuple_arity[t])
+            hits = [r for r in applicable if a.tuple_classifies(t, r)]
+            if 0 < len(hits) < len(applicable):
+                violations.append((t, hits[0], next(r for r in applicable if r not in hits)))
+                break
+    if violations:
+        raise RespectViolation(*min(violations, key=lambda v: token_key(v[0])))
+    arity, valuation, clashes = {}, {}, []
+    for t in kept.tuples:
         val = {}
         for x in a.tuple_arity[t]:
-            prior = val.setdefault(var_cls[x], a.tuple_valuation[t][x])
-            if prior != a.tuple_valuation[t][x]:
-                raise IncompatibleQuotient(x, var_cls[x],
-                                           f"tuple {t!r} values merged variables differently")
+            if val.setdefault(var_cls[x], a.tuple_valuation[t][x]) != a.tuple_valuation[t][x]:
+                clashes.append((t, x))
+                break
+        arity[t] = frozenset(var_cls[x] for x in a.tuple_arity[t])
         valuation[t] = fdict(val)
+    if clashes:
+        t, x = min(clashes, key=lambda c: token_key(c[0]))
+        raise IncompatibleQuotient(x, var_cls[x], f"tuple {t!r} values merged variables differently")
     q = replace(kept, language=lang, entity_incidence=ents.incidence,
                 tuple_arity=fdict(arity), tuple_valuation=fdict(valuation),
                 relation_incidence=frozenset((t, rel_cls[r])

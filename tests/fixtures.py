@@ -7,6 +7,7 @@ which the sum and fusion constructions require.
 from __future__ import annotations
 
 import itertools
+import pathlib
 import random
 
 from ontofuse.language import LanguageMorphism, TypeLanguage
@@ -16,6 +17,7 @@ from ontofuse.theory import Theory, TheoryMorphism
 from ontofuse.tokens import sorted_tokens
 
 VARS = ("x", "y")
+CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
 
 def w_language() -> TypeLanguage:
@@ -287,3 +289,11 @@ def permuted_practical_scenarios(seed: int, n: int):
         g2 = TheoryMorphism.make(lm2, k.theory, l2.theory)
         scenarios.append((l1, l2, k.model.entities, k.theory, g1, g2))
     return scenarios
+
+
+def partial_span_text() -> str:
+    """corpus/span.iff with the right leg, m2, mapping acme but not bob back."""
+    text = (CORPUS / "span.iff").read_text()
+    cut = text.rindex("(entity-map (acme acme) (bob bob))")
+    return text[:cut] + text[cut:].replace("(entity-map (acme acme) (bob bob))",
+                                           "(entity-map (acme acme))")

@@ -11,12 +11,14 @@ from types import SimpleNamespace
 
 from ontofuse.language import (And, Atomic, Exists, Forall, Implies, Not, Or,
                                Subst)
-from ontofuse.errors import AgreementFailure, DomainMismatch
+from ontofuse.errors import (AgreementFailure, DomainMismatch, IncompatibleQuotient,
+                             SoundnessViolation)
 from ontofuse.integration import (IntegrationResult, PracticalReport,
                                   _check_agreement, _relabel_logic)
 from ontofuse.model import ModelMorphism, model_morphism_valid
 from ontofuse.logic import (LogicMorphism, compose_logic_morphisms, counit, fiber,
-                            fusion, logic_morphism_valid, restrict_logic)
+                            fusion, fusion_invariant, is_sound, logic_dual_quotient,
+                            logic_morphism_valid, logic_sum, restrict_logic)
 from ontofuse.language import (LanguageMorphism, identity_language_morphism,
                                language_morphism_valid)
 from ontofuse.theory import TheoryMorphism, theory_morphism_valid
@@ -423,45 +425,55 @@ def naive_classes(elements, pairs):
 def naive_dual_quotient(m, entity_subset, tuple_subset, relation):
     """The dual quotient with classes named by their member sets.
 
-    Returns ("incompatible", None), ("respect", None), or ("ok", the
-    quotient's language and instance side as plain sets), checking in
+    Returns ("incompatible", witnesses), ("respect", witnesses), or ("ok",
+    the quotient's language and instance side as plain sets), checking in
     the order the construction does: the type language, entity respect,
     lax tuple respect (only relation types the tuple's arity covers are
     compared), then tuples that value merged variables differently.
+    The witnesses are every witness the construction may name:
+    identified types of incompatible reference or arity; or, for the
+    token-order-first offending instance, (instance, a type classifying
+    it, an identified type not classifying it); or, for the
+    token-order-first tuple valuing merged variables differently, (one
+    of those variables, its class as the sorted tuple of its members,
+    the tuple).  See :func:`names_a_witness`.
     """
     lang = m.language
     var_cls = naive_classes(lang.variables, relation.variable_pairs)
     ent_cls = naive_classes(lang.entity_types, relation.entity_pairs)
     rel_cls = naive_classes(lang.relation_types, relation.relation_pairs)
-    for x in lang.variables:
-        for y in var_cls[x]:
-            if ent_cls[lang.reference[x]] != ent_cls[lang.reference[y]]:
-                return "incompatible", None
-    for r in lang.relation_types:
-        for s in rel_cls[r]:
-            if {var_cls[x] for x in lang.arity[r]} != {var_cls[x] for x in lang.arity[s]}:
-                return "incompatible", None
+    bad = {(x, y) for x in lang.variables for y in var_cls[x]
+           if ent_cls[lang.reference[x]] != ent_cls[lang.reference[y]]}
+    if bad:
+        return "incompatible", bad
+    bad = {(r, s) for r in lang.relation_types for s in rel_cls[r]
+           if {var_cls[x] for x in lang.arity[r]} != {var_cls[x] for x in lang.arity[s]}}
+    if bad:
+        return "incompatible", bad
     entities = set(entity_subset)
     tuples = {t for t in tuple_subset
               if all(v in entities for v in m.tuple_valuation[t].values())}
-    for e in entities:
-        for al in lang.entity_types:
-            for be in ent_cls[al]:
-                if ((e, al) in m.entity_incidence) != ((e, be) in m.entity_incidence):
-                    return "respect", None
+
+    def first_instance(witnesses):
+        least = sorted_tokens({w[0] for w in witnesses})[0]
+        return {w for w in witnesses if w[0] == least}
+
+    split = {(e, al, be) for e in entities for al in lang.entity_types for be in ent_cls[al]
+             if (e, al) in m.entity_incidence and (e, be) not in m.entity_incidence}
+    if split:
+        return "respect", first_instance(split)
     for t in tuples:
         covered = [r for r in lang.relation_types if set(lang.arity[r]) <= set(m.tuple_arity[t])]
-        for r in covered:
-            for s in covered:
-                if rel_cls[r] == rel_cls[s] and \
-                        ((t, r) in m.relation_incidence) != ((t, s) in m.relation_incidence):
-                    return "respect", None
-    for t in tuples:
-        for x in m.tuple_arity[t]:
-            for y in m.tuple_arity[t]:
-                if var_cls[x] == var_cls[y] and \
-                        m.tuple_valuation[t][x] != m.tuple_valuation[t][y]:
-                    return "incompatible", None
+        split |= {(t, r, s) for r in covered for s in covered
+                  if rel_cls[r] == rel_cls[s] and (t, r) in m.relation_incidence
+                  and (t, s) not in m.relation_incidence}
+    if split:
+        return "respect", first_instance(split)
+    clashes = {(t, x, tuple(sorted_tokens(var_cls[x])))
+               for t in tuples for x in m.tuple_arity[t] for y in m.tuple_arity[t]
+               if var_cls[x] == var_cls[y] and m.tuple_valuation[t][x] != m.tuple_valuation[t][y]}
+    if clashes:
+        return "incompatible", {(x, c, t) for t, x, c in first_instance(clashes)}
     out = {
         "variables": set(var_cls.values()),
         "entity_types": set(ent_cls.values()),
@@ -480,6 +492,15 @@ def naive_dual_quotient(m, entity_subset, tuple_subset, relation):
                                if t in tuples},
     }
     return "ok", out
+
+
+def names_a_witness(e, witnesses) -> bool:
+    """Whether a quotient's error names one of naive_dual_quotient's
+    witnesses; the tuple that values merged variables differently is
+    named in the message only."""
+    if isinstance(e, IncompatibleQuotient) and "values merged variables" in str(e):
+        return any(e.witness == w[:2] and f"tuple {w[2]!r} " in str(e) for w in witnesses)
+    return e.witness in witnesses
 
 
 def quotient_as_sets(q, canon):
@@ -509,6 +530,20 @@ def quotient_as_sets(q, canon):
                         for t, val in sets["valuation"].items()}
     out["relation_incidence"] = {(t, rel[r]) for (t, r) in sets["relation_incidence"]}
     return out
+
+
+# --- fusion as sum then quotient ------------------------------------------------
+
+def sum_quotient_fusion(f0, f1):
+    """Fusion as the quotient of the whole sum of the span's targets by the
+    invariant the span induces.  Returns (fused, q: sum => fused, nu0;q,
+    nu1;q), with the join's soundness guard in front."""
+    for f in (f0, f1):
+        if not (is_sound(f.source) and is_sound(f.target)):
+            raise SoundnessViolation("fusion requires sound logics throughout")
+    s, nu0, nu1 = logic_sum(f0.target, f1.target)
+    fused, q = logic_dual_quotient(s, fusion_invariant(f0, f1, s))
+    return fused, q, compose_logic_morphisms(nu0, q), compose_logic_morphisms(nu1, q)
 
 
 # --- S-expression reading -------------------------------------------------------
@@ -555,7 +590,7 @@ def two_fusion_practical_integrate(l1, l2, c, t, g1, g2, bound, budget):
     k, m1 = fiber(g1, p1)
     fib2, m2 = fiber(g2, p2)
     _check_agreement(k, fib2)
-    pairs, q, v1, v2 = fusion(m1, m2)
+    pairs, v1, v2 = fusion(m1, m2)
     if any(p[0] != p[1] for p in pairs.model.entities) or \
             any(p[0] != p[1] for p in pairs.model.tuples):
         raise AgreementFailure("fused instances are not diagonal pairs")
@@ -564,15 +599,15 @@ def two_fusion_practical_integrate(l1, l2, c, t, g1, g2, bound, budget):
     fused = _relabel_logic(pairs)
     relabel = LogicMorphism.make(pairs, fused, identity_language_morphism(fused.language),
                                  diag_entities, diag_tuples)
-    q, v1, v2 = (compose_logic_morphisms(f, relabel) for f in (q, v1, v2))
-    result = IntegrationResult(fused, q, v1, v2,
+    v1, v2 = (compose_logic_morphisms(f, relabel) for f in (v1, v2))
+    result = IntegrationResult(fused, v1, v2,
                                compose_logic_morphisms(link1, v1),
                                compose_logic_morphisms(link2, v2))
     if fused.model.entities != c:
         raise AgreementFailure("fused universe differs from C")
     km = counit(k, budget)
-    free_fused, _, _, _ = fusion(compose_logic_morphisms(km, m1),
-                                 compose_logic_morphisms(km, m2))
+    free_fused, _, _ = fusion(compose_logic_morphisms(km, m1),
+                              compose_logic_morphisms(km, m2))
     if free_fused.language != fused.language:
         raise AgreementFailure("free fusion and C fusion have different type languages")
     missing = [p for p in diag_entities.values() if p not in free_fused.model.entities]

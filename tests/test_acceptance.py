@@ -130,7 +130,7 @@ def test_criterion_3_pushout_universal_property(capsys):
     spans = 0
     while spans < 50:
         k, f0, f1 = rand_span(rng, duplicates=bool(rng.random() < 0.5))
-        fused, q, v0, v1 = fusion(f0, f1)
+        fused, v0, v1 = fusion(f0, f1)
         # the canonical cocone over the span: the fusion itself
         found = cocone_mediators(fused, v0, v1, v0, v1, 1)
         assert len(found) == 1
@@ -191,7 +191,7 @@ def test_criterion_6_fusion_soundness_and_respect(capsys):
         s, _, _ = logic_sum(f0.target, f1.target)
         j = fusion_invariant(f0, f1, s)
         logic_dual_quotient(s, j)  # raises RespectViolation when disrespected
-        fused, _, _, _ = fusion(f0, f1)
+        fused, _, _ = fusion(f0, f1)
         assert is_sound(fused)
     report(capsys, 6, "fusion respect and soundness, 200 spans", started)
 

@@ -12,6 +12,8 @@ from ontofuse.language import LanguageMorphism
 from ontofuse.logic import LogicMorphism
 from ontofuse.sexpr import MAX_DEPTH
 
+from fixtures import partial_span_text
+
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
 
@@ -65,6 +67,15 @@ def test_check_rejects_tuple_valued_outside_entities(tmp_path, capsys):
     code, out, _ = run(capsys, "check", str(path))
     assert code == 1
     assert "fail:" in out
+
+
+def test_check_names_the_missing_reference_key(tmp_path, capsys):
+    path = tmp_path / "partial.iff"
+    text = (CORPUS / "fixture.iff").read_text()
+    path.write_text(text.replace("(reference (x Person) (y Company))", "(reference (x Person))"))
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 1
+    assert f"{path}: fail: reference is not total on its domain: missing 'y'" in out
 
 
 def test_check_syntax_error_exit_one(tmp_path, capsys):
@@ -150,6 +161,26 @@ def test_sum_command(tmp_path, capsys):
                        "--left", "L1", "--right", "L2", "-o", str(out_file))
     assert code == 0
     assert "logic sum" in out
+
+
+def test_fuse_command_on_the_span(tmp_path, capsys):
+    out_file = tmp_path / "fused.iff"
+    code, out, _ = run(capsys, "fuse", str(CORPUS / "span.iff"),
+                       "--left-link", "m1", "--right-link", "m2", "-o", str(out_file))
+    assert code == 0
+    assert "fused: " in out and "sound: yes" in out
+    assert parse_document(out_file.read_text())
+
+
+def test_fuse_with_a_partial_entity_map_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "partial.iff"
+    path.write_text(partial_span_text())
+    code, out, err = run(capsys, "fuse", str(path), "--left-link", "m1",
+                         "--right-link", "m2", "-o", str(tmp_path / "fused.iff"))
+    assert code == 1
+    assert out == ""
+    assert err == "error: right entity map is not total on its domain: missing 'bob'\n"
+    assert not (tmp_path / "fused.iff").exists()
 
 
 def test_restrict_command(tmp_path, capsys):

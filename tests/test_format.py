@@ -7,7 +7,7 @@ import re
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ontofuse.cli import main
 from ontofuse.document import (Document, FormError, parse_document,
@@ -20,7 +20,7 @@ from ontofuse.sexpr import (MAX_DEPTH, WIDTH, SexprSyntaxError, parse_all,
                             write_all, write_value)
 from ontofuse.tokens import fdict
 
-from fixtures import w_language
+from fixtures import partial_span_text, w_language
 from oracles import naive_parse
 
 CORPUS = sorted(pathlib.Path(__file__).parent.parent.joinpath("corpus").glob("*.iff"))
@@ -298,30 +298,59 @@ def test_mutated_documents_fail_only_with_ontofuse_errors(text, rng):
     assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
-FIXTURE_TEXT = re.sub(r";[^\n]*", "", CORPUS[0].with_name("fixture.iff").read_text())
-FIXTURE_SYMBOLS = sorted(set(re.findall(r"[^\s();]+", FIXTURE_TEXT)))
+def _uncommented(path: pathlib.Path) -> str:
+    return re.sub(r";[^\n]*", "", path.read_text())
+
+
+FIXTURE_TEXT = _uncommented(CORPUS[0].with_name("fixture.iff"))
+SPAN_TEXT = _uncommented(CORPUS[0].with_name("span.iff"))
 
 
 def _swap_symbols(rng: random.Random, text: str) -> str:
-    """Replace one to three symbols by symbols of the fixture, so the text
+    """Replace one to three symbols by symbols of the same text, so the text
     still parses and fails, if at all, in alignment or fusion."""
+    symbols = sorted(set(re.findall(r"[^\s();]+", text)))
     for _ in range(rng.randint(1, 3)):
         m = rng.choice(list(re.finditer(r"[^\s();]+", text)))
-        text = text[:m.start()] + rng.choice(FIXTURE_SYMBOLS) + text[m.end():]
+        text = text[:m.start()] + rng.choice(symbols) + text[m.end():]
     return text
 
 
-@given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
-@settings(derandomize=True, max_examples=150, deadline=None)
-def test_mutated_fixture_integrates_or_fails_with_an_error(rng, by_symbol, practical):
-    text = (_swap_symbols if by_symbol else _mutate)(rng, FIXTURE_TEXT)
+@st.composite
+def _mutated(draw, text: str) -> str:
+    """The text with noise spliced in, or with symbols swapped."""
+    rng = draw(st.randoms(use_true_random=False))
+    return (_swap_symbols if draw(st.booleans()) else _mutate)(rng, text)
+
+
+def _runs_to_an_exit_code(text: str, command: str, *options: str) -> None:
+    """``ontofuse <command> <text's file> <options> -o <file>`` exits 0 or 1,
+    with no traceback."""
     with tempfile.TemporaryDirectory() as d:
         path = pathlib.Path(d, "mutated.iff")
         path.write_text(text)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["integrate", str(path), "--left", "L1", "--right", "L2",
-                         "--alignment", "A", *["--practical"][:practical],
-                         "-o", str(pathlib.Path(d, "fused.iff"))])
+            code = main([command, str(path), *options, "-o", str(pathlib.Path(d, "out.iff"))])
     assert code in (0, 1)
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+@given(_mutated(FIXTURE_TEXT), st.booleans())
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_mutated_fixture_integrates_or_fails_with_an_error(text, practical):
+    _runs_to_an_exit_code(text, "integrate", "--left", "L1", "--right", "L2",
+                          "--alignment", "A", *["--practical"][:practical])
+
+
+@given(_mutated(SPAN_TEXT))
+@example(partial_span_text())
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_mutated_span_fuses_or_fails_with_an_error(text):
+    _runs_to_an_exit_code(text, "fuse", "--left-link", "m1", "--right-link", "m2")
+
+
+@given(_mutated(FIXTURE_TEXT))
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_mutated_fixture_sums_or_fails_with_an_error(text):
+    _runs_to_an_exit_code(text, "sum", "--left", "L1", "--right", "L2")

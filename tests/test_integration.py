@@ -146,7 +146,7 @@ def test_unify_symmetric_up_to_isomorphism():
 
 def test_unify_outputs_valid_morphisms():
     result = unify(fixture_diagram())
-    for f in (result.canonical, result.injection_left, result.injection_right,
+    for f in (result.injection_left, result.injection_right,
               result.final_left, result.final_right):
         assert logic_morphism_valid(f, 1).ok
 

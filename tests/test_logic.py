@@ -2,12 +2,15 @@
 fusion, restriction, and fibers."""
 import pathlib
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from ontofuse.document import parse_document
-from ontofuse.errors import BudgetExceeded, DomainMismatch, SoundnessViolation
-from ontofuse.language import LanguageEndorelation, LanguageMorphism, TypeLanguage
+from ontofuse.errors import (BudgetExceeded, DomainMismatch, IncompatibleQuotient,
+                             OntofuseError, RespectViolation, SoundnessViolation)
+from ontofuse.language import Atomic, LanguageEndorelation, LanguageMorphism, TypeLanguage
 from ontofuse.logic import (Logic, LogicDualInvariant, LogicMorphism,
                             compose_logic_morphisms, counit, fiber,
                             free_logic, free_signature,
@@ -20,9 +23,10 @@ from ontofuse.theory import Theory, TheoryMorphism, identity_theory_morphism
 from ontofuse.tokens import fdict, ltag, rtag, sorted_tokens
 
 from fixtures import (VARS, alignment_links, rand_language, rand_logic,
-                      rand_span, w_language, w_logic, wp_logic)
+                      rand_span, relabeled_target, w_language, w_logic, wp_logic)
 from oracles import (all_language_morphisms, brute_free_signature,
-                     brute_free_tokens, logics_isomorphic)
+                     brute_free_tokens, logics_isomorphic, naive_dual_quotient,
+                     names_a_witness, sum_quotient_fusion)
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
@@ -305,9 +309,8 @@ def test_quotient_of_fixture_sum_by_alignment_invariant():
 def test_identity_span_fusion_isomorphic_to_source():
     l = w_logic()
     f = identity_logic_morphism(l)
-    fused, q, v0, v1 = fusion(f, f)
+    fused, v0, v1 = fusion(f, f)
     assert logics_isomorphic(fused, l)
-    assert logic_morphism_valid(q, 1).ok
     assert logic_morphism_valid(v0, 1).ok
     assert logic_morphism_valid(v1, 1).ok
 
@@ -315,7 +318,7 @@ def test_identity_span_fusion_isomorphic_to_source():
 def test_fixture_fusion_gives_three_type_classes():
     l1, l2, t, g1, g2 = alignment_links()
     k1, k2 = transpose(g1, l1), transpose(g2, l2)
-    fused, _, _, _ = fusion(k1, k2)
+    fused, _, _ = fusion(k1, k2)
     assert len(fused.language.entity_types) == 2
     assert len(fused.language.relation_types) == 1
     merged = {frozenset(c) if isinstance(c, tuple) else frozenset({c})
@@ -344,13 +347,126 @@ def test_fusion_invariant_respects_and_stays_sound_randomized():
     rng = random.Random(79)
     for _ in range(20):
         k, f0, f1 = rand_span(rng)
-        fused, q, v0, v1 = fusion(f0, f1)
+        fused, v0, v1 = fusion(f0, f1)
         assert is_sound(fused)
         # respect held: the quotient construction raises otherwise, and
         # the sum quotients independently without error
         s, _, _ = logic_sum(f0.target, f1.target)
         j = fusion_invariant(f0, f1, s)
         model_dual_quotient(s.model, j)
+
+
+# --- the join against sum then quotient -----------------------------------------------
+
+def retargeted(f, model, lm=None, normal_entities=None):
+    """f into a logic over the given model, with an axiom-free theory; the
+    target's normal entities, and f's language morphism, as given."""
+    normal_tuples = None if normal_entities is None else [
+        t for t in model.tuples if set(model.tuple_valuation[t].values()) <= normal_entities]
+    target = Logic.make(Theory.make(model.language, []), model, normal_entities, normal_tuples)
+    return LogicMorphism.make(f.source, target, lm or f.language_morphism,
+                              f.entity_map, f.tuple_map)
+
+
+def span_breaking_respect(rng):
+    """The right target loses the extent of one of its types: each instance
+    that type classified, paired with its counterpart, tells the type
+    apart from the one it is linked to."""
+    _, f0, f1 = rand_span(rng)
+    while not (f1.target.model.entity_incidence and f1.target.model.relation_incidence):
+        _, f0, f1 = rand_span(rng)
+    m = f1.target.model
+    incidence = rng.choice((m.entity_incidence, m.relation_incidence))
+    gone = rng.choice(sorted_tokens({t for _, t in incidence}))
+    return f0, retargeted(f1, replace(
+        m, entity_incidence=frozenset(p for p in m.entity_incidence if p[1] != gone),
+        relation_incidence=frozenset(p for p in m.relation_incidence if p[1] != gone)))
+
+
+def span_swapping_variables(rng):
+    """Over one sort and a binary relation, the right leg sends x to y and
+    y to x: a joined tuple values the merged variables differently unless
+    its x and y agree."""
+    lang = TypeLanguage.make(VARS, ["S"], {"x": "S", "y": "S"}, {"R": VARS})
+    entities = ["e0", "e1", "e2"][:rng.randint(1, 3)]
+    rows = [{"x": a, "y": b} for a in entities for b in entities if rng.random() < 0.5]
+    k = Logic.make(Theory.make(lang, []), Model.from_extents(
+        lang, entities, [(e, "S") for e in entities], {"R": rows}))
+    _, f0 = relabeled_target(rng, k, "A")
+    _, f1 = relabeled_target(rng, k, "B")
+    lm = f1.language_morphism
+    swap = LanguageMorphism.make(lm.source, lm.target, {"x": "y", "y": "x"},
+                                 lm.entity_map, lm.relation_map)
+    return f0, LogicMorphism.make(k, f1.target, swap, f1.entity_map, f1.tuple_map)
+
+
+def span_with_another_variable_pool(rng):
+    """The right target has a variable z besides x and y."""
+    _, f0, f1 = rand_span(rng)
+    lang, lm = f1.target.language, f1.language_morphism
+    wide = TypeLanguage.make([*lang.variables, "z"], lang.entity_types,
+                             {**lang.reference, "z": lang.reference["x"]}, lang.arity)
+    return f0, retargeted(f1, replace(f1.target.model, language=wide), LanguageMorphism.make(
+        lm.source, wide, lm.var_map, lm.entity_map, lm.relation_map))
+
+
+def span_with_a_refinement_link(rng):
+    """The right leg sends each relation type to an atomic expression."""
+    _, f0, f1 = rand_span(rng)
+    while not f1.source.language.relation_types:
+        _, f0, f1 = rand_span(rng)
+    lm = f1.language_morphism
+    refine = LanguageMorphism.make(lm.source, lm.target, lm.var_map, lm.entity_map,
+                                   {r: Atomic(v) for r, v in lm.relation_map.items()},
+                                   refinement=True)
+    return f0, LogicMorphism.make(f1.source, f1.target, refine, f1.entity_map, f1.tuple_map)
+
+
+def span_with_an_unsound_leg(rng):
+    """The left target's token-order-first entity is abnormal."""
+    _, f0, f1 = rand_span(rng)
+    while not f0.target.model.entities:
+        _, f0, f1 = rand_span(rng)
+    m = f0.target.model
+    return retargeted(f0, m, normal_entities=m.entities - {sorted_tokens(m.entities)[0]}), f1
+
+
+def span_without_a_common_source(rng):
+    return rand_span(rng)[1], rand_span(rng)[2]
+
+
+def test_join_fusion_equals_sum_then_quotient_randomized():
+    rng = random.Random(137)
+    spans = [rand_span(rng, duplicates=bool(i % 2))[1:] for i in range(120)]
+    spans += [broken(rng) for broken in (
+        span_breaking_respect, span_swapping_variables, span_with_another_variable_pool,
+        span_with_a_refinement_link, span_with_an_unsound_leg,
+        span_without_a_common_source) for _ in range(10)]
+    outcomes = Counter()
+    for f0, f1 in spans:
+        try:
+            fused, q, v0, v1 = sum_quotient_fusion(f0, f1)
+        except OntofuseError as e:
+            with pytest.raises(OntofuseError) as raised:
+                fusion(f0, f1)
+            assert type(raised.value) is type(e)
+            assert str(raised.value) == str(e)
+            assert getattr(raised.value, "witness", None) == getattr(e, "witness", None)
+            if isinstance(e, (RespectViolation, IncompatibleQuotient)):
+                s = logic_sum(f0.target, f1.target)[0]
+                j = fusion_invariant(f0, f1, s)
+                _, witnesses = naive_dual_quotient(s.model, j.entity_subset,
+                                                   j.tuple_subset, j.type_relation)
+                assert names_a_witness(e, witnesses)
+            outcomes[type(e).__name__] += 1
+            continue
+        assert fusion(f0, f1) == (fused, v0, v1)
+        if outcomes["ok"] < 30:
+            assert logic_morphism_valid(q, 1).ok
+        outcomes["ok"] += 1
+    assert outcomes["ok"] >= 120
+    assert {"RespectViolation", "IncompatibleQuotient", "NameSetMismatch",
+            "DomainMismatch", "SoundnessViolation"} <= set(outcomes)
 
 
 # --- restriction and fibers --------------------------------------------------------

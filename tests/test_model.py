@@ -22,6 +22,7 @@ from fixtures import (VARS, rand_expression, rand_language, rand_logic,
                       w_language, w_logic, wp_logic)
 from oracles import (all_model_morphisms, model_as_sets, models_isomorphic,
                      morphisms_equal, naive_classes, naive_dual_quotient,
+                     names_a_witness,
                      naive_extent, naive_holds, naive_model_sum,
                      naive_satisfies, naive_sort_pool, quotient_as_sets)
 
@@ -437,12 +438,14 @@ def test_dual_quotient_matches_naive_oracle_randomized():
         j = ModelDualInvariant.make(entities, tuples, rel)
         verdict, expected = naive_dual_quotient(s, entities, tuples, rel)
         if verdict == "respect":
-            with pytest.raises(RespectViolation):
+            with pytest.raises(RespectViolation) as raised:
                 model_dual_quotient(s, j)
+            assert names_a_witness(raised.value, expected)
             continue
         if verdict == "incompatible":
-            with pytest.raises(IncompatibleQuotient):
+            with pytest.raises(IncompatibleQuotient) as raised:
                 model_dual_quotient(s, j)
+            assert names_a_witness(raised.value, expected)
             continue
         q, canon = model_dual_quotient(s, j)
         assert quotient_as_sets(q, canon) == expected
