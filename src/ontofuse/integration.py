@@ -7,10 +7,17 @@ adjunction.  Unification fuses the diagram: the pushout of the logical
 links, the quotient of the portal sum by the invariant they induce,
 which fusion computes as a join of the portals over the free logic
 without building the sum.
+
+The practical path restricts both communities to a common part C and
+fuses the two fiber inclusions over it: the C-fusion.  The free fusion
+of the transposes is built only when the report's comparison morphism
+is read, which happens before the call returns when the links'
+variable maps differ.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from .errors import AgreementFailure, DomainMismatch, EdgeInvalid
@@ -124,9 +131,38 @@ def _empty_morphism_into(t: Theory):
 class PracticalReport:
     mediating_logic: Logic  # the common fiber L@C
     free_to_mediating: LogicMorphism  # log(T) => L@C
-    comparison: LogicMorphism  # free fusion => C fusion: its diagonal, relabelled
     fusion_theory: Theory  # th(L1) +_T th(L2), the fused logic's theory
     universe: frozenset  # of the fused logic, relabelled back to C
+    # what `comparison` is built from on first read
+    fused: Logic = field(repr=False, compare=False)  # the C-fusion, relabelled
+    inclusions: tuple = field(repr=False, compare=False)  # the fibers' L@C => P1, P2
+    bound: int = field(repr=False, compare=False)
+    budget: int = field(repr=False, compare=False)
+
+    @cached_property
+    def comparison(self) -> LogicMorphism:
+        """free fusion => C fusion: the identity on types and x -> (x, x).
+
+        The free fusion fuses the mediating counit followed by each fiber
+        inclusion, which are the transposes of the alignment links.  It
+        is built here, on first read, and the comparison is validated up
+        to the report's bound; a failure raises AgreementFailure.
+        """
+        free_fused, _, _ = fusion(*(compose_logic_morphisms(self.free_to_mediating, m)
+                                    for m in self.inclusions))
+        comparison = _diagonal(free_fused, self.fused)
+        verdict = logic_morphism_valid(comparison, self.bound, self.budget)
+        if not verdict:
+            raise AgreementFailure(f"comparison morphism invalid: {verdict.detail!r}")
+        return comparison
+
+    def __eq__(self, other):
+        """Equal compared fields, then equal comparison morphisms (built if unread)."""
+        if not isinstance(other, PracticalReport):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in ("mediating_logic", "free_to_mediating", "fusion_theory",
+                                "universe", "comparison"))
 
 
 def practical_integrate(l1: Logic, l2: Logic, c: Iterable, t: Theory,
@@ -136,13 +172,18 @@ def practical_integrate(l1: Logic, l2: Logic, c: Iterable, t: Theory,
 
     The three agreements: the mediating universe is C, the mediating
     theory is t, and both fiber images of the restricted portals are the
-    same logic.  Only the free fusion is built: it fuses the mediating
-    counit followed by each fiber inclusion, which are the transposes of
-    g1 and g2, as both fibers are the mediating logic.  Where the two
-    inclusions agree their composites agree too, and both spans induce
-    the same type relation, so the C-fusion is the free fusion's
-    diagonal part, relabelled (x, x) -> x so its universe is literally
-    C; the comparison morphism is that restriction and relabelling.
+    same logic.  The C-fusion fuses the two fiber inclusions; each is the
+    identity on instances, so the fusion pairs only (x, x), and it is
+    relabelled (x, x) -> x so its universe is literally C.
+
+    The free fusion, of the transposes of g1 and g2, is built only for
+    the report's comparison morphism, on its first read.  It is read
+    here when the links' variable maps differ, as the free fusion can
+    then value a merged variable differently where the C-fusion does
+    not, and its failure is the call's.  When they are equal, every
+    merged variable class is {ltag v, rtag v}, which the join values
+    alike, and the joined pairs share a mediating intent, so the
+    comparison holds whenever the C-fusion does.
     """
     c = frozenset(c)
     if not c <= l1.model.entities & l2.model.entities:
@@ -157,28 +198,19 @@ def practical_integrate(l1: Logic, l2: Logic, c: Iterable, t: Theory,
     fib2, m2 = fiber(g2, p2)
     _check_agreement(k, fib2)
     km = counit(k, budget)
-    free_fused, v1, v2 = fusion(compose_logic_morphisms(km, m1),
-                                compose_logic_morphisms(km, m2))
-    m = free_fused.model
-    diag = m.restrict((p for p in m.entities if p[0] == p[1]),
-                      (p for p in m.tuples if p[0] == p[1]))
-    fused = _relabel_logic(Logic(free_fused.theory, diag,
-                                 free_fused.normal_entities & diag.entities,
-                                 free_fused.normal_tuples & diag.tuples))
+    pairs, v1, v2 = fusion(m1, m2)
+    fused = _relabel_logic(pairs)
     if fused.model.entities != c:
         raise AgreementFailure("fused universe differs from C")
-    comparison = LogicMorphism.make(free_fused, fused,
-                                    identity_language_morphism(fused.language),
-                                    {x: (x, x) for x in fused.model.entities},
-                                    {x: (x, x) for x in fused.model.tuples})
-    verdict = logic_morphism_valid(comparison, bound, budget)
-    if not verdict:
-        raise AgreementFailure(f"comparison morphism invalid: {verdict.detail!r}")
-    v1, v2 = (compose_logic_morphisms(f, comparison) for f in (v1, v2))
+    relabel = _diagonal(pairs, fused)
+    v1, v2 = (compose_logic_morphisms(f, relabel) for f in (v1, v2))
     result = IntegrationResult(fused, v1, v2,
                                compose_logic_morphisms(link1, v1),
                                compose_logic_morphisms(link2, v2))
-    report = PracticalReport(k, km, comparison, fused.theory, fused.model.entities)
+    report = PracticalReport(k, km, fused.theory, fused.model.entities,
+                             fused, (m1, m2), bound, budget)
+    if g1.language_morphism.var_map != g2.language_morphism.var_map:
+        report.comparison  # builds and checks the free fusion now
     return result, report
 
 
@@ -198,6 +230,13 @@ def _check_agreement(fib1: Logic, fib2: Logic) -> None:
             diff = sorted_tokens(a ^ b)[0]
             raise AgreementFailure(f"{field} differ at {diff!r}")
     raise AgreementFailure("fiber logics differ structurally")
+
+
+def _diagonal(source: Logic, fused: Logic) -> LogicMorphism:
+    """source => fused: the identity on types, and x read as the pair (x, x)."""
+    return LogicMorphism.make(source, fused, identity_language_morphism(fused.language),
+                              {x: (x, x) for x in fused.model.entities},
+                              {x: (x, x) for x in fused.model.tuples})
 
 
 def _relabel_logic(l: Logic) -> Logic:

@@ -384,7 +384,10 @@ def model_dual_quotient(a: Model, j: ModelDualInvariant) -> tuple[Model, ModelMo
     if not j.entity_subset <= a.entities or not j.tuple_subset <= a.tuples:
         raise DomainMismatch("invariant subsets exceed the model's instances")
     lang, canon = language_quotient(a.language, j.type_relation)
-    kept = a.restrict(j.entity_subset, j.tuple_subset)
+    if j.entity_subset == a.entities and j.tuple_subset == a.tuples:
+        kept = a  # every tuple is valued inside the entities (Model.check)
+    else:
+        kept = a.restrict(j.entity_subset, j.tuple_subset)
     ents, ent_canon = classification_quotient(
         kept.entity_classification(),
         ClassificationInvariant(kept.entities, j.type_relation.entity_pairs))

@@ -255,13 +255,15 @@ def practical_scenarios():
     return scenarios
 
 
-def permuted_practical_scenarios(seed: int, n: int):
+def permuted_practical_scenarios(seed: int, n: int, both: bool = False):
     """Seeded practical-path cases whose right link permutes the variables.
 
     Either the right community carries the same permutation, so the
     fibers agree but the fused tuples may value merged variables
     differently, or it does not, so the right fiber is re-indexed and
     differs from the left one (when the permuted link is valid at all).
+    With ``both``, the left community and link carry the permutation
+    too, so the two links have one variable map, and not the identity.
     """
     rng = random.Random(seed)
     perm = dict(zip(VARS, VARS[1:] + VARS[:1]))
@@ -276,7 +278,8 @@ def permuted_practical_scenarios(seed: int, n: int):
                 for r, xs in sorted_tokens(lang.arity.items())}
         k = Logic.make(Theory.make(lang, []), Model.from_extents(
             lang, entities, [(e, a) for e in entities for a in lang.entity_types], rows))
-        l1, f1 = relabeled_target(rng, k, "A", duplicates=False)
+        l1, f1 = relabeled_target(rng, k, "A", duplicates=False,
+                                  var_map=perm if both else None)
         if rng.random() < 0.5:
             l2, f2 = relabeled_target(rng, k, "B", duplicates=False, var_map=perm)
             lm2 = f2.language_morphism

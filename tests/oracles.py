@@ -2,7 +2,9 @@
 
 Everything here is written from first principles with plain loops over
 explicitly materialized sets, on purpose duplicating no code from the
-package under test.
+package under test.  The exception is the practical path's earlier
+one-fusion form, kept as it was so that the present path is compared
+with the one it replaced.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from ontofuse.errors import (AgreementFailure, DomainMismatch, IncompatibleQuoti
 from ontofuse.integration import (IntegrationResult, PracticalReport,
                                   _check_agreement, _relabel_logic)
 from ontofuse.model import ModelMorphism, model_morphism_valid
-from ontofuse.logic import (LogicMorphism, compose_logic_morphisms, counit, fiber,
+from ontofuse.logic import (Logic, LogicMorphism, compose_logic_morphisms, counit, fiber,
                             fusion, fusion_invariant, is_sound, logic_dual_quotient,
                             logic_morphism_valid, logic_sum, restrict_logic)
 from ontofuse.language import (LanguageMorphism, identity_language_morphism,
@@ -620,4 +622,54 @@ def two_fusion_practical_integrate(l1, l2, c, t, g1, g2, bound, budget):
     verdict = logic_morphism_valid(comparison, bound, budget)
     if not verdict:
         raise AgreementFailure(f"comparison morphism invalid: {verdict.detail!r}")
-    return result, PracticalReport(k, km, comparison, fused.theory, fused.model.entities)
+    return result, _report(k, km, comparison, fused, (m1, m2), bound, budget)
+
+
+def one_fusion_practical_integrate(l1, l2, c, t, g1, g2, bound, budget):
+    """The practical path as one free fusion restricted to its diagonal:
+    the library's path before the C-fusion was built directly, which
+    builds and validates the comparison morphism on every call."""
+    c = frozenset(c)
+    if not c <= l1.model.entities & l2.model.entities:
+        raise DomainMismatch("C must be a subset of both universes")
+    p1, link1 = restrict_logic(l1, c)
+    p2, link2 = restrict_logic(l2, c)
+    if g1.source != t or g2.source != t:
+        raise DomainMismatch("alignment links must start at the mediating theory")
+    if g1.target != p1.theory or g2.target != p2.theory:
+        raise DomainMismatch("alignment links must target the community theories")
+    k, m1 = fiber(g1, p1)  # the mediating logic L@C and its inclusion
+    fib2, m2 = fiber(g2, p2)
+    _check_agreement(k, fib2)
+    km = counit(k, budget)
+    free_fused, v1, v2 = fusion(compose_logic_morphisms(km, m1),
+                                compose_logic_morphisms(km, m2))
+    m = free_fused.model
+    diag = m.restrict((p for p in m.entities if p[0] == p[1]),
+                      (p for p in m.tuples if p[0] == p[1]))
+    fused = _relabel_logic(Logic(free_fused.theory, diag,
+                                 free_fused.normal_entities & diag.entities,
+                                 free_fused.normal_tuples & diag.tuples))
+    if fused.model.entities != c:
+        raise AgreementFailure("fused universe differs from C")
+    comparison = LogicMorphism.make(free_fused, fused,
+                                    identity_language_morphism(fused.language),
+                                    {x: (x, x) for x in fused.model.entities},
+                                    {x: (x, x) for x in fused.model.tuples})
+    verdict = logic_morphism_valid(comparison, bound, budget)
+    if not verdict:
+        raise AgreementFailure(f"comparison morphism invalid: {verdict.detail!r}")
+    v1, v2 = (compose_logic_morphisms(f, comparison) for f in (v1, v2))
+    result = IntegrationResult(fused, v1, v2,
+                               compose_logic_morphisms(link1, v1),
+                               compose_logic_morphisms(link2, v2))
+    return result, _report(k, km, comparison, fused, (m1, m2), bound, budget)
+
+
+def _report(k, km, comparison, fused, inclusions, bound, budget):
+    """A practical report whose comparison morphism is the one given,
+    stored where the report caches the one it would build on first read."""
+    report = PracticalReport(k, km, fused.theory, fused.model.entities,
+                             fused, inclusions, bound, budget)
+    vars(report)["comparison"] = comparison
+    return report

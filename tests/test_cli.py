@@ -8,11 +8,14 @@ import pytest
 
 from ontofuse.cli import main
 from ontofuse.document import Document, parse_document, serialize_document
+from ontofuse.errors import IncompatibleQuotient
 from ontofuse.language import LanguageMorphism
 from ontofuse.logic import LogicMorphism
 from ontofuse.sexpr import MAX_DEPTH
+from ontofuse.theory import DEFAULT_BUDGET
 
 from fixtures import partial_span_text
+from oracles import one_fusion_practical_integrate
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
@@ -222,6 +225,52 @@ def test_integrate_budget_caps_the_free_logic(tmp_path, capsys, practical):
     assert code == 1
     assert out == ""
     assert err == "error: power classification would have 4 instances\n"
+    assert not out_file.exists()
+
+
+SWAPPED_RIGHT_LINK = """
+(language W (variables x y) (entity-types Thing) (reference (x Thing) (y Thing))
+  (relations (R (x y))))
+(language Wp (variables x y) (entity-types Item) (reference (x Item) (y Item))
+  (relations (S (x y))))
+(language TL (variables x y) (entity-types Any) (reference (x Any) (y Any))
+  (relations (Q (x y))))
+(theory TW (language W) (axioms))
+(theory TWp (language Wp) (axioms))
+(theory T (language TL) (axioms))
+(model M1 (language W) (entities a b) (incidence (a Thing) (b Thing))
+  (tuples (t (arity x y) (valuation (x a) (y b)))) (relation-incidence (t R)))
+(model M2 (language Wp) (entities a b) (incidence (a Item) (b Item))
+  (tuples (t (arity x y) (valuation (x b) (y a)))) (relation-incidence (t S)))
+(logic L1 (theory TW) (model M1))
+(logic L2 (theory TWp) (model M2))
+(theory-morphism g1 (source T) (target TW)
+  (variables (x x) (y y)) (entity-types (Any Thing)) (relations (Q R)))
+(theory-morphism g2 (source T) (target TWp)
+  (variables (x y) (y x)) (entity-types (Any Item)) (relations (Q S)))
+(alignment A (universe a b) (mediating-theory T) (left-link g1) (right-link g2))
+"""
+
+
+def test_integrate_practical_fails_when_the_free_fusion_does(tmp_path, capsys):
+    # the fibers agree and the C-fusion keeps no tuple, but the free fusion
+    # pairs t with itself across a and b, valuing the merged variables
+    # differently: the free fusion's failure is the command's
+    doc = tmp_path / "swapped.iff"
+    doc.write_text(SWAPPED_RIGHT_LINK)
+    d = parse_document(SWAPPED_RIGHT_LINK)
+    a = d.get("A", "alignment")
+    with pytest.raises(IncompatibleQuotient) as err:
+        one_fusion_practical_integrate(d.get("L1", "logic"), d.get("L2", "logic"),
+                                       a.universe, a.mediating_theory, a.left_link,
+                                       a.right_link, 2, DEFAULT_BUDGET)
+    out_file = tmp_path / "fused.iff"
+    code, out, stderr = run(capsys, "integrate", str(doc), "--left", "L1", "--right", "L2",
+                            "--alignment", "A", "--practical", "-o", str(out_file))
+    assert code == 1
+    assert out == ""
+    assert stderr == f"error: {err.value}\n"
+    assert "tuple ('t', 't') values merged variables differently" in stderr
     assert not out_file.exists()
 
 

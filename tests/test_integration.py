@@ -1,5 +1,6 @@
 """End-to-end integration: alignment diagrams, unification, practical path."""
 import random
+from collections import Counter
 
 import pytest
 
@@ -23,7 +24,7 @@ from fixtures import (VARS, alignment_links, permuted_practical_scenarios,
                       practical_scenarios, separated_logic, w_logic, wp_logic,
                       wp_language)
 from oracles import (logics_isomorphic, morphisms_equal,
-                     two_fusion_practical_integrate)
+                     one_fusion_practical_integrate, two_fusion_practical_integrate)
 
 
 def fixture_diagram(bound=1):
@@ -318,3 +319,54 @@ def test_practical_fuses_once_like_fusing_twice():
         outcomes.append(type(got))
     assert outcomes.count(tuple) > 21
     assert IncompatibleQuotient in outcomes and AgreementFailure in outcomes
+
+
+def _report_fields(report):
+    return (report.mediating_logic, report.free_to_mediating, report.fusion_theory,
+            report.universe, report.fused, report.inclusions, report.bound, report.budget)
+
+
+def test_practical_builds_the_free_fusion_only_when_needed_like_fusing_once():
+    # the free fusion is built on the comparison's first read, or before
+    # the call returns when the links' variable maps differ; either way
+    # the outcome is the one-fusion path's, which builds it every time
+    groups = {"fixed": practical_scenarios() + permuted_practical_scenarios(300, 60),
+              "same permutation": permuted_practical_scenarios(301, 120, both=True)}
+    kinds = Counter()
+    for group, scenarios in groups.items():
+        for scenario in scenarios:
+            expected = _practical_outcome(one_fusion_practical_integrate, scenario)
+            got = _practical_outcome(practical_integrate, scenario)
+            if isinstance(expected, Exception):
+                assert (type(got), str(got)) == (type(expected), str(expected))
+                kinds[group, type(got)] += 1
+                continue
+            assert isinstance(got, tuple), (got, expected)
+            (result, report), (result0, report0) = got, expected
+            g1, g2 = scenario[4:]
+            eager = g1.language_morphism.var_map != g2.language_morphism.var_map
+            assert ("comparison" in vars(report)) == eager
+            assert result == result0
+            assert _report_fields(report) == _report_fields(report0)
+            assert report.comparison == report0.comparison
+            assert report == report0
+            kinds[group, "eager" if eager else "lazy"] += 1
+    assert kinds["fixed", "eager"] > 5 and kinds["fixed", "lazy"] == 21
+    assert kinds["fixed", IncompatibleQuotient] > 2
+    assert kinds["same permutation", "lazy"] > 60
+    assert kinds["same permutation", "eager"] == 0
+    assert kinds["same permutation", DomainMismatch] > 10
+    assert kinds["same permutation", AgreementFailure] > 0
+
+
+def test_practical_comparison_is_built_on_first_read():
+    l1, l2, c, t, g1, g2 = practical_fixture()
+    _, report = practical_integrate(l1, l2, c, t, g1, g2, 1)
+    assert "comparison" not in vars(report)
+    assert logic_morphism_valid(report.comparison, 1).ok
+    assert "comparison" in vars(report)
+    # a right link that permutes the variables has it read before returning
+    outs = [_practical_outcome(practical_integrate, s)
+            for s in permuted_practical_scenarios(211, 10)]
+    reports = [out[1] for out in outs if isinstance(out, tuple)]
+    assert reports and all("comparison" in vars(r) for r in reports)

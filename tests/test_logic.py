@@ -19,7 +19,8 @@ from ontofuse.logic import (Logic, LogicDualInvariant, LogicMorphism,
                             logic_dual_quotient, logic_morphism_valid,
                             logic_sum, restrict_logic, sound_part, transpose)
 from ontofuse.model import Model, model_dual_quotient
-from ontofuse.theory import Theory, TheoryMorphism, identity_theory_morphism
+from ontofuse.theory import (Theory, TheoryMorphism, compose_theory_morphisms,
+                             identity_theory_morphism)
 from ontofuse.tokens import fdict, ltag, rtag, sorted_tokens
 
 from fixtures import (VARS, alignment_links, rand_language, rand_logic,
@@ -540,6 +541,45 @@ def test_fiber_of_free_logic_along_identity_is_the_free_logic():
     f, _ = fiber(identity_theory_morphism(t), fl)
     assert f.model == fl.model
     assert transpose(identity_theory_morphism(t), fl) == counit(fl)
+
+
+def rand_chain(rng: random.Random):
+    """Theory morphisms g: T1 => T2 and h: T2 => th(l) into a random sound
+    logic l, each drawn from every valid morphism; None when there is none."""
+    l = rand_logic(rng)
+    middle = Theory.make(rand_language(rng, tag="M"), [])
+    first = Theory.make(rand_language(rng, tag="F"), [])
+    hs = all_language_morphisms(middle.language, l.language)
+    gs = all_language_morphisms(first.language, middle.language)
+    if not (hs and gs):
+        return None
+    return (TheoryMorphism.make(rng.choice(gs), first, middle),
+            TheoryMorphism.make(rng.choice(hs), middle, l.theory), l)
+
+
+def test_fiber_along_a_composite_is_the_fiber_of_the_fiber_randomized():
+    rng = random.Random(163)
+    checked = classified = 0
+    while checked < 150:
+        chain = rand_chain(rng)
+        if chain is None:
+            continue
+        g, h, l = chain
+        mid, inc_h = fiber(h, l)
+        first, inc_g = fiber(g, mid)
+        assert fiber(compose_theory_morphisms(g, h), l) == \
+            (first, compose_logic_morphisms(inc_g, inc_h))
+        checked += 1
+        classified += bool(first.model.relation_incidence)
+    assert classified > 5
+
+
+def test_fiber_along_an_identity_is_the_logic_randomized():
+    rng = random.Random(167)
+    for _ in range(20):
+        l = rand_logic(rng)
+        assert fiber(identity_theory_morphism(l.theory), l) == \
+            (l, identity_logic_morphism(l))
 
 
 def test_fiber_rejects_a_link_that_breaks_reference():
