@@ -5,17 +5,16 @@ from .classification import (Classification, ClassificationInvariant,
                              classification_sum, infomorphism_valid,
                              power_classification)
 from .errors import OntofuseError
-from .hypergraph import Hypergraph, HypergraphMorphism, hypergraph_product
+from .hypergraph import Hypergraph, hypergraph_product
 from .language import (Atomic, And, Exists, Expression, Forall, Implies,
                        LanguageEndorelation, LanguageMorphism, Not, Or, Subst,
-                       TypeLanguage, enumerate_expressions, free_vars,
-                       language_quotient, language_sum, translate_expression)
+                       TypeLanguage, free_vars, language_quotient,
+                       language_sum, translate_expression)
 from .model import (Model, ModelDualInvariant, ModelMorphism, holds,
                     model_dual_quotient, model_morphism_valid, model_sum,
                     satisfies)
 from .theory import (Theory, TheoryMorphism, entails, enumerate_models,
-                     is_theorem, theory_morphism_valid, theory_of_model,
-                     theory_quotient, theory_sum)
+                     theory_morphism_valid, theory_quotient, theory_sum)
 from .logic import (Logic, LogicDualInvariant, LogicMorphism, counit, fiber,
                     free_logic, fusion, is_sound, logic_dual_quotient,
                     logic_morphism_valid, logic_sum, restrict_logic,

@@ -33,9 +33,6 @@ class Classification:
     def intent(self, instance: Token) -> frozenset:
         return frozenset(t for t in self.types if (instance, t) in self.incidence)
 
-    def extent(self, type_: Token) -> frozenset:
-        return frozenset(i for i in self.instances if (i, type_) in self.incidence)
-
 
 @dataclass(frozen=True)
 class Infomorphism:
@@ -62,26 +59,6 @@ class ClassificationInvariant:
                                        frozenset((a, b) for a, b in type_relation))
 
 
-@dataclass(frozen=True)
-class ValidityReport:
-    ok: bool
-    violations: tuple = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_classification(c: Classification) -> ValidityReport:
-    """Report every incidence pair whose endpoints are unknown tokens."""
-    violations = []
-    for (i, t) in sorted_tokens(c.incidence):
-        if i not in c.instances:
-            violations.append(("unknown-instance", i, t))
-        if t not in c.types:
-            violations.append(("unknown-type", i, t))
-    return ValidityReport(not violations, tuple(violations))
-
-
 def infomorphism_valid(f: Infomorphism) -> tuple[bool, Optional[tuple]]:
     """Check the fundamental condition; returns (ok, first witnessing pair).
 
@@ -97,20 +74,6 @@ def infomorphism_valid(f: Infomorphism) -> tuple[bool, Optional[tuple]]:
                     f.target.classifies(b, f.type_map[alpha]):
                 return False, (b, alpha)
     return True, None
-
-
-def identity_infomorphism(c: Classification) -> Infomorphism:
-    return Infomorphism.make(c, c, {t: t for t in c.types}, {i: i for i in c.instances})
-
-
-def compose_infomorphisms(f: Infomorphism, g: Infomorphism) -> Infomorphism:
-    """Composite f;g — types forward through f then g, instances backward."""
-    if f.target is not g.source and f.target != g.source:
-        raise DomainMismatch("infomorphisms not composable")
-    return Infomorphism.make(
-        f.source, g.target,
-        {t: g.type_map[f.type_map[t]] for t in f.type_map},
-        {b: f.instance_map[g.instance_map[b]] for b in g.instance_map})
 
 
 def power_classification(s: Iterable) -> Classification:
@@ -139,8 +102,8 @@ def keyed_pairs(xs: Iterable, ys: Iterable, key_x: Callable = unkeyed,
 
 
 def classification_sum(a: Classification, b: Classification, key_a: Callable = unkeyed,
-                       key_b: Callable = unkeyed) -> tuple[Classification, Infomorphism, Infomorphism]:
-    """Tagged type union, instance product; returns (sum, left inj, right inj).
+                       key_b: Callable = unkeyed) -> Classification:
+    """Tagged type union, instance product.
 
     With keys, only the instance pairs on which they agree are kept.
     """
@@ -148,11 +111,8 @@ def classification_sum(a: Classification, b: Classification, key_a: Callable = u
     instances = keyed_pairs(a.instances, b.instances, key_a, key_b)
     incidence = [(p, t) for p in instances
                  for t in itertools.chain(tags_a.get(p[0], ()), tags_b.get(p[1], ()))]
-    s = Classification.make(instances, [ltag(t) for t in a.types] + [rtag(t) for t in b.types],
-                            incidence)
-    inj_a = Infomorphism.make(a, s, {t: ltag(t) for t in a.types}, {p: p[0] for p in instances})
-    inj_b = Infomorphism.make(b, s, {t: rtag(t) for t in b.types}, {p: p[1] for p in instances})
-    return s, inj_a, inj_b
+    return Classification.make(instances, [ltag(t) for t in a.types] + [rtag(t) for t in b.types],
+                               incidence)
 
 
 def tagged_intents(c: Classification, tag: Callable) -> dict:
@@ -203,11 +163,24 @@ def class_groups(cls: Mapping) -> list[list]:
     return list(groups.values())
 
 
+def first_clash(elements: Iterable, cls: Mapping, value: Callable) -> Optional[tuple]:
+    """The token-order-first element whose value differs from that of its
+    class's token-order-first member, and that member; None if all agree."""
+    firsts: dict = {}
+    for e in sorted_tokens(elements):
+        first = firsts.setdefault(cls[e], e)
+        if value(e) != value(first):
+            return e, first
+    return None
+
+
 def classification_quotient(c: Classification, j: ClassificationInvariant) -> tuple[Classification, Infomorphism]:
     """Quotient types by the closure of j's relation, keep j's instances.
 
     Raises RespectViolation if some retained instance distinguishes two
-    related types, naming the token-order-first such instance.
+    related types, naming the token-order-first such instance and, in the
+    split class with the token-order-first member, the first member it is
+    classified by and the first it is not.
     """
     if not j.instance_subset <= c.instances:
         raise DomainMismatch("invariant instance subset not contained in instances")
@@ -220,7 +193,8 @@ def classification_quotient(c: Classification, j: ClassificationInvariant) -> tu
     split = [(a, g) for (a, g), n in hits.items() if n < len(groups[g])]
     if split:
         a = min((a for a, _ in split), key=token_key)
-        members = groups[min(g for b, g in split if b == a)]
+        members = min((sorted_tokens(groups[g]) for b, g in split if b == a),
+                      key=lambda ms: token_key(ms[0]))
         pos = next(t for t in members if c.classifies(a, t))
         neg = next(t for t in members if not c.classifies(a, t))
         raise RespectViolation(a, pos, neg)

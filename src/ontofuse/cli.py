@@ -68,6 +68,23 @@ def _logic_summary(l: Logic) -> str:
 
 # --- commands -----------------------------------------------------------------
 
+def _form_failure(kind: str, obj, bound: int, budget: int):
+    """Why a form fails its check, or None; a map error raises."""
+    if kind == "theory-morphism":
+        v = theory_morphism_valid(obj, bound, budget)
+    elif kind == "logic-morphism":
+        v = logic_morphism_valid(obj, bound, budget)
+    elif kind == "alignment":
+        for g, edge in ((obj.left_link, "left-link"), (obj.right_link, "right-link")):
+            v = theory_morphism_valid(g, bound, budget)
+            if not v:
+                return repr((edge, v.detail))
+        return None
+    else:
+        return None
+    return None if v else repr(v.detail)
+
+
 def cmd_check(args) -> int:
     status = 0
     for path in args.files:
@@ -78,25 +95,14 @@ def cmd_check(args) -> int:
             status = 1
             continue
         for kind, name in doc.order:
-            obj = doc.objects[name]
-            verdict, detail = True, None
-            if kind == "theory-morphism":
-                v = theory_morphism_valid(obj, args.bound, args.budget)
-                verdict, detail = bool(v), v.detail
-            elif kind == "logic-morphism":
-                v = logic_morphism_valid(obj, args.bound, args.budget)
-                verdict, detail = bool(v), v.detail
-            elif kind == "alignment":
-                for g, edge in ((obj.left_link, "left-link"),
-                                (obj.right_link, "right-link")):
-                    v = theory_morphism_valid(g, args.bound, args.budget)
-                    if not v:
-                        verdict, detail = False, (edge, v.detail)
-                        break
-            if verdict:
+            try:
+                failure = _form_failure(kind, doc.objects[name], args.bound, args.budget)
+            except OntofuseError as e:
+                failure = str(e)
+            if failure is None:
                 print(f"{path}: ok: {kind} {name}")
             else:
-                print(f"{path}: fail: {kind} {name}: {detail!r}")
+                print(f"{path}: fail: {kind} {name}: {failure}")
                 status = 1
     return status
 

@@ -1,4 +1,4 @@
-"""Hypergraphs with variable-indexed tuples and their morphisms.
+"""Hypergraphs with variable-indexed tuples and their keyed products.
 
 Hyperedges carry a set-valued arity (a subset of the name pool) and a
 tuple function assigning a node to each name in the arity.  These are
@@ -7,10 +7,10 @@ the instance-side skeleton of models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping
 
 from .classification import keyed_pairs, unkeyed
-from .errors import DomainMismatch, NameSetMismatch, check_total
+from .errors import DomainMismatch, NameSetMismatch
 from .tokens import FrozenDict, fdict, sorted_tokens
 
 
@@ -43,50 +43,16 @@ class Hypergraph:
                 raise DomainMismatch(f"tuple of {e!r} leaves the node set")
 
 
-@dataclass(frozen=True)
-class HypergraphMorphism:
-    source: Hypergraph
-    target: Hypergraph
-    node_map: FrozenDict
-    edge_map: FrozenDict
-    name_map: FrozenDict
-
-    @staticmethod
-    def make(source, target, node_map: Mapping, edge_map: Mapping, name_map: Mapping) -> "HypergraphMorphism":
-        return HypergraphMorphism(source, target, fdict(node_map), fdict(edge_map), fdict(name_map))
-
-
-def hypergraph_morphism_valid(m: HypergraphMorphism) -> tuple[bool, Optional[tuple]]:
-    """Check arity and tuple preservation; returns (ok, first counterexample)."""
-    check_total(m.node_map, m.source.nodes, m.target.nodes, "node map")
-    check_total(m.edge_map, m.source.hyperedges, m.target.hyperedges, "edge map")
-    check_total(m.name_map, m.source.names, m.target.names, "name map")
-    for e in sorted_tokens(m.source.hyperedges):
-        image = m.edge_map[e]
-        if m.target.arity[image] != frozenset(m.name_map[x] for x in m.source.arity[e]):
-            return False, ("arity", e)
-        for x in sorted_tokens(m.source.arity[e]):
-            if m.target.valuation[image][m.name_map[x]] != m.node_map[m.source.valuation[e][x]]:
-                return False, ("tuple", e, x)
-    return True, None
-
-
-def identity_hypergraph_morphism(h: Hypergraph) -> HypergraphMorphism:
-    return HypergraphMorphism.make(h, h, {n: n for n in h.nodes},
-                                   {e: e for e in h.hyperedges}, {x: x for x in h.names})
-
-
 def hypergraph_product(a: Hypergraph, b: Hypergraph,
                        node_keys: tuple[Callable, Callable] = (unkeyed, unkeyed),
                        edge_keys: tuple[Callable, Callable] = (unkeyed, unkeyed),
-                       ) -> tuple[Hypergraph, HypergraphMorphism, HypergraphMorphism]:
+                       ) -> Hypergraph:
     """Pairwise product over a shared name pool, over keys.
 
     Nodes pair when their node keys agree.  Edges pair when their edge
-    keys and arities agree, so the projection tuples are well-defined,
-    and every coordinate is a node pair.  The constant keys (the default)
-    give the whole product.  Returns (product, left projection, right
-    projection).
+    keys and arities agree, so every coordinate of an edge pair is valued
+    by a node pair.  The constant keys (the default) give the whole
+    product.
     """
     if a.names != b.names:
         raise NameSetMismatch(f"name pools differ: {sorted_tokens(a.names)} vs {sorted_tokens(b.names)}")
@@ -98,22 +64,5 @@ def hypergraph_product(a: Hypergraph, b: Hypergraph,
         tup = {x: (a.valuation[e][x], b.valuation[f][x]) for x in a.arity[e]}
         if all(node_a(v) == node_b(w) for v, w in tup.values()):
             edges[(e, f)] = tup
-    prod = Hypergraph.make(a.names, nodes, edges)
-    proj_a = HypergraphMorphism.make(prod, a, {p: p[0] for p in nodes},
-                                     {ef: ef[0] for ef in edges}, {x: x for x in a.names})
-    proj_b = HypergraphMorphism.make(prod, b, {p: p[1] for p in nodes},
-                                     {ef: ef[1] for ef in edges}, {x: x for x in b.names})
-    return prod, proj_a, proj_b
+    return Hypergraph.make(a.names, nodes, edges)
 
-
-def sub_hypergraph_check(sub: Hypergraph, sup: Hypergraph) -> bool:
-    """True iff sub is a tuple-closed restriction of sup."""
-    if not (sub.nodes <= sup.nodes and sub.hyperedges <= sup.hyperedges
-            and sub.names <= sup.names):
-        return False
-    for e in sub.hyperedges:
-        if sub.arity[e] != sup.arity[e] or dict(sub.valuation[e]) != dict(sup.valuation[e]):
-            return False
-        if any(n not in sub.nodes for n in sub.valuation[e].values()):
-            return False
-    return True

@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import AgreementFailure, DomainMismatch, EdgeInvalid
-from .language import identity_language_morphism
+from .language import LanguageMorphism, TypeLanguage, identity_language_morphism
 from .logic import (Logic, LogicMorphism, compose_logic_morphisms, counit, fiber,
                     fusion, identity_logic_morphism, is_sound,
                     logic_morphism_valid, restrict_logic, transpose)
@@ -98,9 +98,10 @@ def unify(d: AlignmentDiagram) -> IntegrationResult:
 def trivial_integration(l1: Logic, l2: Logic, bound: int = 2,
                         budget: int = DEFAULT_BUDGET) -> IntegrationResult:
     """The 'nothing' extreme: empty alignment; the fused logic is the sum."""
-    t = Theory.make(_empty_language(), ())
-    g1 = TheoryMorphism(_empty_morphism_into(l1.theory), t, l1.theory)
-    g2 = TheoryMorphism(_empty_morphism_into(l2.theory), t, l2.theory)
+    empty = TypeLanguage.make((), (), {}, {})
+    t = Theory.make(empty, ())
+    g1, g2 = (TheoryMorphism(LanguageMorphism.make(empty, l.language, {}, {}, {}), t, l.theory)
+              for l in (l1, l2))
     d = build_alignment(l1, l2, l1, l2, identity_logic_morphism(l1),
                         identity_logic_morphism(l2), t, g1, g2, bound, budget)
     return unify(d)
@@ -113,16 +114,6 @@ def self_integration(l: Logic, bound: int = 2,
     d = build_alignment(l, l, l, l, identity_logic_morphism(l),
                         identity_logic_morphism(l), l.theory, g, g, bound, budget)
     return unify(d)
-
-
-def _empty_language():
-    from .language import TypeLanguage
-    return TypeLanguage.make((), (), {}, {})
-
-
-def _empty_morphism_into(t: Theory):
-    from .language import LanguageMorphism
-    return LanguageMorphism.make(_empty_language(), t.language, {}, {}, {})
 
 
 # --- the practical alternative ----------------------------------------------

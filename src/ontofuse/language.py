@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .errors import CaptureError, DomainMismatch, IncompatibleQuotient, check_total
-from .classification import equivalence_closure
+from .classification import equivalence_closure, first_clash
 from .tokens import FrozenDict, Token, fdict, ltag, rtag, sorted_tokens
 
 
@@ -138,32 +138,6 @@ def well_formed(lang: TypeLanguage, e: Expression) -> bool:
     return False
 
 
-def enumerate_expressions(lang: TypeLanguage, depth: int) -> list[Expression]:
-    """All well-formed expressions up to the given constructor depth.
-
-    Substitutions are omitted: every Subst over a depth-bounded body is
-    semantically a relabelling and they blow up the count.
-    """
-    if depth < 1:
-        raise ValueError("depth bound must be >= 1")
-    by_depth: list[list[Expression]] = [[]]
-    by_depth.append([Atomic(r) for r in sorted_tokens(lang.relation_types)])
-    for d in range(2, depth + 1):
-        shallower = [e for level in by_depth[1:d - 1] for e in level]
-        exact = by_depth[d - 1]
-        prev = shallower + exact
-        level: list[Expression] = []
-        level.extend(Not(e) for e in exact)
-        for ctor in _BINARY:
-            # at least one side at depth d-1
-            level.extend(ctor(a, b) for a in exact for b in prev)
-            level.extend(ctor(a, b) for a in shallower for b in exact)
-        for x in sorted_tokens(lang.variables):
-            level.extend(ctor(x, e) for ctor in _QUANT for e in exact)
-        by_depth.append(level)
-    return [e for level in by_depth[1:] for e in level]
-
-
 # --- Morphisms -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -211,8 +185,8 @@ def language_morphism_valid(m: LanguageMorphism) -> tuple[bool, Optional[tuple]]
     if set(m.relation_map) != set(m.source.relation_types):
         raise DomainMismatch("relation map not total on source relation types")
     for r, img in m.relation_map.items():
-        # an Expression may itself be a target relation type (expression
-        # languages); only unrecognized expressions need the refinement flag
+        # only an image that is not a target relation type needs the
+        # refinement flag
         if img in m.target.relation_types:
             continue
         if isinstance(img, Expression):
@@ -264,17 +238,6 @@ def translate_expression(m: LanguageMorphism, e: Expression) -> Expression:
                 raise CaptureError(f"substitution slots collide at {m.var_map[x]!r}")
         return Subst.make(mapping, body)
     raise TypeError(f"not an expression: {e!r}")
-
-
-def expression_language(lang: TypeLanguage, depth: int) -> tuple[TypeLanguage, LanguageMorphism]:
-    """Language whose relation types are expressions up to a depth bound."""
-    exprs = enumerate_expressions(lang, depth)
-    out = TypeLanguage(lang.variables, lang.entity_types, frozenset(exprs),
-                       lang.reference, fdict({e: free_vars(lang, e) for e in exprs}))
-    embed = LanguageMorphism.make(lang, out, {x: x for x in lang.variables},
-                                  {a: a for a in lang.entity_types},
-                                  {r: Atomic(r) for r in lang.relation_types})
-    return out, embed
 
 
 def language_sum(l1: TypeLanguage, l2: TypeLanguage) -> tuple[TypeLanguage, LanguageMorphism, LanguageMorphism]:
@@ -329,25 +292,30 @@ def language_quotient(lang: TypeLanguage, j: LanguageEndorelation) -> tuple[Type
 
     Raises IncompatibleQuotient when related variables have unrelated
     references or related relation types have arities that do not land on
-    the same set of variable classes.
+    the same set of variable classes, naming the token-order-first member
+    of such a class that differs from the class's first member, and that
+    first member.
     """
     var_cls = equivalence_closure(lang.variables, j.variable_pairs)
     ent_cls = equivalence_closure(lang.entity_types, j.entity_pairs)
     rel_cls = equivalence_closure(lang.relation_types, j.relation_pairs)
+
+    def ref(x):
+        return ent_cls[lang.reference[x]]
+
+    def arity_of(r):
+        return frozenset(var_cls[x] for x in lang.arity[r])
+
     reference = {}
     for x in lang.variables:
-        ref = ent_cls[lang.reference[x]]
-        prior = reference.setdefault(var_cls[x], ref)
-        if prior != ref:
-            other = next(y for y in var_cls[x] if ent_cls[lang.reference[y]] == prior)
-            raise IncompatibleQuotient(x, other, "merged variables have unrelated references")
+        if reference.setdefault(var_cls[x], ref(x)) != ref(x):
+            raise IncompatibleQuotient(*first_clash(lang.variables, var_cls, ref),
+                                       "merged variables have unrelated references")
     arity = {}
     for r in lang.relation_types:
-        ar = frozenset(var_cls[x] for x in lang.arity[r])
-        prior = arity.setdefault(rel_cls[r], ar)
-        if prior != ar:
-            other = next(s for s in rel_cls[r] if frozenset(var_cls[x] for x in lang.arity[s]) == prior)
-            raise IncompatibleQuotient(r, other, "merged relation types have incompatible arities")
+        if arity.setdefault(rel_cls[r], arity_of(r)) != arity_of(r):
+            raise IncompatibleQuotient(*first_clash(lang.relation_types, rel_cls, arity_of),
+                                       "merged relation types have incompatible arities")
     q = TypeLanguage(frozenset(var_cls.values()), frozenset(ent_cls.values()),
                      frozenset(rel_cls.values()), fdict(reference), fdict(arity))
     canon = LanguageMorphism.make(lang, q, dict(var_cls), dict(ent_cls), dict(rel_cls))

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Mapping, Optional
 
 from .classification import (Classification, ClassificationInvariant, Infomorphism,
                              class_groups, classification_quotient,
-                             classification_sum, infomorphism_valid,
+                             classification_sum, first_clash, infomorphism_valid,
                              tagged_intents, unkeyed)
 from .errors import (DomainMismatch, IncompatibleQuotient, LaxViolation,
                      RespectViolation, check_total)
@@ -34,8 +34,7 @@ from .hypergraph import Hypergraph, hypergraph_product
 from .language import (And, Atomic, Exists, Expression, Forall, Implies,
                        LanguageEndorelation, LanguageMorphism, Not, Or, Subst,
                        TypeLanguage, free_vars, language_morphism_valid,
-                       language_quotient, language_sum, identity_language_morphism,
-                       compose_language_morphisms)
+                       language_quotient, language_sum)
 from .tokens import FrozenDict, Token, fdict, ltag, rtag, sorted_tokens, token_key
 
 
@@ -123,10 +122,10 @@ class Model:
         a span's backward instance maps give its pullback.
         """
         lang, _, _ = language_sum(self.language, other.language)
-        ents, _, _ = classification_sum(self.entity_classification(),
-                                        other.entity_classification(), *entity_keys)
-        prod, _, _ = hypergraph_product(self.instance_hypergraph(), other.instance_hypergraph(),
-                                        entity_keys, tuple_keys)
+        ents = classification_sum(self.entity_classification(),
+                                  other.entity_classification(), *entity_keys)
+        prod = hypergraph_product(self.instance_hypergraph(), other.instance_hypergraph(),
+                                  entity_keys, tuple_keys)
         intents_a = tagged_intents(self.relation_classification(), ltag)
         intents_b = tagged_intents(other.relation_classification(), rtag)
         arity, valuation, rel_inc = {}, {}, []
@@ -270,8 +269,8 @@ class ModelMorphism:
 def token_satisfies(m: Model, t: Token, image: Token | Expression) -> bool:
     """Whether tuple t satisfies an image: a relation type or an expression.
 
-    Relation types (expression languages use atomics as relation types)
-    and atomics read incidence; any other expression is satisfied laxly.
+    Relation types and atomics read incidence; any other expression is
+    satisfied laxly.
     """
     if image in m.language.relation_types:
         return m.tuple_classifies(t, image)
@@ -320,22 +319,6 @@ def model_morphism_valid(f: ModelMorphism) -> tuple[bool, Optional[tuple]]:
     return True, None
 
 
-def identity_model_morphism(m: Model) -> ModelMorphism:
-    return ModelMorphism.make(identity_language_morphism(m.language), m, m,
-                              {e: e for e in m.entities}, {t: t for t in m.tuples})
-
-
-def compose_model_morphisms(f: ModelMorphism, g: ModelMorphism) -> ModelMorphism:
-    """Composite f;g from f.source to g.target (instances pulled back through g then f)."""
-    if f.target != g.source:
-        raise DomainMismatch("model morphisms not composable")
-    return ModelMorphism.make(
-        compose_language_morphisms(f.language_morphism, g.language_morphism),
-        f.source, g.target,
-        {b: f.entity_map[g.entity_map[b]] for b in g.entity_map},
-        {t: f.tuple_map[g.tuple_map[t]] for t in g.tuple_map})
-
-
 # --- sums and dual quotients ----------------------------------------------
 
 def model_sum(a: Model, b: Model) -> tuple[Model, ModelMorphism, ModelMorphism]:
@@ -351,6 +334,16 @@ def model_sum(a: Model, b: Model) -> tuple[Model, ModelMorphism, ModelMorphism]:
     nu2 = ModelMorphism.make(inj2, b, s, {p: p[1] for p in s.entities},
                              {t: t[1] for t in s.tuples})
     return s, nu1, nu2
+
+
+def _lax_split(m: Model, t: Token, members: list) -> Optional[tuple]:
+    """Lax respect: of the identified relation types that t's arity covers,
+    the first classifying t and the first not, if t splits them."""
+    applicable = [r for r in members if m.language.arity[r] <= m.tuple_arity[t]]
+    hits = [r for r in applicable if m.tuple_classifies(t, r)]
+    if 0 < len(hits) < len(applicable):
+        return hits[0], next(r for r in applicable if r not in hits)
+    return None
 
 
 @dataclass(frozen=True)
@@ -379,7 +372,8 @@ def model_dual_quotient(a: Model, j: ModelDualInvariant) -> tuple[Model, ModelMo
     closure).  Raises RespectViolation when a retained instance
     distinguishes two identified types, IncompatibleQuotient when a
     retained tuple values two merged variables differently; each names
-    the token-order-first such instance.
+    the token-order-first such instance, and the types or variable it
+    names are the token-order-first witnesses for that instance.
     """
     if not j.entity_subset <= a.entities or not j.tuple_subset <= a.tuples:
         raise DomainMismatch("invariant subsets exceed the model's instances")
@@ -392,29 +386,25 @@ def model_dual_quotient(a: Model, j: ModelDualInvariant) -> tuple[Model, ModelMo
         kept.entity_classification(),
         ClassificationInvariant(kept.entities, j.type_relation.entity_pairs))
     var_cls, rel_cls = canon.var_map, canon.relation_map
-    # lax respect: a tuple is judged only on the relation types its arity covers
     rel_groups = [cls for cls in class_groups(rel_cls) if len(cls) > 1]
-    violations = []
-    for t in kept.tuples:
-        for cls in rel_groups:
-            applicable = [r for r in cls if a.language.arity[r] <= a.tuple_arity[t]]
-            hits = [r for r in applicable if a.tuple_classifies(t, r)]
-            if 0 < len(hits) < len(applicable):
-                violations.append((t, hits[0], next(r for r in applicable if r not in hits)))
-                break
-    if violations:
-        raise RespectViolation(*min(violations, key=lambda v: token_key(v[0])))
+    split = [t for t in kept.tuples if any(_lax_split(a, t, cls) for cls in rel_groups)]
+    if split:
+        t = min(split, key=token_key)
+        groups = sorted(map(sorted_tokens, rel_groups), key=lambda ms: token_key(ms[0]))
+        pos, neg = next(w for w in (_lax_split(a, t, cls) for cls in groups) if w)
+        raise RespectViolation(t, pos, neg)
     arity, valuation, clashes = {}, {}, []
     for t in kept.tuples:
         val = {}
         for x in a.tuple_arity[t]:
             if val.setdefault(var_cls[x], a.tuple_valuation[t][x]) != a.tuple_valuation[t][x]:
-                clashes.append((t, x))
+                clashes.append(t)
                 break
         arity[t] = frozenset(var_cls[x] for x in a.tuple_arity[t])
         valuation[t] = fdict(val)
     if clashes:
-        t, x = min(clashes, key=lambda c: token_key(c[0]))
+        t = min(clashes, key=token_key)
+        x, _ = first_clash(a.tuple_arity[t], var_cls, a.tuple_valuation[t].__getitem__)
         raise IncompatibleQuotient(x, var_cls[x], f"tuple {t!r} values merged variables differently")
     q = replace(kept, language=lang, entity_incidence=ents.incidence,
                 tuple_arity=fdict(arity), tuple_valuation=fdict(valuation),

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Optional
 from .errors import BudgetExceeded, DomainMismatch
 from .language import (Expression, LanguageEndorelation, LanguageMorphism,
                        TypeLanguage, compose_language_morphisms,
-                       enumerate_expressions, identity_language_morphism,
+                       identity_language_morphism,
                        language_morphism_valid, language_quotient, language_sum,
                        translate_expression, well_formed)
 from .model import Model, satisfies
@@ -132,12 +132,6 @@ def entails(t: Theory, e: Expression, max_entities: int,
     return NoCounterexampleUpTo(max_entities)
 
 
-def is_theorem(t: Theory, e: Expression, max_entities: int,
-               budget: int = DEFAULT_BUDGET) -> bool:
-    """Membership in the closure, realized as bounded entailment."""
-    return bool(entails(t, e, max_entities, budget))
-
-
 # --- morphism checking ------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -173,21 +167,6 @@ def theory_morphism_valid(g: TheoryMorphism, max_entities: int,
     return MorphismVerdict(overall, tuple(per_axiom))
 
 
-def refinement_check(g: TheoryMorphism, max_entities: int,
-                     budget: int = DEFAULT_BUDGET) -> MorphismVerdict:
-    """Theory-morphism verdict for a refinement: entity types map to entity
-    types only; relation types may map to expressions."""
-    lm = g.language_morphism
-    for a, img in lm.entity_map.items():
-        if isinstance(img, Expression):
-            return MorphismVerdict(False, (), ("entity-to-expression", a))
-    missing = [x for x in lm.source.entity_types if x not in lm.entity_map] + \
-              [r for r in lm.source.relation_types if r not in lm.relation_map]
-    if missing:
-        return MorphismVerdict(False, (), ("not-total", tuple(missing)))
-    return theory_morphism_valid(g, max_entities, budget)
-
-
 # --- sums and quotients -----------------------------------------------------
 
 def theory_sum(t1: Theory, t2: Theory) -> tuple[Theory, TheoryMorphism, TheoryMorphism]:
@@ -203,11 +182,3 @@ def theory_quotient(t: Theory, j: LanguageEndorelation) -> tuple[Theory, TheoryM
     axioms = frozenset(translate_expression(canon, a) for a in t.axioms)
     q = Theory(lang, axioms)
     return q, TheoryMorphism(canon, t, q)
-
-
-# --- theory of a model ------------------------------------------------------
-
-def theory_of_model(m: Model, depth: int) -> Theory:
-    """Axioms: every expression of constructor depth <= depth satisfied by m."""
-    exprs = enumerate_expressions(m.language, depth)
-    return Theory(m.language, frozenset(e for e in exprs if satisfies(m, e)))

@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, reports, determinism."""
+import os
 import pathlib
 import re
 import subprocess
@@ -87,6 +88,32 @@ def test_check_syntax_error_exit_one(tmp_path, capsys):
     code, out, _ = run(capsys, "check", str(path))
     assert code == 1
     assert "fail" in out
+
+
+PARTIAL_ENTITY_MAP = """\
+(language A (variables x) (entity-types P Q) (reference (x P)) (relations (R (x))))
+(theory TA (language A) (axioms))
+(theory-morphism g (source TA) (target TA)
+  (variables (x x)) (entity-types (P P)) (relations (R R)))
+(theory-morphism h (source TA) (target TA)
+  (variables (x x)) (entity-types (P P) (Q Q)) (relations (R R)))
+"""
+
+
+def test_check_reports_a_map_error_as_its_form_and_goes_on(tmp_path, capsys):
+    path = tmp_path / "partial.iff"
+    path.write_text(PARTIAL_ENTITY_MAP)
+    unary = str(CORPUS / "unary.iff")
+    _, unary_out, _ = run(capsys, "check", unary)
+    code, out, err = run(capsys, "check", str(path), unary)
+    assert code == 1 and err == ""
+    assert out.splitlines() == [
+        f"{path}: ok: language A",
+        f"{path}: ok: theory TA",
+        f"{path}: fail: theory-morphism g: entity map is not total on its domain: missing 'Q'",
+        f"{path}: ok: theory-morphism h",
+        *unary_out.splitlines()]
+    assert len(unary_out.splitlines()) == 4
 
 
 # --- entails -------------------------------------------------------------------
@@ -286,6 +313,62 @@ def test_reports_deterministic(tmp_path, capsys):
     assert outs[0] == outs[1]
     assert (tmp_path / "fused0.iff").read_text() == \
         (tmp_path / "fused1.iff").read_text()
+
+
+# --- error witnesses independent of the hash seed --------------------------------------
+
+QUOTIENT_ERRORS = """\
+(language Pets (variables a) (entity-types Animal) (reference (a Animal))
+  (relations (Avian (a)) (Bird (a)) (Canine (a)) (Cat (a)) (Dog (a)) (Feline (a))))
+(theory TPets (language Pets) (axioms))
+(model MPets (language Pets) (entities milo) (incidence (milo Animal))
+  (extents (Bird ((a milo))) (Cat ((a milo))) (Dog ((a milo)))))
+(logic Pet (theory TPets) (model MPets))
+(language E (variables x) (entity-types A1 A2 B1 B2 C1 C2) (reference (x A1)) (relations))
+(theory TE (language E) (axioms))
+(model ME (language E) (entities e f) (incidence (e A1) (e B1) (e C1) (f A2)) (extents))
+(logic Ent (theory TE) (model ME))
+(language V (variables x y z) (entity-types T) (reference (x T) (y T) (z T))
+  (relations (R (x y z))))
+(theory TV (language V) (axioms))
+(model MV (language V) (entities a b c) (incidence (a T) (b T) (c T))
+  (extents (R ((x a) (y b) (z c)))))
+(logic Var (theory TV) (model MV))
+(language Q (variables a b c d) (entity-types S T) (reference (a S) (b T) (c S) (d T))
+  (relations (P (a b)) (R (a)) (U (c)) (V (c d))))
+(theory TQ (language Q) (axioms))
+"""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--of", "Pet", "--identify-relation", "Cat", "Feline", "--identify-relation", "Dog",
+      "Canine", "--identify-relation", "Bird", "Avian"],
+     "invariant not respected: {'a': 'milo'} distinguishes 'Bird' and 'Avian'"),
+    (["--of", "Ent", "--identify-entity", "A1", "A2", "--identify-entity", "B1", "B2",
+      "--identify-entity", "C1", "C2"],
+     "invariant not respected: 'e' distinguishes 'A1' and 'A2'"),
+    (["--of", "Var", "--identify-variable", "x", "y", "--identify-variable", "y", "z"],
+     "cannot identify 'y' with ('x', 'y', 'z'): "
+     "tuple {'x': 'a', 'y': 'b', 'z': 'c'} values merged variables differently"),
+    (["--of", "TQ", "--identify-variable", "a", "b", "--identify-variable", "c", "d"],
+     "cannot identify 'b' with 'a': merged variables have unrelated references"),
+    (["--of", "TQ", "--identify-relation", "R", "P", "--identify-relation", "U", "V"],
+     "cannot identify 'R' with 'P': merged relation types have incompatible arities"),
+], ids=["model-relations", "entity-types", "model-variables", "language-variables",
+        "language-relations"])
+def test_quotient_error_names_one_witness_under_every_hash_seed(tmp_path, argv, message):
+    path = tmp_path / "errors.iff"
+    path.write_text(QUOTIENT_ERRORS)
+    runs = [subprocess.Popen([sys.executable, "-m", "ontofuse.cli", "quotient", str(path), *argv,
+                              "-o", str(tmp_path / "out.iff")],
+                             env={**os.environ, "PYTHONHASHSEED": str(seed)},
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for seed in range(4)]
+    results = set()
+    for r in runs:
+        out, err = r.communicate(timeout=60)
+        results.add((r.returncode, out, err))
+    assert results == {(1, "", f"error: {message}\n")}
 
 
 # --- hostile nesting ------------------------------------------------------------------

@@ -354,3 +354,18 @@ def test_mutated_span_fuses_or_fails_with_an_error(text):
 @settings(derandomize=True, max_examples=100, deadline=None)
 def test_mutated_fixture_sums_or_fails_with_an_error(text):
     _runs_to_an_exit_code(text, "sum", "--left", "L1", "--right", "L2")
+
+
+@pytest.mark.parametrize("command", [
+    ("quotient", "--of", "T", "--identify-entity", "Agent", "Org"),
+    ("quotient", "--of", "L1", "--keep-entities", "bob", "acme"),
+    ("restrict", "--logic", "L1", "--to", "bob", "acme"),
+    ("fiber", "--morphism", "g1", "--logic", "L1"),
+    ("sound-part", "--logic", "L1"),
+    ("free-logic", "--theory", "TW"),
+    ("entails", "--theory", "TW", "--query", "(implies (atom WorksFor) (atom WorksFor))"),
+], ids=lambda c: " ".join(c[:3]))
+@given(text=_mutated(FIXTURE_TEXT))
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_mutated_fixture_runs_each_step_or_fails_with_an_error(command, text):
+    _runs_to_an_exit_code(text, *command)

@@ -1,14 +1,11 @@
-"""Hypergraphs: morphism validity, products, sub-hypergraphs."""
+"""Hypergraphs: well-formedness and products."""
 import itertools
 import random
 
 import pytest
 
-from ontofuse.errors import NameSetMismatch
-from ontofuse.hypergraph import (Hypergraph, HypergraphMorphism,
-                                 hypergraph_morphism_valid, hypergraph_product,
-                                 identity_hypergraph_morphism,
-                                 sub_hypergraph_check)
+from ontofuse.errors import DomainMismatch, NameSetMismatch
+from ontofuse.hypergraph import Hypergraph, hypergraph_product
 
 
 def two_node_graph():
@@ -16,33 +13,10 @@ def two_node_graph():
                            {"e": {"x": "n0", "y": "n1"}})
 
 
-def test_identity_morphism_valid():
-    h = two_node_graph()
-    assert hypergraph_morphism_valid(identity_hypergraph_morphism(h))[0]
-
-
-def test_node_collapse_onto_loop_edge():
-    h = two_node_graph()
-    loop = Hypergraph.make(["x", "y"], ["n"], {"l": {"x": "n", "y": "n"}})
-    m = HypergraphMorphism.make(h, loop, {"n0": "n", "n1": "n"}, {"e": "l"},
-                                {"x": "x", "y": "y"})
-    assert hypergraph_morphism_valid(m)[0]
-
-
-def test_arity_preservation_failure():
-    h = two_node_graph()
-    unary = Hypergraph.make(["x", "y"], ["n"], {"u": {"x": "n"}})
-    m = HypergraphMorphism.make(h, unary, {"n0": "n", "n1": "n"}, {"e": "u"},
-                                {"x": "x", "y": "y"})
-    ok, witness = hypergraph_morphism_valid(m)
-    assert not ok
-    assert witness == ("arity", "e")
-
-
 def test_product_with_empty_arity_partner():
     a = Hypergraph.make(["x"], ["n"], {"e0": {}, "e1": {"x": "n"}})
     b = Hypergraph.make(["x"], ["m"], {"f": {}})
-    prod, _, _ = hypergraph_product(a, b)
+    prod = hypergraph_product(a, b)
     # only the empty-arity edge of a finds a partner
     assert set(prod.hyperedges) == {("e0", "f")}
 
@@ -51,7 +25,7 @@ def test_product_pairs_equal_arities_only():
     a = Hypergraph.make(["x", "y"], ["n"],
                         {"u": {"x": "n"}, "b": {"x": "n", "y": "n"}})
     c = Hypergraph.make(["x", "y"], ["m"], {"v": {"x": "m"}})
-    prod, _, _ = hypergraph_product(a, c)
+    prod = hypergraph_product(a, c)
     assert set(prod.hyperedges) == {("u", "v")}
     assert prod.valuation[("u", "v")]["x"] == ("n", "m")
 
@@ -75,51 +49,41 @@ def test_projections_valid_on_random_inputs():
                 edges[f"{tag}e{i}"] = {x: rng.choice(nodes) for x in ar}
             return Hypergraph.make(names, nodes, edges)
         a, b = rand_graph("a"), rand_graph("b")
-        _, pa, pb = hypergraph_product(a, b)
-        assert hypergraph_morphism_valid(pa)[0]
-        assert hypergraph_morphism_valid(pb)[0]
+        prod = hypergraph_product(a, b)
+        # both projections preserve every edge pair's arity and tuple
+        assert set(prod.nodes) == {(n, m) for n in a.nodes for m in b.nodes}
+        for (e, f) in prod.hyperedges:
+            assert prod.arity[(e, f)] == a.arity[e] == b.arity[f]
+            assert dict(prod.valuation[(e, f)]) == \
+                {x: (a.valuation[e][x], b.valuation[f][x]) for x in a.arity[e]}
 
 
 def test_product_symmetric_up_to_swap():
     a = Hypergraph.make(["x"], ["n0", "n1"], {"e": {"x": "n0"}})
     b = Hypergraph.make(["x"], ["m"], {"f": {"x": "m"}})
-    ab, _, _ = hypergraph_product(a, b)
-    ba, _, _ = hypergraph_product(b, a)
+    ab = hypergraph_product(a, b)
+    ba = hypergraph_product(b, a)
     assert {(q, p) for (p, q) in ab.nodes} == set(ba.nodes)
     assert {(f, e) for (e, f) in ab.hyperedges} == set(ba.hyperedges)
-
-
-def test_sub_hypergraph_reflexive():
-    h = two_node_graph()
-    assert sub_hypergraph_check(h, h)
 
 
 def test_sub_hypergraph_closure_violation():
     h = two_node_graph()
     broken = Hypergraph(h.names, frozenset({"n0"}), h.hyperedges,
                         h.arity, h.valuation)
-    assert not sub_hypergraph_check(broken, h)
+    with pytest.raises(DomainMismatch, match="leaves the node set"):
+        broken.check()
 
 
 def test_all_sub_hypergraphs_counted():
     h = two_node_graph()
-    subs = []
-    for nodes in (set(c) for k in range(3)
+    closed = 0
+    for nodes in (frozenset(c) for k in range(3)
                   for c in itertools.combinations(["n0", "n1"], k)):
-        for edges in ([], ["e"]):
-            if edges and not {"n0", "n1"} <= nodes:
-                continue  # closure filter
-            sub = Hypergraph(h.names, frozenset(nodes), frozenset(edges),
-                             h.arity, h.valuation)
-            subs.append(sub)
-    assert len(subs) == 5
-    assert all(sub_hypergraph_check(s, h) for s in subs)
-
-
-def test_sub_hypergraph_transitive():
-    h = two_node_graph()
-    mid = Hypergraph(h.names, h.nodes, frozenset(), h.arity, h.valuation)
-    small = Hypergraph(h.names, frozenset({"n0"}), frozenset(), h.arity, h.valuation)
-    assert sub_hypergraph_check(small, mid)
-    assert sub_hypergraph_check(mid, h)
-    assert sub_hypergraph_check(small, h)
+        for edges in (frozenset(), frozenset({"e"})):
+            try:
+                Hypergraph(h.names, nodes, edges, h.arity, h.valuation).check()
+                closed += 1
+            except DomainMismatch:
+                pass
+    assert closed == 5  # four node sets without the edge, and both nodes with it

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ontofuse.errors import IncompatibleQuotient
-from ontofuse.language import (And, Atomic, Exists, Forall, Implies,
-                               LanguageEndorelation, LanguageMorphism, Not, Or,
+from ontofuse.language import (And, Atomic, Exists, Forall,
+                               LanguageEndorelation, LanguageMorphism, Or,
                                Subst, TypeLanguage, compose_language_morphisms,
-                               enumerate_expressions, expression_language,
                                free_vars, identity_language_morphism,
                                language_morphism_valid, language_quotient,
                                language_sum, translate_expression, well_formed)
@@ -34,19 +33,6 @@ def test_free_vars_subst_image():
                              {"R": ("x", "y")})
     e = Subst.make({"x": "z", "y": "z"}, Atomic("R"))
     assert free_vars(lang, e) == {"z"}
-
-
-def test_expression_language_depth_one():
-    lang = w_language()
-    out, embed = expression_language(lang, 1)
-    assert out.relation_types == {Atomic("WorksFor")}
-    assert out.arity[Atomic("WorksFor")] == lang.arity["WorksFor"]
-    assert language_morphism_valid(embed)[0]
-
-
-def test_expression_language_depth_bound_error():
-    with pytest.raises(ValueError):
-        expression_language(w_language(), 0)
 
 
 def test_identity_morphism_valid():
@@ -154,14 +140,6 @@ def test_quotient_arity_incompatibility():
     j = LanguageEndorelation.make(relation_pairs=[("R", "S")])
     with pytest.raises(IncompatibleQuotient):
         language_quotient(lang, j)
-
-
-def test_enumerate_expressions_all_well_formed():
-    lang = w_language()
-    exprs = enumerate_expressions(lang, 3)
-    assert all(well_formed(lang, e) for e in exprs)
-    assert Atomic("WorksFor") in exprs
-    assert Not(Atomic("WorksFor")) in exprs
 
 
 @given(st.integers(min_value=0, max_value=50))

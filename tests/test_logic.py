@@ -567,8 +567,9 @@ def test_fiber_along_a_composite_is_the_fiber_of_the_fiber_randomized():
         g, h, l = chain
         mid, inc_h = fiber(h, l)
         first, inc_g = fiber(g, mid)
-        assert fiber(compose_theory_morphisms(g, h), l) == \
-            (first, compose_logic_morphisms(inc_g, inc_h))
+        gh = compose_theory_morphisms(g, h)
+        assert fiber(gh, l) == (first, compose_logic_morphisms(inc_g, inc_h))
+        assert transpose(gh, l) == compose_logic_morphisms(transpose(g, mid), inc_h)
         checked += 1
         classified += bool(first.model.relation_incidence)
     assert classified > 5
