@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import OntofuseError
+from .errors import DomainMismatch, OntofuseError
 from .language import (And, Atomic, Exists, Expression, Forall, Implies,
                        LanguageMorphism, Not, Or, Subst, TypeLanguage)
 from .logic import Logic, LogicMorphism
@@ -217,9 +217,11 @@ def _parse_model(name: str, body, doc: Document) -> Model:
                 fdict(_map(name, _pairs(name, sub.get("valuation", ()), "valuation"),
                            "valuation")))))
         tuples = _map(name, entries, "tuples")
+        for t, (arity, val) in tuples.items():
+            if val.keys() != arity:
+                raise DomainMismatch(f"tuple of {t!r} not total exactly on its arity")
         rel_inc = _pairs(name, c.get("relation-incidence", ()), "relation-incidence")
-        m = Model(lang, frozenset(entities), frozenset(incidence), frozenset(tuples),
-                  fdict({t: a for t, (a, _) in tuples.items()}),
+        m = Model(lang, frozenset(entities), frozenset(incidence),
                   fdict({t: v for t, (_, v) in tuples.items()}), frozenset(rel_inc))
         m.check(well_sorted=False)
         return m

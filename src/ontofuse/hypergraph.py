@@ -1,8 +1,9 @@
 """Hypergraphs with variable-indexed tuples and their keyed products.
 
-Hyperedges carry a set-valued arity (a subset of the name pool) and a
-tuple function assigning a node to each name in the arity.  These are
-the instance-side skeleton of models.
+Each hyperedge carries a tuple function assigning a node to each name
+of its arity, a subset of the name pool; the arity is the tuple
+function's domain, so it is stored only there.  These are the
+instance-side skeleton of models.
 """
 from __future__ import annotations
 
@@ -18,27 +19,20 @@ from .tokens import FrozenDict, fdict, sorted_tokens
 class Hypergraph:
     names: frozenset
     nodes: frozenset
-    hyperedges: frozenset
-    arity: FrozenDict  # edge -> frozenset of names
-    valuation: FrozenDict  # edge -> FrozenDict name -> node (total on arity)
+    valuation: FrozenDict  # edge -> FrozenDict name -> node, its domain the arity
 
     @staticmethod
     def make(names: Iterable, nodes: Iterable, edges: Mapping) -> "Hypergraph":
         """Build from edges: mapping edge token -> {name: node}."""
-        arity = {e: frozenset(tup) for e, tup in edges.items()}
-        val = {e: fdict(tup) for e, tup in edges.items()}
-        hg = Hypergraph(frozenset(names), frozenset(nodes), frozenset(edges),
-                        fdict(arity), fdict(val))
+        hg = Hypergraph(frozenset(names), frozenset(nodes),
+                        fdict({e: fdict(tup) for e, tup in edges.items()}))
         hg.check()
         return hg
 
     def check(self) -> None:
-        for e in self.hyperedges:
-            arity, tup = self.arity[e], self.valuation[e]
-            if not arity <= self.names:
+        for e, tup in self.valuation.items():
+            if not tup.keys() <= self.names:
                 raise DomainMismatch(f"edge {e!r} uses names outside the pool")
-            if tup.keys() != arity:
-                raise DomainMismatch(f"tuple of {e!r} not total exactly on its arity")
             if not self.nodes.issuperset(tup.values()):
                 raise DomainMismatch(f"tuple of {e!r} leaves the node set")
 
@@ -59,10 +53,10 @@ def hypergraph_product(a: Hypergraph, b: Hypergraph,
     (node_a, node_b), (edge_a, edge_b) = node_keys, edge_keys
     nodes = keyed_pairs(a.nodes, b.nodes, node_a, node_b)
     edges = {}
-    for e, f in keyed_pairs(a.hyperedges, b.hyperedges, lambda e: (edge_a(e), a.arity[e]),
-                            lambda f: (edge_b(f), b.arity[f])):
-        tup = {x: (a.valuation[e][x], b.valuation[f][x]) for x in a.arity[e]}
+    for e, f in keyed_pairs(a.valuation, b.valuation,
+                            lambda e: (edge_a(e), frozenset(a.valuation[e])),
+                            lambda f: (edge_b(f), frozenset(b.valuation[f]))):
+        tup = {x: (v, b.valuation[f][x]) for x, v in a.valuation[e].items()}
         if all(node_a(v) == node_b(w) for v, w in tup.values()):
             edges[(e, f)] = tup
     return Hypergraph.make(a.names, nodes, edges)
-

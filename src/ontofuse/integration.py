@@ -236,8 +236,6 @@ def _relabel_logic(l: Logic) -> Logic:
     model = Model(m.language,
                   frozenset(e for e, _ in m.entities),
                   frozenset((e[0], a) for (e, a) in m.entity_incidence),
-                  frozenset(t for t, _ in m.tuples),
-                  fdict({t[0]: arity for t, arity in m.tuple_arity.items()}),
                   fdict({t[0]: fdict({x: e[0] for x, e in val.items()})
                          for t, val in m.tuple_valuation.items()}),
                   frozenset((t[0], r) for (t, r) in m.relation_incidence))

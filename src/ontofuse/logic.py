@@ -177,20 +177,18 @@ def free_logic(t: Theory, budget: int = DEFAULT_BUDGET, strict: bool = False) ->
     tokens = list(itertools.islice(free_tuple_tokens(lang), budget + 1))
     if len(tokens) > budget:
         raise BudgetExceeded(f"free model would have more than {budget} tuples")
-    arity = {tok: tok[0] for tok in tokens}
     valuation = {tok: fdict(free_signature(lang, tok[0], tok[1])) for tok in tokens}
     rel_inc = [(tok, r) for tok in tokens for r in tok[1]]
-    model = Model(lang, power.instances, power.incidence, frozenset(tokens),
-                  fdict(arity), fdict(valuation), frozenset(rel_inc))
+    model = Model(lang, power.instances, power.incidence, fdict(valuation), frozenset(rel_inc))
     logic = Logic(t, model, model.entities,
                   frozenset(tok for tok in tokens if _tuple_conforms(model, t, tok)))
     return sound_part(logic)
 
 
 def _tuple_conforms(model: Model, t: Theory, token: tuple) -> bool:
-    arity = model.tuple_arity[token]
-    return all(holds(model, model.tuple_valuation[token], a)
-               for a in t.axioms if free_vars(model.language, a) <= arity)
+    val = model.tuple_valuation[token]
+    return all(holds(model, val, a)
+               for a in t.axioms if free_vars(model.language, a) <= val.keys())
 
 
 def counit(l: Logic, budget: int = DEFAULT_BUDGET) -> LogicMorphism:
@@ -204,7 +202,8 @@ def counit(l: Logic, budget: int = DEFAULT_BUDGET) -> LogicMorphism:
     free = free_logic(l.theory, budget)
     entity_intent = l.model.entity_classification().intent
     tuple_intent = l.model.relation_classification().intent
-    tuple_map = {t: (l.model.tuple_arity[t], tuple_intent(t)) for t in l.model.tuples}
+    tuple_map = {t: (frozenset(val), tuple_intent(t))
+                 for t, val in l.model.tuple_valuation.items()}
     for tok in tuple_map.values():
         if tok not in free.model.tuples:
             raise SoundnessViolation(f"image token {tok!r} was abnormal in the free logic")
@@ -357,16 +356,15 @@ def fiber(g: TheoryMorphism, p: Logic) -> tuple[Logic, LogicMorphism]:
     ok, witness = language_morphism_valid(lm)
     if not ok:
         raise DomainMismatch(f"g does not preserve {witness[0]} at {witness[1]!r}")
-    arities = {t: frozenset(x for x in lang.variables if lm.var_map[x] in m.tuple_arity[t])
-               for t in m.tuples}
+    valuation = {t: fdict({x: val[lm.var_map[x]] for x in lang.variables
+                           if lm.var_map[x] in val})
+                 for t, val in m.tuple_valuation.items()}
     model = Model(lang, m.entities,
                   frozenset((e, a) for e in m.entities for a in lang.entity_types
                             if m.entity_classifies(e, lm.entity_map[a])),
-                  m.tuples, fdict(arities),
-                  fdict({t: fdict({x: m.tuple_valuation[t][lm.var_map[x]] for x in arities[t]})
-                         for t in m.tuples}),
-                  frozenset((t, r) for t in m.tuples for r in lang.relation_types
-                            if lang.arity[r] <= arities[t]
+                  fdict(valuation),
+                  frozenset((t, r) for t, val in valuation.items() for r in lang.relation_types
+                            if lang.arity[r] <= val.keys()
                             and token_satisfies(m, t, lm.relation_map[r])))
     model.check(well_sorted=False)
     fib = Logic(g.source, model, m.entities, m.tuples)

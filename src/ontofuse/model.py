@@ -3,12 +3,13 @@
 A model is an entity classification, a relation classification and an
 instance hypergraph over one language, and its sum and dual quotient
 are built from theirs.  Relation instances are abstract tuple tokens,
-each carrying a variable-set arity and a valuation into the entities; the
-common case (built by :meth:`Model.from_extents`) uses well-sorted
-assignments as their own tokens, with incidence derived by the lax rule
-"the restriction of the tuple lies in the extent".  Keeping tokens
-abstract matters because the free model over a theory has relation
-instances that share a valuation but differ in incidence.
+each mapped to a valuation into the entities whose domain is its
+variable-set arity, so the tuple set and the arities are views of that
+one map.  The common case (built by :meth:`Model.from_extents`) uses
+well-sorted assignments as their own tokens, with incidence derived by
+the lax rule "the restriction of the tuple lies in the extent".  Keeping
+tokens abstract matters because the free model over a theory has
+relation instances that share a valuation but differ in incidence.
 
 Evaluation reads two indexes that a model builds on first use: for
 each relation type its classified rows (valuations restricted to the
@@ -50,9 +51,7 @@ class Model:
     language: TypeLanguage
     entities: frozenset
     entity_incidence: frozenset  # (entity, entity type)
-    tuples: frozenset  # tuple tokens
-    tuple_arity: FrozenDict  # token -> frozenset of variables
-    tuple_valuation: FrozenDict  # token -> Assignment over its arity
+    tuple_valuation: FrozenDict  # tuple token -> Assignment, its domain the arity
     relation_incidence: frozenset  # (token, relation type)
 
     # -- constructors ------------------------------------------------------
@@ -64,24 +63,30 @@ class Model:
         """Build a model whose tuples are the extent assignments themselves.
 
         ``extents`` maps relation types to iterables of assignments with
-        domain exactly the relation's arity.  ``extra_tuples`` adds
-        further well-sorted assignments as hyperedges; incidence is the
-        lax derived one throughout.
+        domain exactly the relation's arity; an unknown relation type or
+        another domain raises DomainMismatch, naming the token-order-first
+        offender.  ``extra_tuples`` adds further well-sorted assignments
+        as hyperedges; incidence is the lax derived one throughout.
         """
+        unknown = set(extents) - language.relation_types
+        if unknown:
+            raise DomainMismatch(f"extent of unknown relation type {min(unknown, key=token_key)!r}")
         ext = {rho: frozenset(fdict(t) for t in extents.get(rho, ()))
                for rho in language.relation_types}
-        tokens = set(itertools.chain(*ext.values()))
-        tokens.update(fdict(t) for t in extra_tuples)
-        arity = {t: frozenset(t) for t in tokens}
-        valuation = {t: t for t in tokens}
+        bad = [(rho, t) for rho, rows in ext.items() for t in rows if t.keys() != language.arity[rho]]
+        if bad:
+            rho, t = min(bad, key=token_key)
+            raise DomainMismatch(f"extent row {t!r} of {rho!r} not total exactly on its arity")
+        valuation = {t: t for t in itertools.chain(*ext.values())}
+        valuation.update((t, t) for t in map(fdict, extra_tuples))
         incidence = set()
-        for t in tokens:
+        for t in valuation:
             for rho in language.relation_types:
-                if language.arity[rho] <= arity[t] and \
+                if language.arity[rho] <= t.keys() and \
                         restrict(t, language.arity[rho]) in ext[rho]:
                     incidence.add((t, rho))
         m = Model(language, frozenset(entities), frozenset(tuple(p) for p in entity_incidence),
-                  frozenset(tokens), fdict(arity), fdict(valuation), frozenset(incidence))
+                  fdict(valuation), frozenset(incidence))
         m.check()
         return m
 
@@ -100,14 +105,14 @@ class Model:
                 raise DomainMismatch(f"entity incidence pair ({e!r}, {a!r}) out of range")
         self.instance_hypergraph().check()
         if well_sorted:
-            for t in self.tuples:
-                for x, e in self.tuple_valuation[t].items():
+            for t, val in self.tuple_valuation.items():
+                for x, e in val.items():
                     if not self.entity_classifies(e, self.language.reference[x]):
                         raise DomainMismatch(f"tuple {t!r} ill-sorted at {x!r}")
         for (t, rho) in self.relation_incidence:
-            if t not in self.tuples or rho not in self.language.relation_types:
+            if t not in self.tuple_valuation or rho not in self.language.relation_types:
                 raise DomainMismatch(f"relation incidence pair ({t!r}, {rho!r}) out of range")
-            if not self.language.arity[rho] <= self.tuple_arity[t]:
+            if not self.language.arity[rho] <= self.tuple_valuation[t].keys():
                 raise DomainMismatch(f"{t!r} classified by {rho!r} of larger arity")
 
     def product(self, other: "Model", entity_keys: tuple[Callable, Callable] = (unkeyed, unkeyed),
@@ -128,33 +133,37 @@ class Model:
                                   entity_keys, tuple_keys)
         intents_a = tagged_intents(self.relation_classification(), ltag)
         intents_b = tagged_intents(other.relation_classification(), rtag)
-        arity, valuation, rel_inc = {}, {}, []
-        for tok in prod.hyperedges:
-            pairs = prod.valuation[tok]
-            arity[tok] = frozenset(itertools.chain(
-                (ltag(x) for x in pairs), (rtag(x) for x in pairs)))
+        valuation, rel_inc = {}, []
+        for tok, pairs in prod.valuation.items():
             valuation[tok] = fdict({**{ltag(x): v for x, v in pairs.items()},
                                     **{rtag(x): v for x, v in pairs.items()}})
             rel_inc.extend((tok, r) for r in intents_a.get(tok[0], ()))
             rel_inc.extend((tok, r) for r in intents_b.get(tok[1], ()))
-        s = Model(lang, ents.instances, ents.incidence, prod.hyperedges,
-                  fdict(arity), fdict(valuation), frozenset(rel_inc))
+        s = Model(lang, ents.instances, ents.incidence, fdict(valuation), frozenset(rel_inc))
         s.check(well_sorted=False)
         return s
 
     def restrict(self, entities: Iterable, tuples: Iterable) -> "Model":
         """The sub-model on the given entities and those given tuples valued among them."""
         entities = frozenset(entities)
-        tuples = frozenset(t for t in tuples
-                           if all(v in entities for v in self.tuple_valuation[t].values()))
+        valuation = {t: self.tuple_valuation[t] for t in tuples
+                     if all(v in entities for v in self.tuple_valuation[t].values())}
         return Model(self.language, entities,
                      frozenset(p for p in self.entity_incidence if p[0] in entities),
-                     tuples,
-                     fdict({t: self.tuple_arity[t] for t in tuples}),
-                     fdict({t: self.tuple_valuation[t] for t in tuples}),
-                     frozenset(p for p in self.relation_incidence if p[0] in tuples))
+                     fdict(valuation),
+                     frozenset(p for p in self.relation_incidence if p[0] in valuation))
 
     # -- indexes -----------------------------------------------------------
+
+    @cached_property
+    def tuples(self) -> frozenset:
+        """The tuple tokens: the valuation's keys."""
+        return frozenset(self.tuple_valuation)
+
+    @cached_property
+    def tuple_arity(self) -> FrozenDict:
+        """Token -> its arity, the domain of its valuation."""
+        return fdict({t: frozenset(val) for t, val in self.tuple_valuation.items()})
 
     @cached_property
     def _rows(self) -> dict:
@@ -196,8 +205,7 @@ class Model:
         return Classification(self.tuples, self.language.relation_types, self.relation_incidence)
 
     def instance_hypergraph(self) -> Hypergraph:
-        return Hypergraph(self.language.variables, self.entities, self.tuples,
-                          self.tuple_arity, self.tuple_valuation)
+        return Hypergraph(self.language.variables, self.entities, self.tuple_valuation)
 
     def well_sorted_assignments(self, domain: Iterable) -> list[Assignment]:
         """All assignments with the given domain, each value in its sort's extent."""
@@ -277,7 +285,7 @@ def token_satisfies(m: Model, t: Token, image: Token | Expression) -> bool:
     if isinstance(image, Atomic):
         return m.tuple_classifies(t, image.relation)
     fv = free_vars(m.language, image)
-    if not fv <= m.tuple_arity[t]:
+    if not fv <= m.tuple_valuation[t].keys():
         return False
     return holds(m, m.tuple_valuation[t], image)
 
@@ -339,7 +347,7 @@ def model_sum(a: Model, b: Model) -> tuple[Model, ModelMorphism, ModelMorphism]:
 def _lax_split(m: Model, t: Token, members: list) -> Optional[tuple]:
     """Lax respect: of the identified relation types that t's arity covers,
     the first classifying t and the first not, if t splits them."""
-    applicable = [r for r in members if m.language.arity[r] <= m.tuple_arity[t]]
+    applicable = [r for r in members if m.language.arity[r] <= m.tuple_valuation[t].keys()]
     hits = [r for r in applicable if m.tuple_classifies(t, r)]
     if 0 < len(hits) < len(applicable):
         return hits[0], next(r for r in applicable if r not in hits)
@@ -387,27 +395,26 @@ def model_dual_quotient(a: Model, j: ModelDualInvariant) -> tuple[Model, ModelMo
         ClassificationInvariant(kept.entities, j.type_relation.entity_pairs))
     var_cls, rel_cls = canon.var_map, canon.relation_map
     rel_groups = [cls for cls in class_groups(rel_cls) if len(cls) > 1]
-    split = [t for t in kept.tuples if any(_lax_split(a, t, cls) for cls in rel_groups)]
+    split = [t for t in kept.tuple_valuation if any(_lax_split(a, t, cls) for cls in rel_groups)]
     if split:
         t = min(split, key=token_key)
         groups = sorted(map(sorted_tokens, rel_groups), key=lambda ms: token_key(ms[0]))
         pos, neg = next(w for w in (_lax_split(a, t, cls) for cls in groups) if w)
         raise RespectViolation(t, pos, neg)
-    arity, valuation, clashes = {}, {}, []
-    for t in kept.tuples:
+    valuation, clashes = {}, []
+    for t, old in kept.tuple_valuation.items():
         val = {}
-        for x in a.tuple_arity[t]:
-            if val.setdefault(var_cls[x], a.tuple_valuation[t][x]) != a.tuple_valuation[t][x]:
+        for x, v in old.items():
+            if val.setdefault(var_cls[x], v) != v:
                 clashes.append(t)
                 break
-        arity[t] = frozenset(var_cls[x] for x in a.tuple_arity[t])
         valuation[t] = fdict(val)
     if clashes:
         t = min(clashes, key=token_key)
-        x, _ = first_clash(a.tuple_arity[t], var_cls, a.tuple_valuation[t].__getitem__)
+        x, _ = first_clash(a.tuple_valuation[t], var_cls, a.tuple_valuation[t].__getitem__)
         raise IncompatibleQuotient(x, var_cls[x], f"tuple {t!r} values merged variables differently")
     q = replace(kept, language=lang, entity_incidence=ents.incidence,
-                tuple_arity=fdict(arity), tuple_valuation=fdict(valuation),
+                tuple_valuation=fdict(valuation),
                 relation_incidence=frozenset((t, rel_cls[r])
                                              for (t, r) in kept.relation_incidence))
     q.check(well_sorted=False)

@@ -169,15 +169,13 @@ def separated_logic(rng: random.Random, tag: str = "") -> Logic:
             for rels in itertools.combinations(fitting, k):
                 profiles.append((x_set, frozenset(rels), rows))
     rng.shuffle(profiles)
-    tuples, arity, valuation, rel_inc = [], {}, {}, []
+    valuation, rel_inc = {}, []
     for i, (x_set, rels, rows) in enumerate(profiles[:rng.randint(0, 3)]):
         tok = f"{tag}t{i}"
-        tuples.append(tok)
-        arity[tok] = x_set
         valuation[tok] = rng.choice(rows)
         rel_inc.extend((tok, r) for r in rels)
-    m = Model(lang, frozenset(entities), frozenset(incidence), frozenset(tuples),
-              fdict(arity), fdict(valuation), frozenset(rel_inc))
+    m = Model(lang, frozenset(entities), frozenset(incidence), fdict(valuation),
+              frozenset(rel_inc))
     m.check()
     return Logic.make(Theory.make(lang, []), m)
 
@@ -213,14 +211,12 @@ def relabeled_target(rng: random.Random, k: Logic, tag: str,
     m = k.model
     incidence = [(e, em[a]) for e in entities
                  for a in lang.entity_types if m.entity_classifies(entity_map[e], a)]
-    arity = {t: frozenset(vm[x] for x in m.tuple_arity[tuple_map[t]]) for t in tuples}
     valuation = {t: fdict({vm[x]: v for x, v in m.tuple_valuation[tuple_map[t]].items()})
                  for t in tuples}
     rel_inc = [(t, rm[r]) for t in tuples for r in lang.relation_types
                if m.tuple_classifies(tuple_map[t], r)]
     tgt_model = Model(tgt_lang, frozenset(entities), frozenset(incidence),
-                      frozenset(tuples), fdict(arity), fdict(valuation),
-                      frozenset(rel_inc))
+                      fdict(valuation), frozenset(rel_inc))
     tgt_model.check()
     target = Logic.make(Theory.make(tgt_lang, []), tgt_model)
     lm = LanguageMorphism.make(lang, tgt_lang, vm, em, rm)

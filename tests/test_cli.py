@@ -82,6 +82,41 @@ def test_check_names_the_missing_reference_key(tmp_path, capsys):
     assert f"{path}: fail: reference is not total on its domain: missing 'y'" in out
 
 
+def test_check_rejects_a_tuple_whose_arity_is_not_its_valuations_domain(tmp_path, capsys):
+    path = tmp_path / "abstract.iff"
+    text = (CORPUS / "abstract.iff").read_text()
+    path.write_text(text.replace("(l1 (arity s)", "(l1 (arity s t)"))
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 1
+    assert out == f"{path}: fail: tuple of 'l1' not total exactly on its arity\n"
+
+
+EXTENTS_LANGUAGE = ("(language W (variables x y) (entity-types Person Company) "
+                    "(reference (x Person) (y Company)) (relations (WorksFor (x y))))\n"
+                    "(model M (language W) (entities bob acme) "
+                    "(incidence (bob Person) (acme Company)) ")
+
+
+@pytest.mark.parametrize("extents, message", [
+    ("(extents (WorksFor ((x bob))))",
+     "extent row {'x': 'bob'} of 'WorksFor' not total exactly on its arity"),
+    ("(extents (WorksFor) (Foo ((x bob) (y acme))))",
+     "extent of unknown relation type 'Foo'"),
+], ids=["short-row", "unknown-relation"])
+def test_check_rejects_a_bad_extent_under_every_hash_seed(tmp_path, extents, message):
+    path = tmp_path / "extents.iff"
+    path.write_text(EXTENTS_LANGUAGE + extents + ")\n")
+    runs = [subprocess.Popen([sys.executable, "-m", "ontofuse.cli", "check", str(path)],
+                             env={**os.environ, "PYTHONHASHSEED": str(seed)},
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for seed in range(4)]
+    results = set()
+    for r in runs:
+        out, err = r.communicate(timeout=60)
+        results.add((r.returncode, out, err))
+    assert results == {(1, f"{path}: fail: {message}\n", "")}
+
+
 def test_check_syntax_error_exit_one(tmp_path, capsys):
     path = tmp_path / "broken.iff"
     path.write_text("(language L (variables")

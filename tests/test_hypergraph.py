@@ -6,6 +6,7 @@ import pytest
 
 from ontofuse.errors import DomainMismatch, NameSetMismatch
 from ontofuse.hypergraph import Hypergraph, hypergraph_product
+from ontofuse.tokens import fdict
 
 
 def two_node_graph():
@@ -18,7 +19,7 @@ def test_product_with_empty_arity_partner():
     b = Hypergraph.make(["x"], ["m"], {"f": {}})
     prod = hypergraph_product(a, b)
     # only the empty-arity edge of a finds a partner
-    assert set(prod.hyperedges) == {("e0", "f")}
+    assert set(prod.valuation) == {("e0", "f")}
 
 
 def test_product_pairs_equal_arities_only():
@@ -26,7 +27,7 @@ def test_product_pairs_equal_arities_only():
                         {"u": {"x": "n"}, "b": {"x": "n", "y": "n"}})
     c = Hypergraph.make(["x", "y"], ["m"], {"v": {"x": "m"}})
     prod = hypergraph_product(a, c)
-    assert set(prod.hyperedges) == {("u", "v")}
+    assert set(prod.valuation) == {("u", "v")}
     assert prod.valuation[("u", "v")]["x"] == ("n", "m")
 
 
@@ -52,10 +53,10 @@ def test_projections_valid_on_random_inputs():
         prod = hypergraph_product(a, b)
         # both projections preserve every edge pair's arity and tuple
         assert set(prod.nodes) == {(n, m) for n in a.nodes for m in b.nodes}
-        for (e, f) in prod.hyperedges:
-            assert prod.arity[(e, f)] == a.arity[e] == b.arity[f]
+        for (e, f) in prod.valuation:
+            assert prod.valuation[(e, f)].keys() == a.valuation[e].keys() == b.valuation[f].keys()
             assert dict(prod.valuation[(e, f)]) == \
-                {x: (a.valuation[e][x], b.valuation[f][x]) for x in a.arity[e]}
+                {x: (a.valuation[e][x], b.valuation[f][x]) for x in a.valuation[e]}
 
 
 def test_product_symmetric_up_to_swap():
@@ -64,13 +65,12 @@ def test_product_symmetric_up_to_swap():
     ab = hypergraph_product(a, b)
     ba = hypergraph_product(b, a)
     assert {(q, p) for (p, q) in ab.nodes} == set(ba.nodes)
-    assert {(f, e) for (e, f) in ab.hyperedges} == set(ba.hyperedges)
+    assert {(f, e) for (e, f) in ab.valuation} == set(ba.valuation)
 
 
 def test_sub_hypergraph_closure_violation():
     h = two_node_graph()
-    broken = Hypergraph(h.names, frozenset({"n0"}), h.hyperedges,
-                        h.arity, h.valuation)
+    broken = Hypergraph(h.names, frozenset({"n0"}), h.valuation)
     with pytest.raises(DomainMismatch, match="leaves the node set"):
         broken.check()
 
@@ -82,7 +82,7 @@ def test_all_sub_hypergraphs_counted():
                   for c in itertools.combinations(["n0", "n1"], k)):
         for edges in (frozenset(), frozenset({"e"})):
             try:
-                Hypergraph(h.names, nodes, edges, h.arity, h.valuation).check()
+                Hypergraph(h.names, nodes, fdict({e: h.valuation[e] for e in edges})).check()
                 closed += 1
             except DomainMismatch:
                 pass

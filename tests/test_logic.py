@@ -575,6 +575,25 @@ def test_fiber_along_a_composite_is_the_fiber_of_the_fiber_randomized():
     assert classified > 5
 
 
+def test_composition_is_associative_with_identities_randomized():
+    rng = random.Random(173)
+    checked = 0
+    while checked < 150:
+        chain = rand_chain(rng)
+        if chain is None:
+            continue
+        g, h, l = chain
+        mid, inc_h = fiber(h, l)
+        first, inc_g = fiber(g, mid)
+        eps = counit(first)
+        assert compose_logic_morphisms(compose_logic_morphisms(eps, inc_g), inc_h) == \
+            compose_logic_morphisms(eps, compose_logic_morphisms(inc_g, inc_h))
+        for f in (eps, inc_g, inc_h):
+            assert compose_logic_morphisms(identity_logic_morphism(f.source), f) == f
+            assert compose_logic_morphisms(f, identity_logic_morphism(f.target)) == f
+        checked += 1
+
+
 def test_fiber_along_an_identity_is_the_logic_randomized():
     rng = random.Random(167)
     for _ in range(20):

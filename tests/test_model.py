@@ -517,8 +517,6 @@ def abstract_tuple_model():
                              {"R": ("x",), "S": ("x", "y")})
     val = fdict({"x": "a", "y": "b"})
     m = Model(lang, frozenset({"a", "b"}), frozenset({("a", "T"), ("b", "T")}),
-              frozenset({"t1", "t2", "t3"}),
-              fdict({"t1": frozenset(VARS), "t2": frozenset(VARS), "t3": frozenset({"y"})}),
               fdict({"t1": val, "t2": val, "t3": fdict({"y": "a"})}),
               frozenset({("t1", "S"), ("t2", "R")}))
     m.check()
