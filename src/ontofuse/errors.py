@@ -1,7 +1,7 @@
 """Exception types shared across the library."""
 from __future__ import annotations
 
-from typing import Collection, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .tokens import token_key
 
@@ -29,6 +29,15 @@ def check_total(m: Mapping, domain: Collection, codomain: Collection, what: str)
     outside = [v for v in m.values() if v not in codomain]
     if outside:
         raise DomainMismatch(f"{what} leaves its codomain: {min(outside, key=token_key)!r}")
+
+
+def raise_first_fault(faults: Iterable[tuple]) -> None:
+    """Raise DomainMismatch for the token-order-first of (witness, message)
+    faults, if there are any, so the message does not depend on the order
+    in which a check scans."""
+    faults = list(faults)
+    if faults:
+        raise DomainMismatch(min(faults, key=lambda f: token_key(f[0]))[1])
 
 
 class RespectViolation(OntofuseError):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .classification import keyed_pairs, unkeyed
-from .errors import DomainMismatch, NameSetMismatch
+from .errors import NameSetMismatch, raise_first_fault
 from .tokens import FrozenDict, fdict, sorted_tokens
 
 
@@ -30,11 +30,16 @@ class Hypergraph:
         return hg
 
     def check(self) -> None:
+        """Raise DomainMismatch naming the token-order-first edge whose
+        names leave the pool or whose nodes leave the node set."""
+        raise_first_fault(self._faults())
+
+    def _faults(self):
         for e, tup in self.valuation.items():
             if not tup.keys() <= self.names:
-                raise DomainMismatch(f"edge {e!r} uses names outside the pool")
-            if not self.nodes.issuperset(tup.values()):
-                raise DomainMismatch(f"tuple of {e!r} leaves the node set")
+                yield e, f"edge {e!r} uses names outside the pool"
+            elif not self.nodes.issuperset(tup.values()):
+                yield e, f"tuple of {e!r} leaves the node set"
 
 
 def hypergraph_product(a: Hypergraph, b: Hypergraph,

@@ -16,7 +16,8 @@ each relation type its classified rows (valuations restricted to the
 relation's arity, as value tuples in one fixed variable order), and for
 each entity type its entities in token order.  A model is frozen, so
 the indexes never go stale; a copy made with ``dataclasses.replace``
-builds its own.
+builds its own.  The bounded search of :mod:`ontofuse.theory` hands the
+evaluator candidates that carry only these two indexes.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .classification import (Classification, ClassificationInvariant, Infomorphi
                              classification_sum, first_clash, infomorphism_valid,
                              tagged_intents, unkeyed)
 from .errors import (DomainMismatch, IncompatibleQuotient, LaxViolation,
-                     RespectViolation, check_total)
+                     RespectViolation, check_total, raise_first_fault)
 from .hypergraph import Hypergraph, hypergraph_product
 from .language import (And, Atomic, Exists, Expression, Forall, Implies,
                        LanguageEndorelation, LanguageMorphism, Not, Or, Subst,
@@ -98,22 +99,27 @@ class Model:
         """Structural sanity; pass well_sorted=False to skip sort membership.
 
         Free models (and their sums and quotients) legitimately value
-        uncovered coordinates outside their sort's extent.
+        uncovered coordinates outside their sort's extent.  Each kind of
+        fault is checked in turn, and DomainMismatch names the
+        token-order-first offender of the first kind found.
         """
-        for (e, a) in self.entity_incidence:
-            if e not in self.entities or a not in self.language.entity_types:
-                raise DomainMismatch(f"entity incidence pair ({e!r}, {a!r}) out of range")
+        raise_first_fault(((e, a), f"entity incidence pair ({e!r}, {a!r}) out of range")
+                          for (e, a) in self.entity_incidence
+                          if e not in self.entities or a not in self.language.entity_types)
         self.instance_hypergraph().check()
         if well_sorted:
-            for t, val in self.tuple_valuation.items():
-                for x, e in val.items():
-                    if not self.entity_classifies(e, self.language.reference[x]):
-                        raise DomainMismatch(f"tuple {t!r} ill-sorted at {x!r}")
+            raise_first_fault(((t, x), f"tuple {t!r} ill-sorted at {x!r}")
+                              for t, val in self.tuple_valuation.items()
+                              for x, e in val.items()
+                              if not self.entity_classifies(e, self.language.reference[x]))
+        raise_first_fault(self._incidence_faults())
+
+    def _incidence_faults(self):
         for (t, rho) in self.relation_incidence:
             if t not in self.tuple_valuation or rho not in self.language.relation_types:
-                raise DomainMismatch(f"relation incidence pair ({t!r}, {rho!r}) out of range")
-            if not self.language.arity[rho] <= self.tuple_valuation[t].keys():
-                raise DomainMismatch(f"{t!r} classified by {rho!r} of larger arity")
+                yield (t, rho), f"relation incidence pair ({t!r}, {rho!r}) out of range"
+            elif not self.language.arity[rho] <= self.tuple_valuation[t].keys():
+                yield (t, rho), f"{t!r} classified by {rho!r} of larger arity"
 
     def product(self, other: "Model", entity_keys: tuple[Callable, Callable] = (unkeyed, unkeyed),
                 tuple_keys: tuple[Callable, Callable] = (unkeyed, unkeyed)) -> "Model":
@@ -225,6 +231,7 @@ def holds(m: Model, t: Mapping, e: Expression) -> bool:
 
 
 def _eval(m: Model, t: Mapping, e: Expression) -> bool:
+    # m is a Model or a search candidate: either has language, _rows and _pools
     if isinstance(e, Atomic):
         order, rows = m._rows[e.relation]
         return tuple(map(t.__getitem__, order)) in rows

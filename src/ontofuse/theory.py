@@ -3,7 +3,9 @@
 Entailment is semantic and undecidable in general; here it is realized
 as bounded countermodel search over finite models whose entity sets are
 prefixes of a canonical token sequence.  Verdicts carry the bound, so
-incompleteness is explicit.
+incompleteness is explicit.  The search evaluates each candidate on the
+rows it chooses, and builds a Model only for a model it yields or a
+countermodel it returns.
 """
 from __future__ import annotations
 
@@ -13,11 +15,11 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetExceeded, DomainMismatch
 from .language import (Expression, LanguageEndorelation, LanguageMorphism,
-                       TypeLanguage, compose_language_morphisms,
+                       TypeLanguage, compose_language_morphisms, free_vars,
                        identity_language_morphism,
                        language_morphism_valid, language_quotient, language_sum,
                        translate_expression, well_formed)
-from .model import Model, satisfies
+from .model import Model, _eval, satisfies
 from .tokens import sorted_tokens
 
 DEFAULT_BUDGET = 10000
@@ -86,16 +88,67 @@ def entity_token(i: int) -> str:
     return f"_e{i}"
 
 
-def enumerate_models(t: Theory, max_entities: int,
-                     budget: int = DEFAULT_BUDGET) -> Iterator[Model]:
-    """Yield every model of t over entity prefixes _e0.._e(n-1), n <= max_entities.
+class _Candidate:
+    """A candidate model as the evaluator reads it: the skeleton's sort
+    pools and, for each relation type, the rows it chooses.
 
+    The Model that :meth:`model` builds from the chosen extents has
+    exactly these indexes: its tuples are the extent rows, and a tuple is
+    classified by a relation type just when its restriction to the type's
+    arity lies in that type's extent.
+    """
+
+    __slots__ = ("language", "_pools", "_rows", "_skeleton", "_choice")
+
+    def __init__(self, skeleton: "_Skeleton", choice: tuple):
+        self.language = skeleton.model.language
+        self._pools = skeleton.model._pools
+        self._rows = dict(zip(skeleton.rhos, [rows for _, rows in choice]))
+        self._skeleton = skeleton
+        self._choice = choice
+
+    def axioms_hold(self) -> bool:
+        return all(_eval(self, t, e) for e, ts in self._skeleton.axioms for t in ts)
+
+    def query_holds(self, i: int) -> bool:
+        """Whether the search's i-th query holds under every well-sorted assignment."""
+        e, ts = self._skeleton.queries[i]
+        return all(_eval(self, t, e) for t in ts)
+
+    def model(self) -> Model:
+        sk = self._skeleton
+        return Model.from_extents(self.language, sk.model.entities, sk.model.entity_incidence,
+                                  dict(zip(sk.rhos, [ext for ext, _ in self._choice])))
+
+
+@dataclass(frozen=True)
+class _Skeleton:
+    """One entity-incidence choice: its Model without relation instances,
+    the relation types in token order, and each axiom and query paired
+    with the well-sorted assignments on its free variables."""
+
+    model: Model
+    rhos: list
+    axioms: list  # of (expression, assignments)
+    queries: list  # of (expression, assignments)
+
+
+def _search(t: Theory, max_entities: int, budget: int,
+            queries: Iterable = ()) -> Iterator[_Candidate]:
+    """Every candidate over entity prefixes _e0.._e(n-1), n <= max_entities,
+    that satisfies t's axioms, in enumeration order; each can also test the
+    given queries.
+
+    For each n and entity-incidence choice, a candidate chooses a subset
+    of each relation type's well-sorted assignments as its extent.
     Candidates are counted against the budget before the axiom check;
-    BudgetExceeded aborts the whole enumeration.
+    BudgetExceeded aborts the whole search.
     """
     if max_entities < 0:
         raise ValueError("max_entities must be >= 0")
     lang = t.language
+    axiom_vars = [(e, free_vars(lang, e)) for e in t.axioms]
+    query_vars = [(e, free_vars(lang, e)) for e in queries]
     seen = 0
     sorts = sorted_tokens(lang.entity_types)
     rhos = sorted_tokens(lang.relation_types)
@@ -105,31 +158,74 @@ def enumerate_models(t: Theory, max_entities: int,
         for inc_bits in itertools.product((False, True), repeat=len(slots)):
             incidence = [s for s, bit in zip(slots, inc_bits) if bit]
             skeleton = Model.from_extents(lang, entities, incidence, {})
+            sk = _Skeleton(skeleton, rhos,
+                           [(e, skeleton.well_sorted_assignments(fv)) for e, fv in axiom_vars],
+                           [(e, skeleton.well_sorted_assignments(fv)) for e, fv in query_vars])
             pools = []
             for rho in rhos:
-                assignments = skeleton.well_sorted_assignments(lang.arity[rho])
-                subsets = [frozenset(c) for k in range(len(assignments) + 1)
-                           for c in itertools.combinations(assignments, k)]
-                pools.append(subsets)
-            for extent_choice in itertools.product(*pools):
+                order = tuple(lang.arity[rho])
+                assignments = skeleton.well_sorted_assignments(order)
+                rows = [tuple(a[x] for x in order) for a in assignments]
+                pools.append([(c, (order, frozenset(r))) for k in range(len(rows) + 1)
+                              for c, r in zip(itertools.combinations(assignments, k),
+                                              itertools.combinations(rows, k))])
+            for choice in itertools.product(*pools):
                 seen += 1
                 if seen > budget:
                     raise BudgetExceeded(f"model enumeration exceeded {budget} candidates")
-                m = Model.from_extents(lang, entities, incidence,
-                                       dict(zip(rhos, extent_choice)))
-                if all(satisfies(m, a) for a in t.axioms):
-                    yield m
+                cand = _Candidate(sk, choice)
+                if cand.axioms_hold():
+                    yield cand
+
+
+def enumerate_models(t: Theory, max_entities: int,
+                     budget: int = DEFAULT_BUDGET) -> Iterator[Model]:
+    """Yield every model of t over entity prefixes _e0.._e(n-1), n <= max_entities.
+
+    Candidates are counted against the budget before the axiom check;
+    BudgetExceeded aborts the whole enumeration.
+    """
+    for cand in _search(t, max_entities, budget):
+        yield cand.model()
+
+
+def _countermodel(t: Theory, cand: _Candidate, e: Expression) -> Model:
+    """The Model of a candidate that satisfies t and fails e, re-checked."""
+    m = cand.model()
+    if not all(satisfies(m, a) for a in t.axioms) or satisfies(m, e):
+        raise RuntimeError(f"countermodel to {e!r} fails its re-check")
+    return m
+
+
+def _verdicts(t: Theory, queries: list, max_entities: int, budget: int) -> dict:
+    """Each query's verdict from one search over t's models: Refuted by its
+    first countermodel in enumeration order, else NoCounterexampleUpTo.
+
+    The search stops once every query is refuted, so BudgetExceeded is
+    raised exactly when some query has no countermodel within the budget.
+    """
+    for e in queries:
+        if not well_formed(t.language, e):
+            raise DomainMismatch(f"query {e!r} is not well-formed over the theory's language")
+    open_queries = list(range(len(queries)))
+    found = {}  # query index -> Refuted
+    for cand in _search(t, max_entities, budget, queries) if queries else ():
+        for i in [i for i in open_queries if not cand.query_holds(i)]:
+            found[i] = Refuted(_countermodel(t, cand, queries[i]))
+            open_queries.remove(i)
+        if not open_queries:
+            break
+    return {e: found.get(i, NoCounterexampleUpTo(max_entities)) for i, e in enumerate(queries)}
 
 
 def entails(t: Theory, e: Expression, max_entities: int,
             budget: int = DEFAULT_BUDGET):
-    """Bounded countermodel search; Refuted(m) or NoCounterexampleUpTo(bound)."""
-    if not well_formed(t.language, e):
-        raise DomainMismatch(f"query {e!r} is not well-formed over the theory's language")
-    for m in enumerate_models(t, max_entities, budget):
-        if not satisfies(m, e):
-            return Refuted(m)
-    return NoCounterexampleUpTo(max_entities)
+    """Bounded countermodel search; Refuted(m) or NoCounterexampleUpTo(bound).
+
+    m is the first countermodel in enumeration order, built by
+    Model.from_extents and re-checked with satisfies.
+    """
+    return _verdicts(t, [e], max_entities, budget)[e]
 
 
 # --- morphism checking ------------------------------------------------------
@@ -149,22 +245,19 @@ def theory_morphism_valid(g: TheoryMorphism, max_entities: int,
     """Each source axiom's translate must be a target theorem.
 
     Translated axioms literally present in the target axiom set pass
-    syntactically (exact, not bound-qualified).
+    syntactically (exact, not bound-qualified); the others are decided
+    by one search over the target's models, each as :func:`entails`
+    would decide it alone.
     """
     ok, why = language_morphism_valid(g.language_morphism)
     if not ok:
         return MorphismVerdict(False, (), ("language", why))
-    per_axiom = []
-    overall = True
-    for a in sorted_tokens(g.source.axioms):
-        image = translate_expression(g.language_morphism, a)
-        if image in g.target.axioms:
-            per_axiom.append((a, "syntactic"))
-            continue
-        verdict = entails(g.target, image, max_entities, budget)
-        per_axiom.append((a, verdict))
-        overall = overall and bool(verdict)
-    return MorphismVerdict(overall, tuple(per_axiom))
+    axioms = sorted_tokens(g.source.axioms)
+    images = [translate_expression(g.language_morphism, a) for a in axioms]
+    searched = [e for e in images if e not in g.target.axioms]
+    verdicts = _verdicts(g.target, searched, max_entities, budget)
+    per_axiom = tuple((a, verdicts.get(e, "syntactic")) for a, e in zip(axioms, images))
+    return MorphismVerdict(all(map(bool, verdicts.values())), per_axiom)
 
 
 # --- sums and quotients -----------------------------------------------------

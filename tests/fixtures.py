@@ -139,6 +139,26 @@ def rand_expression(rng: random.Random, lang: TypeLanguage, depth: int):
     return Subst.make(mapping, body)
 
 
+def rand_theory_morphism(rng: random.Random) -> TheoryMorphism:
+    """A language relabelling between two random theories over one or two
+    relation types; some source axioms' images are target axioms, so
+    they pass syntactically, and the rest need a search."""
+    from ontofuse.language import translate_expression
+    while True:
+        k = rand_logic(rng, tag="K", max_entities=1)
+        if k.language.relation_types:
+            break
+    target, f = relabeled_target(rng, k, "A", duplicates=False)
+    lm = f.language_morphism
+    axioms = [rand_expression(rng, k.language, rng.randint(1, 3))
+              for _ in range(rng.randint(1, 3))]
+    images = [translate_expression(lm, a) for a in axioms if rng.random() < 0.3]
+    extra = [rand_expression(rng, target.language, rng.randint(1, 3))
+             for _ in range(rng.randint(0, 1))]
+    return TheoryMorphism.make(lm, Theory.make(k.language, axioms),
+                               Theory.make(target.language, images + extra))
+
+
 def separated_logic(rng: random.Random, tag: str = "") -> Logic:
     """A sound logic whose entities have pairwise distinct intents and
     whose tuples have pairwise distinct (arity, classified-set) profiles.

@@ -117,6 +117,22 @@ def test_check_rejects_a_bad_extent_under_every_hash_seed(tmp_path, extents, mes
     assert results == {(1, f"{path}: fail: {message}\n", "")}
 
 
+def test_check_names_the_token_order_first_stray_tuple_under_every_hash_seed(tmp_path):
+    path = tmp_path / "ghost.iff"
+    path.write_text(EXTENTS_LANGUAGE + "(extents (WorksFor ((x bob) (y ghost1)) "
+                    "((x bob) (y ghost2)) ((x bob) (y ghost3)))))\n")
+    runs = [subprocess.Popen([sys.executable, "-m", "ontofuse.cli", "check", str(path)],
+                             env={**os.environ, "PYTHONHASHSEED": str(seed)},
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for seed in range(6)]
+    results = set()
+    for r in runs:
+        out, err = r.communicate(timeout=60)
+        results.add((r.returncode, out, err))
+    assert results == {(1, f"{path}: fail: tuple of {{'x': 'bob', 'y': 'ghost1'}} "
+                           "leaves the node set\n", "")}
+
+
 def test_check_syntax_error_exit_one(tmp_path, capsys):
     path = tmp_path / "broken.iff"
     path.write_text("(language L (variables")
@@ -160,6 +176,15 @@ def test_entails_axiom_consequence_exit_zero(capsys):
                        "--bound", "1")
     assert code == 0
     assert "no counterexample up to 1" in out
+
+
+def test_entails_beyond_the_budget_exit_one(capsys):
+    code, out, err = run(capsys, "entails", str(CORPUS / "employment.iff"),
+                         "--theory", "TW", "--query",
+                         "(implies (atom WorksFor) (atom Employed))",
+                         "--bound", "4")
+    assert (code, out) == (1, "")
+    assert err == f"error: model enumeration exceeded {DEFAULT_BUDGET} candidates\n"
 
 
 def test_entails_refuted_exit_one_with_countermodel(tmp_path, capsys):

@@ -75,6 +75,15 @@ def test_sub_hypergraph_closure_violation():
         broken.check()
 
 
+def test_check_names_the_token_order_first_stray_edge():
+    edges = {f"e{i:02}": {"x": f"n{i:02}"} for i in reversed(range(12))}
+    with pytest.raises(DomainMismatch, match=r"^tuple of 'e00' leaves the node set$"):
+        Hypergraph.make(["x"], [], edges)
+    edges["e00"] = {"z": "n00"}
+    with pytest.raises(DomainMismatch, match=r"^edge 'e00' uses names outside the pool$"):
+        Hypergraph.make(["x"], [], edges)
+
+
 def test_all_sub_hypergraphs_counted():
     h = two_node_graph()
     closed = 0

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from ontofuse.errors import (IncompatibleQuotient, LaxViolation,
+from ontofuse.errors import (DomainMismatch, IncompatibleQuotient, LaxViolation,
                              NameSetMismatch, RespectViolation)
 from ontofuse.language import (And, Atomic, Exists, Forall, LanguageEndorelation,
                                LanguageMorphism, Not, Or, TypeLanguage,
@@ -154,6 +154,35 @@ def test_satisfies_equals_check_over_all_larger_assignments():
         over_all = all(holds(m, t, e)
                        for d in domains for t in m.well_sorted_assignments(d))
         assert satisfies(m, e) == over_all
+
+
+# --- check ---------------------------------------------------------------------
+
+def faulty_model(**fields):
+    """The employment language over bob and acme, with twelve tuples
+    t00..t11 and the given fields replaced.  Maps list their keys last
+    first, so a scan in insertion order meets t00 last."""
+    tokens = [f"t{i:02}" for i in range(12)]
+    m = Model(w_language(), frozenset({"bob", "acme"}),
+              frozenset({("bob", "Person"), ("acme", "Company")}),
+              fdict({t: fdict({"x": "bob", "y": "acme"}) for t in tokens}),
+              frozenset((t, "WorksFor") for t in tokens))
+    return replace(m, **fields)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"entity_incidence": frozenset((f"e{i:02}", "Person") for i in range(12))},
+     "entity incidence pair ('e00', 'Person') out of range"),
+    ({"tuple_valuation": fdict({f"t{i:02}": fdict({"x": "acme", "y": "bob"})
+                                for i in reversed(range(12))})},
+     "tuple 't00' ill-sorted at 'x'"),
+    ({"relation_incidence": frozenset((f"t{i:02}", "Foo") for i in range(12))},
+     "relation incidence pair ('t00', 'Foo') out of range"),
+], ids=["entity-incidence", "ill-sorted", "relation-incidence"])
+def test_check_names_the_token_order_first_offender(fields, message):
+    with pytest.raises(DomainMismatch) as err:
+        faulty_model(**fields).check()
+    assert str(err.value) == message
 
 
 # --- morphisms ----------------------------------------------------------------

@@ -5,10 +5,11 @@ from collections import Counter
 
 import pytest
 
+from ontofuse import theory
 from ontofuse.errors import BudgetExceeded, DomainMismatch
 from ontofuse.language import (And, Atomic, Exists, LanguageEndorelation,
                                LanguageMorphism, Not, TypeLanguage,
-                               translate_expression)
+                               identity_language_morphism, translate_expression)
 from ontofuse.model import satisfies
 from ontofuse.theory import (NoCounterexampleUpTo, Refuted, Theory,
                              TheoryMorphism, compose_theory_morphisms,
@@ -16,7 +17,8 @@ from ontofuse.theory import (NoCounterexampleUpTo, Refuted, Theory,
                              theory_morphism_valid, theory_quotient, theory_sum)
 from ontofuse.tokens import ltag, sorted_tokens
 
-from fixtures import VARS, rand_expression, w_language, wp_language
+from fixtures import (VARS, rand_expression, rand_theory_morphism, w_language,
+                      wp_language)
 from oracles import brute_force_models, model_as_sets, naive_satisfies
 
 
@@ -108,6 +110,89 @@ def test_enumeration_and_entailment_match_brute_force_oracle():
                 assert verdict == NoCounterexampleUpTo(bound)
             verdicts[type(verdict)] += 1
     assert verdicts[Refuted] >= 100 and verdicts[NoCounterexampleUpTo] >= 100
+
+
+def test_countermodel_is_the_first_enumerated_model_failing_the_query():
+    rng = random.Random(41)
+    verdicts = Counter()
+    for _ in range(60):
+        t = small_theory(rng)
+        bound = rng.randint(0, 2)
+        models = list(enumerate_models(t, bound))
+        for _ in range(3):
+            q = rand_expression(rng, t.language, rng.randint(1, 3))
+            first = next((m for m in models if not naive_satisfies(m, q)), None)
+            verdict = entails(t, q, bound)
+            assert verdict == (NoCounterexampleUpTo(bound) if first is None else Refuted(first))
+            verdicts[type(verdict)] += 1
+    assert verdicts[Refuted] >= 40 and verdicts[NoCounterexampleUpTo] >= 40
+
+
+def unary_theory():
+    """Up to one entity: 4 candidates (see the hand enumeration above), of
+    which the axiom keeps the 3 with an empty extent of r."""
+    lang = TypeLanguage.make(["x"], ["T"], {"x": "T"}, {"r": ("x",)})
+    return Theory.make(lang, [Not(Exists("x", Atomic("r")))])
+
+
+def test_budget_counts_every_candidate_before_the_axiom_check():
+    t = unary_theory()
+    query = Not(Atomic("r"))  # entailed, so each search visits every candidate
+    g = TheoryMorphism.make(identity_language_morphism(t.language),
+                            Theory.make(t.language, [query]), t)
+    assert len(list(enumerate_models(t, 1, budget=4))) == 3
+    assert entails(t, query, 1, budget=4) == NoCounterexampleUpTo(1)
+    assert theory_morphism_valid(g, 1, budget=4).ok
+    for search in (lambda: list(enumerate_models(t, 1, budget=3)),
+                   lambda: entails(t, query, 1, budget=3),
+                   lambda: theory_morphism_valid(g, 1, budget=3)):
+        with pytest.raises(BudgetExceeded, match="^model enumeration exceeded 3 candidates$"):
+            search()
+
+
+def test_a_refutation_within_the_budget_is_not_cut_by_it():
+    t = unary_theory()
+    # _e0 outside T is the third candidate, and the first to fail the query
+    assert isinstance(entails(t, Exists("x", Not(Atomic("r"))), 1, budget=3), Refuted)
+
+
+def per_axiom_outcome(g, bound, budget):
+    """What theory_morphism_valid gave when each axiom had its own search."""
+    per_axiom = []
+    try:
+        for a in sorted_tokens(g.source.axioms):
+            image = translate_expression(g.language_morphism, a)
+            per_axiom.append((a, "syntactic" if image in g.target.axioms
+                              else entails(g.target, image, bound, budget)))
+    except BudgetExceeded as e:
+        return str(e)
+    return tuple(per_axiom)
+
+
+def test_one_search_per_target_matches_per_axiom_entails():
+    rng = random.Random(59)
+    kinds = Counter()
+    for _ in range(60):
+        g = rand_theory_morphism(rng)
+        bound = rng.randint(0, 2)
+        for budget in (theory.DEFAULT_BUDGET, 16, 4, 1):
+            expected = per_axiom_outcome(g, bound, budget)
+            try:
+                verdict = theory_morphism_valid(g, bound, budget)
+            except BudgetExceeded as e:
+                assert str(e) == expected
+                kinds["budget"] += 1
+                continue
+            assert verdict.per_axiom == expected
+            assert verdict.ok == all(v for _, v in expected)
+            kinds.update(type(v).__name__ for _, v in verdict.per_axiom)
+    assert min(kinds[k] for k in ("budget", "str", "Refuted", "NoCounterexampleUpTo")) >= 5
+
+
+def test_a_countermodel_that_fails_its_recheck_raises(monkeypatch):
+    monkeypatch.setattr(theory, "satisfies", lambda m, e: True)
+    with pytest.raises(RuntimeError, match="re-check"):
+        entails(prop_theory([]), Atomic("p"), 0)
 
 
 # --- entailment -----------------------------------------------------------------
