@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .document import (Document, parse_document, parse_expression,
+from .document import (Document, document_of, parse_document, parse_expression,
                        parse_token, serialize_document)
 from .errors import OntofuseError
 from .integration import (build_alignment, practical_integrate, unify)
@@ -22,22 +22,6 @@ from .sexpr import parse_all
 from .theory import (DEFAULT_BUDGET, Refuted, Theory, entails,
                      theory_morphism_valid, theory_quotient, theory_sum)
 from .tokens import sorted_tokens
-
-
-def _logic_document(l: Logic, name: str) -> Document:
-    doc = Document()
-    doc.add("language", f"{name}-language", l.language)
-    doc.add("theory", f"{name}-theory", l.theory)
-    doc.add("model", f"{name}-model", l.model)
-    doc.add("logic", name, l)
-    return doc
-
-
-def _theory_document(t: Theory, name: str) -> Document:
-    doc = Document()
-    doc.add("language", f"{name}-language", t.language)
-    doc.add("theory", name, t)
-    return doc
 
 
 def _write(doc: Document, path: str) -> None:
@@ -58,12 +42,22 @@ def _parse_cli_token(text: str):
     return parse_token(values[0])
 
 
-def _logic_summary(l: Logic) -> str:
-    ne = len(l.language.entity_types)
-    nr = len(l.language.relation_types)
+def _summary(obj) -> str:
+    """One-line sizes of a logic or a theory."""
+    ne = len(obj.language.entity_types)
+    nr = len(obj.language.relation_types)
+    if isinstance(obj, Theory):
+        return f"{ne + nr} type classes, {len(obj.axioms)} axioms"
     return (f"{ne + nr} type classes ({ne} entity, {nr} relation); "
-            f"{len(l.model.entities)} entities, {len(l.model.tuples)} tuples; "
-            f"sound: {'yes' if is_sound(l) else 'no'}")
+            f"{len(obj.model.entities)} entities, {len(obj.model.tuples)} tuples; "
+            f"sound: {'yes' if is_sound(obj) else 'no'}")
+
+
+def _emit(args, label: str, obj, *notes: str) -> None:
+    """Print obj's summary and any notes, then write it as the form args.name."""
+    print(f"{label}: {_summary(obj)}", *notes, sep="\n")
+    kind = "theory" if isinstance(obj, Theory) else "logic"
+    _write(document_of(kind, args.name, obj), args.output)
 
 
 # --- commands -----------------------------------------------------------------
@@ -118,10 +112,7 @@ def cmd_entails(args) -> int:
     if isinstance(verdict, Refuted):
         print(f"refuted: countermodel with {len(verdict.counter_model.entities)} entities")
         if args.output:
-            out = Document()
-            out.add("language", "countermodel-language", verdict.counter_model.language)
-            out.add("model", "countermodel", verdict.counter_model)
-            _write(out, args.output)
+            _write(document_of("model", "countermodel", verdict.counter_model), args.output)
         return 1
     print(f"no counterexample up to {verdict.bound} entities")
     return 0
@@ -130,9 +121,7 @@ def cmd_entails(args) -> int:
 def cmd_free_logic(args) -> int:
     doc = _load(args.doc)
     t = doc.get(args.theory, "theory")
-    l = free_logic(t, args.budget, strict=args.strict_free_logic)
-    print(f"free logic: {_logic_summary(l)}")
-    _write(_logic_document(l, args.name), args.output)
+    _emit(args, "free logic", free_logic(t, args.budget, strict=args.strict_free_logic))
     return 0
 
 
@@ -140,14 +129,9 @@ def cmd_sum(args) -> int:
     doc = _load(args.doc)
     left, right = doc.get(args.left), doc.get(args.right)
     if isinstance(left, Logic) and isinstance(right, Logic):
-        s, _, _ = logic_sum(left, right)
-        print(f"logic sum: {_logic_summary(s)}")
-        _write(_logic_document(s, args.name), args.output)
+        _emit(args, "logic sum", logic_sum(left, right)[0])
     elif isinstance(left, Theory) and isinstance(right, Theory):
-        s, _, _ = theory_sum(left, right)
-        print(f"theory sum: {len(s.language.entity_types) + len(s.language.relation_types)}"
-              f" type classes, {len(s.axioms)} axioms")
-        _write(_theory_document(s, args.name), args.output)
+        _emit(args, "theory sum", theory_sum(left, right)[0])
     else:
         raise OntofuseError("sum requires two logics or two theories")
     return 0
@@ -164,14 +148,9 @@ def cmd_quotient(args) -> int:
         keep_e = obj.model.entities if args.keep_entities is None \
             else frozenset(_parse_cli_token(e) for e in args.keep_entities)
         j = LogicDualInvariant(keep_e, obj.model.tuples, rel)
-        q, _ = logic_dual_quotient(obj, j)
-        print(f"logic quotient: {_logic_summary(q)}")
-        _write(_logic_document(q, args.name), args.output)
+        _emit(args, "logic quotient", logic_dual_quotient(obj, j)[0])
     elif isinstance(obj, Theory):
-        q, _ = theory_quotient(obj, rel)
-        print(f"theory quotient: {len(q.language.entity_types) + len(q.language.relation_types)}"
-              f" type classes, {len(q.axioms)} axioms")
-        _write(_theory_document(q, args.name), args.output)
+        _emit(args, "theory quotient", theory_quotient(obj, rel)[0])
     else:
         raise OntofuseError("quotient requires a logic or a theory")
     return 0
@@ -181,9 +160,7 @@ def cmd_fuse(args) -> int:
     doc = _load(args.doc)
     f0 = doc.get(args.left_link, "logic-morphism")
     f1 = doc.get(args.right_link, "logic-morphism")
-    fused, _, _ = fusion(f0, f1)
-    print(f"fused: {_logic_summary(fused)}")
-    _write(_logic_document(fused, args.name), args.output)
+    _emit(args, "fused", fusion(f0, f1)[0])
     return 0
 
 
@@ -191,9 +168,7 @@ def cmd_restrict(args) -> int:
     doc = _load(args.doc)
     l = doc.get(args.logic, "logic")
     c = frozenset(_parse_cli_token(e) for e in args.to)
-    out, _ = restrict_logic(l, c)
-    print(f"restricted: {_logic_summary(out)}")
-    _write(_logic_document(out, args.name), args.output)
+    _emit(args, "restricted", restrict_logic(l, c)[0])
     return 0
 
 
@@ -201,18 +176,14 @@ def cmd_fiber(args) -> int:
     doc = _load(args.doc)
     g = doc.get(args.morphism, "theory-morphism")
     p = doc.get(args.logic, "logic")
-    out, _ = fiber_op(g, p)
-    print(f"fiber: {_logic_summary(out)}")
-    _write(_logic_document(out, args.name), args.output)
+    _emit(args, "fiber", fiber_op(g, p)[0])
     return 0
 
 
 def cmd_sound_part(args) -> int:
     doc = _load(args.doc)
     l = doc.get(args.logic, "logic")
-    out = sound_part(l)
-    print(f"sound part: {_logic_summary(out)}")
-    _write(_logic_document(out, args.name), args.output)
+    _emit(args, "sound part", sound_part(l))
     return 0
 
 
@@ -225,18 +196,16 @@ def cmd_integrate(args) -> int:
         result, report = practical_integrate(l1, l2, a.universe, a.mediating_theory,
                                              a.left_link, a.right_link,
                                              args.bound, args.budget)
-        print(f"practical integration: {_logic_summary(result.fused)}")
-        print(f"universe: {' '.join(str(e) for e in sorted_tokens(report.universe))}")
-        print(f"fusion theory axioms: {len(report.fusion_theory.axioms)}")
+        _emit(args, "practical integration", result.fused,
+              f"universe: {' '.join(str(e) for e in sorted_tokens(report.universe))}",
+              f"fusion theory axioms: {len(report.fusion_theory.axioms)}")
     else:
         p1, link1 = restrict_logic(l1, a.universe)
         p2, link2 = restrict_logic(l2, a.universe)
         diagram = build_alignment(l1, l2, p1, p2, link1, link2,
                                   a.mediating_theory, a.left_link, a.right_link,
                                   args.bound, args.budget)
-        result = unify(diagram)
-        print(f"integration: {_logic_summary(result.fused)}")
-    _write(_logic_document(result.fused, args.name), args.output)
+        _emit(args, "integration", unify(diagram).fused)
     return 0
 
 
@@ -253,7 +222,22 @@ def _count(text: str) -> int:
     return value
 
 
-def _common(p, output_required: bool = True, default_name: str = "result") -> None:
+def _form_name(text: str) -> str:
+    """Type of --name: text the reader reads back as exactly this one symbol."""
+    try:
+        values = parse_all(text)
+    except OntofuseError:
+        values = []
+    if values != [text]:
+        raise argparse.ArgumentTypeError(f"not a form name: {text!r}")
+    return text
+
+
+def _command(sub, command: str, func, help: str, default_name: str,
+             output_required: bool = True) -> argparse.ArgumentParser:
+    """A subcommand reading one document, with the options every such command takes."""
+    p = sub.add_parser(command, help=help)
+    p.set_defaults(func=func)
     p.add_argument("doc", help="input document file")
     p.add_argument("--bound", type=_count, default=2,
                    help="entity cap for entailment and model enumeration")
@@ -261,8 +245,9 @@ def _common(p, output_required: bool = True, default_name: str = "result") -> No
                    help="candidate cap for combinatorial enumerations")
     p.add_argument("-o", "--output", required=output_required,
                    help="output document file")
-    p.add_argument("--name", default=default_name,
+    p.add_argument("--name", type=_form_name, default=default_name,
                    help="name of the resulting form")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,27 +261,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("entails", help="bounded countermodel search")
-    _common(p, output_required=False)
+    p = _command(sub, "entails", cmd_entails, "bounded countermodel search", "result",
+                 output_required=False)
     p.add_argument("--theory", required=True)
     p.add_argument("--query", required=True)
-    p.set_defaults(func=cmd_entails)
 
-    p = sub.add_parser("free-logic", help="logic freely generated over a theory")
-    _common(p, default_name="free")
+    p = _command(sub, "free-logic", cmd_free_logic, "logic freely generated over a theory", "free")
     p.add_argument("--theory", required=True)
     p.add_argument("--strict-free-logic", action="store_true",
                    help="require a unary relation type per sort")
-    p.set_defaults(func=cmd_free_logic)
 
-    p = sub.add_parser("sum", help="binary sum of logics or theories")
-    _common(p, default_name="sum")
+    p = _command(sub, "sum", cmd_sum, "binary sum of logics or theories", "sum")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.set_defaults(func=cmd_sum)
 
-    p = sub.add_parser("quotient", help="quotient by identified types")
-    _common(p, default_name="quotient")
+    p = _command(sub, "quotient", cmd_quotient, "quotient by identified types", "quotient")
     p.add_argument("--of", dest="name_in", required=True,
                    help="name of the logic or theory to quotient")
     p.add_argument("--identify-entity", nargs=2, action="append", default=[],
@@ -306,39 +285,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--identify-variable", nargs=2, action="append", default=[],
                    metavar=("X", "Y"))
     p.add_argument("--keep-entities", nargs="*", default=None)
-    p.set_defaults(func=cmd_quotient)
 
-    p = sub.add_parser("fuse", help="pushout of a span of logic morphisms")
-    _common(p, default_name="fused")
+    p = _command(sub, "fuse", cmd_fuse, "pushout of a span of logic morphisms", "fused")
     p.add_argument("--left-link", required=True)
     p.add_argument("--right-link", required=True)
-    p.set_defaults(func=cmd_fuse)
 
-    p = sub.add_parser("restrict", help="restrict a logic to a sub-universe")
-    _common(p, default_name="restricted")
+    p = _command(sub, "restrict", cmd_restrict, "restrict a logic to a sub-universe", "restricted")
     p.add_argument("--logic", required=True)
     p.add_argument("--to", nargs="+", required=True, metavar="ENTITY")
-    p.set_defaults(func=cmd_restrict)
 
-    p = sub.add_parser("fiber", help="reclassify a logic along a theory morphism")
-    _common(p, default_name="fiber")
+    p = _command(sub, "fiber", cmd_fiber, "reclassify a logic along a theory morphism", "fiber")
     p.add_argument("--morphism", required=True)
     p.add_argument("--logic", required=True)
-    p.set_defaults(func=cmd_fiber)
 
-    p = sub.add_parser("sound-part", help="drop abnormal instances")
-    _common(p, default_name="sound")
+    p = _command(sub, "sound-part", cmd_sound_part, "drop abnormal instances", "sound")
     p.add_argument("--logic", required=True)
-    p.set_defaults(func=cmd_sound_part)
 
-    p = sub.add_parser("integrate", help="two-step alignment and unification")
-    _common(p, default_name="fused")
+    p = _command(sub, "integrate", cmd_integrate, "two-step alignment and unification", "fused")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--alignment", required=True)
     p.add_argument("--practical", action="store_true",
                    help="fuse over the common fiber instead of the free logics")
-    p.set_defaults(func=cmd_integrate)
     return parser
 
 
@@ -346,10 +314,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OntofuseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (OntofuseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

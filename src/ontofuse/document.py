@@ -129,8 +129,20 @@ def _parse_expression(v, depth: int):
 
 # --- documents ----------------------------------------------------------------
 
-_FORM_KINDS = ("language", "theory", "model", "logic",
-               "theory-morphism", "logic-morphism", "alignment")
+# Each form kind's references, in written order: (clause, attribute of the
+# object, kind of the form referred to).  The reader resolves them, the
+# writer names them, and document_of adds the forms they need.
+_REFERENCES = {
+    "language": (),
+    "theory": (("language", "language", "language"),),
+    "model": (("language", "language", "language"),),
+    "logic": (("theory", "theory", "theory"), ("model", "model", "model")),
+    "theory-morphism": (("source", "source", "theory"), ("target", "target", "theory")),
+    "logic-morphism": (("source", "source", "logic"), ("target", "target", "logic")),
+    "alignment": (("mediating-theory", "mediating_theory", "theory"),
+                  ("left-link", "left_link", "theory-morphism"),
+                  ("right-link", "right_link", "theory-morphism")),
+}
 
 
 @dataclass(frozen=True)
@@ -175,8 +187,7 @@ def _clauses(name: str, body) -> dict:
     return out
 
 
-def _parse_language(name: str, body) -> TypeLanguage:
-    c = _clauses(name, body)
+def _parse_language(name: str, c: dict) -> TypeLanguage:
     relations = []
     for r in c.get("relations", ()):
         if is_symbol(r) or len(r) != 2 or is_symbol(r[1]):
@@ -189,9 +200,7 @@ def _parse_language(name: str, body) -> TypeLanguage:
         _map(name, relations, "relations"))
 
 
-def _parse_theory(name: str, body, doc: Document) -> Theory:
-    c = _clauses(name, body)
-    lang = doc.get(_one(name, c, "language"), "language")
+def _parse_theory(name: str, c: dict, lang: TypeLanguage) -> Theory:
     return Theory.make(lang, [parse_expression(a) for a in c.get("axioms", ())])
 
 
@@ -201,9 +210,7 @@ def _one(name: str, clauses: dict, key: str) -> str:
     return clauses[key][0]
 
 
-def _parse_model(name: str, body, doc: Document) -> Model:
-    c = _clauses(name, body)
-    lang = doc.get(_one(name, c, "language"), "language")
+def _parse_model(name: str, c: dict, lang: TypeLanguage) -> Model:
     entities = [parse_token(e) for e in c.get("entities", ())]
     incidence = _pairs(name, c.get("incidence", ()), "incidence")
     if "tuples" in c or "relation-incidence" in c:
@@ -239,17 +246,14 @@ def _assignment(name: str, items) -> FrozenDict:
     return fdict(_map(name, _pairs(name, items, "assignment"), "assignment"))
 
 
-def _parse_logic(name: str, body, doc: Document) -> Logic:
-    c = _clauses(name, body)
-    theory = doc.get(_one(name, c, "theory"), "theory")
-    model = doc.get(_one(name, c, "model"), "model")
+def _parse_logic(name: str, c: dict, theory: Theory, model: Model) -> Logic:
     ne = [parse_token(e) for e in c["normal-entities"]] if "normal-entities" in c else None
     nt = [parse_token(t) for t in c["normal-tuples"]] if "normal-tuples" in c else None
     return Logic.make(theory, model, ne, nt)
 
 
-def _parse_language_maps(name: str, c: dict, source: TypeLanguage,
-                         target: TypeLanguage, refinement: bool) -> LanguageMorphism:
+def _parse_language_maps(name: str, c: dict, source, target) -> LanguageMorphism:
+    """The language morphism between the languages of two theories or logics."""
     rel = []
     for p in c.get("relations", ()):
         if is_symbol(p) or len(p) != 2:
@@ -262,53 +266,34 @@ def _parse_language_maps(name: str, c: dict, source: TypeLanguage,
         else:
             rel.append((parse_token(p[0]), parse_token(img)))
     return LanguageMorphism.make(
-        source, target,
+        source.language, target.language,
         _map(name, _pairs(name, c.get("variables", ()), "variable map"), "variable map"),
         _map(name, _pairs(name, c.get("entity-types", ()), "entity map"), "entity map"),
-        _map(name, rel, "relation map"), refinement=refinement)
+        _map(name, rel, "relation map"), refinement="refinement" in c)
 
 
-def _parse_theory_morphism(name: str, body, doc: Document) -> TheoryMorphism:
-    c = _clauses(name, body)
-    source = doc.get(_one(name, c, "source"), "theory")
-    target = doc.get(_one(name, c, "target"), "theory")
-    lm = _parse_language_maps(name, c, source.language, target.language,
-                              refinement="refinement" in c)
-    return TheoryMorphism.make(lm, source, target)
+def _parse_theory_morphism(name: str, c: dict, source: Theory, target: Theory) -> TheoryMorphism:
+    return TheoryMorphism.make(_parse_language_maps(name, c, source, target), source, target)
 
 
-def _parse_logic_morphism(name: str, body, doc: Document) -> LogicMorphism:
-    c = _clauses(name, body)
-    source = doc.get(_one(name, c, "source"), "logic")
-    target = doc.get(_one(name, c, "target"), "logic")
-    lm = _parse_language_maps(name, c, source.language, target.language,
-                              refinement="refinement" in c)
+def _parse_logic_morphism(name: str, c: dict, source: Logic, target: Logic) -> LogicMorphism:
     return LogicMorphism.make(
-        source, target, lm,
+        source, target, _parse_language_maps(name, c, source, target),
         _map(name, _pairs(name, c.get("entity-map", ()), "entity map"), "entity map"),
         _map(name, _pairs(name, c.get("tuple-map", ()), "tuple map"), "tuple map"))
 
 
-def _parse_alignment(name: str, body, doc: Document) -> Alignment:
-    c = _clauses(name, body)
-    t = doc.get(_one(name, c, "mediating-theory"), "theory")
-    g1 = doc.get(_one(name, c, "left-link"), "theory-morphism")
-    g2 = doc.get(_one(name, c, "right-link"), "theory-morphism")
+def _parse_alignment(name: str, c: dict, t: Theory, g1: TheoryMorphism,
+                     g2: TheoryMorphism) -> Alignment:
     if g1.source != t or g2.source != t:
         raise FormError(name, "alignment links must start at the mediating theory")
-    return Alignment(frozenset(parse_token(e) for e in c.get("universe", ())),
-                     t, g1, g2)
+    return Alignment(frozenset(parse_token(e) for e in c.get("universe", ())), t, g1, g2)
 
 
-_PARSERS = {
-    "language": lambda name, body, doc: _parse_language(name, body),
-    "theory": _parse_theory,
-    "model": _parse_model,
-    "logic": _parse_logic,
-    "theory-morphism": _parse_theory_morphism,
-    "logic-morphism": _parse_logic_morphism,
-    "alignment": _parse_alignment,
-}
+# kind -> parser(name, clauses, *the objects its references name, in table order)
+_PARSERS = {"language": _parse_language, "theory": _parse_theory, "model": _parse_model,
+            "logic": _parse_logic, "theory-morphism": _parse_theory_morphism,
+            "logic-morphism": _parse_logic_morphism, "alignment": _parse_alignment}
 
 
 def parse_document(text: str) -> Document:
@@ -317,9 +302,12 @@ def parse_document(text: str) -> Document:
         if is_symbol(form) or len(form) < 2 or not is_symbol(form[0]) or not is_symbol(form[1]):
             raise FormError("document", f"top-level form must be (kind name ...), got {form!r}")
         kind, name = form[0], form[1]
-        if kind not in _FORM_KINDS:
+        if kind not in _PARSERS:
             raise FormError(name, f"unknown form kind {kind}")
-        doc.add(kind, name, _PARSERS[kind](name, form[2:], doc))
+        c = _clauses(name, form[2:])
+        refs = [doc.get(_one(name, c, clause), ref_kind)
+                for clause, _, ref_kind in _REFERENCES[kind]]
+        doc.add(kind, name, _PARSERS[kind](name, c, *refs))
     return doc
 
 
@@ -333,8 +321,11 @@ def _render_assignment(a) -> list:
     return [[render_token(x), render_token(a[x])] for x in sorted_tokens(a)]
 
 
-def render_language(name: str, lang: TypeLanguage) -> list:
-    return ["language", name,
+# render_<kind>(name, obj, refs) places the rendered reference clauses refs
+# where its kind writes them.
+
+def render_language(name: str, lang: TypeLanguage, refs: list) -> list:
+    return ["language", name, *refs,
             ["variables"] + [render_token(x) for x in sorted_tokens(lang.variables)],
             ["entity-types"] + [render_token(a) for a in sorted_tokens(lang.entity_types)],
             _render_pairs("reference", [(x, lang.reference[x])
@@ -344,8 +335,8 @@ def render_language(name: str, lang: TypeLanguage) -> list:
                              for r in sorted_tokens(lang.relation_types)]]
 
 
-def render_theory(name: str, t: Theory, language_name: str) -> list:
-    return ["theory", name, ["language", language_name],
+def render_theory(name: str, t: Theory, refs: list) -> list:
+    return ["theory", name, *refs,
             ["axioms"] + [render_expression(a) for a in sorted_tokens(t.axioms)]]
 
 
@@ -361,8 +352,8 @@ def _extent_faithful(m: Model, extents: dict) -> bool:
     return rebuilt == m
 
 
-def render_model(name: str, m: Model, language_name: str) -> list:
-    out = ["model", name, ["language", language_name],
+def render_model(name: str, m: Model, refs: list) -> list:
+    out = ["model", name, *refs,
            ["entities"] + [render_token(e) for e in sorted_tokens(m.entities)],
            _render_pairs("incidence", sorted_tokens(m.entity_incidence))]
     extents = {rho: m.relation_extent(rho) for rho in m.language.relation_types}
@@ -388,8 +379,8 @@ def render_model(name: str, m: Model, language_name: str) -> list:
     return out
 
 
-def render_logic(name: str, l: Logic, theory_name: str, model_name: str) -> list:
-    out = ["logic", name, ["theory", theory_name], ["model", model_name]]
+def render_logic(name: str, l: Logic, refs: list) -> list:
+    out = ["logic", name, *refs]
     if l.normal_entities != l.model.entities:
         out.append(["normal-entities"] +
                    [render_token(e) for e in sorted_tokens(l.normal_entities)])
@@ -415,15 +406,12 @@ def _render_language_maps(lm: LanguageMorphism) -> list:
     return out
 
 
-def render_theory_morphism(name: str, g: TheoryMorphism,
-                           source_name: str, target_name: str) -> list:
-    return ["theory-morphism", name, ["source", source_name], ["target", target_name]] + \
-        _render_language_maps(g.language_morphism)
+def render_theory_morphism(name: str, g: TheoryMorphism, refs: list) -> list:
+    return ["theory-morphism", name, *refs] + _render_language_maps(g.language_morphism)
 
 
-def render_logic_morphism(name: str, f: LogicMorphism,
-                          source_name: str, target_name: str) -> list:
-    return ["logic-morphism", name, ["source", source_name], ["target", target_name]] + \
+def render_logic_morphism(name: str, f: LogicMorphism, refs: list) -> list:
+    return ["logic-morphism", name, *refs] + \
         _render_language_maps(f.language_morphism) + \
         [_render_pairs("entity-map", [(e, f.entity_map[e])
                                       for e in sorted_tokens(f.entity_map)]),
@@ -431,47 +419,54 @@ def render_logic_morphism(name: str, f: LogicMorphism,
                                      for t in sorted_tokens(f.tuple_map)])]
 
 
-def render_alignment(name: str, a: Alignment, theory_name: str,
-                     left_link_name: str, right_link_name: str) -> list:
+def render_alignment(name: str, a: Alignment, refs: list) -> list:
+    # the universe precedes the references, as in the corpus files
     return ["alignment", name,
-            ["universe"] + [render_token(e) for e in sorted_tokens(a.universe)],
-            ["mediating-theory", theory_name],
-            ["left-link", left_link_name], ["right-link", right_link_name]]
+            ["universe"] + [render_token(e) for e in sorted_tokens(a.universe)], *refs]
+
+
+_RENDERERS = {"language": render_language, "theory": render_theory, "model": render_model,
+              "logic": render_logic, "theory-morphism": render_theory_morphism,
+              "logic-morphism": render_logic_morphism, "alignment": render_alignment}
 
 
 def serialize_document(doc: Document) -> str:
-    """Canonical text for a document; cross-reference names are recovered
-    by identity of the referenced objects within the document."""
+    """Canonical text for a document.  A reference is written as the name of
+    the first form of its kind holding an equal object, not the same one."""
     forms = []
     for kind, name in doc.order:
         obj = doc.objects[name]
-        if kind == "language":
-            forms.append(render_language(name, obj))
-        elif kind == "theory":
-            forms.append(render_theory(name, obj, _name_of(doc, obj.language, "language")))
-        elif kind == "model":
-            forms.append(render_model(name, obj, _name_of(doc, obj.language, "language")))
-        elif kind == "logic":
-            forms.append(render_logic(name, obj, _name_of(doc, obj.theory, "theory"),
-                                      _name_of(doc, obj.model, "model")))
-        elif kind == "theory-morphism":
-            forms.append(render_theory_morphism(name, obj,
-                                                _name_of(doc, obj.source, "theory"),
-                                                _name_of(doc, obj.target, "theory")))
-        elif kind == "logic-morphism":
-            forms.append(render_logic_morphism(name, obj,
-                                               _name_of(doc, obj.source, "logic"),
-                                               _name_of(doc, obj.target, "logic")))
-        elif kind == "alignment":
-            forms.append(render_alignment(
-                name, obj, _name_of(doc, obj.mediating_theory, "theory"),
-                _name_of(doc, obj.left_link, "theory-morphism"),
-                _name_of(doc, obj.right_link, "theory-morphism")))
+        refs = [[clause, _name_of(doc, getattr(obj, attr), ref_kind)]
+                for clause, attr, ref_kind in _REFERENCES[kind]]
+        forms.append(_RENDERERS[kind](name, obj, refs))
     return write_all(forms)
 
 
+def _held_name(doc: Document, obj, kind: str):
+    """The first form of this kind holding an object equal to obj, or None."""
+    return next((n for k, n in doc.order if k == kind and doc.objects[n] == obj), None)
+
+
 def _name_of(doc: Document, obj, kind: str) -> str:
-    for k, name in doc.order:
-        if k == kind and doc.objects[name] == obj:
-            return name
-    raise FormError(kind, f"no {kind} form holds the referenced object")
+    name = _held_name(doc, obj, kind)
+    if name is None:
+        raise FormError(kind, f"no {kind} form holds the referenced object")
+    return name
+
+
+def document_of(kind: str, name: str, obj) -> Document:
+    """obj as a form named `name`, after each object it references, directly
+    or not, that no earlier form holds, named `<name>-<kind>`: a logic L
+    is written as L-language, L-theory, L-model and L.  Two unequal
+    references of one kind, as in most morphisms, would share a name, and
+    Document.add refuses the second."""
+    doc = Document()
+
+    def add(kind, form, obj):
+        for _, attr, ref_kind in _REFERENCES[kind]:
+            if _held_name(doc, getattr(obj, attr), ref_kind) is None:
+                add(ref_kind, f"{name}-{ref_kind}", getattr(obj, attr))
+        doc.add(kind, form, obj)
+
+    add(kind, name, obj)
+    return doc

@@ -18,7 +18,7 @@ from .errors import BudgetExceeded, DomainMismatch, SoundnessViolation, check_to
 from .language import (Expression, LanguageMorphism, TypeLanguage,
                        compose_language_morphisms, identity_language_morphism,
                        free_vars, language_morphism_valid, span_relation)
-from .model import (Model, ModelDualInvariant, ModelMorphism, fdict, holds,
+from .model import (Model, ModelDualInvariant, ModelMorphism, _eval, fdict,
                     model_dual_quotient, model_morphism_valid, model_sum,
                     token_satisfies)
 from .theory import (DEFAULT_BUDGET, MorphismVerdict, Theory, TheoryMorphism,
@@ -187,7 +187,7 @@ def free_logic(t: Theory, budget: int = DEFAULT_BUDGET, strict: bool = False) ->
 
 def _tuple_conforms(model: Model, t: Theory, token: tuple) -> bool:
     val = model.tuple_valuation[token]
-    return all(holds(model, val, a)
+    return all(_eval(model, val, a)
                for a in t.axioms if free_vars(model.language, a) <= val.keys())
 
 

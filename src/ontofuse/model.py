@@ -291,10 +291,8 @@ def token_satisfies(m: Model, t: Token, image: Token | Expression) -> bool:
         return m.tuple_classifies(t, image)
     if isinstance(image, Atomic):
         return m.tuple_classifies(t, image.relation)
-    fv = free_vars(m.language, image)
-    if not fv <= m.tuple_valuation[t].keys():
-        return False
-    return holds(m, m.tuple_valuation[t], image)
+    val = m.tuple_valuation[t]
+    return free_vars(m.language, image) <= val.keys() and _eval(m, val, image)
 
 
 def model_morphism_valid(f: ModelMorphism) -> tuple[bool, Optional[tuple]]:

@@ -217,6 +217,17 @@ def test_negative_bound_exit_two(argv, capsys):
         assert option in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["a b", "", "x)"], ids=["two-symbols", "empty", "paren"])
+def test_name_the_reader_cannot_read_back_is_a_usage_error(tmp_path, capsys, name):
+    out_file = tmp_path / "sum.iff"
+    with pytest.raises(SystemExit) as err:
+        main(["sum", str(CORPUS / "fixture.iff"), "--left", "L1", "--right", "L2",
+              "-o", str(out_file), "--name", name])
+    assert err.value.code == 2
+    assert "--name" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
 # --- pipeline commands -----------------------------------------------------------
 
 def test_free_logic_command(tmp_path, capsys):
@@ -488,3 +499,41 @@ def test_console_script_runs():
                        capture_output=True, text=True)
     assert r.returncode == 0
     assert "ok: logic L1" in r.stdout
+
+
+# --- the forms each command writes ------------------------------------------------
+
+LOGIC_FORMS = [("language", "{}-language"), ("theory", "{}-theory"),
+               ("model", "{}-model"), ("logic", "{}")]
+THEORY_FORMS = [("language", "{}-language"), ("theory", "{}")]
+
+
+@pytest.mark.parametrize("argv, name, forms", [
+    (["free-logic", "fixture.iff", "--theory", "TW", "--name", "F"], "F", LOGIC_FORMS),
+    (["sum", "fixture.iff", "--left", "L1", "--right", "L2"], "sum", LOGIC_FORMS),
+    (["sum", "fixture.iff", "--left", "TW", "--right", "TWp"], "sum", THEORY_FORMS),
+    (["quotient", "quotient-demo.iff", "--of", "L", "--identify-relation", "Cat", "Feline"],
+     "quotient", LOGIC_FORMS),
+    (["quotient", "quotient-demo.iff", "--of", "TPets", "--identify-relation", "Cat", "Feline"],
+     "quotient", THEORY_FORMS),
+    (["fuse", "span.iff", "--left-link", "m1", "--right-link", "m2"], "fused", LOGIC_FORMS),
+    (["restrict", "fixture.iff", "--logic", "L1", "--to", "bob", "acme"],
+     "restricted", LOGIC_FORMS),
+    (["fiber", "fixture.iff", "--morphism", "g1", "--logic", "L1"], "fiber", LOGIC_FORMS),
+    (["sound-part", "fixture.iff", "--logic", "L1"], "sound", LOGIC_FORMS),
+    (["integrate", "fixture.iff", "--left", "L1", "--right", "L2", "--alignment", "A"],
+     "fused", LOGIC_FORMS),
+    (["integrate", "fixture.iff", "--left", "L1", "--right", "L2", "--alignment", "A",
+      "--practical"], "fused", LOGIC_FORMS),
+    (["entails", "employment.iff", "--theory", "TW", "--query", "(atom Employed)",
+      "--bound", "1"], "countermodel", [("language", "{}-language"), ("model", "{}")]),
+], ids=["free-logic", "sum-logics", "sum-theories", "quotient-logic", "quotient-theory",
+        "fuse", "restrict", "fiber", "sound-part", "integrate", "integrate-practical",
+        "entails"])
+def test_each_writing_command_writes_its_forms_in_order(tmp_path, capsys, argv, name, forms):
+    out_file = tmp_path / "out.iff"
+    code, out, _ = run(capsys, argv[0], str(CORPUS / argv[1]), *argv[2:], "-o", str(out_file))
+    assert code == (1 if argv[0] == "entails" else 0)
+    assert out.endswith(f"wrote {out_file}\n")
+    assert parse_document(out_file.read_text()).order == \
+        [(kind, pattern.format(name)) for kind, pattern in forms]

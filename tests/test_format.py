@@ -194,6 +194,15 @@ def test_corpus_files_already_canonical():
         assert serialize_document(parse_document(text)) == text, path.name
 
 
+def test_a_reference_to_an_equal_object_is_written_as_the_first_form_holding_it():
+    language = "(variables x) (entity-types T) (reference (x T)) (relations (R (x)))"
+    doc = parse_document(f"(language L1 {language})\n(language L2 {language})\n"
+                         "(theory T2 (language L2) (axioms))\n")
+    text = serialize_document(doc)
+    assert "(theory T2 (language L1) (axioms))" in text
+    assert parse_document(text) == doc
+
+
 def test_model_with_explicit_tuples_round_trips():
     text = pathlib.Path(CORPUS[0].parent, "abstract.iff").read_text()
     doc = parse_document(text)
