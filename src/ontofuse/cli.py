@@ -112,7 +112,7 @@ def cmd_entails(args) -> int:
     if isinstance(verdict, Refuted):
         print(f"refuted: countermodel with {len(verdict.counter_model.entities)} entities")
         if args.output:
-            _write(document_of("model", "countermodel", verdict.counter_model), args.output)
+            _write(document_of("model", args.name, verdict.counter_model), args.output)
         return 1
     print(f"no counterexample up to {verdict.bound} entities")
     return 0
@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_check)
 
-    p = _command(sub, "entails", cmd_entails, "bounded countermodel search", "result",
+    p = _command(sub, "entails", cmd_entails, "bounded countermodel search", "countermodel",
                  output_required=False)
     p.add_argument("--theory", required=True)
     p.add_argument("--query", required=True)

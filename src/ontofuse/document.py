@@ -17,7 +17,7 @@ from .logic import Logic, LogicMorphism
 from .model import Model, fdict
 from .sexpr import MAX_DEPTH, is_symbol, parse_all, write_all
 from .theory import Theory, TheoryMorphism
-from .tokens import FrozenDict, sorted_tokens
+from .tokens import FrozenDict, _memo_key, sorted_tokens, token_key
 
 
 class FormError(OntofuseError):
@@ -51,16 +51,17 @@ def _pairs(name: str, items, what: str):
 _RESERVED = {"set", "tuple", "map"}
 
 
-def render_token(t):
+def render_token(t, key=token_key):
+    """t as a value; key orders the members of its sets and maps."""
     if isinstance(t, str):
         return t
     if isinstance(t, frozenset):
-        return ["set"] + [render_token(x) for x in sorted_tokens(t)]
+        return ["set"] + [render_token(x, key) for x in sorted_tokens(t, key)]
     if isinstance(t, FrozenDict):
-        return ["map"] + [[render_token(k), render_token(t[k])]
-                          for k in sorted_tokens(t)]
+        return ["map"] + [[render_token(k, key), render_token(t[k], key)]
+                          for k in sorted_tokens(t, key)]
     if isinstance(t, tuple):
-        return ["tuple"] + [render_token(x) for x in t]
+        return ["tuple"] + [render_token(x, key) for x in t]
     raise FormError("token", f"cannot render token {t!r}")
 
 
@@ -83,21 +84,21 @@ _BINARY_HEADS = {"and": And, "or": Or, "implies": Implies}
 _QUANT_HEADS = {"exists": Exists, "forall": Forall}
 
 
-def render_expression(e: Expression):
+def render_expression(e: Expression, key=token_key):
     if isinstance(e, Atomic):
-        return ["atom", render_token(e.relation)]
+        return ["atom", render_token(e.relation, key)]
     if isinstance(e, Not):
-        return ["not", render_expression(e.body)]
+        return ["not", render_expression(e.body, key)]
     if isinstance(e, (And, Or, Implies)):
         head = {And: "and", Or: "or", Implies: "implies"}[type(e)]
-        return [head, render_expression(e.left), render_expression(e.right)]
+        return [head, render_expression(e.left, key), render_expression(e.right, key)]
     if isinstance(e, (Exists, Forall)):
         head = "exists" if isinstance(e, Exists) else "forall"
-        return [head, render_token(e.var), render_expression(e.body)]
+        return [head, render_token(e.var, key), render_expression(e.body, key)]
     if isinstance(e, Subst):
-        pairs = [[render_token(x), render_token(e.mapping[x])]
-                 for x in sorted_tokens(e.mapping)]
-        return ["subst", pairs, render_expression(e.body)]
+        pairs = [[render_token(x, key), render_token(e.mapping[x], key)]
+                 for x in sorted_tokens(e.mapping, key)]
+        return ["subst", pairs, render_expression(e.body, key)]
     raise FormError("expression", f"cannot render {e!r}")
 
 
@@ -313,116 +314,136 @@ def parse_document(text: str) -> Document:
 
 # --- rendering ----------------------------------------------------------------
 
-def _render_pairs(key: str, pairs) -> list:
-    return [key] + [[render_token(a), render_token(b)] for (a, b) in pairs]
+def _render_pairs(clause: str, pairs, key) -> list:
+    return [clause] + [[render_token(a, key), render_token(b, key)] for (a, b) in pairs]
 
 
-def _render_assignment(a) -> list:
-    return [[render_token(x), render_token(a[x])] for x in sorted_tokens(a)]
+def _render_assignment(a, key) -> list:
+    return [[render_token(x, key), render_token(a[x], key)] for x in sorted_tokens(a, key)]
 
 
-# render_<kind>(name, obj, refs) places the rendered reference clauses refs
-# where its kind writes them.
+# render_<kind>(name, obj, refs, key) places the rendered reference clauses
+# refs where its kind writes them, and orders tokens by key.
 
-def render_language(name: str, lang: TypeLanguage, refs: list) -> list:
+def render_language(name: str, lang: TypeLanguage, refs: list, key) -> list:
+    variables = sorted_tokens(lang.variables, key)
     return ["language", name, *refs,
-            ["variables"] + [render_token(x) for x in sorted_tokens(lang.variables)],
-            ["entity-types"] + [render_token(a) for a in sorted_tokens(lang.entity_types)],
-            _render_pairs("reference", [(x, lang.reference[x])
-                                        for x in sorted_tokens(lang.variables)]),
-            ["relations"] + [[render_token(r),
-                              [render_token(x) for x in sorted_tokens(lang.arity[r])]]
-                             for r in sorted_tokens(lang.relation_types)]]
+            ["variables"] + [render_token(x, key) for x in variables],
+            ["entity-types"] + [render_token(a, key)
+                                for a in sorted_tokens(lang.entity_types, key)],
+            _render_pairs("reference", [(x, lang.reference[x]) for x in variables], key),
+            ["relations"] + [[render_token(r, key),
+                              [render_token(x, key) for x in sorted_tokens(lang.arity[r], key)]]
+                             for r in sorted_tokens(lang.relation_types, key)]]
 
 
-def render_theory(name: str, t: Theory, refs: list) -> list:
+def render_theory(name: str, t: Theory, refs: list, key) -> list:
     return ["theory", name, *refs,
-            ["axioms"] + [render_expression(a) for a in sorted_tokens(t.axioms)]]
+            ["axioms"] + [render_expression(a, key) for a in sorted_tokens(t.axioms, key)]]
 
 
 def _extent_faithful(m: Model, extents: dict) -> bool:
-    """Does from_extents on the derived extents rebuild this exact model?"""
-    try:
-        rebuilt = Model.from_extents(
-            m.language, m.entities, m.entity_incidence, extents,
-            extra_tuples=[t for t in m.tuples
-                          if isinstance(t, FrozenDict) and m.tuple_valuation[t] == t])
-    except OntofuseError:
+    """Does from_extents on the derived extents, with m's other tuples as
+    extra tuples, rebuild this exact model?
+
+    For a model whose entity incidence is in range, as in every model
+    the library builds, it does exactly when every tuple is a FrozenDict
+    that is its own valuation, every extent row is one of the tuples,
+    every tuple is well-sorted, and the relation incidence is the lax one.
+    """
+    val = m.tuple_valuation
+    if not all(isinstance(t, FrozenDict) and v == t for t, v in val.items()):
         return False
-    return rebuilt == m
+    if not all(row in val for rows in extents.values() for row in rows):
+        return False
+    sort = m.language.reference
+    if not all((e, sort.get(x)) in m.entity_incidence for t in val for x, e in t.items()):
+        return False
+    # Each incidence pair (t, rho) is in the lax incidence, since t
+    # restricted to rho's arity is a row of rho's extent; so the two are
+    # equal when the lax incidence has no more pairs.
+    arity, lax = m.language.arity, 0
+    for rho, (order, rows) in m._rows.items():
+        lax += sum(1 for t in val if arity[rho] <= t.keys()
+                   and tuple(map(t.__getitem__, order)) in rows)
+    return lax == len(m.relation_incidence)
 
 
-def render_model(name: str, m: Model, refs: list) -> list:
+def render_model(name: str, m: Model, refs: list, key) -> list:
     out = ["model", name, *refs,
-           ["entities"] + [render_token(e) for e in sorted_tokens(m.entities)],
-           _render_pairs("incidence", sorted_tokens(m.entity_incidence))]
+           ["entities"] + [render_token(e, key) for e in sorted_tokens(m.entities, key)],
+           _render_pairs("incidence", sorted_tokens(m.entity_incidence, key), key)]
     extents = {rho: m.relation_extent(rho) for rho in m.language.relation_types}
     if _extent_faithful(m, extents):
         rendered = ["extents"]
-        for rho in sorted_tokens(m.language.relation_types):
-            rows = sorted_tokens(extents[rho])
-            rendered.append([render_token(rho)] + [_render_assignment(a) for a in rows])
+        for rho in sorted_tokens(m.language.relation_types, key):
+            rendered.append([render_token(rho, key)] +
+                            [_render_assignment(a, key) for a in sorted_tokens(extents[rho], key)])
         out.append(rendered)
         covered = frozenset().union(*extents.values())
-        extra = [t for t in sorted_tokens(m.tuples) if t not in covered]
+        extra = sorted_tokens([t for t in m.tuples if t not in covered], key)
         if extra:
-            out.append(["extra-tuples"] + [_render_assignment(t) for t in extra])
+            out.append(["extra-tuples"] + [_render_assignment(t, key) for t in extra])
         return out
     tuples = ["tuples"]
-    for t in sorted_tokens(m.tuples):
-        tuples.append([render_token(t),
-                       ["arity"] + [render_token(x) for x in sorted_tokens(m.tuple_arity[t])],
-                       _render_pairs("valuation", [(x, m.tuple_valuation[t][x])
-                                                   for x in sorted_tokens(m.tuple_arity[t])])])
+    for t in sorted_tokens(m.tuples, key):
+        val = m.tuple_valuation[t]
+        arity = sorted_tokens(val, key)
+        tuples.append([render_token(t, key),
+                       ["arity"] + [render_token(x, key) for x in arity],
+                       _render_pairs("valuation", [(x, val[x]) for x in arity], key)])
     out.append(tuples)
-    out.append(_render_pairs("relation-incidence", sorted_tokens(m.relation_incidence)))
+    out.append(_render_pairs("relation-incidence", sorted_tokens(m.relation_incidence, key),
+                             key))
     return out
 
 
-def render_logic(name: str, l: Logic, refs: list) -> list:
+def render_logic(name: str, l: Logic, refs: list, key) -> list:
     out = ["logic", name, *refs]
     if l.normal_entities != l.model.entities:
         out.append(["normal-entities"] +
-                   [render_token(e) for e in sorted_tokens(l.normal_entities)])
+                   [render_token(e, key) for e in sorted_tokens(l.normal_entities, key)])
     if l.normal_tuples != l.model.tuples:
         out.append(["normal-tuples"] +
-                   [render_token(t) for t in sorted_tokens(l.normal_tuples)])
+                   [render_token(t, key) for t in sorted_tokens(l.normal_tuples, key)])
     return out
 
 
-def _render_language_maps(lm: LanguageMorphism) -> list:
+def _render_language_maps(lm: LanguageMorphism, key) -> list:
     rel = ["relations"]
-    for r in sorted_tokens(lm.relation_map):
+    for r in sorted_tokens(lm.relation_map, key):
         img = lm.relation_map[r]
-        rendered = ["expr", render_expression(img)] if isinstance(img, Expression) \
-            else render_token(img)
-        rel.append([render_token(r), rendered])
-    out = [_render_pairs("variables", [(x, lm.var_map[x]) for x in sorted_tokens(lm.var_map)]),
+        rendered = ["expr", render_expression(img, key)] if isinstance(img, Expression) \
+            else render_token(img, key)
+        rel.append([render_token(r, key), rendered])
+    out = [_render_pairs("variables", [(x, lm.var_map[x])
+                                       for x in sorted_tokens(lm.var_map, key)], key),
            _render_pairs("entity-types", [(a, lm.entity_map[a])
-                                          for a in sorted_tokens(lm.entity_map)]),
+                                          for a in sorted_tokens(lm.entity_map, key)], key),
            rel]
     if lm.refinement:
         out.append(["refinement"])
     return out
 
 
-def render_theory_morphism(name: str, g: TheoryMorphism, refs: list) -> list:
-    return ["theory-morphism", name, *refs] + _render_language_maps(g.language_morphism)
+def render_theory_morphism(name: str, g: TheoryMorphism, refs: list, key) -> list:
+    return ["theory-morphism", name, *refs] + _render_language_maps(g.language_morphism, key)
 
 
-def render_logic_morphism(name: str, f: LogicMorphism, refs: list) -> list:
+def render_logic_morphism(name: str, f: LogicMorphism, refs: list, key) -> list:
     return ["logic-morphism", name, *refs] + \
-        _render_language_maps(f.language_morphism) + \
+        _render_language_maps(f.language_morphism, key) + \
         [_render_pairs("entity-map", [(e, f.entity_map[e])
-                                      for e in sorted_tokens(f.entity_map)]),
+                                      for e in sorted_tokens(f.entity_map, key)], key),
          _render_pairs("tuple-map", [(t, f.tuple_map[t])
-                                     for t in sorted_tokens(f.tuple_map)])]
+                                     for t in sorted_tokens(f.tuple_map, key)], key)]
 
 
-def render_alignment(name: str, a: Alignment, refs: list) -> list:
+def render_alignment(name: str, a: Alignment, refs: list, key) -> list:
     # the universe precedes the references, as in the corpus files
     return ["alignment", name,
-            ["universe"] + [render_token(e) for e in sorted_tokens(a.universe)], *refs]
+            ["universe"] + [render_token(e, key) for e in sorted_tokens(a.universe, key)],
+            *refs]
 
 
 _RENDERERS = {"language": render_language, "theory": render_theory, "model": render_model,
@@ -432,13 +453,16 @@ _RENDERERS = {"language": render_language, "theory": render_theory, "model": ren
 
 def serialize_document(doc: Document) -> str:
     """Canonical text for a document.  A reference is written as the name of
-    the first form of its kind holding an equal object, not the same one."""
+    the first form of its kind holding an equal object, not the same one.
+    One key orders every token of the call and remembers the keys it
+    works out, which the model sums meet many times over."""
+    key = _memo_key()
     forms = []
     for kind, name in doc.order:
         obj = doc.objects[name]
         refs = [[clause, _name_of(doc, getattr(obj, attr), ref_kind)]
                 for clause, attr, ref_kind in _REFERENCES[kind]]
-        forms.append(_RENDERERS[kind](name, obj, refs))
+        forms.append(_RENDERERS[kind](name, obj, refs, key))
     return write_all(forms)
 
 

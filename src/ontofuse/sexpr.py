@@ -2,10 +2,12 @@
 
 Values are either symbols (plain strings) or lists of values.  Symbols
 are any run of characters excluding whitespace, parentheses, and the
-comment character.  The reader is one pass of a tokenizer over the
-text with a stack of open lists; it refuses lists nested deeper than
-MAX_DEPTH and works out the line and column of a syntax error from its
-offset only when it raises.  The writer emits one canonical layout.
+comment character.  The reader takes the text's tokens in one
+``findall`` pass, which skips whitespace, and builds lists from them
+with a stack of open lists, dropping comments; it refuses lists nested
+deeper than MAX_DEPTH.  That pass keeps no offsets: on a syntax error a
+second scan, run only then, finds the first fault again and names its
+line and column.  The writer emits one canonical layout.
 """
 from __future__ import annotations
 
@@ -30,37 +32,52 @@ MAX_DEPTH = 200
 
 WIDTH = 78  # the writer puts a value on one line when it fits in this many columns
 
-# whitespace, a comment, a parenthesis, or a symbol: every character is in one token
-_TOKEN = re.compile(r"\s+|;[^\n]*|[()]|[^\s();]+")
-
-
-def _error(text: str, pos: int, message: str) -> SexprSyntaxError:
-    return SexprSyntaxError(message, text.count("\n", 0, pos) + 1,
-                            pos - text.rfind("\n", 0, pos))
+# a comment, a parenthesis, or a symbol; whitespace falls between tokens
+_TOKEN = re.compile(r";[^\n]*|[()]|[^\s();]+")
 
 
 def parse_all(text: str) -> list:
     """All top-level values in the text, in order."""
     out = items = []
-    opened = []  # (offset of its "(", enclosing list) for each open list
+    opened = []  # the enclosing list of each open list
+    for tok in _TOKEN.findall(text):
+        if tok == "(":
+            if len(opened) == MAX_DEPTH:
+                raise _first_fault(text)
+            opened.append(items)
+            items = []
+        elif tok == ")":
+            if not opened:
+                raise _first_fault(text)
+            outer = opened.pop()
+            outer.append(items)
+            items = outer
+        elif tok[0] != ";":
+            items.append(tok)
+    if opened:
+        raise _first_fault(text)
+    return out
+
+
+def _first_fault(text: str) -> SexprSyntaxError:
+    """The first syntax error in a text that has one, with its position."""
+    opened = []  # the offset of each open list's "("
     for m in _TOKEN.finditer(text):
         tok = m.group()
         if tok == "(":
             if len(opened) == MAX_DEPTH:
-                raise _error(text, m.start(), f"lists nested deeper than {MAX_DEPTH} levels")
-            opened.append((m.start(), items))
-            items = []
+                return _error(text, m.start(), f"lists nested deeper than {MAX_DEPTH} levels")
+            opened.append(m.start())
         elif tok == ")":
             if not opened:
-                raise _error(text, m.start(), "unmatched closing parenthesis")
-            outer = opened.pop()[1]
-            outer.append(items)
-            items = outer
-        elif not (tok[0] == ";" or tok[0].isspace()):
-            items.append(tok)
-    if opened:
-        raise _error(text, opened[-1][0], "unclosed parenthesis")
-    return out
+                return _error(text, m.start(), "unmatched closing parenthesis")
+            opened.pop()
+    return _error(text, opened[-1], "unclosed parenthesis")
+
+
+def _error(text: str, pos: int, message: str) -> SexprSyntaxError:
+    return SexprSyntaxError(message, text.count("\n", 0, pos) + 1,
+                            pos - text.rfind("\n", 0, pos))
 
 
 def is_symbol(v) -> bool:

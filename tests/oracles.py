@@ -2,29 +2,31 @@
 
 Everything here is written from first principles with plain loops over
 explicitly materialized sets, on purpose duplicating no code from the
-package under test.  The exception is the practical path's earlier
-one-fusion form, kept as it was so that the present path is compared
-with the one it replaced.
+package under test.  The exceptions are the practical path's earlier
+one-fusion form, the earlier token key and the writer's earlier test for
+extent form, kept as they were so that the present code is compared with
+the code it replaced.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from types import SimpleNamespace
 
 from ontofuse.language import (And, Atomic, Exists, Forall, Implies, Not, Or,
                                Subst)
 from ontofuse.errors import (AgreementFailure, DomainMismatch, IncompatibleQuotient,
-                             SoundnessViolation)
+                             OntofuseError, SoundnessViolation)
 from ontofuse.integration import (IntegrationResult, PracticalReport,
                                   _check_agreement, _relabel_logic)
-from ontofuse.model import ModelMorphism, model_morphism_valid
+from ontofuse.model import Model, ModelMorphism, model_morphism_valid
 from ontofuse.logic import (Logic, LogicMorphism, compose_logic_morphisms, counit, fiber,
                             fusion, fusion_invariant, is_sound, logic_dual_quotient,
                             logic_morphism_valid, logic_sum, restrict_logic)
 from ontofuse.language import (LanguageMorphism, identity_language_morphism,
                                language_morphism_valid)
 from ontofuse.theory import TheoryMorphism, theory_morphism_valid
-from ontofuse.tokens import fdict, sorted_tokens
+from ontofuse.tokens import FrozenDict, fdict, sorted_tokens
 
 
 # --- naive first-order evaluation --------------------------------------------
@@ -570,6 +572,42 @@ def naive_parse(text, max_depth):
         else:
             stack[-1].append(w)
     return stack[0] if len(stack) == 1 else None
+
+
+# --- token order and extent form, as the writer first had them --------------------
+
+def naive_token_key(t):
+    """The token order as one isinstance chain, recomputing every member's key."""
+    if isinstance(t, bool):
+        return ("bool", t)
+    if isinstance(t, int):
+        return ("int", t)
+    if isinstance(t, str):
+        return ("str", t)
+    if isinstance(t, frozenset):
+        return ("set", tuple(sorted(naive_token_key(x) for x in t)))
+    if isinstance(t, tuple):
+        return ("tuple", tuple(naive_token_key(x) for x in t))
+    if isinstance(t, FrozenDict):
+        return ("map", tuple(sorted((naive_token_key(k), naive_token_key(v))
+                                    for k, v in t.items())))
+    if dataclasses.is_dataclass(t) and not isinstance(t, type):
+        return ("dc", type(t).__name__,
+                tuple(naive_token_key(getattr(t, f.name)) for f in dataclasses.fields(t)))
+    raise TypeError(f"unorderable token: {t!r}")
+
+
+def naive_extent_faithful(m, extents):
+    """Does from_extents on the derived extents rebuild this exact model?
+    Decided by rebuilding it and comparing."""
+    try:
+        rebuilt = Model.from_extents(
+            m.language, m.entities, m.entity_incidence, extents,
+            extra_tuples=[t for t in m.tuples
+                          if isinstance(t, FrozenDict) and m.tuple_valuation[t] == t])
+    except OntofuseError:
+        return False
+    return rebuilt == m
 
 
 # --- the practical path, fusing twice -------------------------------------------

@@ -527,9 +527,11 @@ THEORY_FORMS = [("language", "{}-language"), ("theory", "{}")]
       "--practical"], "fused", LOGIC_FORMS),
     (["entails", "employment.iff", "--theory", "TW", "--query", "(atom Employed)",
       "--bound", "1"], "countermodel", [("language", "{}-language"), ("model", "{}")]),
+    (["entails", "employment.iff", "--theory", "TW", "--query", "(atom Employed)",
+      "--bound", "1", "--name", "X"], "X", [("language", "{}-language"), ("model", "{}")]),
 ], ids=["free-logic", "sum-logics", "sum-theories", "quotient-logic", "quotient-theory",
         "fuse", "restrict", "fiber", "sound-part", "integrate", "integrate-practical",
-        "entails"])
+        "entails", "entails-named"])
 def test_each_writing_command_writes_its_forms_in_order(tmp_path, capsys, argv, name, forms):
     out_file = tmp_path / "out.iff"
     code, out, _ = run(capsys, argv[0], str(CORPUS / argv[1]), *argv[2:], "-o", str(out_file))

@@ -5,23 +5,28 @@ import pathlib
 import random
 import re
 import tempfile
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ontofuse.cli import main
-from ontofuse.document import (Document, FormError, parse_document,
-                               parse_expression, parse_token,
+from ontofuse.document import (Document, FormError, _extent_faithful, document_of,
+                               parse_document, parse_expression, parse_token,
                                render_expression, render_token,
                                serialize_document)
-from ontofuse.language import And, Atomic, Exists, Not, Subst
+from ontofuse.language import And, Atomic, Exists, Not, Subst, TypeLanguage
 from ontofuse.errors import OntofuseError
+from ontofuse.logic import free_logic
+from ontofuse.model import Model, model_sum
 from ontofuse.sexpr import (MAX_DEPTH, WIDTH, SexprSyntaxError, parse_all,
                             write_all, write_value)
-from ontofuse.tokens import fdict
+from ontofuse.theory import Theory
+from ontofuse.tokens import fdict, sorted_tokens
 
-from fixtures import partial_span_text, w_language
-from oracles import naive_parse
+from fixtures import VARS, partial_span_text, rand_language, rand_model, w_language
+from oracles import naive_extent_faithful, naive_parse
 
 CORPUS = sorted(pathlib.Path(__file__).parent.parent.joinpath("corpus").glob("*.iff"))
 
@@ -75,6 +80,10 @@ def test_reader_refuses_lists_nested_beyond_the_limit():
      2, MAX_DEPTH + 2),
     ("(a)\r\n x " + "(" * (MAX_DEPTH + 5) + ")", f"lists nested deeper than {MAX_DEPTH} levels",
      2, MAX_DEPTH + 4),
+    # a comment that runs to the end of the text closes nothing
+    ("(a ;)", "unclosed parenthesis", 1, 1),
+    ("(a)\n(b;)", "unclosed parenthesis", 2, 1),
+    ("a;(\n)", "unmatched closing parenthesis", 2, 1),
 ])
 def test_syntax_error_message_line_and_column(text, message, line, column):
     with pytest.raises(SexprSyntaxError) as err:
@@ -85,6 +94,24 @@ def test_syntax_error_message_line_and_column(text, message, line, column):
 
 def test_reader_whitespace_and_comments():
     assert parse_all("a\x1cb\r(c\td) ; (e\r f\n\x85g;h") == ["a", "b", ["c", "d"], "g"]
+
+
+@pytest.mark.parametrize("text, values", [
+    # a comment at the end of the text, with no newline after it
+    ("(a b) ; end", [["a", "b"]]),
+    (";", []),
+    ("a ;", ["a"]),
+    # a comment holding a parenthesis just before the end of the text
+    ("(a) ;(", [["a"]]),
+    ("(a) ;)", [["a"]]),
+    ("(a)\n; ( )", [["a"]]),
+    # a comment right after a symbol
+    ("a;b", ["a"]),
+    ("(x;y)\n)", [["x"]]),
+    ("(set;\n b)", [["set", "b"]]),
+])
+def test_reader_reads_what_a_comment_leaves(text, values):
+    assert parse_all(text) == values == naive_parse(text, MAX_DEPTH)
 
 
 def test_parse_expression_refuses_nesting_beyond_the_limit():
@@ -211,6 +238,87 @@ def test_model_with_explicit_tuples_round_trips():
         assert again.objects[name] == doc.objects[name]
 
 
+# --- extent form ------------------------------------------------------------------
+
+def _extents(m):
+    return {rho: m.relation_extent(rho) for rho in m.language.relation_types}
+
+
+def _seeded_models(seed):
+    """Models of the kinds the writer meets, from one seed: built from
+    extents with extra tuples, free, and summed; and, from the first two,
+    sub-models, models with some tuples renamed, and models with a
+    relation incidence pair dropped."""
+    rng = random.Random(seed)
+    lang = rand_language(rng, max_rels=3)
+    m = rand_model(rng, lang)
+    domain = rng.sample(VARS, rng.randint(0, len(VARS)))
+    extra = [a for a in m.well_sorted_assignments(domain) if rng.random() < 0.5]
+    m = Model.from_extents(lang, m.entities, m.entity_incidence, _extents(m), extra)
+    free = free_logic(Theory.make(lang, [])).model
+    models = [m, free, model_sum(m, rand_model(rng, rand_language(rng, "b")))[0]]
+    for base in (m, free):
+        tuples = sorted_tokens(base.tuples)
+        models.append(base.restrict(base.entities,
+                                    rng.sample(tuples, rng.randint(0, len(tuples)))))
+        name = {t: ("t", i) if rng.random() < 0.3 else t for i, t in enumerate(tuples)}
+        models.append(replace(base,
+                              tuple_valuation=fdict({name[t]: v for t, v
+                                                     in base.tuple_valuation.items()}),
+                              relation_incidence=frozenset((name[t], rho) for t, rho
+                                                           in base.relation_incidence)))
+        pairs = sorted_tokens(base.relation_incidence)
+        if pairs:
+            models.append(replace(base, relation_incidence=base.relation_incidence -
+                                  {rng.choice(pairs)}))
+    return models
+
+
+def test_extent_form_is_chosen_as_rebuilding_the_model_chooses_it():
+    seen = Counter()
+    for seed in range(80):
+        for m in _seeded_models(seed):
+            extents = _extents(m)
+            faithful = _extent_faithful(m, extents)
+            assert faithful == naive_extent_faithful(m, extents), (seed, m)
+            seen[faithful] += 1
+    assert seen[True] >= 50 and seen[False] >= 50, seen
+
+
+def _two_variable_model(entities, tuples, incidence):
+    """A model over x and y of sort T, with R on x and S on x and y."""
+    lang = TypeLanguage.make(VARS, ["T"], {"x": "T", "y": "T"},
+                             {"R": {"x"}, "S": {"x", "y"}})
+    return Model(lang, frozenset(entities), frozenset({("a", "T"), ("b", "T")}),
+                 fdict(tuples), frozenset(incidence))
+
+
+_XA, _XAYB = fdict({"x": "a"}), fdict({"x": "a", "y": "b"})
+
+
+@pytest.mark.parametrize("m, faithful", [
+    # each tuple its own valuation, incidence the lax one: extent form
+    (_two_variable_model("ab", {_XA: _XA, _XAYB: _XAYB},
+                         {(_XA, "R"), (_XAYB, "R"), (_XAYB, "S")}), True),
+    # a tuple token that is not its own valuation
+    (_two_variable_model("ab", {"t": _XA}, {("t", "R")}), False),
+    # a tuple whose restriction to R's arity is not itself a tuple
+    (_two_variable_model("ab", {_XAYB: _XAYB}, {(_XAYB, "R"), (_XAYB, "S")}), False),
+    # an ill-sorted tuple: c is of no sort
+    (_two_variable_model("abc", {fdict({"x": "c"}): fdict({"x": "c"})},
+                         {(fdict({"x": "c"}), "R")}), False),
+    # the lax rule puts (x=a, y=b) in R too, where this incidence does not.  (It
+    # derives every pair a model has, as extents are read off its incidence.)
+    (_two_variable_model("ab", {_XA: _XA, _XAYB: _XAYB}, {(_XA, "R"), (_XAYB, "S")}), False),
+], ids=["extents", "token", "restriction", "ill-sorted", "incidence"])
+def test_a_model_that_extents_do_not_rebuild_is_written_in_tuples_form(m, faithful):
+    extents = _extents(m)
+    assert _extent_faithful(m, extents) == naive_extent_faithful(m, extents) == faithful
+    text = serialize_document(document_of("model", "M", m))
+    assert ("(tuples" in text) != faithful
+    assert parse_document(text).get("M", "model") == m
+
+
 def test_write_all_parses_back():
     values = [["a", "b", ["c", "d"]], ["e"]]
     assert parse_all(write_all(values)) == values
@@ -262,13 +370,6 @@ def _mutate(rng: random.Random, text: str) -> str:
     return text
 
 
-def _parse_or_none(text):
-    try:
-        return parse_all(text)
-    except SexprSyntaxError:
-        return None
-
-
 def _random_value(rng: random.Random, depth: int = 0):
     if depth > 5 or rng.random() < 0.4:
         return rng.choice(["a", "set", "x" * rng.randint(1, 30), "é"])
@@ -279,7 +380,13 @@ def test_reader_agrees_with_the_oracle_on_corpus_and_mutated_texts():
     rng = random.Random(8)
     texts = CORPUS_TEXTS + [_mutate(rng, rng.choice(CORPUS_TEXTS)) for _ in range(400)]
     for text in texts:
-        assert _parse_or_none(text) == naive_parse(text, MAX_DEPTH), text
+        try:
+            values = parse_all(text)
+        except SexprSyntaxError as err:
+            values = None
+            # the error names the parenthesis at fault
+            assert text.split("\n")[err.line - 1][err.column - 1] in "()", text
+        assert values == naive_parse(text, MAX_DEPTH), text
 
 
 def test_written_values_read_back():
