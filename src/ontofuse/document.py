@@ -308,7 +308,14 @@ def parse_document(text: str) -> Document:
         c = _clauses(name, form[2:])
         refs = [doc.get(_one(name, c, clause), ref_kind)
                 for clause, _, ref_kind in _REFERENCES[kind]]
-        doc.add(kind, name, _PARSERS[kind](name, c, *refs))
+        try:
+            obj = _PARSERS[kind](name, c, *refs)
+        except FormError:
+            raise
+        except OntofuseError as e:  # a construction error: name its form, keep its class
+            e.args = (f"{kind} {name}: {e}",)
+            raise
+        doc.add(kind, name, obj)
     return doc
 
 
@@ -363,7 +370,8 @@ def _extent_faithful(m: Model, extents: dict) -> bool:
     # restricted to rho's arity is a row of rho's extent; so the two are
     # equal when the lax incidence has no more pairs.
     arity, lax = m.language.arity, 0
-    for rho, (order, rows) in m._rows.items():
+    for rho, rows in m._rows.items():
+        order = m.language.arity_order[rho]
         lax += sum(1 for t in val if arity[rho] <= t.keys()
                    and tuple(map(t.__getitem__, order)) in rows)
     return lax == len(m.relation_incidence)

@@ -10,6 +10,7 @@ variable-for-variable substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .errors import CaptureError, DomainMismatch, IncompatibleQuotient, check_total
@@ -39,6 +40,12 @@ class TypeLanguage:
         for rho in self.relation_types:
             if not self.arity[rho] <= self.variables:
                 raise DomainMismatch(f"arity of {rho!r} uses unknown variables")
+
+    @cached_property
+    def arity_order(self) -> dict:
+        """Relation type -> its arity in token order: the column order of
+        its rows wherever a relation's extent is held as value tuples."""
+        return {rho: tuple(sorted_tokens(xs)) for rho, xs in self.arity.items()}
 
 
 # --- Expressions -----------------------------------------------------------

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .classification import power_classification
 from .errors import BudgetExceeded, DomainMismatch, SoundnessViolation, check_total
 from .language import (Expression, LanguageMorphism, TypeLanguage,
                        compose_language_morphisms, identity_language_morphism,
                        free_vars, language_morphism_valid, span_relation)
-from .model import (Model, ModelDualInvariant, ModelMorphism, _eval, fdict,
+from .model import (Model, ModelDualInvariant, ModelMorphism, _compile, fdict,
                     model_dual_quotient, model_morphism_valid, model_sum,
                     token_satisfies)
 from .theory import (DEFAULT_BUDGET, MorphismVerdict, Theory, TheoryMorphism,
@@ -181,14 +181,19 @@ def free_logic(t: Theory, budget: int = DEFAULT_BUDGET, strict: bool = False) ->
     rel_inc = [(tok, r) for tok in tokens for r in tok[1]]
     model = Model(lang, power.instances, power.incidence, fdict(valuation), frozenset(rel_inc))
     logic = Logic(t, model, model.entities,
-                  frozenset(tok for tok in tokens if _tuple_conforms(model, t, tok)))
+                  frozenset(filter(_tuple_conforms(model, t), tokens)))
     return sound_part(logic)
 
 
-def _tuple_conforms(model: Model, t: Theory, token: tuple) -> bool:
-    val = model.tuple_valuation[token]
-    return all(_eval(model, val, a)
-               for a in t.axioms if free_vars(model.language, a) <= val.keys())
+def _tuple_conforms(model: Model, t: Theory) -> Callable[[tuple], bool]:
+    """The test whether a tuple's valuation satisfies each axiom of t whose
+    free variables it covers, with the axioms compiled once."""
+    axioms = [(free_vars(model.language, a), _compile(model.language, a)) for a in t.axioms]
+
+    def conforms(token) -> bool:
+        val = model.tuple_valuation[token]
+        return all(f(model, val) for fv, f in axioms if fv <= val.keys())
+    return conforms
 
 
 def counit(l: Logic, budget: int = DEFAULT_BUDGET) -> LogicMorphism:
@@ -359,13 +364,14 @@ def fiber(g: TheoryMorphism, p: Logic) -> tuple[Logic, LogicMorphism]:
     valuation = {t: fdict({x: val[lm.var_map[x]] for x in lang.variables
                            if lm.var_map[x] in val})
                  for t, val in m.tuple_valuation.items()}
+    images = {r: token_satisfies(m, lm.relation_map[r]) for r in lang.relation_types}
     model = Model(lang, m.entities,
                   frozenset((e, a) for e in m.entities for a in lang.entity_types
                             if m.entity_classifies(e, lm.entity_map[a])),
                   fdict(valuation),
                   frozenset((t, r) for t, val in valuation.items() for r in lang.relation_types
                             if lang.arity[r] <= val.keys()
-                            and token_satisfies(m, t, lm.relation_map[r])))
+                            and images[r](t)))
     model.check(well_sorted=False)
     fib = Logic(g.source, model, m.entities, m.tuples)
     return fib, LogicMorphism.make(fib, p, lm, {e: e for e in m.entities},

@@ -13,11 +13,20 @@ relation instances that share a valuation but differ in incidence.
 
 Evaluation reads two indexes that a model builds on first use: for
 each relation type its classified rows (valuations restricted to the
-relation's arity, as value tuples in one fixed variable order), and for
-each entity type its entities in token order.  A model is frozen, so
-the indexes never go stale; a copy made with ``dataclasses.replace``
-builds its own.  The bounded search of :mod:`ontofuse.theory` hands the
-evaluator candidates that carry only these two indexes.
+relation's arity, as value tuples in the language's ``arity_order``),
+and for each entity type its entities in token order.  A model is
+frozen, so the indexes never go stale; a copy made with
+``dataclasses.replace`` builds its own.  The bounded search of
+:mod:`ontofuse.theory` hands the evaluator candidates that carry only
+these two indexes.
+
+An expression is compiled once, by ``_compile``, into a closure over
+those indexes; each caller compiles once and evaluates many times (the
+search once per search, :func:`satisfies` once per call, a tuple test
+once per image).  A quantifier whose body holds another quantifier
+memoises its result on the values of its free variables, and drops the
+memo when it is called on another model or candidate, so nested
+quantifiers cost time linear in their number rather than exponential.
 """
 from __future__ import annotations
 
@@ -173,12 +182,13 @@ class Model:
 
     @cached_property
     def _rows(self) -> dict:
-        """Relation type -> (its variables in a fixed order, the classified rows)."""
-        order = {rho: tuple(xs) for rho, xs in self.language.arity.items()}
+        """Relation type -> its classified rows: valuations restricted to the
+        relation's arity, as value tuples in the language's arity order."""
+        order = self.language.arity_order
         rows = {rho: set() for rho in order}
         for (t, rho) in self.relation_incidence:
             rows[rho].add(tuple(map(self.tuple_valuation[t].__getitem__, order[rho])))
-        return {rho: (order[rho], frozenset(rows[rho])) for rho in order}
+        return {rho: frozenset(r) for rho, r in rows.items()}
 
     @cached_property
     def _pools(self) -> dict:
@@ -193,13 +203,10 @@ class Model:
     def entity_classifies(self, e: Token, a: Token) -> bool:
         return (e, a) in self.entity_incidence
 
-    def entity_extent(self, a: Token) -> frozenset:
-        return frozenset(self._pools.get(a, ()))
-
     def relation_extent(self, rho: Token) -> frozenset:
         """Extent as assignments with domain exactly arity(rho), from incidence."""
-        order, rows = self._rows[rho]
-        return frozenset(fdict(zip(order, row)) for row in rows)
+        order = self.language.arity_order[rho]
+        return frozenset(fdict(zip(order, row)) for row in self._rows[rho])
 
     def tuple_classifies(self, t: Token, rho: Token) -> bool:
         return (t, rho) in self.relation_incidence
@@ -227,30 +234,7 @@ def holds(m: Model, t: Mapping, e: Expression) -> bool:
     fv = free_vars(m.language, e)
     if not fv <= set(t):
         raise LaxViolation(f"assignment domain {sorted_tokens(t)} lacks {sorted_tokens(fv - set(t))}")
-    return _eval(m, t, e)
-
-
-def _eval(m: Model, t: Mapping, e: Expression) -> bool:
-    # m is a Model or a search candidate: either has language, _rows and _pools
-    if isinstance(e, Atomic):
-        order, rows = m._rows[e.relation]
-        return tuple(map(t.__getitem__, order)) in rows
-    if isinstance(e, Not):
-        return not _eval(m, t, e.body)
-    if isinstance(e, And):
-        return _eval(m, t, e.left) and _eval(m, t, e.right)
-    if isinstance(e, Or):
-        return _eval(m, t, e.left) or _eval(m, t, e.right)
-    if isinstance(e, Implies):
-        return (not _eval(m, t, e.left)) or _eval(m, t, e.right)
-    if isinstance(e, (Exists, Forall)):
-        pool = m._pools[m.language.reference[e.var]]
-        results = (_eval(m, {**t, e.var: c}, e.body) for c in pool)
-        return any(results) if isinstance(e, Exists) else all(results)
-    if isinstance(e, Subst):
-        inner = {y: t[e.mapping[y]] for y in free_vars(m.language, e.body)}
-        return _eval(m, inner, e.body)
-    raise TypeError(f"not an expression: {e!r}")
+    return _compile(m.language, e)(m, t)
 
 
 def satisfies(m: Model, e: Expression) -> bool:
@@ -259,7 +243,73 @@ def satisfies(m: Model, e: Expression) -> bool:
     Each assignment has exactly the free variables as its domain, so the
     lax domain check of :func:`holds` is not repeated.
     """
-    return all(_eval(m, t, e) for t in m.well_sorted_assignments(free_vars(m.language, e)))
+    f = _compile(m.language, e)
+    return all(f(m, t) for t in m.well_sorted_assignments(free_vars(m.language, e)))
+
+
+def _compile(lang: TypeLanguage, e: Expression) -> Callable[[object, Mapping], bool]:
+    """e over lang as a closure f(m, t): whether e holds in m under t.
+
+    m is a Model or a search candidate, either of which has ``_rows`` and
+    ``_pools``, and t maps e's free variables to entities.  The tree is
+    walked here, once: an atom bakes in its arity order, a substitution
+    its variable pairs.  A quantifier whose body holds another quantifier
+    runs its body at most once per binding of its own free variables and
+    per model (see the module docstring).
+    """
+    def build(e) -> tuple[Callable, bool]:  # the closure, whether e holds a quantifier
+        if isinstance(e, Atomic):
+            rho, order = e.relation, lang.arity_order[e.relation]
+            if len(order) == 1:
+                x, = order
+                return (lambda m, t: (t[x],) in m._rows[rho]), False
+            if len(order) == 2:
+                x, y = order
+                return (lambda m, t: (t[x], t[y]) in m._rows[rho]), False
+            return (lambda m, t: tuple(map(t.__getitem__, order)) in m._rows[rho]), False
+        if isinstance(e, Not):
+            body, quantified = build(e.body)
+            return (lambda m, t: not body(m, t)), quantified
+        if isinstance(e, (And, Or, Implies)):
+            (left, ql), (right, qr) = build(e.left), build(e.right)
+            if isinstance(e, And):
+                return (lambda m, t: left(m, t) and right(m, t)), ql or qr
+            if isinstance(e, Or):
+                return (lambda m, t: left(m, t) or right(m, t)), ql or qr
+            return (lambda m, t: not left(m, t) or right(m, t)), ql or qr
+        if isinstance(e, (Exists, Forall)):
+            body, nested = build(e.body)
+            var, sort, stop = e.var, lang.reference[e.var], isinstance(e, Exists)
+
+            def quantify(m, t):  # any() for exists, all() for forall
+                bound = dict(t)
+                for c in m._pools[sort]:
+                    bound[var] = c
+                    if body(m, bound) is stop:
+                        return stop
+                return not stop
+            if not nested:
+                return quantify, True
+            key_vars = tuple(sorted_tokens(free_vars(lang, e)))
+            memo, seen = {}, None
+
+            def memoised(m, t):
+                nonlocal seen
+                if m is not seen:
+                    memo.clear()
+                    seen = m
+                key = tuple([t[x] for x in key_vars])
+                value = memo.get(key)
+                if value is None:
+                    value = memo[key] = quantify(m, t)
+                return value
+            return memoised, True
+        if isinstance(e, Subst):
+            body, quantified = build(e.body)
+            pairs = tuple((y, e.mapping[y]) for y in sorted_tokens(free_vars(lang, e.body)))
+            return (lambda m, t: body(m, {y: t[x] for y, x in pairs})), quantified
+        raise TypeError(f"not an expression: {e!r}")
+    return build(e)[0]
 
 
 # --- morphisms -------------------------------------------------------------
@@ -281,18 +331,23 @@ class ModelMorphism:
                              fdict(entity_map), fdict(tuple_map))
 
 
-def token_satisfies(m: Model, t: Token, image: Token | Expression) -> bool:
-    """Whether tuple t satisfies an image: a relation type or an expression.
+def token_satisfies(m: Model, image: Token | Expression) -> Callable[[Token], bool]:
+    """The test whether a tuple of m satisfies an image: a relation type or
+    an expression, compiled once for every tuple it is given.
 
     Relation types and atomics read incidence; any other expression is
     satisfied laxly.
     """
     if image in m.language.relation_types:
-        return m.tuple_classifies(t, image)
+        return lambda t: (t, image) in m.relation_incidence
     if isinstance(image, Atomic):
-        return m.tuple_classifies(t, image.relation)
-    val = m.tuple_valuation[t]
-    return free_vars(m.language, image) <= val.keys() and _eval(m, val, image)
+        return lambda t: (t, image.relation) in m.relation_incidence
+    f, fv = _compile(m.language, image), free_vars(m.language, image)
+
+    def test(t):
+        val = m.tuple_valuation[t]
+        return fv <= val.keys() and f(m, val)
+    return test
 
 
 def model_morphism_valid(f: ModelMorphism) -> tuple[bool, Optional[tuple]]:
@@ -317,6 +372,7 @@ def model_morphism_valid(f: ModelMorphism) -> tuple[bool, Optional[tuple]]:
         return False, ("entity",) + why
     var_image = frozenset(lm.var_map.values())
     rhos = sorted_tokens(f.source.language.relation_types)
+    images = {rho: token_satisfies(f.target, lm.relation_map[rho]) for rho in rhos}
     for t in sorted_tokens(f.target.tuples):
         s = f.tuple_map[t]
         t_arity = f.target.tuple_arity[t]
@@ -326,8 +382,7 @@ def model_morphism_valid(f: ModelMorphism) -> tuple[bool, Optional[tuple]]:
         if frozenset(lm.var_map[x] for x in f.source.tuple_arity[s]) != t_arity & var_image:
             return False, ("arity-image", t)
         for rho in rhos:
-            if f.source.tuple_classifies(s, rho) != \
-                    token_satisfies(f.target, t, lm.relation_map[rho]):
+            if f.source.tuple_classifies(s, rho) != images[rho](t):
                 return False, ("relation", t, rho)
     return True, None
 

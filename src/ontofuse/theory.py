@@ -15,11 +15,10 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetExceeded, DomainMismatch
 from .language import (Expression, LanguageEndorelation, LanguageMorphism,
-                       TypeLanguage, compose_language_morphisms, free_vars,
-                       identity_language_morphism,
+                       TypeLanguage, free_vars, identity_language_morphism,
                        language_morphism_valid, language_quotient, language_sum,
                        translate_expression, well_formed)
-from .model import Model, _eval, satisfies
+from .model import Model, _compile, satisfies
 from .tokens import sorted_tokens
 
 DEFAULT_BUDGET = 10000
@@ -57,13 +56,6 @@ def identity_theory_morphism(t: Theory) -> TheoryMorphism:
     return TheoryMorphism(identity_language_morphism(t.language), t, t)
 
 
-def compose_theory_morphisms(g1: TheoryMorphism, g2: TheoryMorphism) -> TheoryMorphism:
-    if g1.target != g2.source:
-        raise DomainMismatch("theory morphisms not composable")
-    return TheoryMorphism(compose_language_morphisms(g1.language_morphism, g2.language_morphism),
-                          g1.source, g2.target)
-
-
 # --- verdicts --------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -98,39 +90,40 @@ class _Candidate:
     arity lies in that type's extent.
     """
 
-    __slots__ = ("language", "_pools", "_rows", "_skeleton", "_choice")
+    __slots__ = ("_pools", "_rows", "_skeleton", "_choice")
 
     def __init__(self, skeleton: "_Skeleton", choice: tuple):
-        self.language = skeleton.model.language
         self._pools = skeleton.model._pools
         self._rows = dict(zip(skeleton.rhos, [rows for _, rows in choice]))
         self._skeleton = skeleton
         self._choice = choice
 
     def axioms_hold(self) -> bool:
-        return all(_eval(self, t, e) for e, ts in self._skeleton.axioms for t in ts)
+        return all(f(self, t) for f, ts in self._skeleton.axioms for t in ts)
 
     def query_holds(self, i: int) -> bool:
         """Whether the search's i-th query holds under every well-sorted assignment."""
-        e, ts = self._skeleton.queries[i]
-        return all(_eval(self, t, e) for t in ts)
+        f, ts = self._skeleton.queries[i]
+        return all(f(self, t) for t in ts)
 
     def model(self) -> Model:
         sk = self._skeleton
-        return Model.from_extents(self.language, sk.model.entities, sk.model.entity_incidence,
+        return Model.from_extents(sk.model.language, sk.model.entities,
+                                  sk.model.entity_incidence,
                                   dict(zip(sk.rhos, [ext for ext, _ in self._choice])))
 
 
 @dataclass(frozen=True)
 class _Skeleton:
     """One entity-incidence choice: its Model without relation instances,
-    the relation types in token order, and each axiom and query paired
-    with the well-sorted assignments on its free variables."""
+    the relation types in token order, and each axiom and query, compiled
+    once per search, paired with the well-sorted assignments on its free
+    variables."""
 
     model: Model
     rhos: list
-    axioms: list  # of (expression, assignments)
-    queries: list  # of (expression, assignments)
+    axioms: list  # of (compiled expression, assignments)
+    queries: list  # of (compiled expression, assignments)
 
 
 def _search(t: Theory, max_entities: int, budget: int,
@@ -147,8 +140,8 @@ def _search(t: Theory, max_entities: int, budget: int,
     if max_entities < 0:
         raise ValueError("max_entities must be >= 0")
     lang = t.language
-    axiom_vars = [(e, free_vars(lang, e)) for e in t.axioms]
-    query_vars = [(e, free_vars(lang, e)) for e in queries]
+    compiled_axioms = [(_compile(lang, e), free_vars(lang, e)) for e in t.axioms]
+    compiled_queries = [(_compile(lang, e), free_vars(lang, e)) for e in queries]
     seen = 0
     sorts = sorted_tokens(lang.entity_types)
     rhos = sorted_tokens(lang.relation_types)
@@ -159,14 +152,16 @@ def _search(t: Theory, max_entities: int, budget: int,
             incidence = [s for s, bit in zip(slots, inc_bits) if bit]
             skeleton = Model.from_extents(lang, entities, incidence, {})
             sk = _Skeleton(skeleton, rhos,
-                           [(e, skeleton.well_sorted_assignments(fv)) for e, fv in axiom_vars],
-                           [(e, skeleton.well_sorted_assignments(fv)) for e, fv in query_vars])
+                           [(f, skeleton.well_sorted_assignments(fv))
+                            for f, fv in compiled_axioms],
+                           [(f, skeleton.well_sorted_assignments(fv))
+                            for f, fv in compiled_queries])
             pools = []
             for rho in rhos:
-                order = tuple(lang.arity[rho])
+                order = lang.arity_order[rho]
                 assignments = skeleton.well_sorted_assignments(order)
                 rows = [tuple(a[x] for x in order) for a in assignments]
-                pools.append([(c, (order, frozenset(r))) for k in range(len(rows) + 1)
+                pools.append([(c, frozenset(r)) for k in range(len(rows) + 1)
                               for c, r in zip(itertools.combinations(assignments, k),
                                               itertools.combinations(rows, k))])
             for choice in itertools.product(*pools):

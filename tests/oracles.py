@@ -5,7 +5,9 @@ explicitly materialized sets, on purpose duplicating no code from the
 package under test.  The exceptions are the practical path's earlier
 one-fusion form, the earlier token key and the writer's earlier test for
 extent form, kept as they were so that the present code is compared with
-the code it replaced.
+the code it replaced, and two definitions that only tests read,
+``compose_theory_morphisms`` and ``entity_extent``, kept here rather than
+in the package.
 """
 from __future__ import annotations
 
@@ -23,8 +25,8 @@ from ontofuse.model import Model, ModelMorphism, model_morphism_valid
 from ontofuse.logic import (Logic, LogicMorphism, compose_logic_morphisms, counit, fiber,
                             fusion, fusion_invariant, is_sound, logic_dual_quotient,
                             logic_morphism_valid, logic_sum, restrict_logic)
-from ontofuse.language import (LanguageMorphism, identity_language_morphism,
-                               language_morphism_valid)
+from ontofuse.language import (LanguageMorphism, compose_language_morphisms,
+                               identity_language_morphism, language_morphism_valid)
 from ontofuse.theory import TheoryMorphism, theory_morphism_valid
 from ontofuse.tokens import FrozenDict, fdict, sorted_tokens
 
@@ -83,6 +85,11 @@ def naive_holds(m, env, e):
         inner = {y: env[e.mapping[y]] for y in naive_free_vars(lang, e.body)}
         return naive_holds(m, inner, e.body)
     raise TypeError(e)
+
+
+def entity_extent(m, a):
+    """The entities of sort a, as the model's sort-pool index holds them."""
+    return frozenset(m._pools.get(a, ()))
 
 
 def naive_satisfies(m, e):
@@ -212,6 +219,13 @@ def all_logic_morphisms(src, tgt, bound, budget=100000):
                 if ok:
                     out.append(f)
     return out
+
+
+def compose_theory_morphisms(g1, g2):
+    if g1.target != g2.source:
+        raise DomainMismatch("theory morphisms not composable")
+    return TheoryMorphism(compose_language_morphisms(g1.language_morphism, g2.language_morphism),
+                          g1.source, g2.target)
 
 
 def morphisms_equal(f, g):

@@ -16,9 +16,8 @@ from ontofuse.logic import (Logic, free_logic, free_signature,
                             free_tuple_tokens, fusion, is_sound, logic_sum,
                             transpose)
 from ontofuse.model import holds, satisfies
-from ontofuse.theory import (Theory, TheoryMorphism, compose_theory_morphisms,
-                             theory_morphism_valid, theory_quotient,
-                             theory_sum)
+from ontofuse.theory import (Theory, TheoryMorphism, theory_morphism_valid,
+                             theory_quotient, theory_sum)
 from ontofuse.tokens import ltag, rtag, sorted_tokens
 
 from fixtures import (VARS, practical_scenarios, rand_expression,
@@ -28,8 +27,9 @@ from ontofuse.integration import self_integration, trivial_integration, \
     practical_integrate
 from oracles import (adjunction_mediators, all_language_morphisms,
                      all_logic_morphisms, brute_free_signature,
-                     brute_free_tokens, cocone_mediators, logics_isomorphic,
-                     mediators, morphisms_equal, naive_holds, naive_satisfies)
+                     brute_free_tokens, cocone_mediators, compose_theory_morphisms,
+                     logics_isomorphic, mediators, morphisms_equal, naive_holds,
+                     naive_satisfies)
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 

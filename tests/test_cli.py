@@ -79,7 +79,7 @@ def test_check_names_the_missing_reference_key(tmp_path, capsys):
     path.write_text(text.replace("(reference (x Person) (y Company))", "(reference (x Person))"))
     code, out, _ = run(capsys, "check", str(path))
     assert code == 1
-    assert f"{path}: fail: reference is not total on its domain: missing 'y'" in out
+    assert out == f"{path}: fail: language W: reference is not total on its domain: missing 'y'\n"
 
 
 def test_check_rejects_a_tuple_whose_arity_is_not_its_valuations_domain(tmp_path, capsys):
@@ -88,7 +88,7 @@ def test_check_rejects_a_tuple_whose_arity_is_not_its_valuations_domain(tmp_path
     path.write_text(text.replace("(l1 (arity s)", "(l1 (arity s t)"))
     code, out, _ = run(capsys, "check", str(path))
     assert code == 1
-    assert out == f"{path}: fail: tuple of 'l1' not total exactly on its arity\n"
+    assert out == f"{path}: fail: model M: tuple of 'l1' not total exactly on its arity\n"
 
 
 EXTENTS_LANGUAGE = ("(language W (variables x y) (entity-types Person Company) "
@@ -114,7 +114,7 @@ def test_check_rejects_a_bad_extent_under_every_hash_seed(tmp_path, extents, mes
     for r in runs:
         out, err = r.communicate(timeout=60)
         results.add((r.returncode, out, err))
-    assert results == {(1, f"{path}: fail: {message}\n", "")}
+    assert results == {(1, f"{path}: fail: model M: {message}\n", "")}
 
 
 def test_check_names_the_token_order_first_stray_tuple_under_every_hash_seed(tmp_path):
@@ -129,7 +129,7 @@ def test_check_names_the_token_order_first_stray_tuple_under_every_hash_seed(tmp
     for r in runs:
         out, err = r.communicate(timeout=60)
         results.add((r.returncode, out, err))
-    assert results == {(1, f"{path}: fail: tuple of {{'x': 'bob', 'y': 'ghost1'}} "
+    assert results == {(1, f"{path}: fail: model M: tuple of {{'x': 'bob', 'y': 'ghost1'}} "
                            "leaves the node set\n", "")}
 
 

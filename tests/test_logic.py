@@ -19,15 +19,15 @@ from ontofuse.logic import (Logic, LogicDualInvariant, LogicMorphism,
                             logic_dual_quotient, logic_morphism_valid,
                             logic_sum, restrict_logic, sound_part, transpose)
 from ontofuse.model import Model, model_dual_quotient
-from ontofuse.theory import (Theory, TheoryMorphism, compose_theory_morphisms,
-                             identity_theory_morphism)
+from ontofuse.theory import Theory, TheoryMorphism, identity_theory_morphism
 from ontofuse.tokens import fdict, ltag, rtag, sorted_tokens
 
 from fixtures import (VARS, alignment_links, rand_language, rand_logic,
                       rand_span, relabeled_target, w_language, w_logic, wp_logic)
 from oracles import (all_language_morphisms, brute_free_signature,
-                     brute_free_tokens, logics_isomorphic, naive_dual_quotient,
-                     names_a_witness, sum_quotient_fusion)
+                     brute_free_tokens, compose_theory_morphisms, entity_extent,
+                     logics_isomorphic, naive_dual_quotient, names_a_witness,
+                     sum_quotient_fusion)
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
@@ -517,8 +517,8 @@ def test_fiber_pulls_extents_back_on_fixture():
     f, _ = fiber(g1, l1)
     assert set(f.language.entity_types) == {"Agent", "Org"}
     assert f.model.relation_extent("Emp") == l1.model.relation_extent("WorksFor")
-    assert f.model.entity_extent("Agent") == l1.model.entity_extent("Person")
-    assert f.model.entity_extent("Org") == l1.model.entity_extent("Company")
+    assert entity_extent(f.model, "Agent") == entity_extent(l1.model, "Person")
+    assert entity_extent(f.model, "Org") == entity_extent(l1.model, "Company")
 
 
 def test_fiber_of_sound_logic_sound_randomized():

@@ -1,18 +1,19 @@
 """Models: lax satisfaction, morphisms, sums, dual quotients."""
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from ontofuse.errors import (DomainMismatch, IncompatibleQuotient, LaxViolation,
                              NameSetMismatch, RespectViolation)
-from ontofuse.language import (And, Atomic, Exists, Forall, LanguageEndorelation,
-                               LanguageMorphism, Not, Or, TypeLanguage,
+from ontofuse.language import (And, Atomic, Exists, Forall, Implies, LanguageEndorelation,
+                               LanguageMorphism, Not, Or, Subst, TypeLanguage,
                                compose_language_morphisms, free_vars,
                                identity_language_morphism)
-from ontofuse.model import (Model, ModelDualInvariant, ModelMorphism, holds,
+from ontofuse.model import (Model, ModelDualInvariant, ModelMorphism, _compile, holds,
                             model_dual_quotient, model_morphism_valid, model_sum,
-                            satisfies)
+                            satisfies, token_satisfies)
 from ontofuse.logic import free_logic
 from ontofuse.theory import Theory
 from ontofuse.tokens import fdict, ltag, rtag, sorted_tokens
@@ -20,8 +21,8 @@ from ontofuse.tokens import fdict, ltag, rtag, sorted_tokens
 from fixtures import (VARS, rand_expression, rand_language, rand_logic,
                       rand_model, relabeled_target, separated_logic,
                       w_language, w_logic, wp_logic)
-from oracles import (all_model_morphisms, model_as_sets, models_isomorphic,
-                     morphisms_equal, naive_classes, naive_dual_quotient,
+from oracles import (all_model_morphisms, entity_extent, model_as_sets,
+                     models_isomorphic, morphisms_equal, naive_classes, naive_dual_quotient,
                      names_a_witness,
                      naive_extent, naive_holds, naive_model_sum,
                      naive_satisfies, naive_sort_pool, quotient_as_sets)
@@ -486,7 +487,7 @@ def assert_evaluates_like_naive(rng, m, expressions=3):
         assert {frozenset(a.items()) for a in m.relation_extent(rho)} == \
             naive_extent(m, rho)
     for a in lang.entity_types:
-        assert m.entity_extent(a) == set(naive_sort_pool(m, a))
+        assert entity_extent(m, a) == set(naive_sort_pool(m, a))
     for x in lang.variables:
         assert [t[x] for t in m.well_sorted_assignments([x])] == \
             naive_sort_pool(m, lang.reference[x])
@@ -539,6 +540,61 @@ def test_evaluation_on_sums_quotients_and_free_logics_randomized():
         assert_evaluates_like_naive(rng, half_incidence(rng, m))
 
 
+def quantified_nodes(e, under=False):
+    """Each node of e, with whether a quantifier lies above it."""
+    yield e, under
+    if isinstance(e, (Exists, Forall)):
+        yield from quantified_nodes(e.body, True)
+    elif isinstance(e, (Not, Subst)):
+        yield from quantified_nodes(e.body, under)
+    elif isinstance(e, (And, Or, Implies)):
+        yield from quantified_nodes(e.left, under)
+        yield from quantified_nodes(e.right, under)
+
+
+def test_compiled_evaluation_matches_naive_on_deep_expressions_randomized():
+    """Expressions of depth 4-6 on from_extents models and on free-logic
+    models, whose tuples are valued outside their sorts.  One compiled
+    expression runs on m and then on a copy with less incidence, so a
+    quantifier memo kept from one model to the next would show."""
+    rng = random.Random(101)
+    seen = Counter()
+    for i in range(300):
+        lang = rand_language(rng, max_ents=2, max_rels=2)
+        if not lang.relation_types:
+            continue
+        if i % 2:
+            m = rand_model(rng, lang, max_entities=3)
+        else:
+            axioms = [rand_expression(rng, lang, 2) for _ in range(rng.randint(0, 2))]
+            m = free_logic(Theory.make(lang, axioms)).model
+        for _ in range(2):
+            e = rand_expression(rng, lang, rng.randint(4, 6))
+            fv = free_vars(lang, e)
+            nodes = list(quantified_nodes(e))
+            seen["nested quantifier"] += any(isinstance(n, (Exists, Forall)) and under
+                                             for n, under in nodes)
+            seen["subst under a quantifier"] += any(isinstance(n, Subst) and under
+                                                    for n, under in nodes)
+            f = _compile(lang, e)
+            for model in (m, half_incidence(rng, m)):
+                seen["empty sort pool"] += any(not entity_extent(model, a)
+                                               for a in lang.entity_types)
+                assert satisfies(model, e) == naive_satisfies(model, e)
+                lax = [model.tuple_valuation[t] for t in sorted_tokens(model.tuples)
+                       if fv <= model.tuple_arity[t]]
+                for env in model.well_sorted_assignments(fv) + lax:
+                    assert f(model, env) == holds(model, env, e) == \
+                        naive_holds(model, dict(env), e)
+                test = token_satisfies(model, e)  # an atomic image reads incidence
+                for t, val in model.tuple_valuation.items():
+                    assert test(t) == ((t, e.relation) in model.relation_incidence
+                                       if isinstance(e, Atomic) else
+                                       fv <= val.keys() and naive_holds(model, dict(val), e))
+    assert min(seen[k] for k in ("nested quantifier", "subst under a quantifier",
+                                 "empty sort pool")) >= 40, seen
+
+
 def abstract_tuple_model():
     """Tuples t1, t2 share the valuation {x: a, y: b} but only t1 lies in S;
     t2 lies in R, whose arity is smaller than the tuples'."""
@@ -565,13 +621,13 @@ def test_evaluation_with_shared_valuations_and_larger_arity():
 def test_replaced_model_answers_from_its_own_incidence():
     m = abstract_tuple_model()
     assert satisfies(m, Exists("x", Atomic("R")))
-    assert m.entity_extent("T") == {"a", "b"}
+    assert entity_extent(m, "T") == {"a", "b"}
     moved = replace(m, relation_incidence=frozenset({("t1", "R")}),
                     entity_incidence=frozenset({("b", "T")}))
     assert moved.relation_extent("R") == {fdict({"x": "a"})}
     assert moved.relation_extent("S") == set()
     assert not satisfies(moved, Exists("x", Atomic("R")))
-    assert moved.entity_extent("T") == {"b"}
+    assert entity_extent(moved, "T") == {"b"}
     assert not holds(moved, {"x": "a", "y": "b"}, Atomic("S"))
     assert holds(m, {"x": "a", "y": "b"}, Atomic("S"))
     assert_evaluates_like_naive(random.Random(97), moved, expressions=30)
