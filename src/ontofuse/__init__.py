@@ -20,8 +20,7 @@ from .logic import (Logic, LogicDualInvariant, LogicMorphism, counit, fiber,
                     logic_morphism_valid, logic_sum, restrict_logic,
                     sound_part, transpose)
 from .integration import (AlignmentDiagram, IntegrationResult, PracticalReport,
-                          build_alignment, practical_integrate,
-                          self_integration, trivial_integration, unify)
+                          build_alignment, practical_integrate, unify)
 from .document import Document, parse_document, serialize_document
 
 __all__ = [n for n in dir() if not n.startswith("_")]

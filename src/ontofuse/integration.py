@@ -21,13 +21,12 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import AgreementFailure, DomainMismatch, EdgeInvalid
-from .language import LanguageMorphism, TypeLanguage, identity_language_morphism
+from .language import identity_language_morphism
 from .logic import (Logic, LogicMorphism, compose_logic_morphisms, counit, fiber,
-                    fusion, identity_logic_morphism, is_sound,
-                    logic_morphism_valid, restrict_logic, transpose)
+                    fusion, is_sound, logic_morphism_valid, restrict_logic,
+                    transpose)
 from .model import Model, fdict
-from .theory import (DEFAULT_BUDGET, Theory, TheoryMorphism,
-                     identity_theory_morphism, theory_morphism_valid)
+from .theory import DEFAULT_BUDGET, Theory, TheoryMorphism, theory_morphism_valid
 from .tokens import sorted_tokens
 
 
@@ -93,27 +92,6 @@ def unify(d: AlignmentDiagram) -> IntegrationResult:
         fused, v1, v2,
         compose_logic_morphisms(d.portal_link_left, v1),
         compose_logic_morphisms(d.portal_link_right, v2))
-
-
-def trivial_integration(l1: Logic, l2: Logic, bound: int = 2,
-                        budget: int = DEFAULT_BUDGET) -> IntegrationResult:
-    """The 'nothing' extreme: empty alignment; the fused logic is the sum."""
-    empty = TypeLanguage.make((), (), {}, {})
-    t = Theory.make(empty, ())
-    g1, g2 = (TheoryMorphism(LanguageMorphism.make(empty, l.language, {}, {}, {}), t, l.theory)
-              for l in (l1, l2))
-    d = build_alignment(l1, l2, l1, l2, identity_logic_morphism(l1),
-                        identity_logic_morphism(l2), t, g1, g2, bound, budget)
-    return unify(d)
-
-
-def self_integration(l: Logic, bound: int = 2,
-                     budget: int = DEFAULT_BUDGET) -> IntegrationResult:
-    """The 'everything' extreme: full identity alignment of l with itself."""
-    g = identity_theory_morphism(l.theory)
-    d = build_alignment(l, l, l, l, identity_logic_morphism(l),
-                        identity_logic_morphism(l), l.theory, g, g, bound, budget)
-    return unify(d)
 
 
 # --- the practical alternative ----------------------------------------------

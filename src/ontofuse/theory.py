@@ -6,6 +6,15 @@ prefixes of a canonical token sequence.  Verdicts carry the bound, so
 incompleteness is explicit.  The search evaluates each candidate on the
 rows it chooses, and builds a Model only for a model it yields or a
 countermodel it returns.
+
+Enumerating models visits every entity-incidence choice.  Searching for
+countermodels (entails, theory_morphism_valid) visits only the choices
+whose entities' membership rows are sorted and whose entity types that
+no variable refers to are empty (MACE-style symmetry breaking; Claessen
+& Sorensson 2003).  No expression tells a skipped choice from the earlier
+one that sorting its rows or clearing those types gives, so the first
+countermodel in the full order is never skipped, and both searches
+return the same one.
 """
 from __future__ import annotations
 
@@ -126,16 +135,27 @@ class _Skeleton:
     queries: list  # of (compiled expression, assignments)
 
 
-def _search(t: Theory, max_entities: int, budget: int,
-            queries: Iterable = ()) -> Iterator[_Candidate]:
+def _search(t: Theory, max_entities: int, budget: int, queries: Iterable = (),
+            _canonical: bool = False) -> Iterator[_Candidate]:
     """Every candidate over entity prefixes _e0.._e(n-1), n <= max_entities,
     that satisfies t's axioms, in enumeration order; each can also test the
     given queries.
 
-    For each n and entity-incidence choice, a candidate chooses a subset
-    of each relation type's well-sorted assignments as its extent.
+    For each n and entity-incidence choice (a skeleton: each entity's
+    membership row over the sorted entity types, rows in entity order, the
+    bit vectors in lexicographic order), a candidate chooses a subset of
+    each relation type's well-sorted assignments as its extent.
     Candidates are counted against the budget before the axiom check;
     BudgetExceeded aborts the whole search.
+
+    With _canonical, which only the countermodel searches of
+    :func:`_verdicts` pass, the search visits only the skeletons whose
+    rows are non-decreasing and whose entity types outside the variables'
+    references are empty.  Each skipped candidate has an earlier one with
+    the same truth value for every expression: swapping two out-of-order
+    entities, or clearing an unread type, lowers the bit vector, and
+    entities reach evaluation only through the sort pools and the rows.
+    So the first countermodel in the full order is still visited first.
     """
     if max_entities < 0:
         raise ValueError("max_entities must be >= 0")
@@ -145,11 +165,16 @@ def _search(t: Theory, max_entities: int, budget: int,
     seen = 0
     sorts = sorted_tokens(lang.entity_types)
     rhos = sorted_tokens(lang.relation_types)
+    read = set(lang.reference.values()) if _canonical else lang.entity_types
+    memberships = list(itertools.product(*[(False, True) if a in read else (False,)
+                                           for a in sorts]))
     for n in range(max_entities + 1):
         entities = [entity_token(i) for i in range(n)]
-        slots = [(e, a) for e in entities for a in sorts]
-        for inc_bits in itertools.product((False, True), repeat=len(slots)):
-            incidence = [s for s, bit in zip(slots, inc_bits) if bit]
+        skeletons = (itertools.combinations_with_replacement(memberships, n) if _canonical
+                     else itertools.product(memberships, repeat=n))
+        for membership_rows in skeletons:
+            incidence = [(e, a) for e, row in zip(entities, membership_rows)
+                         for a, bit in zip(sorts, row) if bit]
             skeleton = Model.from_extents(lang, entities, incidence, {})
             sk = _Skeleton(skeleton, rhos,
                            [(f, skeleton.well_sorted_assignments(fv))
@@ -177,8 +202,10 @@ def enumerate_models(t: Theory, max_entities: int,
                      budget: int = DEFAULT_BUDGET) -> Iterator[Model]:
     """Yield every model of t over entity prefixes _e0.._e(n-1), n <= max_entities.
 
-    Candidates are counted against the budget before the axiom check;
-    BudgetExceeded aborts the whole enumeration.
+    Every entity-incidence choice is visited, renamings of one another
+    included, so this counts more candidates than :func:`entails` does
+    for the same bound.  Candidates are counted against the budget
+    before the axiom check; BudgetExceeded aborts the whole enumeration.
     """
     for cand in _search(t, max_entities, budget):
         yield cand.model()
@@ -204,7 +231,7 @@ def _verdicts(t: Theory, queries: list, max_entities: int, budget: int) -> dict:
             raise DomainMismatch(f"query {e!r} is not well-formed over the theory's language")
     open_queries = list(range(len(queries)))
     found = {}  # query index -> Refuted
-    for cand in _search(t, max_entities, budget, queries) if queries else ():
+    for cand in _search(t, max_entities, budget, queries, _canonical=True) if queries else ():
         for i in [i for i in open_queries if not cand.query_holds(i)]:
             found[i] = Refuted(_countermodel(t, cand, queries[i]))
             open_queries.remove(i)
@@ -218,7 +245,11 @@ def entails(t: Theory, e: Expression, max_entities: int,
     """Bounded countermodel search; Refuted(m) or NoCounterexampleUpTo(bound).
 
     m is the first countermodel in enumeration order, built by
-    Model.from_extents and re-checked with satisfies.
+    Model.from_extents and re-checked with satisfies.  The search skips
+    entity-incidence choices that are renamings of an earlier one or that
+    populate an entity type no variable refers to (see :func:`_search`):
+    none of them can hold the first countermodel, but the budget counts
+    fewer candidates than :func:`enumerate_models` does to the same bound.
     """
     return _verdicts(t, [e], max_entities, budget)[e]
 

@@ -5,9 +5,10 @@ explicitly materialized sets, on purpose duplicating no code from the
 package under test.  The exceptions are the practical path's earlier
 one-fusion form, the earlier token key and the writer's earlier test for
 extent form, kept as they were so that the present code is compared with
-the code it replaced, and two definitions that only tests read,
-``compose_theory_morphisms`` and ``entity_extent``, kept here rather than
-in the package.
+the code it replaced, and the definitions that only tests read,
+``compose_theory_morphisms``, ``entity_extent`` and the two extreme
+alignments ``trivial_integration`` and ``self_integration``, kept here
+rather than in the package.
 """
 from __future__ import annotations
 
@@ -20,14 +21,17 @@ from ontofuse.language import (And, Atomic, Exists, Forall, Implies, Not, Or,
 from ontofuse.errors import (AgreementFailure, DomainMismatch, IncompatibleQuotient,
                              OntofuseError, SoundnessViolation)
 from ontofuse.integration import (IntegrationResult, PracticalReport,
-                                  _check_agreement, _relabel_logic)
+                                  _check_agreement, _relabel_logic, build_alignment,
+                                  unify)
 from ontofuse.model import Model, ModelMorphism, model_morphism_valid
 from ontofuse.logic import (Logic, LogicMorphism, compose_logic_morphisms, counit, fiber,
-                            fusion, fusion_invariant, is_sound, logic_dual_quotient,
+                            fusion, fusion_invariant, identity_logic_morphism,
+                            is_sound, logic_dual_quotient,
                             logic_morphism_valid, logic_sum, restrict_logic)
-from ontofuse.language import (LanguageMorphism, compose_language_morphisms,
+from ontofuse.language import (LanguageMorphism, TypeLanguage, compose_language_morphisms,
                                identity_language_morphism, language_morphism_valid)
-from ontofuse.theory import TheoryMorphism, theory_morphism_valid
+from ontofuse.theory import (DEFAULT_BUDGET, Theory, TheoryMorphism,
+                             identity_theory_morphism, theory_morphism_valid)
 from ontofuse.tokens import FrozenDict, fdict, sorted_tokens
 
 
@@ -226,6 +230,25 @@ def compose_theory_morphisms(g1, g2):
         raise DomainMismatch("theory morphisms not composable")
     return TheoryMorphism(compose_language_morphisms(g1.language_morphism, g2.language_morphism),
                           g1.source, g2.target)
+
+
+def trivial_integration(l1, l2, bound=2, budget=DEFAULT_BUDGET) -> IntegrationResult:
+    """The 'nothing' extreme: empty alignment; the fused logic is the sum."""
+    empty = TypeLanguage.make((), (), {}, {})
+    t = Theory.make(empty, ())
+    g1, g2 = (TheoryMorphism(LanguageMorphism.make(empty, l.language, {}, {}, {}), t, l.theory)
+              for l in (l1, l2))
+    d = build_alignment(l1, l2, l1, l2, identity_logic_morphism(l1),
+                        identity_logic_morphism(l2), t, g1, g2, bound, budget)
+    return unify(d)
+
+
+def self_integration(l, bound=2, budget=DEFAULT_BUDGET) -> IntegrationResult:
+    """The 'everything' extreme: full identity alignment of l with itself."""
+    g = identity_theory_morphism(l.theory)
+    d = build_alignment(l, l, l, l, identity_logic_morphism(l),
+                        identity_logic_morphism(l), l.theory, g, g, bound, budget)
+    return unify(d)
 
 
 def morphisms_equal(f, g):

@@ -23,13 +23,12 @@ from ontofuse.tokens import ltag, rtag, sorted_tokens
 from fixtures import (VARS, practical_scenarios, rand_expression,
                       rand_language, rand_logic, rand_model, rand_span,
                       separated_logic, w_logic, wp_logic)
-from ontofuse.integration import self_integration, trivial_integration, \
-    practical_integrate
+from ontofuse.integration import practical_integrate
 from oracles import (adjunction_mediators, all_language_morphisms,
                      all_logic_morphisms, brute_free_signature,
                      brute_free_tokens, cocone_mediators, compose_theory_morphisms,
                      logics_isomorphic, mediators, morphisms_equal, naive_holds,
-                     naive_satisfies)
+                     naive_satisfies, self_integration, trivial_integration)
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 

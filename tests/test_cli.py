@@ -313,6 +313,17 @@ def test_integrate_practical_matches_golden(tmp_path, capsys):
     assert out_file.read_text() == (CORPUS / "fused.golden.iff").read_text()
 
 
+def test_entails_countermodel_matches_golden(tmp_path, capsys):
+    out_file = tmp_path / "countermodel.iff"
+    code, out, _ = run(capsys, "entails", str(CORPUS / "employment.iff"),
+                       "--theory", "TW", "--query",
+                       "(implies (exists x (atom Employed)) (forall x (atom Employed)))",
+                       "--bound", "2", "-o", str(out_file))
+    assert code == 1
+    assert out.startswith("refuted: countermodel with 2 entities\n")
+    assert out_file.read_text() == (CORPUS / "countermodel.golden.iff").read_text()
+
+
 @pytest.mark.parametrize("practical", [(), ("--practical",)])
 def test_integrate_budget_caps_the_free_logic(tmp_path, capsys, practical):
     # the mediating theory has two sorts, so its free logic has 4 entities

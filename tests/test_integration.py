@@ -9,8 +9,7 @@ from ontofuse.errors import (AgreementFailure, DomainMismatch, EdgeInvalid,
                              IncompatibleQuotient, OntofuseError)
 from ontofuse.language import (LanguageEndorelation, LanguageMorphism,
                                TypeLanguage)
-from ontofuse.integration import (build_alignment, practical_integrate,
-                                  self_integration, trivial_integration, unify)
+from ontofuse.integration import build_alignment, practical_integrate, unify
 from ontofuse.logic import (Logic, LogicMorphism, compose_logic_morphisms,
                             counit, fiber, fusion,
                             identity_logic_morphism, is_sound, logic_sum,
@@ -24,7 +23,8 @@ from fixtures import (VARS, alignment_links, permuted_practical_scenarios,
                       practical_scenarios, separated_logic, w_logic, wp_logic,
                       wp_language)
 from oracles import (logics_isomorphic, morphisms_equal,
-                     one_fusion_practical_integrate, two_fusion_practical_integrate)
+                     one_fusion_practical_integrate, self_integration,
+                     trivial_integration, two_fusion_practical_integrate)
 
 
 def fixture_diagram(bound=1):

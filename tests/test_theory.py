@@ -8,10 +8,10 @@ import pytest
 
 from ontofuse import theory
 from ontofuse.errors import BudgetExceeded, DomainMismatch
-from ontofuse.language import (And, Atomic, Exists, Forall, LanguageEndorelation,
+from ontofuse.language import (And, Atomic, Exists, Forall, Implies, LanguageEndorelation,
                                LanguageMorphism, Not, TypeLanguage,
                                identity_language_morphism, translate_expression)
-from ontofuse.model import satisfies
+from ontofuse.model import Model, satisfies
 from ontofuse.theory import (NoCounterexampleUpTo, Refuted, Theory,
                              TheoryMorphism, entails, enumerate_models, identity_theory_morphism,
                              theory_morphism_valid, theory_quotient, theory_sum)
@@ -163,6 +163,62 @@ def test_countermodel_is_the_first_enumerated_model_failing_the_query():
     assert verdicts[Refuted] >= 40 and verdicts[NoCounterexampleUpTo] >= 40
 
 
+def closed_by(rng, lang, quantifier):
+    """A random expression, under the quantifier half the time: existential
+    axioms and universal queries make countermodels that need entities."""
+    e = rand_expression(rng, lang, rng.randint(1, 3))
+    return quantifier(rng.choice(VARS), e) if rng.random() < 0.5 else e
+
+
+def sorted_theory(rng):
+    """One to three entity types, of which one is read by no variable when
+    there are two or more, one or two relation types, and up to two axioms."""
+    types = rng.sample(["A", "B", "C"], rng.randint(1, 3))
+    read = types[:max(1, len(types) - 1)]
+    lang = TypeLanguage.make(VARS, types, dict(zip(VARS, read * 2)),
+                             {f"R{i}": rng.sample(VARS, rng.randint(0, 2))
+                              for i in range(rng.randint(1, 2))})
+    return Theory.make(lang, [closed_by(rng, lang, Exists) for _ in range(rng.randint(0, 2))])
+
+
+def membership_rows(m):
+    """The distinct rows of m's entities over the sorted entity types."""
+    sorts = sorted_tokens(m.language.entity_types)
+    return {tuple(m.entity_classifies(e, a) for a in sorts) for e in m.entities}
+
+
+def test_countermodel_search_matches_the_full_enumeration():
+    # entails and theory_morphism_valid skip renamed skeletons and unread
+    # types; enumerate_models still visits every candidate
+    rng = random.Random(83)
+    cases = Counter()
+    while cases["bound 3"] < 12 or cases["unread"] < 60 or cases["distinct rows"] < 4:
+        t = sorted_theory(rng)
+        bound = rng.randint(0, 3)
+        try:
+            models = list(enumerate_models(t, bound, budget=400))
+        except BudgetExceeded:
+            continue
+        found = Counter(frozen_model(m) for m in models)
+        assert found == Counter(frozen_model(m) for m in brute_force_models(t, bound))
+        queries = [closed_by(rng, t.language, Forall) for _ in range(3)]
+        for q in queries:
+            first = next((m for m in models if not naive_satisfies(m, q)), None)
+            verdict = entails(t, q, bound)
+            assert verdict == (NoCounterexampleUpTo(bound) if first is None else Refuted(first))
+            cases[type(verdict).__name__] += 1
+            # a countermodel whose order of entities matters
+            cases["distinct rows"] += first is not None and len(membership_rows(first)) > 1
+        g = TheoryMorphism.make(identity_language_morphism(t.language),
+                                Theory.make(t.language, queries), t)
+        assert theory_morphism_valid(g, bound).per_axiom == tuple(
+            (q, "syntactic" if q in t.axioms else entails(t, q, bound))
+            for q in sorted_tokens(set(queries)))
+        cases[f"bound {bound}"] += 1
+        cases["unread"] += len(t.language.entity_types) > 1
+    assert min(cases["Refuted"], cases["NoCounterexampleUpTo"], cases["bound 0"]) >= 20
+
+
 def unary_theory():
     """Up to one entity: 4 candidates (see the hand enumeration above), of
     which the axiom keeps the 3 with an empty extent of r."""
@@ -187,8 +243,29 @@ def test_budget_counts_every_candidate_before_the_axiom_check():
 
 def test_a_refutation_within_the_budget_is_not_cut_by_it():
     t = unary_theory()
-    # _e0 outside T is the third candidate, and the first to fail the query
-    assert isinstance(entails(t, Exists("x", Not(Atomic("r"))), 1, budget=3), Refuted)
+    query = Not(Exists("x", Not(Atomic("r"))))
+    # _e0 in T with r empty is the third candidate, and the first to fail
+    # the query: the empty model and _e0 outside T both satisfy it
+    verdict = entails(t, query, 1, budget=3)
+    assert verdict == Refuted(Model.from_extents(t.language, ["_e0"], [("_e0", "T")],
+                                                 {"r": []}))
+    with pytest.raises(BudgetExceeded, match="^model enumeration exceeded 2 candidates$"):
+        entails(t, query, 1, budget=2)
+
+
+def test_entailment_counts_one_entity_ordering_per_skeleton():
+    # bound 2, one sort: enumerate_models visits 1 + (1 + 2) + (1 + 2 + 2 + 16)
+    # candidates; a countermodel search skips the skeleton with _e0 in T
+    # and _e1 outside it, a renaming of the one before it
+    lang = TypeLanguage.make(VARS, ["T"], {"x": "T", "y": "T"}, {"r": ("x", "y")})
+    t = Theory.make(lang, [])
+    query = Implies(Atomic("r"), Atomic("r"))
+    assert len(list(enumerate_models(t, 2, budget=25))) == 25
+    with pytest.raises(BudgetExceeded, match="^model enumeration exceeded 24 candidates$"):
+        list(enumerate_models(t, 2, budget=24))
+    assert entails(t, query, 2, budget=23) == NoCounterexampleUpTo(2)
+    with pytest.raises(BudgetExceeded, match="^model enumeration exceeded 22 candidates$"):
+        entails(t, query, 2, budget=22)
 
 
 def per_axiom_outcome(g, bound, budget):
