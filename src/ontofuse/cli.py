@@ -233,16 +233,22 @@ def _form_name(text: str) -> str:
     return text
 
 
+def _limits(p: argparse.ArgumentParser, bound: bool = True) -> None:
+    """The caps of the commands that search or enumerate: --bound, if it
+    searches for countermodels, and --budget."""
+    if bound:
+        p.add_argument("--bound", type=_count, default=2,
+                       help="entity cap for entailment and model enumeration")
+    p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
+                   help="candidate cap for combinatorial enumerations")
+
+
 def _command(sub, command: str, func, help: str, default_name: str,
              output_required: bool = True) -> argparse.ArgumentParser:
     """A subcommand reading one document, with the options every such command takes."""
     p = sub.add_parser(command, help=help)
     p.set_defaults(func=func)
     p.add_argument("doc", help="input document file")
-    p.add_argument("--bound", type=_count, default=2,
-                   help="entity cap for entailment and model enumeration")
-    p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
-                   help="candidate cap for combinatorial enumerations")
     p.add_argument("-o", "--output", required=output_required,
                    help="output document file")
     p.add_argument("--name", type=_form_name, default=default_name,
@@ -257,16 +263,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate every form in each document")
     p.add_argument("files", nargs="+")
-    p.add_argument("--bound", type=_count, default=2)
-    p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
+    _limits(p)
     p.set_defaults(func=cmd_check)
 
     p = _command(sub, "entails", cmd_entails, "bounded countermodel search", "countermodel",
                  output_required=False)
+    _limits(p)
     p.add_argument("--theory", required=True)
     p.add_argument("--query", required=True)
 
     p = _command(sub, "free-logic", cmd_free_logic, "logic freely generated over a theory", "free")
+    _limits(p, bound=False)
     p.add_argument("--theory", required=True)
     p.add_argument("--strict-free-logic", action="store_true",
                    help="require a unary relation type per sort")
@@ -302,6 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logic", required=True)
 
     p = _command(sub, "integrate", cmd_integrate, "two-step alignment and unification", "fused")
+    _limits(p)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--alignment", required=True)

@@ -14,7 +14,7 @@ from .errors import DomainMismatch, OntofuseError
 from .language import (And, Atomic, Exists, Expression, Forall, Implies,
                        LanguageMorphism, Not, Or, Subst, TypeLanguage)
 from .logic import Logic, LogicMorphism
-from .model import Model, fdict
+from .model import Model, _lax_incidence, fdict
 from .sexpr import MAX_DEPTH, is_symbol, parse_all, write_all
 from .theory import Theory, TheoryMorphism
 from .tokens import FrozenDict, _memo_key, sorted_tokens, token_key
@@ -369,11 +369,7 @@ def _extent_faithful(m: Model, extents: dict) -> bool:
     # Each incidence pair (t, rho) is in the lax incidence, since t
     # restricted to rho's arity is a row of rho's extent; so the two are
     # equal when the lax incidence has no more pairs.
-    arity, lax = m.language.arity, 0
-    for rho, rows in m._rows.items():
-        order = m.language.arity_order[rho]
-        lax += sum(1 for t in val if arity[rho] <= t.keys()
-                   and tuple(map(t.__getitem__, order)) in rows)
+    lax = sum(1 for _ in _lax_incidence(m.language, val, m._rows))
     return lax == len(m.relation_incidence)
 
 

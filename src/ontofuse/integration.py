@@ -25,7 +25,7 @@ from .language import identity_language_morphism
 from .logic import (Logic, LogicMorphism, compose_logic_morphisms, counit, fiber,
                     fusion, is_sound, logic_morphism_valid, restrict_logic,
                     transpose)
-from .model import Model, fdict
+from .model import Model, fdict, model_morphism_valid
 from .theory import DEFAULT_BUDGET, Theory, TheoryMorphism, theory_morphism_valid
 from .tokens import sorted_tokens
 
@@ -78,10 +78,11 @@ def build_alignment(l1: Logic, l2: Logic, p1: Logic, p2: Logic,
             raise EdgeInvalid(name, verdict.detail or verdict.per_axiom)
     k1 = transpose(g1, p1, budget)
     k2 = transpose(g2, p2, budget)
+    # A transpose's theory aspect is its alignment link, checked above.
     for k, name in ((k1, "left logical link"), (k2, "right logical link")):
-        verdict = logic_morphism_valid(k, bound, budget)
-        if not verdict:
-            raise EdgeInvalid(name, verdict.detail)
+        ok, why = model_morphism_valid(k.model_aspect())
+        if not ok:
+            raise EdgeInvalid(name, ("model", why))
     return AlignmentDiagram(l1, l2, p1, p2, link1, link2, t, g1, g2, k1, k2)
 
 

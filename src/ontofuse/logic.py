@@ -266,29 +266,12 @@ def _check_span(f0: LogicMorphism, f1: LogicMorphism) -> None:
             raise DomainMismatch("fusion requires non-refinement alignment links")
 
 
-def fusion_invariant(f0: LogicMorphism, f1: LogicMorphism,
-                     s: Logic) -> ModelDualInvariant:
-    """The dual invariant a span induces on the sum of its targets.
-
-    Instances: the pairs on which the two backward instance maps agree
-    (entities and tuples separately).  Types: tagged pairs linked by a
-    type of the common source.
-    """
-    _check_span(f0, f1)
-    relation = span_relation(f0.language_morphism, f1.language_morphism)
-    entities = frozenset(p for p in s.model.entities
-                         if f0.entity_map[p[0]] == f1.entity_map[p[1]])
-    tuples = frozenset(p for p in s.model.tuples
-                       if f0.tuple_map[p[0]] == f1.tuple_map[p[1]])
-    return ModelDualInvariant(entities, tuples, relation)
-
-
 def fusion(f0: LogicMorphism, f1: LogicMorphism) -> tuple[Logic, LogicMorphism, LogicMorphism]:
     """Pushout of a span f0: K => L0, f1: K => L1, computed as a pullback join.
 
     The pushout is the quotient of the sum of L0 and L1 by the invariant
-    the span induces (:func:`fusion_invariant`), which keeps the instance
-    pairs on which the backward maps agree: the pullback of the span.
+    the span induces, which keeps the instance pairs on which the
+    backward maps agree: the pullback of the span.
     The join builds only those pairs, as the product of the two models
     keyed by each leg's instance maps, and quotients it by the span's
     type relation.  Returns (fused, injection from L0, injection from L1).

@@ -7,7 +7,8 @@ each mapped to a valuation into the entities whose domain is its
 variable-set arity, so the tuple set and the arities are views of that
 one map.  The common case (built by :meth:`Model.from_extents`) uses
 well-sorted assignments as their own tokens, with incidence derived by
-the lax rule "the restriction of the tuple lies in the extent".  Keeping
+the lax rule "the restriction of the tuple lies in the extent", which
+``_lax_incidence`` alone applies, to extents held as rows.  Keeping
 tokens abstract matters because the free model over a theory has
 relation instances that share a valuation but differ in incidence.
 
@@ -18,7 +19,7 @@ and for each entity type its entities in token order.  A model is
 frozen, so the indexes never go stale; a copy made with
 ``dataclasses.replace`` builds its own.  The bounded search of
 :mod:`ontofuse.theory` hands the evaluator candidates that carry only
-these two indexes.
+these two indexes, choosing each relation's rows directly.
 
 An expression is compiled once, by ``_compile``, into a closure over
 those indexes; each caller compiles once and evaluates many times (the
@@ -33,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .classification import (Classification, ClassificationInvariant, Infomorphism,
                              class_groups, classification_quotient,
@@ -52,8 +53,16 @@ from .tokens import FrozenDict, Token, fdict, ltag, rtag, sorted_tokens, token_k
 Assignment = FrozenDict  # variables -> entities, finite domain
 
 
-def restrict(t: Mapping, domain: Iterable) -> Assignment:
-    return fdict({x: t[x] for x in domain})
+def _lax_incidence(language: TypeLanguage, valuation: Mapping,
+                   rows: Mapping) -> Iterator[tuple]:
+    """The lax rule: each (tuple token, relation type) pair such that the
+    token's valuation restricted to the type's arity is one of the type's
+    ``rows``, value tuples in the language's arity order."""
+    for rho, extent in rows.items():
+        arity, order = language.arity[rho], language.arity_order[rho]
+        for t, val in valuation.items():
+            if arity <= val.keys() and tuple(map(val.__getitem__, order)) in extent:
+                yield t, rho
 
 
 @dataclass(frozen=True)
@@ -76,7 +85,8 @@ class Model:
         domain exactly the relation's arity; an unknown relation type or
         another domain raises DomainMismatch, naming the token-order-first
         offender.  ``extra_tuples`` adds further well-sorted assignments
-        as hyperedges; incidence is the lax derived one throughout.
+        as hyperedges; incidence is the lax one, derived from each
+        extent's rows by :func:`_lax_incidence`.
         """
         unknown = set(extents) - language.relation_types
         if unknown:
@@ -89,14 +99,11 @@ class Model:
             raise DomainMismatch(f"extent row {t!r} of {rho!r} not total exactly on its arity")
         valuation = {t: t for t in itertools.chain(*ext.values())}
         valuation.update((t, t) for t in map(fdict, extra_tuples))
-        incidence = set()
-        for t in valuation:
-            for rho in language.relation_types:
-                if language.arity[rho] <= t.keys() and \
-                        restrict(t, language.arity[rho]) in ext[rho]:
-                    incidence.add((t, rho))
+        order = language.arity_order
+        rows = {rho: frozenset(tuple(map(t.__getitem__, order[rho])) for t in ts)
+                for rho, ts in ext.items()}
         m = Model(language, frozenset(entities), frozenset(tuple(p) for p in entity_incidence),
-                  fdict(valuation), frozenset(incidence))
+                  fdict(valuation), frozenset(_lax_incidence(language, valuation, rows)))
         m.check()
         return m
 

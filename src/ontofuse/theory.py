@@ -93,19 +93,17 @@ class _Candidate:
     """A candidate model as the evaluator reads it: the skeleton's sort
     pools and, for each relation type, the rows it chooses.
 
-    The Model that :meth:`model` builds from the chosen extents has
-    exactly these indexes: its tuples are the extent rows, and a tuple is
-    classified by a relation type just when its restriction to the type's
-    arity lies in that type's extent.
+    :meth:`model` builds the Model whose extents are these rows, which has
+    exactly these indexes: its tuples are the rows as assignments, and
+    :meth:`Model.from_extents` classifies them by the lax rule.
     """
 
-    __slots__ = ("_pools", "_rows", "_skeleton", "_choice")
+    __slots__ = ("_pools", "_rows", "_skeleton")
 
     def __init__(self, skeleton: "_Skeleton", choice: tuple):
         self._pools = skeleton.model._pools
-        self._rows = dict(zip(skeleton.rhos, [rows for _, rows in choice]))
+        self._rows = dict(zip(skeleton.rhos, choice))
         self._skeleton = skeleton
-        self._choice = choice
 
     def axioms_hold(self) -> bool:
         return all(f(self, t) for f, ts in self._skeleton.axioms for t in ts)
@@ -116,10 +114,11 @@ class _Candidate:
         return all(f(self, t) for t in ts)
 
     def model(self) -> Model:
-        sk = self._skeleton
-        return Model.from_extents(sk.model.language, sk.model.entities,
-                                  sk.model.entity_incidence,
-                                  dict(zip(sk.rhos, [ext for ext, _ in self._choice])))
+        m = self._skeleton.model
+        order = m.language.arity_order
+        return Model.from_extents(m.language, m.entities, m.entity_incidence,
+                                  {rho: [zip(order[rho], row) for row in rows]
+                                   for rho, rows in self._rows.items()})
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,8 @@ def _search(t: Theory, max_entities: int, budget: int, queries: Iterable = (),
     For each n and entity-incidence choice (a skeleton: each entity's
     membership row over the sorted entity types, rows in entity order, the
     bit vectors in lexicographic order), a candidate chooses a subset of
-    each relation type's well-sorted assignments as its extent.
+    each relation type's well-sorted rows (value tuples in the arity order,
+    drawn from the sort pools) as its extent.
     Candidates are counted against the budget before the axiom check;
     BudgetExceeded aborts the whole search.
 
@@ -183,12 +183,10 @@ def _search(t: Theory, max_entities: int, budget: int, queries: Iterable = (),
                             for f, fv in compiled_queries])
             pools = []
             for rho in rhos:
-                order = lang.arity_order[rho]
-                assignments = skeleton.well_sorted_assignments(order)
-                rows = [tuple(a[x] for x in order) for a in assignments]
-                pools.append([(c, frozenset(r)) for k in range(len(rows) + 1)
-                              for c, r in zip(itertools.combinations(assignments, k),
-                                              itertools.combinations(rows, k))])
+                rows = list(itertools.product(*[skeleton._pools[lang.reference[x]]
+                                                for x in lang.arity_order[rho]]))
+                pools.append([frozenset(c) for k in range(len(rows) + 1)
+                              for c in itertools.combinations(rows, k)])
             for choice in itertools.product(*pools):
                 seen += 1
                 if seen > budget:

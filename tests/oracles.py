@@ -6,9 +6,9 @@ package under test.  The exceptions are the practical path's earlier
 one-fusion form, the earlier token key and the writer's earlier test for
 extent form, kept as they were so that the present code is compared with
 the code it replaced, and the definitions that only tests read,
-``compose_theory_morphisms``, ``entity_extent`` and the two extreme
-alignments ``trivial_integration`` and ``self_integration``, kept here
-rather than in the package.
+``compose_theory_morphisms``, ``entity_extent``, ``fusion_invariant`` and
+the two extreme alignments ``trivial_integration`` and
+``self_integration``, kept here rather than in the package.
 """
 from __future__ import annotations
 
@@ -23,13 +23,14 @@ from ontofuse.errors import (AgreementFailure, DomainMismatch, IncompatibleQuoti
 from ontofuse.integration import (IntegrationResult, PracticalReport,
                                   _check_agreement, _relabel_logic, build_alignment,
                                   unify)
-from ontofuse.model import Model, ModelMorphism, model_morphism_valid
-from ontofuse.logic import (Logic, LogicMorphism, compose_logic_morphisms, counit, fiber,
-                            fusion, fusion_invariant, identity_logic_morphism,
+from ontofuse.model import Model, ModelDualInvariant, ModelMorphism, model_morphism_valid
+from ontofuse.logic import (Logic, LogicMorphism, _check_span, compose_logic_morphisms,
+                            counit, fiber, fusion, identity_logic_morphism,
                             is_sound, logic_dual_quotient,
                             logic_morphism_valid, logic_sum, restrict_logic)
 from ontofuse.language import (LanguageMorphism, TypeLanguage, compose_language_morphisms,
-                               identity_language_morphism, language_morphism_valid)
+                               identity_language_morphism, language_morphism_valid,
+                               span_relation)
 from ontofuse.theory import (DEFAULT_BUDGET, Theory, TheoryMorphism,
                              identity_theory_morphism, theory_morphism_valid)
 from ontofuse.tokens import FrozenDict, fdict, sorted_tokens
@@ -59,6 +60,19 @@ def naive_extent(m, rho):
             val = m.tuple_valuation[t]
             rows.add(frozenset((x, val[x]) for x in m.language.arity[rho]))
     return rows
+
+
+def naive_lax_incidence(extents, tuples):
+    """The lax rule on plain sets: (t, rho) for each tuple t and relation
+    type rho such that some assignment of rho's extent, whose domain is
+    rho's arity, has all its (variable, value) pairs among t's."""
+    incidence = set()
+    for t in tuples:
+        pairs = set(t.items())
+        for rho, extent in extents.items():
+            if any(set(a.items()) <= pairs for a in extent):
+                incidence.add((t, rho))
+    return incidence
 
 
 def naive_sort_pool(m, sort):
@@ -574,6 +588,22 @@ def quotient_as_sets(q, canon):
 
 
 # --- fusion as sum then quotient ------------------------------------------------
+
+def fusion_invariant(f0, f1, s):
+    """The dual invariant a span induces on the sum s of its targets.
+
+    Instances: the pairs on which the two backward instance maps agree
+    (entities and tuples separately).  Types: tagged pairs linked by a
+    type of the common source.
+    """
+    _check_span(f0, f1)
+    relation = span_relation(f0.language_morphism, f1.language_morphism)
+    entities = frozenset(p for p in s.model.entities
+                         if f0.entity_map[p[0]] == f1.entity_map[p[1]])
+    tuples = frozenset(p for p in s.model.tuples
+                       if f0.tuple_map[p[0]] == f1.tuple_map[p[1]])
+    return ModelDualInvariant(entities, tuples, relation)
+
 
 def sum_quotient_fusion(f0, f1):
     """Fusion as the quotient of the whole sum of the span's targets by the

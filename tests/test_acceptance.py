@@ -184,7 +184,8 @@ def test_criterion_5_integration_extremes(capsys):
 def test_criterion_6_fusion_soundness_and_respect(capsys):
     started = time.monotonic()
     rng = random.Random(127)
-    from ontofuse.logic import fusion_invariant, logic_dual_quotient
+    from ontofuse.logic import logic_dual_quotient
+    from oracles import fusion_invariant
     for _ in range(200):
         k, f0, f1 = rand_span(rng)
         s, _, _ = logic_sum(f0.target, f1.target)

@@ -217,6 +217,27 @@ def test_negative_bound_exit_two(argv, capsys):
         assert option in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["sum", "fixture.iff", "--left", "L1", "--right", "L2"], "--budget"),
+    (["sum", "fixture.iff", "--left", "L1", "--right", "L2"], "--bound"),
+    (["quotient", "quotient-demo.iff", "--of", "L", "--identify-relation", "Cat", "Feline"],
+     "--bound"),
+    (["fuse", "span.iff", "--left-link", "m1", "--right-link", "m2"], "--budget"),
+    (["restrict", "fixture.iff", "--logic", "L1", "--to", "bob", "acme"], "--bound"),
+    (["fiber", "fixture.iff", "--morphism", "g1", "--logic", "L1"], "--budget"),
+    (["sound-part", "fixture.iff", "--logic", "L1"], "--bound"),
+    (["free-logic", "fixture.iff", "--theory", "TW"], "--bound"),
+], ids=["sum-budget", "sum-bound", "quotient-bound", "fuse-budget", "restrict-bound",
+        "fiber-budget", "sound-part-bound", "free-logic-bound"])
+def test_an_option_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, argv, option):
+    out_file = tmp_path / "out.iff"
+    with pytest.raises(SystemExit) as err:
+        main([argv[0], str(CORPUS / argv[1]), *argv[2:], option, "0", "-o", str(out_file)])
+    assert err.value.code == 2
+    assert option in capsys.readouterr().err
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("name", ["a b", "", "x)"], ids=["two-symbols", "empty", "paren"])
 def test_name_the_reader_cannot_read_back_is_a_usage_error(tmp_path, capsys, name):
     out_file = tmp_path / "sum.iff"

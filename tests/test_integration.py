@@ -9,6 +9,7 @@ from ontofuse.errors import (AgreementFailure, DomainMismatch, EdgeInvalid,
                              IncompatibleQuotient, OntofuseError)
 from ontofuse.language import (LanguageEndorelation, LanguageMorphism,
                                TypeLanguage)
+from ontofuse import integration, logic
 from ontofuse.integration import build_alignment, practical_integrate, unify
 from ontofuse.logic import (Logic, LogicMorphism, compose_logic_morphisms,
                             counit, fiber, fusion,
@@ -19,7 +20,7 @@ from ontofuse.theory import (DEFAULT_BUDGET, Theory, TheoryMorphism,
                              identity_theory_morphism, theory_quotient, theory_sum)
 from ontofuse.tokens import ltag, rtag, sorted_tokens
 
-from fixtures import (VARS, alignment_links, permuted_practical_scenarios,
+from fixtures import (CORPUS, VARS, alignment_links, permuted_practical_scenarios,
                       practical_scenarios, separated_logic, w_logic, wp_logic,
                       wp_language)
 from oracles import (logics_isomorphic, morphisms_equal,
@@ -58,6 +59,28 @@ def test_logical_links_are_transposes():
     k2 = transpose(d.theoretical_link_right, d.portal_right)
     assert morphisms_equal(d.logical_link_left, k1)
     assert morphisms_equal(d.logical_link_right, k2)
+
+
+def test_alignment_searches_each_alignment_link_once(monkeypatch):
+    # the logical links' theory aspects are the alignment links, so each
+    # alignment link goes through the bounded check once, as does each
+    # portal link's theory aspect
+    checked = []
+    for module in (integration, logic):
+        def counted(g, *args, valid=module.theory_morphism_valid, **kwargs):
+            checked.append(g)
+            return valid(g, *args, **kwargs)
+        monkeypatch.setattr(module, "theory_morphism_valid", counted)
+    doc = parse_document((CORPUS / "fixture.iff").read_text())
+    l1, l2, a = doc.get("L1", "logic"), doc.get("L2", "logic"), doc.get("A", "alignment")
+    p1, link1 = restrict_logic(l1, a.universe)
+    p2, link2 = restrict_logic(l2, a.universe)
+    d = build_alignment(l1, l2, p1, p2, link1, link2, a.mediating_theory,
+                        a.left_link, a.right_link, 2)
+    assert checked == [link1.theory_aspect(), link2.theory_aspect(),
+                       a.left_link, a.right_link]
+    assert d.logical_link_left.theory_aspect() == a.left_link
+    assert d.logical_link_right.theory_aspect() == a.right_link
 
 
 def test_invalid_alignment_link_rejected_by_name():

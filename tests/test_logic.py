@@ -14,7 +14,7 @@ from ontofuse.language import Atomic, LanguageEndorelation, LanguageMorphism, Ty
 from ontofuse.logic import (Logic, LogicDualInvariant, LogicMorphism,
                             compose_logic_morphisms, counit, fiber,
                             free_logic, free_signature,
-                            free_tuple_tokens, fusion, fusion_invariant,
+                            free_tuple_tokens, fusion,
                             identity_logic_morphism, is_sound,
                             logic_dual_quotient, logic_morphism_valid,
                             logic_sum, restrict_logic, sound_part, transpose)
@@ -26,8 +26,8 @@ from fixtures import (VARS, alignment_links, rand_language, rand_logic,
                       rand_span, relabeled_target, w_language, w_logic, wp_logic)
 from oracles import (all_language_morphisms, brute_free_signature,
                      brute_free_tokens, compose_theory_morphisms, entity_extent,
-                     logics_isomorphic, naive_dual_quotient, names_a_witness,
-                     sum_quotient_fusion)
+                     fusion_invariant, logics_isomorphic, naive_dual_quotient,
+                     names_a_witness, sum_quotient_fusion)
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 

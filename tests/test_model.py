@@ -1,4 +1,5 @@
 """Models: lax satisfaction, morphisms, sums, dual quotients."""
+import itertools
 import random
 from collections import Counter
 from dataclasses import replace
@@ -24,7 +25,7 @@ from fixtures import (VARS, rand_expression, rand_language, rand_logic,
 from oracles import (all_model_morphisms, entity_extent, model_as_sets,
                      models_isomorphic, morphisms_equal, naive_classes, naive_dual_quotient,
                      names_a_witness,
-                     naive_extent, naive_holds, naive_model_sum,
+                     naive_extent, naive_holds, naive_lax_incidence, naive_model_sum,
                      naive_satisfies, naive_sort_pool, quotient_as_sets)
 
 
@@ -155,6 +156,30 @@ def test_satisfies_equals_check_over_all_larger_assignments():
         over_all = all(holds(m, t, e)
                        for d in domains for t in m.well_sorted_assignments(d))
         assert satisfies(m, e) == over_all
+
+
+# --- incidence from extents ---------------------------------------------------------
+
+def test_from_extents_incidence_is_the_plain_lax_rule_randomized():
+    # three variables, and extra tuples over every domain, so that tuples
+    # cover some relation arities and not others
+    rng = random.Random(61)
+    variables = ("x", "y", "z")
+    domains = [frozenset(d) for k in range(4) for d in itertools.combinations(variables, k)]
+    for _ in range(150):
+        ents = [f"E{i}" for i in range(rng.randint(1, 3))]
+        lang = TypeLanguage.make(
+            variables, ents, {x: rng.choice(ents) for x in variables},
+            {f"R{i}": rng.sample(variables, rng.randint(0, 3)) for i in range(rng.randint(0, 4))})
+        m0 = rand_model(rng, lang, max_entities=3)
+        extents = {rho: {t for t in m0.well_sorted_assignments(lang.arity[rho])
+                         if rng.random() < 0.4}
+                   for rho in sorted_tokens(lang.relation_types)}
+        extra = [t for d in domains for t in m0.well_sorted_assignments(d) if rng.random() < 0.3]
+        m = Model.from_extents(lang, m0.entities, m0.entity_incidence, extents, extra)
+        tuples = set(extra).union(*extents.values())
+        assert m.tuples == tuples
+        assert m.relation_incidence == naive_lax_incidence(extents, tuples)
 
 
 # --- check ---------------------------------------------------------------------
