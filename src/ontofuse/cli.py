@@ -121,7 +121,7 @@ def cmd_entails(args) -> int:
 def cmd_free_logic(args) -> int:
     doc = _load(args.doc)
     t = doc.get(args.theory, "theory")
-    _emit(args, "free logic", free_logic(t, args.budget, strict=args.strict_free_logic))
+    _emit(args, "free logic", free_logic(t, args.budget))
     return 0
 
 
@@ -275,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "free-logic", cmd_free_logic, "logic freely generated over a theory", "free")
     _limits(p, bound=False)
     p.add_argument("--theory", required=True)
-    p.add_argument("--strict-free-logic", action="store_true",
-                   help="require a unary relation type per sort")
 
     p = _command(sub, "sum", cmd_sum, "binary sum of logics or theories", "sum")
     p.add_argument("--left", required=True)

@@ -145,6 +145,16 @@ _REFERENCES = {
                   ("right-link", "right_link", "theory-morphism")),
 }
 
+# Each form kind's clauses, its references' and its own; the reader refuses any other.
+_CLAUSES = {kind: frozenset([c for c, _, _ in _REFERENCES[kind]] + own.split()) for kind, own in {
+    "language": "variables entity-types reference relations",
+    "theory": "axioms",
+    "model": "entities incidence extents extra-tuples tuples relation-incidence",
+    "logic": "normal-entities normal-tuples",
+    "theory-morphism": "variables entity-types relations refinement",
+    "logic-morphism": "variables entity-types relations refinement entity-map tuple-map",
+    "alignment": "universe"}.items()}
+
 
 @dataclass(frozen=True)
 class Alignment:
@@ -177,11 +187,13 @@ class Document:
         return self.objects[name]
 
 
-def _clauses(name: str, body) -> dict:
+def _clauses(name: str, body, known) -> dict:
     out = {}
     for clause in body:
         if is_symbol(clause) or not clause or not is_symbol(clause[0]):
             raise FormError(name, f"expected a (key ...) clause, got {clause!r}")
+        if clause[0] not in known:
+            raise FormError(name, f"unknown clause {clause[0]}")
         if clause[0] in out:
             raise FormError(name, f"duplicate clause {clause[0]}")
         out[clause[0]] = clause[1:]
@@ -215,11 +227,14 @@ def _parse_model(name: str, c: dict, lang: TypeLanguage) -> Model:
     entities = [parse_token(e) for e in c.get("entities", ())]
     incidence = _pairs(name, c.get("incidence", ()), "incidence")
     if "tuples" in c or "relation-incidence" in c:
+        for clause in ("extents", "extra-tuples"):
+            if clause in c:
+                raise FormError(name, f"clause {clause} in a model written in tuples form")
         entries = []
         for entry in c.get("tuples", ()):
             if is_symbol(entry) or len(entry) != 3:
                 raise FormError(name, f"tuple entry must be (TOKEN (arity ...) (valuation ...)), got {entry!r}")
-            sub = _clauses(name, entry[1:])
+            sub = _clauses(name, entry[1:], ("arity", "valuation"))
             entries.append((parse_token(entry[0]), (
                 frozenset(parse_token(x) for x in sub.get("arity", ())),
                 fdict(_map(name, _pairs(name, sub.get("valuation", ()), "valuation"),
@@ -305,7 +320,7 @@ def parse_document(text: str) -> Document:
         kind, name = form[0], form[1]
         if kind not in _PARSERS:
             raise FormError(name, f"unknown form kind {kind}")
-        c = _clauses(name, form[2:])
+        c = _clauses(name, form[2:], _CLAUSES[kind])
         refs = [doc.get(_one(name, c, clause), ref_kind)
                 for clause, _, ref_kind in _REFERENCES[kind]]
         try:

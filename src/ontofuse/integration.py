@@ -75,7 +75,7 @@ def build_alignment(l1: Logic, l2: Logic, p1: Logic, p2: Logic,
             raise EdgeInvalid(name, "endpoints do not match the diagram")
         verdict = theory_morphism_valid(g, bound, budget)
         if not verdict:
-            raise EdgeInvalid(name, verdict.detail or verdict.per_axiom)
+            raise EdgeInvalid(name, verdict.detail)
     k1 = transpose(g1, p1, budget)
     k2 = transpose(g2, p2, budget)
     # A transpose's theory aspect is its alignment link, checked above.

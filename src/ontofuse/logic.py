@@ -154,7 +154,7 @@ def free_signature(lang: TypeLanguage, x_set: frozenset, rels: frozenset) -> dic
             for x in x_set}
 
 
-def free_logic(t: Theory, budget: int = DEFAULT_BUDGET, strict: bool = False) -> Logic:
+def free_logic(t: Theory, budget: int = DEFAULT_BUDGET) -> Logic:
     """The logic freely generated over a theory.
 
     Entity instances are the subsets of the entity types (classified by
@@ -163,13 +163,6 @@ def free_logic(t: Theory, budget: int = DEFAULT_BUDGET, strict: bool = False) ->
     are marked abnormal and the sound part is returned.
     """
     lang = t.language
-    if strict:
-        for alpha in sorted_tokens(lang.entity_types):
-            covered = any(len(lang.arity[r]) == 1 and
-                          lang.reference[next(iter(lang.arity[r]))] == alpha
-                          for r in lang.relation_types)
-            if not covered:
-                raise DomainMismatch(f"strict mode: sort {alpha!r} has no unary relation type")
     n_entities = 2 ** len(lang.entity_types)
     if n_entities > budget:
         raise BudgetExceeded(f"power classification would have {n_entities} instances")

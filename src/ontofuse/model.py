@@ -361,9 +361,8 @@ def model_morphism_valid(f: ModelMorphism) -> tuple[bool, Optional[tuple]]:
     """Infomorphism conditions on both classifications plus arity coherence.
 
     Arity coherence pins the image tuple's arity to the varMap preimage
-    of the target tuple's arity (and its varMap image to the reachable
-    part of the target arity); point valuations are not compared, which
-    is what lets intent-style morphisms such as the counit be morphisms.
+    of the target tuple's arity.  Point valuations are not compared, so
+    intent-style morphisms such as the counit are morphisms.
     """
     ok, why = language_morphism_valid(f.language_morphism)
     if not ok:
@@ -377,7 +376,6 @@ def model_morphism_valid(f: ModelMorphism) -> tuple[bool, Optional[tuple]]:
         lm.entity_map, f.entity_map))
     if not ok:
         return False, ("entity",) + why
-    var_image = frozenset(lm.var_map.values())
     rhos = sorted_tokens(f.source.language.relation_types)
     images = {rho: token_satisfies(f.target, lm.relation_map[rho]) for rho in rhos}
     for t in sorted_tokens(f.target.tuples):
@@ -386,8 +384,6 @@ def model_morphism_valid(f: ModelMorphism) -> tuple[bool, Optional[tuple]]:
         preimage = frozenset(x for x in lm.source.variables if lm.var_map[x] in t_arity)
         if f.source.tuple_arity[s] != preimage:
             return False, ("arity-preimage", t)
-        if frozenset(lm.var_map[x] for x in f.source.tuple_arity[s]) != t_arity & var_image:
-            return False, ("arity-image", t)
         for rho in rhos:
             if f.source.tuple_classifies(s, rho) != images[rho](t):
                 return False, ("relation", t, rho)

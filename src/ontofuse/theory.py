@@ -85,10 +85,6 @@ class NoCounterexampleUpTo:
 
 # --- bounded model enumeration ---------------------------------------------
 
-def entity_token(i: int) -> str:
-    return f"_e{i}"
-
-
 class _Candidate:
     """A candidate model as the evaluator reads it: the skeleton's sort
     pools and, for each relation type, the rows it chooses.
@@ -169,7 +165,7 @@ def _search(t: Theory, max_entities: int, budget: int, queries: Iterable = (),
     memberships = list(itertools.product(*[(False, True) if a in read else (False,)
                                            for a in sorts]))
     for n in range(max_entities + 1):
-        entities = [entity_token(i) for i in range(n)]
+        entities = [f"_e{i}" for i in range(n)]
         skeletons = (itertools.combinations_with_replacement(memberships, n) if _canonical
                      else itertools.product(memberships, repeat=n))
         for membership_rows in skeletons:
@@ -271,7 +267,8 @@ def theory_morphism_valid(g: TheoryMorphism, max_entities: int,
     Translated axioms literally present in the target axiom set pass
     syntactically (exact, not bound-qualified); the others are decided
     by one search over the target's models, each as :func:`entails`
-    would decide it alone.
+    would decide it alone.  A refuted verdict's detail is ("axiom", a),
+    a the token-order-first source axiom whose translate is refuted.
     """
     ok, why = language_morphism_valid(g.language_morphism)
     if not ok:
@@ -281,7 +278,8 @@ def theory_morphism_valid(g: TheoryMorphism, max_entities: int,
     searched = [e for e in images if e not in g.target.axioms]
     verdicts = _verdicts(g.target, searched, max_entities, budget)
     per_axiom = tuple((a, verdicts.get(e, "syntactic")) for a, e in zip(axioms, images))
-    return MorphismVerdict(all(map(bool, verdicts.values())), per_axiom)
+    refuted = [a for a, v in per_axiom if not v]
+    return MorphismVerdict(not refuted, per_axiom, ("axiom", refuted[0]) if refuted else None)
 
 
 # --- sums and quotients -----------------------------------------------------

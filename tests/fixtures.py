@@ -13,6 +13,7 @@ import random
 from ontofuse.language import LanguageMorphism, TypeLanguage
 from ontofuse.logic import Logic, LogicMorphism
 from ontofuse.model import Model, fdict
+from ontofuse.sexpr import MAX_DEPTH
 from ontofuse.theory import Theory, TheoryMorphism
 from ontofuse.tokens import sorted_tokens
 
@@ -316,3 +317,16 @@ def partial_span_text() -> str:
     cut = text.rindex("(entity-map (acme acme) (bob bob))")
     return text[:cut] + text[cut:].replace("(entity-map (acme acme) (bob bob))",
                                            "(entity-map (acme acme))")
+
+
+NOISE = ["", "(", ")", "((", "))", " ", "\n", "\t", "\r", "\x1c", ";", "x", "set",
+         "(map (a b))", "(tuple)", "(" * (MAX_DEPTH + 1)]
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """The text with one to three spans of up to 20 characters replaced by noise."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        j = rng.randint(i, min(len(text), i + 20))
+        text = text[:i] + rng.choice(NOISE) + text[j:]
+    return text

@@ -1,9 +1,13 @@
-"""Command-line interface: exit codes, reports, determinism."""
-import os
+"""Command-line interface: exit codes, reports, determinism.
+
+Most tests run ``main`` in this process.  A test that takes ``seed_runs``
+reads the outcomes of the invocations declared with ``seeded``, which one
+run of the hash-seed harness (``hashseed.py``) makes under every seed.
+"""
+import ast
 import pathlib
+import random
 import re
-import subprocess
-import sys
 
 import pytest
 
@@ -15,10 +19,12 @@ from ontofuse.logic import LogicMorphism
 from ontofuse.sexpr import MAX_DEPTH
 from ontofuse.theory import DEFAULT_BUDGET
 
-from fixtures import partial_span_text
+from fixtures import mutate, partial_span_text
+from hashseed import Invocation, Outcome, run_under_every_seed
 from oracles import one_fusion_practical_integrate
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
+CORPUS_FILES = {p.name: p.read_text() for p in sorted(CORPUS.glob("*.iff"))}
 
 
 def run(capsys, *argv):
@@ -27,13 +33,34 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+SEEDED = []  # every invocation the hash-seed harness runs
+
+
+def seeded(argv, files: dict):
+    """An invocation the harness runs, where files {name: text} are written."""
+    SEEDED.append(Invocation(tuple(argv), tuple(files.items())))
+    return SEEDED[-1]
+
+
+def corpus_run(command: str, doc: str, *options: str):
+    """``ontofuse <command> <corpus doc> <options> -o out.iff`` for the harness."""
+    return seeded([command, doc, *options, "-o", "out.iff"], {doc: CORPUS_FILES[doc]})
+
+
+@pytest.fixture(scope="module")
+def seed_runs():
+    return run_under_every_seed(SEEDED)
+
+
 # --- check ----------------------------------------------------------------------
 
-def test_check_corpus_all_ok(capsys):
-    files = sorted(str(p) for p in CORPUS.glob("*.iff"))
-    code, out, _ = run(capsys, "check", *files)
-    assert code == 0
-    assert "fail" not in out
+CORPUS_CHECK = seeded(["check", *CORPUS_FILES], CORPUS_FILES)
+
+
+def test_check_corpus_all_ok(seed_runs):
+    forms = [f"{name}: ok: {kind} {form}\n" for name, text in CORPUS_FILES.items()
+             for kind, form in parse_document(text).order]
+    assert seed_runs[CORPUS_CHECK] == Outcome(0, "".join(forms), "", None)
 
 
 def test_check_invalid_morphism_reports_witness(tmp_path, capsys):
@@ -97,40 +124,60 @@ EXTENTS_LANGUAGE = ("(language W (variables x y) (entity-types Person Company) "
                     "(incidence (bob Person) (acme Company)) ")
 
 
-@pytest.mark.parametrize("extents, message", [
-    ("(extents (WorksFor ((x bob))))",
+def check_model(extents: str):
+    return seeded(["check", "extents.iff"], {"extents.iff": EXTENTS_LANGUAGE + extents + ")\n"})
+
+
+@pytest.mark.parametrize("run, message", [
+    (check_model("(extents (WorksFor ((x bob))))"),
      "extent row {'x': 'bob'} of 'WorksFor' not total exactly on its arity"),
-    ("(extents (WorksFor) (Foo ((x bob) (y acme))))",
+    (check_model("(extents (WorksFor) (Foo ((x bob) (y acme))))"),
      "extent of unknown relation type 'Foo'"),
 ], ids=["short-row", "unknown-relation"])
-def test_check_rejects_a_bad_extent_under_every_hash_seed(tmp_path, extents, message):
-    path = tmp_path / "extents.iff"
-    path.write_text(EXTENTS_LANGUAGE + extents + ")\n")
-    runs = [subprocess.Popen([sys.executable, "-m", "ontofuse.cli", "check", str(path)],
-                             env={**os.environ, "PYTHONHASHSEED": str(seed)},
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-            for seed in range(4)]
-    results = set()
-    for r in runs:
-        out, err = r.communicate(timeout=60)
-        results.add((r.returncode, out, err))
-    assert results == {(1, f"{path}: fail: model M: {message}\n", "")}
+def test_check_rejects_a_bad_extent_under_every_hash_seed(seed_runs, run, message):
+    assert seed_runs[run] == Outcome(1, f"extents.iff: fail: model M: {message}\n", "", None)
 
 
-def test_check_names_the_token_order_first_stray_tuple_under_every_hash_seed(tmp_path):
-    path = tmp_path / "ghost.iff"
-    path.write_text(EXTENTS_LANGUAGE + "(extents (WorksFor ((x bob) (y ghost1)) "
-                    "((x bob) (y ghost2)) ((x bob) (y ghost3)))))\n")
-    runs = [subprocess.Popen([sys.executable, "-m", "ontofuse.cli", "check", str(path)],
-                             env={**os.environ, "PYTHONHASHSEED": str(seed)},
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-            for seed in range(6)]
-    results = set()
-    for r in runs:
-        out, err = r.communicate(timeout=60)
-        results.add((r.returncode, out, err))
-    assert results == {(1, f"{path}: fail: model M: tuple of {{'x': 'bob', 'y': 'ghost1'}} "
-                           "leaves the node set\n", "")}
+STRAY_TUPLES = check_model("(extents (WorksFor ((x bob) (y ghost1)) "
+                           "((x bob) (y ghost2)) ((x bob) (y ghost3))))")
+
+
+def test_check_names_the_token_order_first_stray_tuple_under_every_hash_seed(seed_runs):
+    assert seed_runs[STRAY_TUPLES] == Outcome(
+        1, "extents.iff: fail: model M: tuple of {'x': 'bob', 'y': 'ghost1'} "
+           "leaves the node set\n", "", None)
+
+
+@pytest.mark.parametrize("run, message", [
+    (check_model("(extent (WorksFor ((x bob) (y acme))))"), "form M: unknown clause extent"),
+    (check_model("(extents) (bogus 1 2)"), "form M: unknown clause bogus"),
+    (check_model("(tuples (t (arity x y) (valuations (x bob) (y acme))))"),
+     "form M: unknown clause valuations"),
+    (check_model("(tuples) (relation-incidence) (extra-tuples ((x bob) (y acme)))"),
+     "form M: clause extra-tuples in a model written in tuples form"),
+    (check_model("(extents (WorksFor ((x bob) (y acme)))) (relation-incidence)"),
+     "form M: clause extents in a model written in tuples form"),
+], ids=["misspelled", "unknown", "tuple-entry", "extra-tuples-with-tuples",
+        "extents-with-relation-incidence"])
+def test_check_refuses_an_unknown_clause_or_mixed_model_forms(seed_runs, run, message):
+    assert seed_runs[run] == Outcome(1, f"extents.iff: fail: {message}\n", "", None)
+
+
+REFUTED_MORPHISM = seeded(["check", "refuted.iff"], {"refuted.iff": """\
+(language W (variables x) (entity-types T) (reference (x T)) (relations (R (x))))
+(theory TW (language W) (axioms (exists x (atom R)) (atom R)))
+(theory T0 (language W) (axioms))
+(theory-morphism g (source TW) (target T0)
+  (variables (x x)) (entity-types (T T)) (relations (R R)))
+"""})
+
+
+def test_check_names_the_first_refuted_axiom_of_a_theory_morphism(seed_runs):
+    # T0 has a model with R empty, which refutes both axioms' translates
+    assert seed_runs[REFUTED_MORPHISM] == Outcome(1, "".join([
+        "refuted.iff: ok: language W\n", "refuted.iff: ok: theory TW\n",
+        "refuted.iff: ok: theory T0\n",
+        "refuted.iff: fail: theory-morphism g: ('axiom', Atomic(relation='R'))\n"]), "", None)
 
 
 def test_check_syntax_error_exit_one(tmp_path, capsys):
@@ -227,8 +274,9 @@ def test_negative_bound_exit_two(argv, capsys):
     (["fiber", "fixture.iff", "--morphism", "g1", "--logic", "L1"], "--budget"),
     (["sound-part", "fixture.iff", "--logic", "L1"], "--bound"),
     (["free-logic", "fixture.iff", "--theory", "TW"], "--bound"),
+    (["free-logic", "fixture.iff", "--theory", "TW"], "--strict-free-logic"),
 ], ids=["sum-budget", "sum-bound", "quotient-bound", "fuse-budget", "restrict-bound",
-        "fiber-budget", "sound-part-bound", "free-logic-bound"])
+        "fiber-budget", "sound-part-bound", "free-logic-bound", "free-logic-strict"])
 def test_an_option_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, argv, option):
     out_file = tmp_path / "out.iff"
     with pytest.raises(SystemExit) as err:
@@ -324,25 +372,25 @@ def test_integrate_fixture_three_classes(tmp_path, capsys):
     assert "sound: yes" in out
 
 
-def test_integrate_practical_matches_golden(tmp_path, capsys):
-    out_file = tmp_path / "fused.iff"
-    code, out, _ = run(capsys, "integrate", str(CORPUS / "fixture.iff"),
-                       "--left", "L1", "--right", "L2", "--alignment", "A",
-                       "--practical", "--name", "fused", "-o", str(out_file))
+PRACTICAL_GOLDEN = corpus_run("integrate", "fixture.iff", "--left", "L1", "--right", "L2",
+                              "--alignment", "A", "--practical", "--name", "fused")
+REFUTED_GOLDEN = corpus_run("entails", "employment.iff", "--theory", "TW", "--query",
+                            "(implies (exists x (atom Employed)) (forall x (atom Employed)))",
+                            "--bound", "2")
+
+
+def test_integrate_practical_matches_golden(seed_runs):
+    code, out, _, written = seed_runs[PRACTICAL_GOLDEN]
     assert code == 0
     assert "universe: acme bob" in out
-    assert out_file.read_text() == (CORPUS / "fused.golden.iff").read_text()
+    assert written == (CORPUS / "fused.golden.iff").read_bytes()
 
 
-def test_entails_countermodel_matches_golden(tmp_path, capsys):
-    out_file = tmp_path / "countermodel.iff"
-    code, out, _ = run(capsys, "entails", str(CORPUS / "employment.iff"),
-                       "--theory", "TW", "--query",
-                       "(implies (exists x (atom Employed)) (forall x (atom Employed)))",
-                       "--bound", "2", "-o", str(out_file))
+def test_entails_countermodel_matches_golden(seed_runs):
+    code, out, _, written = seed_runs[REFUTED_GOLDEN]
     assert code == 1
     assert out.startswith("refuted: countermodel with 2 entities\n")
-    assert out_file.read_text() == (CORPUS / "countermodel.golden.iff").read_text()
+    assert written == (CORPUS / "countermodel.golden.iff").read_bytes()
 
 
 @pytest.mark.parametrize("practical", [(), ("--practical",)])
@@ -443,35 +491,41 @@ QUOTIENT_ERRORS = """\
 """
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["--of", "Pet", "--identify-relation", "Cat", "Feline", "--identify-relation", "Dog",
-      "Canine", "--identify-relation", "Bird", "Avian"],
+def quotient_errors(*options: str):
+    return seeded(["quotient", "errors.iff", *options, "-o", "out.iff"],
+                  {"errors.iff": QUOTIENT_ERRORS})
+
+
+@pytest.mark.parametrize("run, message", [
+    (quotient_errors("--of", "Pet", "--identify-relation", "Cat", "Feline",
+                     "--identify-relation", "Dog", "Canine", "--identify-relation", "Bird", "Avian"),
      "invariant not respected: {'a': 'milo'} distinguishes 'Bird' and 'Avian'"),
-    (["--of", "Ent", "--identify-entity", "A1", "A2", "--identify-entity", "B1", "B2",
-      "--identify-entity", "C1", "C2"],
+    (quotient_errors("--of", "Ent", "--identify-entity", "A1", "A2", "--identify-entity", "B1", "B2",
+                     "--identify-entity", "C1", "C2"),
      "invariant not respected: 'e' distinguishes 'A1' and 'A2'"),
-    (["--of", "Var", "--identify-variable", "x", "y", "--identify-variable", "y", "z"],
+    (quotient_errors("--of", "Var", "--identify-variable", "x", "y", "--identify-variable", "y", "z"),
      "cannot identify 'y' with ('x', 'y', 'z'): "
      "tuple {'x': 'a', 'y': 'b', 'z': 'c'} values merged variables differently"),
-    (["--of", "TQ", "--identify-variable", "a", "b", "--identify-variable", "c", "d"],
+    (quotient_errors("--of", "TQ", "--identify-variable", "a", "b", "--identify-variable", "c", "d"),
      "cannot identify 'b' with 'a': merged variables have unrelated references"),
-    (["--of", "TQ", "--identify-relation", "R", "P", "--identify-relation", "U", "V"],
+    (quotient_errors("--of", "TQ", "--identify-relation", "R", "P", "--identify-relation", "U", "V"),
      "cannot identify 'R' with 'P': merged relation types have incompatible arities"),
 ], ids=["model-relations", "entity-types", "model-variables", "language-variables",
         "language-relations"])
-def test_quotient_error_names_one_witness_under_every_hash_seed(tmp_path, argv, message):
-    path = tmp_path / "errors.iff"
-    path.write_text(QUOTIENT_ERRORS)
-    runs = [subprocess.Popen([sys.executable, "-m", "ontofuse.cli", "quotient", str(path), *argv,
-                              "-o", str(tmp_path / "out.iff")],
-                             env={**os.environ, "PYTHONHASHSEED": str(seed)},
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-            for seed in range(4)]
-    results = set()
-    for r in runs:
-        out, err = r.communicate(timeout=60)
-        results.add((r.returncode, out, err))
-    assert results == {(1, "", f"error: {message}\n")}
+def test_quotient_error_names_one_witness_under_every_hash_seed(seed_runs, run, message):
+    assert seed_runs[run] == Outcome(1, "", f"error: {message}\n", None)
+
+
+MUTATION_RNG = random.Random(20)
+MUTATED_CHECKS = [seeded(["check", "mutated.iff"], {"mutated.iff": mutate(
+    MUTATION_RNG, MUTATION_RNG.choice(list(CORPUS_FILES.values())))}) for _ in range(30)]
+
+
+def test_mutated_documents_check_alike_under_every_hash_seed(seed_runs):
+    outcomes = [seed_runs[run] for run in MUTATED_CHECKS]
+    assert all(o.err == "" and o.written is None for o in outcomes)
+    assert all(re.fullmatch(r"(mutated\.iff: (ok|fail): [^\n]*\n)*", o.out) for o in outcomes)
+    assert sorted({o.code for o in outcomes}) == [0, 1]  # failing texts are in the sample
 
 
 # --- hostile nesting ------------------------------------------------------------------
@@ -484,24 +538,24 @@ def nested_nots(k):
     return "(not " * k + "(atom R)" + ")" * k
 
 
-@pytest.mark.parametrize("text", [
-    NEST_LANGUAGE + f"(theory T (language L) (axioms {nested_nots(3000)}))\n",
-    "(" * 5000 + ")" * 5000 + "\n",
+def check_and_entails(text: str):
+    return (seeded(["check", "deep.iff"], {"deep.iff": text}),
+            seeded(["entails", "deep.iff", "--theory", "T", "--query", "(atom R)"],
+                   {"deep.iff": text}))
+
+
+@pytest.mark.parametrize("runs", [
+    check_and_entails(NEST_LANGUAGE + f"(theory T (language L) (axioms {nested_nots(3000)}))\n"),
+    check_and_entails("(" * 5000 + ")" * 5000 + "\n"),
 ], ids=["3000-nots", "5000-parentheses"])
-def test_deep_nesting_is_one_error_line(tmp_path, text):
-    path = tmp_path / "deep.iff"
-    path.write_text(text)
-    for argv, stream in ((["check", str(path)], "stdout"),
-                         (["entails", str(path), "--theory", "T",
-                           "--query", "(atom R)"], "stderr")):
-        r = subprocess.run([sys.executable, "-m", "ontofuse.cli", *argv],
-                           capture_output=True, text=True)
-        assert r.returncode == 1
-        assert "Traceback" not in r.stdout + r.stderr
-        lines = (r.stdout + r.stderr).splitlines()
+def test_deep_nesting_is_one_error_line(seed_runs, runs):
+    for run, stream, head in zip(runs, ("out", "err"), ("fail", "error")):
+        outcome = seed_runs[run]
+        assert outcome.code == 1
+        assert "Traceback" not in outcome.out + outcome.err
+        lines = (outcome.out + outcome.err).splitlines()
         assert len(lines) == 1
-        assert lines[0] in getattr(r, stream)
-        head = "fail" if argv[0] == "check" else "error"
+        assert lines[0] in getattr(outcome, stream)
         assert re.search(head + r": \d+:\d+: lists nested deeper than", lines[0])
 
 
@@ -526,11 +580,42 @@ def test_document_at_the_nesting_limit_checks(tmp_path, capsys):
 
 
 def test_console_script_runs():
+    import subprocess
+    import sys
     r = subprocess.run([sys.executable, "-m", "ontofuse.cli", "check",
                         str(CORPUS / "fixture.iff")],
                        capture_output=True, text=True)
     assert r.returncode == 0
     assert "ok: logic L1" in r.stdout
+
+
+def _spawning_names(node) -> list:
+    """The modules a node imports, or the os function it reads."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or ""]
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id == "os":
+        return [f"os.{node.attr}"]
+    return []
+
+
+def test_only_the_hash_seed_harness_and_the_console_script_start_interpreters():
+    """Every other test runs main in this process: one interpreter per
+    hash seed and case is what made the hash-seed checks slow."""
+    spawners = ("subprocess", "multiprocessing", "os.system", "os.popen", "os.fork",
+                "os.spawn", "os.exec", "os.posix_spawn")
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        if path.name == "hashseed.py":
+            continue
+        tree = ast.parse(path.read_text())
+        allowed = {id(node) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                   and f.name == "test_console_script_runs" for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if id(node) not in allowed:
+                assert not [n for n in _spawning_names(node) if n.startswith(spawners)], \
+                    f"{path.name}:{node.lineno} starts an interpreter"
 
 
 # --- the forms each command writes ------------------------------------------------
@@ -540,34 +625,35 @@ LOGIC_FORMS = [("language", "{}-language"), ("theory", "{}-theory"),
 THEORY_FORMS = [("language", "{}-language"), ("theory", "{}")]
 
 
-@pytest.mark.parametrize("argv, name, forms", [
-    (["free-logic", "fixture.iff", "--theory", "TW", "--name", "F"], "F", LOGIC_FORMS),
-    (["sum", "fixture.iff", "--left", "L1", "--right", "L2"], "sum", LOGIC_FORMS),
-    (["sum", "fixture.iff", "--left", "TW", "--right", "TWp"], "sum", THEORY_FORMS),
-    (["quotient", "quotient-demo.iff", "--of", "L", "--identify-relation", "Cat", "Feline"],
-     "quotient", LOGIC_FORMS),
-    (["quotient", "quotient-demo.iff", "--of", "TPets", "--identify-relation", "Cat", "Feline"],
-     "quotient", THEORY_FORMS),
-    (["fuse", "span.iff", "--left-link", "m1", "--right-link", "m2"], "fused", LOGIC_FORMS),
-    (["restrict", "fixture.iff", "--logic", "L1", "--to", "bob", "acme"],
+@pytest.mark.parametrize("run, name, forms", [
+    (corpus_run("free-logic", "fixture.iff", "--theory", "TW", "--name", "F"), "F", LOGIC_FORMS),
+    (corpus_run("sum", "fixture.iff", "--left", "L1", "--right", "L2"), "sum", LOGIC_FORMS),
+    (corpus_run("sum", "fixture.iff", "--left", "TW", "--right", "TWp"), "sum", THEORY_FORMS),
+    (corpus_run("quotient", "quotient-demo.iff", "--of", "L", "--identify-relation", "Cat",
+                "Feline"), "quotient", LOGIC_FORMS),
+    (corpus_run("quotient", "quotient-demo.iff", "--of", "TPets", "--identify-relation", "Cat",
+                "Feline"), "quotient", THEORY_FORMS),
+    (corpus_run("fuse", "span.iff", "--left-link", "m1", "--right-link", "m2"), "fused",
+     LOGIC_FORMS),
+    (corpus_run("restrict", "fixture.iff", "--logic", "L1", "--to", "bob", "acme"),
      "restricted", LOGIC_FORMS),
-    (["fiber", "fixture.iff", "--morphism", "g1", "--logic", "L1"], "fiber", LOGIC_FORMS),
-    (["sound-part", "fixture.iff", "--logic", "L1"], "sound", LOGIC_FORMS),
-    (["integrate", "fixture.iff", "--left", "L1", "--right", "L2", "--alignment", "A"],
+    (corpus_run("fiber", "fixture.iff", "--morphism", "g1", "--logic", "L1"), "fiber",
+     LOGIC_FORMS),
+    (corpus_run("sound-part", "fixture.iff", "--logic", "L1"), "sound", LOGIC_FORMS),
+    (corpus_run("integrate", "fixture.iff", "--left", "L1", "--right", "L2", "--alignment", "A"),
      "fused", LOGIC_FORMS),
-    (["integrate", "fixture.iff", "--left", "L1", "--right", "L2", "--alignment", "A",
-      "--practical"], "fused", LOGIC_FORMS),
-    (["entails", "employment.iff", "--theory", "TW", "--query", "(atom Employed)",
-      "--bound", "1"], "countermodel", [("language", "{}-language"), ("model", "{}")]),
-    (["entails", "employment.iff", "--theory", "TW", "--query", "(atom Employed)",
-      "--bound", "1", "--name", "X"], "X", [("language", "{}-language"), ("model", "{}")]),
+    (corpus_run("integrate", "fixture.iff", "--left", "L1", "--right", "L2", "--alignment", "A",
+                "--practical"), "fused", LOGIC_FORMS),
+    (corpus_run("entails", "employment.iff", "--theory", "TW", "--query", "(atom Employed)",
+                "--bound", "1"), "countermodel", [("language", "{}-language"), ("model", "{}")]),
+    (corpus_run("entails", "employment.iff", "--theory", "TW", "--query", "(atom Employed)",
+                "--bound", "1", "--name", "X"), "X", [("language", "{}-language"), ("model", "{}")]),
 ], ids=["free-logic", "sum-logics", "sum-theories", "quotient-logic", "quotient-theory",
         "fuse", "restrict", "fiber", "sound-part", "integrate", "integrate-practical",
         "entails", "entails-named"])
-def test_each_writing_command_writes_its_forms_in_order(tmp_path, capsys, argv, name, forms):
-    out_file = tmp_path / "out.iff"
-    code, out, _ = run(capsys, argv[0], str(CORPUS / argv[1]), *argv[2:], "-o", str(out_file))
-    assert code == (1 if argv[0] == "entails" else 0)
-    assert out.endswith(f"wrote {out_file}\n")
-    assert parse_document(out_file.read_text()).order == \
+def test_each_writing_command_writes_its_forms_in_order(seed_runs, run, name, forms):
+    code, out, _, written = seed_runs[run]
+    assert code == (1 if run.argv[0] == "entails" else 0)
+    assert out.endswith("wrote out.iff\n")
+    assert parse_document(written.decode()).order == \
         [(kind, pattern.format(name)) for kind, pattern in forms]

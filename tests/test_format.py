@@ -25,7 +25,7 @@ from ontofuse.sexpr import (MAX_DEPTH, WIDTH, SexprSyntaxError, parse_all,
 from ontofuse.theory import Theory
 from ontofuse.tokens import fdict, sorted_tokens
 
-from fixtures import VARS, partial_span_text, rand_language, rand_model, w_language
+from fixtures import VARS, mutate, partial_span_text, rand_language, rand_model, w_language
 from oracles import naive_extent_faithful, naive_parse
 
 CORPUS = sorted(pathlib.Path(__file__).parent.parent.joinpath("corpus").glob("*.iff"))
@@ -185,6 +185,29 @@ def test_expression_round_trip():
 def test_reserved_heads_rejected_as_symbols():
     with pytest.raises(FormError):
         parse_token(["set", ["unknown-head", "x"]])
+
+
+def test_every_corpus_form_refuses_a_clause_its_kind_does_not_take():
+    for path in CORPUS:
+        forms = parse_all(path.read_text())
+        for form in forms:
+            for clause in ("bogus", "universe" if form[0] != "alignment" else "axioms"):
+                form.append([clause])
+                with pytest.raises(FormError, match=re.escape(
+                        f"form {form[1]}: unknown clause {clause}")):
+                    parse_document(write_all(forms))
+                form.pop()
+
+
+@pytest.mark.parametrize("clauses, clause", [
+    ("(tuples) (extents (R ((x a))))", "extents"),
+    ("(relation-incidence) (extra-tuples ((x a)))", "extra-tuples"),
+], ids=["extents", "extra-tuples"])
+def test_a_model_in_both_forms_is_refused_naming_its_extents_clause(clauses, clause):
+    text = ("(language L (variables x) (entity-types T) (reference (x T)) (relations (R (x))))\n"
+            f"(model M (language L) (entities a) (incidence (a T)) {clauses})\n")
+    with pytest.raises(FormError, match=f"form M: clause {clause} in a model written in tuples"):
+        parse_document(text)
 
 
 # --- canonical serialization ----------------------------------------------------------
@@ -358,16 +381,6 @@ def test_writer_leaves_symbols_and_empty_lists_unwrapped_at_any_indent():
 # --- differential and fuzz --------------------------------------------------------------
 
 CORPUS_TEXTS = [p.read_text() for p in CORPUS]
-_NOISE = ["", "(", ")", "((", "))", " ", "\n", "\t", "\r", "\x1c", ";", "x", "set",
-          "(map (a b))", "(tuple)", "(" * (MAX_DEPTH + 1)]
-
-
-def _mutate(rng: random.Random, text: str) -> str:
-    for _ in range(rng.randint(1, 3)):
-        i = rng.randint(0, len(text))
-        j = rng.randint(i, min(len(text), i + 20))
-        text = text[:i] + rng.choice(_NOISE) + text[j:]
-    return text
 
 
 def _random_value(rng: random.Random, depth: int = 0):
@@ -378,7 +391,7 @@ def _random_value(rng: random.Random, depth: int = 0):
 
 def test_reader_agrees_with_the_oracle_on_corpus_and_mutated_texts():
     rng = random.Random(8)
-    texts = CORPUS_TEXTS + [_mutate(rng, rng.choice(CORPUS_TEXTS)) for _ in range(400)]
+    texts = CORPUS_TEXTS + [mutate(rng, rng.choice(CORPUS_TEXTS)) for _ in range(400)]
     for text in texts:
         try:
             values = parse_all(text)
@@ -399,7 +412,7 @@ def test_written_values_read_back():
 @given(st.sampled_from(CORPUS_TEXTS), st.randoms(use_true_random=False))
 @settings(derandomize=True, max_examples=150, deadline=None)
 def test_mutated_documents_fail_only_with_ontofuse_errors(text, rng):
-    text = _mutate(rng, text)
+    text = mutate(rng, text)
     try:
         assert isinstance(parse_document(text), Document)
     except OntofuseError:
@@ -436,7 +449,7 @@ def _swap_symbols(rng: random.Random, text: str) -> str:
 def _mutated(draw, text: str) -> str:
     """The text with noise spliced in, or with symbols swapped."""
     rng = draw(st.randoms(use_true_random=False))
-    return (_swap_symbols if draw(st.booleans()) else _mutate)(rng, text)
+    return (_swap_symbols if draw(st.booleans()) else mutate)(rng, text)
 
 
 def _runs_to_an_exit_code(text: str, command: str, *options: str) -> None:

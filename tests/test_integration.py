@@ -7,7 +7,7 @@ import pytest
 from ontofuse.document import parse_document
 from ontofuse.errors import (AgreementFailure, DomainMismatch, EdgeInvalid,
                              IncompatibleQuotient, OntofuseError)
-from ontofuse.language import (LanguageEndorelation, LanguageMorphism,
+from ontofuse.language import (Atomic, Exists, LanguageEndorelation, LanguageMorphism,
                                TypeLanguage)
 from ontofuse import integration, logic
 from ontofuse.integration import build_alignment, practical_integrate, unify
@@ -18,10 +18,10 @@ from ontofuse.logic import (Logic, LogicMorphism, compose_logic_morphisms,
 from ontofuse.model import Model
 from ontofuse.theory import (DEFAULT_BUDGET, Theory, TheoryMorphism,
                              identity_theory_morphism, theory_quotient, theory_sum)
-from ontofuse.tokens import ltag, rtag, sorted_tokens
+from ontofuse.tokens import fdict, ltag, rtag, sorted_tokens
 
 from fixtures import (CORPUS, VARS, alignment_links, permuted_practical_scenarios,
-                      practical_scenarios, separated_logic, w_logic, wp_logic,
+                      practical_scenarios, rand_span, separated_logic, w_logic, wp_logic,
                       wp_language)
 from oracles import (logics_isomorphic, morphisms_equal,
                      one_fusion_practical_integrate, self_integration,
@@ -94,6 +94,17 @@ def test_invalid_alignment_link_rejected_by_name():
         build_alignment(l1, l2, l1, l2, identity_logic_morphism(l1),
                         identity_logic_morphism(l2), t, bad_g1, g2, 1)
     assert "left alignment link" in str(err.value)
+
+
+def test_a_refuted_alignment_link_names_its_refuted_axiom():
+    l1, l2, t, g1, g2 = alignment_links()
+    axiom = Exists("x", Exists("y", Atomic("Emp")))  # the communities' axiom-free theories refute it
+    t = Theory.make(t.language, [axiom])
+    g1, g2 = (TheoryMorphism.make(g.language_morphism, t, g.target) for g in (g1, g2))
+    with pytest.raises(EdgeInvalid) as err:
+        build_alignment(l1, l2, l1, l2, identity_logic_morphism(l1),
+                        identity_logic_morphism(l2), t, g1, g2, 1)
+    assert (err.value.edge, err.value.witness) == ("left alignment link", ("axiom", axiom))
 
 
 def test_unsound_community_rejected():
@@ -393,3 +404,44 @@ def test_practical_comparison_is_built_on_first_read():
             for s in permuted_practical_scenarios(211, 10)]
     reports = [out[1] for out in outs if isinstance(out, tuple)]
     assert reports and all("comparison" in vars(r) for r in reports)
+
+
+# --- invariance: fusion is defined up to isomorphism ---------------------------------
+
+def renamed_entities(l: Logic, rename: dict) -> Logic:
+    """l with each entity e renamed rename[e]; its types and tuple tokens stay."""
+    m = l.model
+    return Logic(l.theory, Model(
+        m.language, frozenset(map(rename.get, m.entities)),
+        frozenset((rename[e], a) for e, a in m.entity_incidence),
+        fdict({t: fdict({x: rename[e] for x, e in val.items()})
+               for t, val in m.tuple_valuation.items()}),
+        m.relation_incidence), frozenset(map(rename.get, l.normal_entities)), l.normal_tuples)
+
+
+def test_renaming_the_communities_entities_renames_the_fused_logic_and_nothing_else():
+    fused = 0
+    for l1, l2, c, t, g1, g2 in practical_scenarios() + permuted_practical_scenarios(211, 40):
+        # reverse the entities' token order, which every witness and writer follows
+        names = sorted_tokens(l1.model.entities | l2.model.entities)
+        rename = {e: f"r{len(names) - i:03d}" for i, e in enumerate(names)}
+        expected = _practical_outcome(practical_integrate, (l1, l2, c, t, g1, g2))
+        got = _practical_outcome(practical_integrate, (
+            renamed_entities(l1, rename), renamed_entities(l2, rename),
+            frozenset(map(rename.get, c)), t, g1, g2))
+        if isinstance(expected, OntofuseError):
+            assert type(got) is type(expected)
+        else:
+            assert got[0].fused == renamed_entities(expected[0].fused, rename)
+            fused += 1
+    assert fused > 40
+
+
+def test_swapping_left_and_right_gives_an_isomorphic_fused_logic():
+    for l1, l2, c, t, g1, g2 in practical_scenarios():
+        assert logics_isomorphic(practical_integrate(l1, l2, c, t, g1, g2, 1)[0].fused,
+                                 practical_integrate(l2, l1, c, t, g2, g1, 1)[0].fused)
+    rng = random.Random(23)
+    for _ in range(20):
+        _, f0, f1 = rand_span(rng)
+        assert logics_isomorphic(fusion(f0, f1)[0], fusion(f1, f0)[0])

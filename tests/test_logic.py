@@ -137,14 +137,6 @@ def test_free_logic_budget_guard_stops_before_listing_the_tuples():
         free_logic(Theory.make(lang, []))
 
 
-def test_free_logic_strict_mode_requires_unary_coverage():
-    lang = w_language()  # WorksFor is binary, no unary types
-    with pytest.raises(DomainMismatch):
-        free_logic(Theory.make(lang, []), strict=True)
-    covered = TypeLanguage.make(["x"], ["A"], {"x": "A"}, {"isA": ("x",)})
-    assert is_sound(free_logic(Theory.make(covered, []), strict=True))
-
-
 def test_free_logic_is_sound():
     assert is_sound(free_logic(Theory.make(w_language(), [])))
 

@@ -380,6 +380,19 @@ def test_morphism_into_contradicting_target_refuted():
     verdict = theory_morphism_valid(g, 0)
     assert not verdict.ok
     assert any(isinstance(v, Refuted) for (_, v) in verdict.per_axiom)
+    assert verdict.detail == ("axiom", Atomic("p"))
+
+
+def test_a_refuted_morphism_names_its_token_order_first_refuted_axiom():
+    # the target {q} refutes both p and (not p), and holds q syntactically
+    axioms = [Atomic("q"), Not(Atomic("p")), Atomic("p")]
+    src = prop_theory(axioms)
+    tgt = prop_theory([Atomic("q")])
+    g = TheoryMorphism.make(identity_theory_morphism(src).language_morphism, src, tgt)
+    verdict = theory_morphism_valid(g, 1)
+    refuted = [a for a, v in verdict.per_axiom if isinstance(v, Refuted)]
+    assert sorted_tokens(refuted) == sorted_tokens([Not(Atomic("p")), Atomic("p")])
+    assert verdict.detail == ("axiom", sorted_tokens(refuted)[0])
 
 
 def test_refinement_morphism_preserves_axiom():
