@@ -88,6 +88,8 @@ def cmd_check(args) -> int:
             print(f"{path}: fail: {e}")
             status = 1
             continue
+        if not doc.order:
+            print(f"{path}: no forms")
         for kind, name in doc.order:
             try:
                 failure = _form_failure(kind, doc.objects[name], args.bound, args.budget)

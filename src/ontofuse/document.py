@@ -53,15 +53,44 @@ _RESERVED = {"set", "tuple", "map"}
 
 def render_token(t, key=token_key):
     """t as a value; key orders the members of its sets and maps."""
+    return _token_renderer(key)(t)
+
+
+def _token_renderer(key):
+    """render_token for one piece of work, which renders each composite
+    token once: equal tokens get one shared list.
+
+    The memo is a plain dict, sound because the only tokens rendered are
+    symbols, tuples, frozensets and FrozenDicts, among which equal tokens
+    render alike; a token holding anything else (an int, or True, equal
+    to 1) raises FormError, and a failure is never kept.
+    """
+    memo = {}
+
+    def tok(t):
+        if type(t) is str:
+            return t
+        try:
+            return memo[t]
+        except KeyError:
+            pass
+        except TypeError:  # unhashable, so no token: _render_composite says so
+            return _render_composite(t, key, tok)
+        value = memo[t] = _render_composite(t, key, tok)
+        return value
+    return tok
+
+
+def _render_composite(t, key, tok):
+    """t as a value, its members rendered by tok."""
     if isinstance(t, str):
         return t
     if isinstance(t, frozenset):
-        return ["set"] + [render_token(x, key) for x in sorted_tokens(t, key)]
+        return ["set"] + [tok(x) for x in sorted_tokens(t, key)]
     if isinstance(t, FrozenDict):
-        return ["map"] + [[render_token(k, key), render_token(t[k], key)]
-                          for k in sorted_tokens(t, key)]
+        return ["map"] + [[tok(k), tok(t[k])] for k in sorted_tokens(t, key)]
     if isinstance(t, tuple):
-        return ["tuple"] + [render_token(x, key) for x in t]
+        return ["tuple"] + [tok(x) for x in t]
     raise FormError("token", f"cannot render token {t!r}")
 
 
@@ -84,21 +113,23 @@ _BINARY_HEADS = {"and": And, "or": Or, "implies": Implies}
 _QUANT_HEADS = {"exists": Exists, "forall": Forall}
 
 
-def render_expression(e: Expression, key=token_key):
+def render_expression(e: Expression, key=token_key, tok=None):
+    """e as a value; key orders tokens and tok, if given, renders them."""
+    if tok is None:
+        tok = _token_renderer(key)
     if isinstance(e, Atomic):
-        return ["atom", render_token(e.relation, key)]
+        return ["atom", tok(e.relation)]
     if isinstance(e, Not):
-        return ["not", render_expression(e.body, key)]
+        return ["not", render_expression(e.body, key, tok)]
     if isinstance(e, (And, Or, Implies)):
         head = {And: "and", Or: "or", Implies: "implies"}[type(e)]
-        return [head, render_expression(e.left, key), render_expression(e.right, key)]
+        return [head, render_expression(e.left, key, tok), render_expression(e.right, key, tok)]
     if isinstance(e, (Exists, Forall)):
         head = "exists" if isinstance(e, Exists) else "forall"
-        return [head, render_token(e.var, key), render_expression(e.body, key)]
+        return [head, tok(e.var), render_expression(e.body, key, tok)]
     if isinstance(e, Subst):
-        pairs = [[render_token(x, key), render_token(e.mapping[x], key)]
-                 for x in sorted_tokens(e.mapping, key)]
-        return ["subst", pairs, render_expression(e.body, key)]
+        pairs = [[tok(x), tok(e.mapping[x])] for x in sorted_tokens(e.mapping, key)]
+        return ["subst", pairs, render_expression(e.body, key, tok)]
     raise FormError("expression", f"cannot render {e!r}")
 
 
@@ -336,32 +367,31 @@ def parse_document(text: str) -> Document:
 
 # --- rendering ----------------------------------------------------------------
 
-def _render_pairs(clause: str, pairs, key) -> list:
-    return [clause] + [[render_token(a, key), render_token(b, key)] for (a, b) in pairs]
+def _render_pairs(clause: str, pairs, tok) -> list:
+    return [clause] + [[tok(a), tok(b)] for (a, b) in pairs]
 
 
-def _render_assignment(a, key) -> list:
-    return [[render_token(x, key), render_token(a[x], key)] for x in sorted_tokens(a, key)]
+def _render_assignment(a, key, tok) -> list:
+    return [[tok(x), tok(a[x])] for x in sorted_tokens(a, key)]
 
 
-# render_<kind>(name, obj, refs, key) places the rendered reference clauses
-# refs where its kind writes them, and orders tokens by key.
+# render_<kind>(name, obj, refs, key, tok) places the rendered reference
+# clauses refs where its kind writes them, orders tokens by key and renders
+# them with tok.
 
-def render_language(name: str, lang: TypeLanguage, refs: list, key) -> list:
+def render_language(name: str, lang: TypeLanguage, refs: list, key, tok) -> list:
     variables = sorted_tokens(lang.variables, key)
     return ["language", name, *refs,
-            ["variables"] + [render_token(x, key) for x in variables],
-            ["entity-types"] + [render_token(a, key)
-                                for a in sorted_tokens(lang.entity_types, key)],
-            _render_pairs("reference", [(x, lang.reference[x]) for x in variables], key),
-            ["relations"] + [[render_token(r, key),
-                              [render_token(x, key) for x in sorted_tokens(lang.arity[r], key)]]
+            ["variables"] + [tok(x) for x in variables],
+            ["entity-types"] + [tok(a) for a in sorted_tokens(lang.entity_types, key)],
+            _render_pairs("reference", [(x, lang.reference[x]) for x in variables], tok),
+            ["relations"] + [[tok(r), [tok(x) for x in sorted_tokens(lang.arity[r], key)]]
                              for r in sorted_tokens(lang.relation_types, key)]]
 
 
-def render_theory(name: str, t: Theory, refs: list, key) -> list:
+def render_theory(name: str, t: Theory, refs: list, key, tok) -> list:
     return ["theory", name, *refs,
-            ["axioms"] + [render_expression(a, key) for a in sorted_tokens(t.axioms, key)]]
+            ["axioms"] + [render_expression(a, key, tok) for a in sorted_tokens(t.axioms, key)]]
 
 
 def _extent_faithful(m: Model, extents: dict) -> bool:
@@ -388,80 +418,79 @@ def _extent_faithful(m: Model, extents: dict) -> bool:
     return lax == len(m.relation_incidence)
 
 
-def render_model(name: str, m: Model, refs: list, key) -> list:
+def render_model(name: str, m: Model, refs: list, key, tok) -> list:
     out = ["model", name, *refs,
-           ["entities"] + [render_token(e, key) for e in sorted_tokens(m.entities, key)],
-           _render_pairs("incidence", sorted_tokens(m.entity_incidence, key), key)]
+           ["entities"] + [tok(e) for e in sorted_tokens(m.entities, key)],
+           _render_pairs("incidence", sorted_tokens(m.entity_incidence, key), tok)]
     extents = {rho: m.relation_extent(rho) for rho in m.language.relation_types}
     if _extent_faithful(m, extents):
         rendered = ["extents"]
         for rho in sorted_tokens(m.language.relation_types, key):
-            rendered.append([render_token(rho, key)] +
-                            [_render_assignment(a, key) for a in sorted_tokens(extents[rho], key)])
+            rendered.append([tok(rho)] + [_render_assignment(a, key, tok)
+                                          for a in sorted_tokens(extents[rho], key)])
         out.append(rendered)
         covered = frozenset().union(*extents.values())
         extra = sorted_tokens([t for t in m.tuples if t not in covered], key)
         if extra:
-            out.append(["extra-tuples"] + [_render_assignment(t, key) for t in extra])
+            out.append(["extra-tuples"] + [_render_assignment(t, key, tok) for t in extra])
         return out
     tuples = ["tuples"]
     for t in sorted_tokens(m.tuples, key):
         val = m.tuple_valuation[t]
         arity = sorted_tokens(val, key)
-        tuples.append([render_token(t, key),
-                       ["arity"] + [render_token(x, key) for x in arity],
-                       _render_pairs("valuation", [(x, val[x]) for x in arity], key)])
+        tuples.append([tok(t),
+                       ["arity"] + [tok(x) for x in arity],
+                       _render_pairs("valuation", [(x, val[x]) for x in arity], tok)])
     out.append(tuples)
     out.append(_render_pairs("relation-incidence", sorted_tokens(m.relation_incidence, key),
-                             key))
+                             tok))
     return out
 
 
-def render_logic(name: str, l: Logic, refs: list, key) -> list:
+def render_logic(name: str, l: Logic, refs: list, key, tok) -> list:
     out = ["logic", name, *refs]
     if l.normal_entities != l.model.entities:
-        out.append(["normal-entities"] +
-                   [render_token(e, key) for e in sorted_tokens(l.normal_entities, key)])
+        out.append(["normal-entities"] + [tok(e) for e in sorted_tokens(l.normal_entities, key)])
     if l.normal_tuples != l.model.tuples:
-        out.append(["normal-tuples"] +
-                   [render_token(t, key) for t in sorted_tokens(l.normal_tuples, key)])
+        out.append(["normal-tuples"] + [tok(t) for t in sorted_tokens(l.normal_tuples, key)])
     return out
 
 
-def _render_language_maps(lm: LanguageMorphism, key) -> list:
+def _render_language_maps(lm: LanguageMorphism, key, tok) -> list:
     rel = ["relations"]
     for r in sorted_tokens(lm.relation_map, key):
         img = lm.relation_map[r]
-        rendered = ["expr", render_expression(img, key)] if isinstance(img, Expression) \
-            else render_token(img, key)
-        rel.append([render_token(r, key), rendered])
+        rendered = ["expr", render_expression(img, key, tok)] if isinstance(img, Expression) \
+            else tok(img)
+        rel.append([tok(r), rendered])
     out = [_render_pairs("variables", [(x, lm.var_map[x])
-                                       for x in sorted_tokens(lm.var_map, key)], key),
+                                       for x in sorted_tokens(lm.var_map, key)], tok),
            _render_pairs("entity-types", [(a, lm.entity_map[a])
-                                          for a in sorted_tokens(lm.entity_map, key)], key),
+                                          for a in sorted_tokens(lm.entity_map, key)], tok),
            rel]
     if lm.refinement:
         out.append(["refinement"])
     return out
 
 
-def render_theory_morphism(name: str, g: TheoryMorphism, refs: list, key) -> list:
-    return ["theory-morphism", name, *refs] + _render_language_maps(g.language_morphism, key)
+def render_theory_morphism(name: str, g: TheoryMorphism, refs: list, key, tok) -> list:
+    return ["theory-morphism", name, *refs] + \
+        _render_language_maps(g.language_morphism, key, tok)
 
 
-def render_logic_morphism(name: str, f: LogicMorphism, refs: list, key) -> list:
+def render_logic_morphism(name: str, f: LogicMorphism, refs: list, key, tok) -> list:
     return ["logic-morphism", name, *refs] + \
-        _render_language_maps(f.language_morphism, key) + \
+        _render_language_maps(f.language_morphism, key, tok) + \
         [_render_pairs("entity-map", [(e, f.entity_map[e])
-                                      for e in sorted_tokens(f.entity_map, key)], key),
+                                      for e in sorted_tokens(f.entity_map, key)], tok),
          _render_pairs("tuple-map", [(t, f.tuple_map[t])
-                                     for t in sorted_tokens(f.tuple_map, key)], key)]
+                                     for t in sorted_tokens(f.tuple_map, key)], tok)]
 
 
-def render_alignment(name: str, a: Alignment, refs: list, key) -> list:
+def render_alignment(name: str, a: Alignment, refs: list, key, tok) -> list:
     # the universe precedes the references, as in the corpus files
     return ["alignment", name,
-            ["universe"] + [render_token(e, key) for e in sorted_tokens(a.universe, key)],
+            ["universe"] + [tok(e) for e in sorted_tokens(a.universe, key)],
             *refs]
 
 
@@ -473,15 +502,20 @@ _RENDERERS = {"language": render_language, "theory": render_theory, "model": ren
 def serialize_document(doc: Document) -> str:
     """Canonical text for a document.  A reference is written as the name of
     the first form of its kind holding an equal object, not the same one.
-    One key orders every token of the call and remembers the keys it
-    works out, which the model sums meet many times over."""
+
+    Two memos serve the call and go with it.  One key orders every token
+    and remembers the keys it works out, and one renderer renders each
+    distinct composite token once, giving every occurrence the same list;
+    the model sums meet each token many times over.  write_all then lays
+    out each shared list on one line once, wherever that line fits."""
     key = _memo_key()
+    tok = _token_renderer(key)
     forms = []
     for kind, name in doc.order:
         obj = doc.objects[name]
         refs = [[clause, _name_of(doc, getattr(obj, attr), ref_kind)]
                 for clause, attr, ref_kind in _REFERENCES[kind]]
-        forms.append(_RENDERERS[kind](name, obj, refs, key))
+        forms.append(_RENDERERS[kind](name, obj, refs, key, tok))
     return write_all(forms)
 
 

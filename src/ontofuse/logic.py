@@ -59,10 +59,6 @@ class Logic:
     def language(self) -> TypeLanguage:
         return self.theory.language
 
-    @property
-    def universe(self) -> frozenset:
-        return self.model.entities
-
 
 def is_sound(l: Logic) -> bool:
     """Sound iff every entity and every tuple is normal."""

@@ -7,7 +7,15 @@ comment character.  The reader takes the text's tokens in one
 with a stack of open lists, dropping comments; it refuses lists nested
 deeper than MAX_DEPTH.  That pass keeps no offsets: on a syntax error a
 second scan, run only then, finds the first fault again and names its
-line and column.  The writer emits one canonical layout.
+line and column.
+
+The writer emits one canonical layout: a list goes on one line when that
+fits in WIDTH columns, else its children go on lines of their own.  One
+call of write_all or write_value keeps a memo, dropped when it returns,
+from the id of each list it wrote on one line to that line; a list met
+again, as serialize_document shares one list among equal tokens, is
+written from its line wherever the line fits, and laid out afresh where
+it does not.
 """
 from __future__ import annotations
 
@@ -86,25 +94,50 @@ def is_symbol(v) -> bool:
 
 def write_value(v, indent: int = 0) -> str:
     """Canonical text: one line when it fits, else head-aligned wrapping."""
-    return _write(v, indent)[1]
+    if isinstance(v, str):
+        return v
+    return _write(v, indent, {})[0]
 
 
-def _write(v, indent: int) -> tuple[str, str]:
-    """v's one-line text and its text laid out at this indent."""
-    if is_symbol(v):
-        return v, v
-    parts = [_write(i, indent + 2) for i in v]
-    flat = "(" + " ".join(p[0] for p in parts) + ")"
-    if len(flat) + indent <= WIDTH:
-        return flat, flat
-    pad = "\n" + " " * (indent + 2)
+def _write(v, indent: int, memo: dict) -> tuple[str, bool]:
+    """The list v laid out at this indent, and whether that is on one line.
+
+    memo maps the id of each list already written on one line to that
+    line, which is its text wherever it fits: a list met again, as the
+    writer meets each shared rendered token, is not laid out again there.
+    """
+    line = memo.get(id(v))
+    if line is not None and len(line) + indent <= WIDTH:
+        return line, True
+    inner = indent + 2
+    parts = []
+    flat = True  # every child is on one line
+    for c in v:
+        if type(c) is str or isinstance(c, str):
+            parts.append(c)
+        else:
+            text, one_line = _write(c, inner, memo)
+            parts.append(text)
+            flat = flat and one_line
+    # A child that does not fit one line at inner leaves its list too long
+    # for one line at indent, its line being two columns longer.
+    if flat:
+        line = "(" + " ".join(parts) + ")"
+        if len(line) + indent <= WIDTH:
+            memo[id(v)] = line
+            return line, True
+    pad = "\n" + " " * inner
     if not v or not is_symbol(v[0]):
-        return flat, "(" + pad.join(p[1] for p in parts) + ")"
+        return "(" + pad.join(parts) + ")", False
     # keep the head (and a symbolic name right after it) on the first line
     split = 2 if len(v) > 1 and is_symbol(v[1]) else 1
-    rest = pad.join(p[1] for p in parts[split:])
-    return flat, "(" + " ".join(v[:split]) + pad + rest + ")"
+    return "(" + " ".join(parts[:split]) + pad + pad.join(parts[split:]) + ")", False
 
 
 def write_all(values) -> str:
-    return "\n\n".join(write_value(v) for v in values) + "\n"
+    """The values' canonical texts, separated by blank lines.  One memo
+    serves them all, for this call only."""
+    values = list(values)  # the memo's ids name lists that live until this returns
+    memo = {}
+    return "\n\n".join(v if isinstance(v, str) else _write(v, 0, memo)[0]
+                        for v in values) + "\n"

@@ -3,9 +3,10 @@
 Everything here is written from first principles with plain loops over
 explicitly materialized sets, on purpose duplicating no code from the
 package under test.  The exceptions are the practical path's earlier
-one-fusion form, the earlier token key and the writer's earlier test for
-extent form, kept as they were so that the present code is compared with
-the code it replaced, and the definitions that only tests read,
+one-fusion form, the earlier token key, the writer's earlier test for
+extent form and its earlier token renderer and layout, kept as they were
+so that the present code is compared with the code it replaced, and the
+definitions that only tests read,
 ``compose_theory_morphisms``, ``entity_extent``, ``fusion_invariant`` and
 the two extreme alignments ``trivial_integration`` and
 ``self_integration``, kept here rather than in the package.
@@ -16,6 +17,7 @@ import dataclasses
 import itertools
 from types import SimpleNamespace
 
+from ontofuse.document import _REFERENCES, _RENDERERS, FormError, _name_of
 from ontofuse.language import (And, Atomic, Exists, Forall, Implies, Not, Or,
                                Subst)
 from ontofuse.errors import (AgreementFailure, DomainMismatch, IncompatibleQuotient,
@@ -31,9 +33,10 @@ from ontofuse.logic import (Logic, LogicMorphism, _check_span, compose_logic_mor
 from ontofuse.language import (LanguageMorphism, TypeLanguage, compose_language_morphisms,
                                identity_language_morphism, language_morphism_valid,
                                span_relation)
+from ontofuse.sexpr import WIDTH
 from ontofuse.theory import (DEFAULT_BUDGET, Theory, TheoryMorphism,
                              identity_theory_morphism, theory_morphism_valid)
-from ontofuse.tokens import FrozenDict, fdict, sorted_tokens
+from ontofuse.tokens import FrozenDict, fdict, sorted_tokens, token_key
 
 
 # --- naive first-order evaluation --------------------------------------------
@@ -675,6 +678,51 @@ def naive_extent_faithful(m, extents):
     except OntofuseError:
         return False
     return rebuilt == m
+
+
+# --- the writer before its memos ---------------------------------------------------
+
+def naive_render_token(t, key=token_key):
+    """t as a value, every member rendered afresh, each time it is met."""
+    if isinstance(t, str):
+        return t
+    if isinstance(t, frozenset):
+        return ["set"] + [naive_render_token(x, key) for x in sorted_tokens(t, key)]
+    if isinstance(t, FrozenDict):
+        return ["map"] + [[naive_render_token(k, key), naive_render_token(t[k], key)]
+                          for k in sorted_tokens(t, key)]
+    if isinstance(t, tuple):
+        return ["tuple"] + [naive_render_token(x, key) for x in t]
+    raise FormError("token", f"cannot render token {t!r}")
+
+
+def naive_write(v, indent: int) -> tuple[str, str]:
+    """v's one-line text and its text laid out at this indent, every list's
+    one-line text built from its children's, each time it is met."""
+    if isinstance(v, str):
+        return v, v
+    parts = [naive_write(i, indent + 2) for i in v]
+    flat = "(" + " ".join(p[0] for p in parts) + ")"
+    if len(flat) + indent <= WIDTH:
+        return flat, flat
+    pad = "\n" + " " * (indent + 2)
+    if not v or not isinstance(v[0], str):
+        return flat, "(" + pad.join(p[1] for p in parts) + ")"
+    split = 2 if len(v) > 1 and isinstance(v[1], str) else 1
+    rest = pad.join(p[1] for p in parts[split:])
+    return flat, "(" + " ".join(v[:split]) + pad + rest + ")"
+
+
+def naive_serialize(doc) -> str:
+    """serialize_document with no memo: the forms' renderers given
+    naive_render_token, and their values laid out by naive_write."""
+    forms = []
+    for kind, name in doc.order:
+        obj = doc.objects[name]
+        refs = [[clause, _name_of(doc, getattr(obj, attr), ref_kind)]
+                for clause, attr, ref_kind in _REFERENCES[kind]]
+        forms.append(_RENDERERS[kind](name, obj, refs, token_key, naive_render_token))
+    return "\n\n".join(naive_write(f, 0)[1] for f in forms) + "\n"
 
 
 # --- the practical path, fusing twice -------------------------------------------

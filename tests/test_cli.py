@@ -58,9 +58,13 @@ CORPUS_CHECK = seeded(["check", *CORPUS_FILES], CORPUS_FILES)
 
 
 def test_check_corpus_all_ok(seed_runs):
-    forms = [f"{name}: ok: {kind} {form}\n" for name, text in CORPUS_FILES.items()
-             for kind, form in parse_document(text).order]
-    assert seed_runs[CORPUS_CHECK] == Outcome(0, "".join(forms), "", None)
+    lines = []
+    for name, text in CORPUS_FILES.items():
+        order = parse_document(text).order
+        lines += [f"{name}: ok: {kind} {form}\n" for kind, form in order] or \
+            [f"{name}: no forms\n"]
+    assert "empty.iff: no forms\n" in lines
+    assert seed_runs[CORPUS_CHECK] == Outcome(0, "".join(lines), "", None)
 
 
 def test_check_invalid_morphism_reports_witness(tmp_path, capsys):
@@ -524,7 +528,8 @@ MUTATED_CHECKS = [seeded(["check", "mutated.iff"], {"mutated.iff": mutate(
 def test_mutated_documents_check_alike_under_every_hash_seed(seed_runs):
     outcomes = [seed_runs[run] for run in MUTATED_CHECKS]
     assert all(o.err == "" and o.written is None for o in outcomes)
-    assert all(re.fullmatch(r"(mutated\.iff: (ok|fail): [^\n]*\n)*", o.out) for o in outcomes)
+    assert all(re.fullmatch(r"mutated\.iff: no forms\n|(mutated\.iff: (ok|fail): [^\n]*\n)+", o.out)
+               for o in outcomes)
     assert sorted({o.code for o in outcomes}) == [0, 1]  # failing texts are in the sample
 
 

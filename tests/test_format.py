@@ -11,6 +11,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ontofuse import document
 from ontofuse.cli import main
 from ontofuse.document import (Document, FormError, _extent_faithful, document_of,
                                parse_document, parse_expression, parse_token,
@@ -18,15 +19,17 @@ from ontofuse.document import (Document, FormError, _extent_faithful, document_o
                                serialize_document)
 from ontofuse.language import And, Atomic, Exists, Not, Subst, TypeLanguage
 from ontofuse.errors import OntofuseError
+from ontofuse.integration import practical_integrate
 from ontofuse.logic import free_logic
 from ontofuse.model import Model, model_sum
 from ontofuse.sexpr import (MAX_DEPTH, WIDTH, SexprSyntaxError, parse_all,
                             write_all, write_value)
 from ontofuse.theory import Theory
-from ontofuse.tokens import fdict, sorted_tokens
+from ontofuse.tokens import FrozenDict, fdict, sorted_tokens, token_key
 
-from fixtures import VARS, mutate, partial_span_text, rand_language, rand_model, w_language
-from oracles import naive_extent_faithful, naive_parse
+from fixtures import (VARS, mutate, partial_span_text, practical_scenarios, rand_language,
+                      rand_model, w_language)
+from oracles import naive_extent_faithful, naive_parse, naive_serialize, naive_write
 
 CORPUS = sorted(pathlib.Path(__file__).parent.parent.joinpath("corpus").glob("*.iff"))
 
@@ -378,6 +381,74 @@ def test_writer_leaves_symbols_and_empty_lists_unwrapped_at_any_indent():
     assert write_value(["a", []], 77) == "(a\n" + " " * 79 + "())"
 
 
+def _shared_list_values(at_2, at_14):
+    """Two values, the list at_2 at indent 2 and at_14 at indent 14."""
+    return [["a", "b" * 20, at_2], ["c", ["d", ["e", ["f", ["g", ["h", ["i", at_14]]]]]]]]
+
+
+def test_writer_lays_out_a_shared_list_at_each_indent_as_its_copies():
+    shared = ["s"] + ["x" * 10] * 6  # 69 columns: fits at indent 2, not at 14
+    line = write_value(shared)
+    wrapped = "(s " + "x" * 10 + "".join("\n" + " " * 16 + "x" * 10 for _ in range(5)) + ")"
+    assert (len(line), write_value(shared, 2), write_value(shared, 14)) == (69, line, wrapped)
+    for step in (1, -1):  # met first where it fits, then first where it does not
+        values = _shared_list_values(shared, shared)[::step]
+        copies = _shared_list_values(list(shared), list(shared))[::step]
+        text = write_all(values)
+        assert text == write_all(copies) == "\n\n".join(map(write_value, values)) + "\n"
+        assert text.count(line) == text.count(wrapped) == 1
+
+
+def _composites(tokens) -> set:
+    """The tuples, frozensets and FrozenDicts among the tokens and their members."""
+    out, todo = set(), list(tokens)
+    while todo:
+        t = todo.pop()
+        if not isinstance(t, str) and t not in out:
+            out.add(t)
+            todo.extend(t)
+            if isinstance(t, FrozenDict):
+                todo.extend(t.values())
+    return out
+
+
+def test_serializing_a_model_sum_renders_each_distinct_composite_token_once(monkeypatch):
+    rng = random.Random(56)
+    a, b = (rand_model(rng, rand_language(rng, max_rels=3), 4) for _ in range(2))
+    s = a.product(b)
+    doc = document_of("model", "S", s)
+    text = serialize_document(doc)
+    assert "(tuples" in text and (len(s.entities), len(s.tuples)) == (16, 6)
+    lang = s.language
+    composites = _composites(
+        [*lang.variables, *lang.entity_types, *lang.reference.values(), *lang.relation_types,
+         *s.entities, *(e for e, _ in s.entity_incidence), *s.tuples,
+         *(v for val in s.tuple_valuation.values() for v in val.values())])
+    rendered = Counter()
+    render = document._render_composite
+
+    def counted(t, key, tok):
+        rendered[t] += 1
+        return render(t, key, tok)
+    monkeypatch.setattr(document, "_render_composite", counted)
+    for _ in range(2):
+        rendered.clear()
+        assert serialize_document(doc) == text
+        assert rendered.keys() == composites and set(rendered.values()) == {1}
+
+
+@pytest.mark.parametrize("bad", [("a", True), ("a", 1), frozenset({True}), frozenset({1}),
+                                 fdict({"x": True}), ("a", ("b", 1))], ids=repr)
+def test_a_token_holding_a_number_fails_to_render_every_time(bad):
+    tok = document._token_renderer(token_key)
+    assert tok(("a", "b")) is tok(("a", "b"))
+    for _ in range(2):
+        with pytest.raises(FormError, match="cannot render token"):
+            tok(bad)
+        with pytest.raises(FormError, match="cannot render token"):
+            render_token(bad)
+
+
 # --- differential and fuzz --------------------------------------------------------------
 
 CORPUS_TEXTS = [p.read_text() for p in CORPUS]
@@ -387,6 +458,30 @@ def _random_value(rng: random.Random, depth: int = 0):
     if depth > 5 or rng.random() < 0.4:
         return rng.choice(["a", "set", "x" * rng.randint(1, 30), "é"])
     return [_random_value(rng, depth + 1) for _ in range(rng.randint(0, 6))]
+
+
+def _wide_token_document() -> Document:
+    """A model whose one entity is 71 columns on one line: it fits in
+    (entities ...) and (incidence ...), and wraps in its extent row."""
+    wide = ("w" * 61, "f")
+    lang = TypeLanguage.make(["x"], ["T"], {"x": "T"}, {"R": {"x"}})
+    m = Model.from_extents(lang, [wide], [(wide, "T")], {"R": [fdict({"x": wide})]})
+    return document_of("model", "M", m)
+
+
+def test_serialize_document_writes_what_the_writer_without_memos_wrote():
+    docs = [parse_document(text) for text in CORPUS_TEXTS]
+    rng = random.Random(37)
+    for _ in range(30):
+        a, b = (rand_model(rng, rand_language(rng, max_rels=3)) for _ in range(2))
+        docs.append(document_of("model", "S", a.product(b)))
+    for l1, l2, c, t, g1, g2 in practical_scenarios():
+        docs.append(document_of("logic", "F", practical_integrate(l1, l2, c, t, g1, g2, 2)[0].fused))
+    docs.append(_wide_token_document())
+    for doc in docs:
+        assert serialize_document(doc) == naive_serialize(doc)
+    wide = serialize_document(docs[-1])
+    assert f"(tuple {'w' * 61} f)" in wide and f"(tuple {'w' * 61}\n" in wide
 
 
 def test_reader_agrees_with_the_oracle_on_corpus_and_mutated_texts():
@@ -407,6 +502,20 @@ def test_written_values_read_back():
     for _ in range(300):
         values = [_random_value(rng) for _ in range(rng.randint(0, 4))]
         assert parse_all(write_all(values)) == values
+
+
+def test_writer_agrees_with_the_writer_without_memos_on_shared_lists():
+    rng = random.Random(10)
+    for _ in range(300):
+        pool = [_random_value(rng) for _ in range(3)]
+
+        def shared(depth=0):  # a value holding the pool's lists at several depths
+            if depth > 4 or rng.random() < 0.3:
+                return rng.choice(pool)
+            return [rng.choice(["a", "x" * 20])] + [shared(depth + 1)
+                                                    for _ in range(rng.randint(0, 4))]
+        values = [shared() for _ in range(rng.randint(1, 4))]
+        assert write_all(values) == "\n\n".join(naive_write(v, 0)[1] for v in values) + "\n"
 
 
 @given(st.sampled_from(CORPUS_TEXTS), st.randoms(use_true_random=False))
