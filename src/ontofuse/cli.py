@@ -9,11 +9,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .document import (Document, document_of, parse_document, parse_expression,
-                       parse_token, serialize_document)
+from .document import (Document, _text, document_of, parse_document, parse_expression,
+                       parse_token, render_expression, render_token, serialize_document)
 from .errors import OntofuseError
 from .integration import (build_alignment, practical_integrate, unify)
-from .language import LanguageEndorelation
+from .language import Expression, LanguageEndorelation
 from .logic import (Logic, LogicDualInvariant, free_logic, fusion, is_sound,
                     logic_dual_quotient, logic_morphism_valid, logic_sum,
                     restrict_logic, sound_part)
@@ -62,6 +62,16 @@ def _emit(args, label: str, obj, *notes: str) -> None:
 
 # --- commands -----------------------------------------------------------------
 
+def _witness(detail) -> str:
+    """A morphism verdict's detail in document syntax: its label, then the
+    nested detail of the aspect it names, or else its axioms and tokens."""
+    label, *values = detail
+    if label in ("theory", "model", "language"):
+        return f"{label}: {_witness(values[0])}"
+    return " ".join([label, *(_text(render_expression(v) if isinstance(v, Expression)
+                                     else render_token(v)) for v in values)])
+
+
 def _form_failure(kind: str, obj, bound: int, budget: int):
     """Why a form fails its check, or None; a map error raises."""
     if kind == "theory-morphism":
@@ -72,11 +82,11 @@ def _form_failure(kind: str, obj, bound: int, budget: int):
         for g, edge in ((obj.left_link, "left-link"), (obj.right_link, "right-link")):
             v = theory_morphism_valid(g, bound, budget)
             if not v:
-                return repr((edge, v.detail))
+                return f"{edge}: {_witness(v.detail)}"
         return None
     else:
         return None
-    return None if v else repr(v.detail)
+    return None if v else _witness(v.detail)
 
 
 def cmd_check(args) -> int:

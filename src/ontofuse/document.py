@@ -15,7 +15,7 @@ from .language import (And, Atomic, Exists, Expression, Forall, Implies,
                        LanguageMorphism, Not, Or, Subst, TypeLanguage)
 from .logic import Logic, LogicMorphism
 from .model import Model, _lax_incidence, fdict
-from .sexpr import MAX_DEPTH, is_symbol, parse_all, write_all
+from .sexpr import MAX_DEPTH, is_symbol, parse_all, write_all, write_value
 from .theory import Theory, TheoryMorphism
 from .tokens import FrozenDict, _memo_key, sorted_tokens, token_key
 
@@ -26,6 +26,12 @@ class FormError(OntofuseError):
     def __init__(self, form: str, message: str):
         super().__init__(f"form {form}: {message}")
         self.form = form
+        self.message = message
+
+
+def _text(v) -> str:
+    """A read value as the document writes it, on one line, for a message."""
+    return " ".join(write_value(v).split())
 
 
 def _map(form: str, pairs, what: str) -> dict:
@@ -37,12 +43,13 @@ def _map(form: str, pairs, what: str) -> dict:
     return out
 
 
-def _pairs(name: str, items, what: str):
+def _pairs(name: str, items, what: str, tok):
+    """The pairs of tokens that the pair values spell, parsed by tok."""
     out = []
     for p in items:
         if is_symbol(p) or len(p) != 2:
-            raise FormError(name, f"{what} entry must be a pair, got {p!r}")
-        out.append((parse_token(p[0]), parse_token(p[1])))
+            raise FormError(name, f"{what} entry must be a pair, got {_text(p)}")
+        out.append((tok(p[0]), tok(p[1])))
     return out
 
 
@@ -95,16 +102,50 @@ def _render_composite(t, key, tok):
 
 
 def parse_token(v):
+    """The token the value v spells."""
+    return _token_parser()(v)
+
+
+def _token_parser():
+    """parse_token for one piece of work, which parses each list once.
+
+    tok(v) is the token v spells; tok(v, name) is instead the assignment
+    (a FrozenDict) that v spells in the form named name.  Each is kept in
+    a plain dict from the list's id, sound while every list parsed lives:
+    parse_document's read tree lives until it returns, and parse_all
+    makes equal lists one object, so each distinct list is parsed once.
+    A failure is never kept.
+    """
+    tokens, assignments = {}, {}
+
+    def tok(v, name=None):
+        if name is not None:
+            a = assignments.get(id(v))
+            if a is None:
+                a = assignments[id(v)] = fdict(_map(name, _pairs(name, v, "assignment", tok),
+                                                    "assignment"))
+            return a
+        if type(v) is str:
+            return v
+        t = tokens.get(id(v))
+        if t is None:
+            t = tokens[id(v)] = _parse_composite(v, tok)
+        return t
+    return tok
+
+
+def _parse_composite(v, tok):
+    """The token v spells, its members parsed by tok."""
     if is_symbol(v):
         return v
     if not v or not is_symbol(v[0]) or v[0] not in _RESERVED:
-        raise FormError("token", f"expected a token, got {v!r}")
+        raise FormError("token", f"expected a token, got {_text(v)}")
     head, args = v[0], v[1:]
     if head == "set":
-        return frozenset(parse_token(a) for a in args)
+        return frozenset(map(tok, args))
     if head == "tuple":
-        return tuple(parse_token(a) for a in args)
-    return fdict(_map("token", _pairs("token", args, "map"), "map"))
+        return tuple(map(tok, args))
+    return fdict(_map("token", _pairs("token", args, "map", tok), "map"))
 
 
 # --- expressions --------------------------------------------------------------
@@ -135,28 +176,30 @@ def render_expression(e: Expression, key=token_key, tok=None):
 
 def parse_expression(v):
     """The expression an S-expression value spells, at most MAX_DEPTH deep."""
-    return _parse_expression(v, 1)
+    return _parse_expression(v, _token_parser())
 
 
-def _parse_expression(v, depth: int):
+def _parse_expression(v, tok, depth: int = 1):
+    """The expression v spells, its tokens parsed by tok."""
     if depth > MAX_DEPTH:
         raise FormError("expression", f"nested deeper than {MAX_DEPTH} levels")
     if is_symbol(v) or not v or not is_symbol(v[0]):
-        raise FormError("expression", f"expected an expression, got {v!r}")
+        raise FormError("expression", f"expected an expression, got {_text(v)}")
     head, args = v[0], v[1:]
     if head == "atom" and len(args) == 1:
-        return Atomic(parse_token(args[0]))
+        return Atomic(tok(args[0]))
     if head == "not" and len(args) == 1:
-        return Not(_parse_expression(args[0], depth + 1))
+        return Not(_parse_expression(args[0], tok, depth + 1))
     if head in _BINARY_HEADS and len(args) == 2:
-        return _BINARY_HEADS[head](_parse_expression(args[0], depth + 1),
-                                   _parse_expression(args[1], depth + 1))
+        return _BINARY_HEADS[head](_parse_expression(args[0], tok, depth + 1),
+                                   _parse_expression(args[1], tok, depth + 1))
     if head in _QUANT_HEADS and len(args) == 2:
-        return _QUANT_HEADS[head](parse_token(args[0]), _parse_expression(args[1], depth + 1))
+        return _QUANT_HEADS[head](tok(args[0]), _parse_expression(args[1], tok, depth + 1))
     if head == "subst" and len(args) == 2 and not is_symbol(args[0]):
-        return Subst.make(_map("expression", _pairs("expression", args[0], "subst"), "subst"),
-                          _parse_expression(args[1], depth + 1))
-    raise FormError("expression", f"unknown expression form {v!r}")
+        return Subst.make(_map("expression", _pairs("expression", args[0], "subst", tok),
+                               "subst"),
+                          _parse_expression(args[1], tok, depth + 1))
+    raise FormError("expression", f"unknown expression form {_text(v)}")
 
 
 # --- documents ----------------------------------------------------------------
@@ -222,7 +265,7 @@ def _clauses(name: str, body, known) -> dict:
     out = {}
     for clause in body:
         if is_symbol(clause) or not clause or not is_symbol(clause[0]):
-            raise FormError(name, f"expected a (key ...) clause, got {clause!r}")
+            raise FormError(name, f"expected a (key ...) clause, got {_text(clause)}")
         if clause[0] not in known:
             raise FormError(name, f"unknown clause {clause[0]}")
         if clause[0] in out:
@@ -231,21 +274,21 @@ def _clauses(name: str, body, known) -> dict:
     return out
 
 
-def _parse_language(name: str, c: dict) -> TypeLanguage:
+def _parse_language(name: str, c: dict, tok) -> TypeLanguage:
     relations = []
     for r in c.get("relations", ()):
         if is_symbol(r) or len(r) != 2 or is_symbol(r[1]):
-            raise FormError(name, f"relation entry must be (R (vars...)), got {r!r}")
-        relations.append((parse_token(r[0]), frozenset(parse_token(x) for x in r[1])))
+            raise FormError(name, f"relation entry must be (R (vars...)), got {_text(r)}")
+        relations.append((tok(r[0]), frozenset(map(tok, r[1]))))
     return TypeLanguage.make(
-        [parse_token(x) for x in c.get("variables", ())],
-        [parse_token(a) for a in c.get("entity-types", ())],
-        _map(name, _pairs(name, c.get("reference", ()), "reference"), "reference"),
+        list(map(tok, c.get("variables", ()))),
+        list(map(tok, c.get("entity-types", ()))),
+        _map(name, _pairs(name, c.get("reference", ()), "reference", tok), "reference"),
         _map(name, relations, "relations"))
 
 
-def _parse_theory(name: str, c: dict, lang: TypeLanguage) -> Theory:
-    return Theory.make(lang, [parse_expression(a) for a in c.get("axioms", ())])
+def _parse_theory(name: str, c: dict, lang: TypeLanguage, tok) -> Theory:
+    return Theory.make(lang, [_parse_expression(a, tok) for a in c.get("axioms", ())])
 
 
 def _one(name: str, clauses: dict, key: str) -> str:
@@ -254,9 +297,9 @@ def _one(name: str, clauses: dict, key: str) -> str:
     return clauses[key][0]
 
 
-def _parse_model(name: str, c: dict, lang: TypeLanguage) -> Model:
-    entities = [parse_token(e) for e in c.get("entities", ())]
-    incidence = _pairs(name, c.get("incidence", ()), "incidence")
+def _parse_model(name: str, c: dict, lang: TypeLanguage, tok) -> Model:
+    entities = list(map(tok, c.get("entities", ())))
+    incidence = _pairs(name, c.get("incidence", ()), "incidence", tok)
     if "tuples" in c or "relation-incidence" in c:
         for clause in ("extents", "extra-tuples"):
             if clause in c:
@@ -264,17 +307,18 @@ def _parse_model(name: str, c: dict, lang: TypeLanguage) -> Model:
         entries = []
         for entry in c.get("tuples", ()):
             if is_symbol(entry) or len(entry) != 3:
-                raise FormError(name, f"tuple entry must be (TOKEN (arity ...) (valuation ...)), got {entry!r}")
+                raise FormError(name, "tuple entry must be (TOKEN (arity ...) (valuation ...)), "
+                                      f"got {_text(entry)}")
             sub = _clauses(name, entry[1:], ("arity", "valuation"))
-            entries.append((parse_token(entry[0]), (
-                frozenset(parse_token(x) for x in sub.get("arity", ())),
-                fdict(_map(name, _pairs(name, sub.get("valuation", ()), "valuation"),
+            entries.append((tok(entry[0]), (
+                frozenset(map(tok, sub.get("arity", ()))),
+                fdict(_map(name, _pairs(name, sub.get("valuation", ()), "valuation", tok),
                            "valuation")))))
         tuples = _map(name, entries, "tuples")
         for t, (arity, val) in tuples.items():
             if val.keys() != arity:
                 raise DomainMismatch(f"tuple of {t!r} not total exactly on its arity")
-        rel_inc = _pairs(name, c.get("relation-incidence", ()), "relation-incidence")
+        rel_inc = _pairs(name, c.get("relation-incidence", ()), "relation-incidence", tok)
         m = Model(lang, frozenset(entities), frozenset(incidence),
                   fdict({t: v for t, (_, v) in tuples.items()}), frozenset(rel_inc))
         m.check(well_sorted=False)
@@ -282,72 +326,79 @@ def _parse_model(name: str, c: dict, lang: TypeLanguage) -> Model:
     extents = []
     for entry in c.get("extents", ()):
         if is_symbol(entry) or not entry:
-            raise FormError(name, f"extent entry must be (R assignments...), got {entry!r}")
-        extents.append((parse_token(entry[0]),
-                        frozenset(_assignment(name, a) for a in entry[1:])))
-    extra = [_assignment(name, a) for a in c.get("extra-tuples", ())]
+            raise FormError(name, f"extent entry must be (R assignments...), got {_text(entry)}")
+        extents.append((tok(entry[0]), frozenset(tok(a, name) for a in entry[1:])))
+    extra = [tok(a, name) for a in c.get("extra-tuples", ())]
     return Model.from_extents(lang, entities, incidence, _map(name, extents, "extents"), extra)
 
 
-def _assignment(name: str, items) -> FrozenDict:
-    return fdict(_map(name, _pairs(name, items, "assignment"), "assignment"))
-
-
-def _parse_logic(name: str, c: dict, theory: Theory, model: Model) -> Logic:
-    ne = [parse_token(e) for e in c["normal-entities"]] if "normal-entities" in c else None
-    nt = [parse_token(t) for t in c["normal-tuples"]] if "normal-tuples" in c else None
+def _parse_logic(name: str, c: dict, theory: Theory, model: Model, tok) -> Logic:
+    ne = list(map(tok, c["normal-entities"])) if "normal-entities" in c else None
+    nt = list(map(tok, c["normal-tuples"])) if "normal-tuples" in c else None
     return Logic.make(theory, model, ne, nt)
 
 
-def _parse_language_maps(name: str, c: dict, source, target) -> LanguageMorphism:
+def _parse_language_maps(name: str, c: dict, source, target, tok) -> LanguageMorphism:
     """The language morphism between the languages of two theories or logics."""
     rel = []
     for p in c.get("relations", ()):
         if is_symbol(p) or len(p) != 2:
-            raise FormError(name, f"relation map entry must be a pair, got {p!r}")
+            raise FormError(name, f"relation map entry must be a pair, got {_text(p)}")
         img = p[1]
         if not is_symbol(img) and img and img[0] == "expr":
             if len(img) != 2:
                 raise FormError(name, "expected (expr EXPRESSION)")
-            rel.append((parse_token(p[0]), parse_expression(img[1])))
+            rel.append((tok(p[0]), _parse_expression(img[1], tok)))
         else:
-            rel.append((parse_token(p[0]), parse_token(img)))
+            rel.append((tok(p[0]), tok(img)))
     return LanguageMorphism.make(
         source.language, target.language,
-        _map(name, _pairs(name, c.get("variables", ()), "variable map"), "variable map"),
-        _map(name, _pairs(name, c.get("entity-types", ()), "entity map"), "entity map"),
+        _map(name, _pairs(name, c.get("variables", ()), "variable map", tok), "variable map"),
+        _map(name, _pairs(name, c.get("entity-types", ()), "entity map", tok), "entity map"),
         _map(name, rel, "relation map"), refinement="refinement" in c)
 
 
-def _parse_theory_morphism(name: str, c: dict, source: Theory, target: Theory) -> TheoryMorphism:
-    return TheoryMorphism.make(_parse_language_maps(name, c, source, target), source, target)
+def _parse_theory_morphism(name: str, c: dict, source: Theory, target: Theory,
+                           tok) -> TheoryMorphism:
+    return TheoryMorphism.make(_parse_language_maps(name, c, source, target, tok),
+                               source, target)
 
 
-def _parse_logic_morphism(name: str, c: dict, source: Logic, target: Logic) -> LogicMorphism:
+def _parse_logic_morphism(name: str, c: dict, source: Logic, target: Logic,
+                          tok) -> LogicMorphism:
     return LogicMorphism.make(
-        source, target, _parse_language_maps(name, c, source, target),
-        _map(name, _pairs(name, c.get("entity-map", ()), "entity map"), "entity map"),
-        _map(name, _pairs(name, c.get("tuple-map", ()), "tuple map"), "tuple map"))
+        source, target, _parse_language_maps(name, c, source, target, tok),
+        _map(name, _pairs(name, c.get("entity-map", ()), "entity map", tok), "entity map"),
+        _map(name, _pairs(name, c.get("tuple-map", ()), "tuple map", tok), "tuple map"))
 
 
 def _parse_alignment(name: str, c: dict, t: Theory, g1: TheoryMorphism,
-                     g2: TheoryMorphism) -> Alignment:
+                     g2: TheoryMorphism, tok) -> Alignment:
     if g1.source != t or g2.source != t:
         raise FormError(name, "alignment links must start at the mediating theory")
-    return Alignment(frozenset(parse_token(e) for e in c.get("universe", ())), t, g1, g2)
+    return Alignment(frozenset(map(tok, c.get("universe", ()))), t, g1, g2)
 
 
-# kind -> parser(name, clauses, *the objects its references name, in table order)
+# kind -> parser(name, clauses, *the objects its references name, in table order, tok),
+# which parses the form's tokens, expressions and assignments with tok
 _PARSERS = {"language": _parse_language, "theory": _parse_theory, "model": _parse_model,
             "logic": _parse_logic, "theory-morphism": _parse_theory_morphism,
             "logic-morphism": _parse_logic_morphism, "alignment": _parse_alignment}
 
 
 def parse_document(text: str) -> Document:
+    """The document a text spells.
+
+    One token parser serves the call and goes with it, so each distinct
+    list is parsed once, as a token or as an assignment.  An error in a
+    token or an expression is raised naming the form it is in."""
     doc = Document()
-    for form in parse_all(text):
+    forms = parse_all(text)  # kept until this returns: the parser's memos name its lists by id
+    tok = _token_parser()
+    for form in forms:
         if is_symbol(form) or len(form) < 2 or not is_symbol(form[0]) or not is_symbol(form[1]):
-            raise FormError("document", f"top-level form must be (kind name ...), got {form!r}")
+            raise FormError("document",
+                            f"top-level form must be (kind name ...), got {_text(form)}")
         kind, name = form[0], form[1]
         if kind not in _PARSERS:
             raise FormError(name, f"unknown form kind {kind}")
@@ -355,8 +406,10 @@ def parse_document(text: str) -> Document:
         refs = [doc.get(_one(name, c, clause), ref_kind)
                 for clause, _, ref_kind in _REFERENCES[kind]]
         try:
-            obj = _PARSERS[kind](name, c, *refs)
-        except FormError:
+            obj = _PARSERS[kind](name, c, *refs, tok)
+        except FormError as e:
+            if e.form in ("token", "expression"):  # raised inside this form: name it
+                raise FormError(name, e.message) from None
             raise
         except OntofuseError as e:  # a construction error: name its form, keep its class
             e.args = (f"{kind} {name}: {e}",)

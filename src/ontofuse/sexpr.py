@@ -2,12 +2,14 @@
 
 Values are either symbols (plain strings) or lists of values.  Symbols
 are any run of characters excluding whitespace, parentheses, and the
-comment character.  The reader takes the text's tokens in one
-``findall`` pass, which skips whitespace, and builds lists from them
-with a stack of open lists, dropping comments; it refuses lists nested
-deeper than MAX_DEPTH.  That pass keeps no offsets: on a syntax error a
-second scan, run only then, finds the first fault again and names its
-line and column.
+comment character.  The reader drops the comments, pads each
+parenthesis with spaces, and takes the tokens from one ``str.split``;
+it builds lists from them with a stack of open lists and refuses lists
+nested deeper than MAX_DEPTH.  It shares equal sub-lists: within one
+call of parse_all, lists with equal contents are one list object, so
+callers must treat the values they get as read-only.  That pass keeps
+no offsets: on a syntax error a regular-expression scan, run only then,
+finds the first fault again and names its line and column.
 
 The writer emits one canonical layout: a list goes on one line when that
 fits in WIDTH columns, else its children go on lines of their own.  One
@@ -43,25 +45,33 @@ WIDTH = 78  # the writer puts a value on one line when it fits in this many colu
 # a comment, a parenthesis, or a symbol; whitespace falls between tokens
 _TOKEN = re.compile(r";[^\n]*|[()]|[^\s();]+")
 
+_COMMENT = re.compile(r";[^\n]*")
+
 
 def parse_all(text: str) -> list:
-    """All top-level values in the text, in order."""
+    """All top-level values in the text, in order.  Equal lists among them
+    are one object, so the values are read-only."""
+    words = _COMMENT.sub("", text).replace("(", " ( ").replace(")", " ) ").split()
     out = items = []
-    opened = []  # the enclosing list of each open list
-    for tok in _TOKEN.findall(text):
-        if tok == "(":
+    keys = []  # per item of items: a symbol itself, a list its id
+    opened = []  # the enclosing list and keys of each open list
+    shared = {}  # a list's keys -> the one list with those items
+    for w in words:
+        if w == "(":
             if len(opened) == MAX_DEPTH:
                 raise _first_fault(text)
-            opened.append(items)
-            items = []
-        elif tok == ")":
+            opened.append((items, keys))
+            items, keys = [], []
+        elif w == ")":
             if not opened:
                 raise _first_fault(text)
-            outer = opened.pop()
-            outer.append(items)
-            items = outer
-        elif tok[0] != ";":
-            items.append(tok)
+            done = shared.setdefault(tuple(keys), items)
+            items, keys = opened.pop()
+            items.append(done)
+            keys.append(id(done))
+        else:
+            items.append(w)
+            keys.append(w)
     if opened:
         raise _first_fault(text)
     return out

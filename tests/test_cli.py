@@ -87,8 +87,8 @@ def test_check_invalid_morphism_reports_witness(tmp_path, capsys):
     path.write_text(serialize_document(out_doc))
     code, out, _ = run(capsys, "check", str(path))
     assert code == 1
-    assert "fail: logic-morphism broken" in out
-    assert "acme" in out  # witness names the offending instance
+    # the witness names the offending instance and its type, in document syntax
+    assert out.splitlines()[-1] == f"{path}: fail: logic-morphism broken: model: entity acme Company"
 
 
 def test_check_rejects_tuple_valued_outside_entities(tmp_path, capsys):
@@ -181,7 +181,53 @@ def test_check_names_the_first_refuted_axiom_of_a_theory_morphism(seed_runs):
     assert seed_runs[REFUTED_MORPHISM] == Outcome(1, "".join([
         "refuted.iff: ok: language W\n", "refuted.iff: ok: theory TW\n",
         "refuted.iff: ok: theory T0\n",
-        "refuted.iff: fail: theory-morphism g: ('axiom', Atomic(relation='R'))\n"]), "", None)
+        "refuted.iff: fail: theory-morphism g: axiom (atom R)\n"]), "", None)
+
+
+REFUTED_EDGES = seeded(["check", "edges.iff"], {"edges.iff": """\
+(language W (variables x) (entity-types T) (reference (x T)) (relations (R (x))))
+(theory TW (language W) (axioms (atom R)))
+(theory T0 (language W) (axioms))
+(theory-morphism g (source TW) (target T0)
+  (variables (x x)) (entity-types (T T)) (relations (R R)))
+(theory-morphism i (source TW) (target TW)
+  (variables (x x)) (entity-types (T T)) (relations (R R)))
+(alignment A (universe) (mediating-theory TW) (left-link g) (right-link i))
+(model M (language W) (entities) (incidence) (extents (R)))
+(logic LW (theory TW) (model M))
+(logic L0 (theory T0) (model M))
+(logic-morphism f (source LW) (target L0)
+  (variables (x x)) (entity-types (T T)) (relations (R R)) (entity-map) (tuple-map))
+"""})
+
+
+def test_check_writes_each_refuted_edge_in_document_syntax(seed_runs):
+    assert seed_runs[REFUTED_EDGES] == Outcome(1, "".join(f"edges.iff: {line}\n" for line in [
+        "ok: language W", "ok: theory TW", "ok: theory T0",
+        "fail: theory-morphism g: axiom (atom R)", "ok: theory-morphism i",
+        "fail: alignment A: left-link: axiom (atom R)",
+        "ok: model M", "ok: logic LW", "ok: logic L0",
+        "fail: logic-morphism f: theory: axiom (atom R)"]), "", None)
+
+
+BOGUS_THEORY = ("(language W (variables x) (entity-types T) (reference (x T)) "
+                "(relations (R (x))))\n(theory T (language W) (axioms (bogus (atom R))))\n")
+
+
+@pytest.mark.parametrize("run, out, err", [
+    (seeded(["check", "bogus.iff"], {"bogus.iff": BOGUS_THEORY}),
+     "bogus.iff: fail: form T: unknown expression form (bogus (atom R))\n", ""),
+    (check_model("(extents (WorksFor ((x (bogus bob)) (y acme))))"),
+     "extents.iff: fail: form M: expected a token, got (bogus bob)\n", ""),
+    (check_model("(extents (WorksFor ((x (set (tuple a) (map (x)))) (y acme))))"),
+     "extents.iff: fail: form M: map entry must be a pair, got (x)\n", ""),
+    (seeded(["entails", "bogus.iff", "--theory", "T", "--query", "(bogus (atom R))"],
+            {"bogus.iff": BOGUS_THEORY.replace("(bogus (atom R))", "")}),
+     "", "error: form expression: unknown expression form (bogus (atom R))\n"),
+], ids=["expression", "token", "map-entry", "query"])
+def test_a_bad_token_or_expression_is_named_by_its_form_in_document_syntax(seed_runs, run,
+                                                                            out, err):
+    assert seed_runs[run] == Outcome(1, out, err, None)
 
 
 def test_check_syntax_error_exit_one(tmp_path, capsys):

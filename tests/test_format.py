@@ -4,6 +4,7 @@ import io
 import pathlib
 import random
 import re
+import sys
 import tempfile
 from collections import Counter
 from dataclasses import replace
@@ -99,7 +100,7 @@ def test_reader_whitespace_and_comments():
     assert parse_all("a\x1cb\r(c\td) ; (e\r f\n\x85g;h") == ["a", "b", ["c", "d"], "g"]
 
 
-@pytest.mark.parametrize("text, values", [
+COMMENT_PLACEMENTS = [
     # a comment at the end of the text, with no newline after it
     ("(a b) ; end", [["a", "b"]]),
     (";", []),
@@ -112,9 +113,82 @@ def test_reader_whitespace_and_comments():
     ("a;b", ["a"]),
     ("(x;y)\n)", [["x"]]),
     ("(set;\n b)", [["set", "b"]]),
-])
+]
+
+
+@pytest.mark.parametrize("text, values", COMMENT_PLACEMENTS)
 def test_reader_reads_what_a_comment_leaves(text, values):
     assert parse_all(text) == values == naive_parse(text, MAX_DEPTH)
+
+
+def _read(text: str):
+    """parse_all's values, or None on a syntax error, as naive_parse gives them."""
+    try:
+        return parse_all(text)
+    except SexprSyntaxError:
+        return None
+
+
+def _whitespace() -> list:
+    """Every code point that str.isspace or re's \\s takes for whitespace
+    under this interpreter's Unicode tables."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    return sorted(set(re.findall(r"\s", every)) | {c for c in every if c.isspace()})
+
+
+def test_reader_splits_at_every_whitespace_character_as_the_oracle_does():
+    spaces = _whitespace()
+    assert set(" \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000") <= set(spaces)
+    for c in spaces:
+        texts = [f"a{c}b", f"(a{c}(b{c}c))"] + [t.replace(" ", c) for t, _ in COMMENT_PLACEMENTS]
+        for text in texts:
+            assert _read(text) == naive_parse(text, MAX_DEPTH), repr(text)
+        assert parse_all(texts[1]) == [["a", ["b", "c"]]]
+
+
+def _lists(values) -> list:
+    """Every list among the values and their members, each occurrence once."""
+    out, todo = [], list(values)
+    while todo:
+        v = todo.pop()
+        if isinstance(v, list):
+            out.append(v)
+            todo.extend(v)
+    return out
+
+
+def _shares_equal_lists(values) -> bool:
+    """Are equal lists among the values one object?"""
+    first = {}
+    return all(first.setdefault(repr(v), v) is v for v in _lists(values))
+
+
+def test_reader_agrees_with_the_oracle_on_random_texts():
+    rng = random.Random(12)
+    spaces = [" ", "\n", "\r", "\t", "\x0c", "\x1c", "\x85", "\u2028", "\u3000"]
+    for i in range(300):
+        if i % 2:  # written values, their spaces varied and comments put between
+            chars = []
+            for ch in write_all([_random_value(rng) for _ in range(rng.randint(0, 4))]):
+                chars.append(rng.choice(spaces) if ch in " \n" else ch)
+                if rng.random() < 0.02:
+                    chars.append(";" + rng.choice(["", "(", ")", " x (y"]) + rng.choice(["\n", "\r\n"]))
+        else:  # anything, mostly unbalanced
+            chars = rng.choices(["(", ")", ";", "a", "set", "é"] + spaces, k=rng.randint(0, 40))
+        text = "".join(chars)
+        values = _read(text)
+        assert values == naive_parse(text, MAX_DEPTH), repr(text)
+        assert values is None or _shares_equal_lists(values), repr(text)
+
+
+def test_reader_shares_equal_lists_within_a_call_and_none_between_calls():
+    text = "(a (b c) ()) (d (b c) (())) (a (b c) ()) ; (b c)\n(b c) (a (b c d) ())"
+    first, second = parse_all(text), parse_all(text)
+    assert first == second == naive_parse(text, MAX_DEPTH)
+    assert first[0] is first[2] and first[0][1] is first[1][1] is first[3]
+    assert first[0][2] is first[1][2][0] is first[4][2] and first[4][1] is not first[3]
+    assert _shares_equal_lists(first)
+    assert not {id(v) for v in _lists(first)} & {id(v) for v in _lists(second)}
 
 
 def test_parse_expression_refuses_nesting_beyond_the_limit():
@@ -412,18 +486,25 @@ def _composites(tokens) -> set:
     return out
 
 
-def test_serializing_a_model_sum_renders_each_distinct_composite_token_once(monkeypatch):
+def _model_sum_document():
+    """A 16-entity, 6-tuple model sum, written in tuples form, and the
+    composite tokens it holds."""
     rng = random.Random(56)
     a, b = (rand_model(rng, rand_language(rng, max_rels=3), 4) for _ in range(2))
     s = a.product(b)
     doc = document_of("model", "S", s)
-    text = serialize_document(doc)
-    assert "(tuples" in text and (len(s.entities), len(s.tuples)) == (16, 6)
+    assert (len(s.entities), len(s.tuples)) == (16, 6)
     lang = s.language
-    composites = _composites(
+    return doc, _composites(
         [*lang.variables, *lang.entity_types, *lang.reference.values(), *lang.relation_types,
          *s.entities, *(e for e, _ in s.entity_incidence), *s.tuples,
          *(v for val in s.tuple_valuation.values() for v in val.values())])
+
+
+def test_serializing_a_model_sum_renders_each_distinct_composite_token_once(monkeypatch):
+    doc, composites = _model_sum_document()
+    text = serialize_document(doc)
+    assert "(tuples" in text
     rendered = Counter()
     render = document._render_composite
 
@@ -435,6 +516,49 @@ def test_serializing_a_model_sum_renders_each_distinct_composite_token_once(monk
         rendered.clear()
         assert serialize_document(doc) == text
         assert rendered.keys() == composites and set(rendered.values()) == {1}
+
+
+def test_parsing_a_model_sum_parses_each_distinct_composite_token_once(monkeypatch):
+    doc, composites = _model_sum_document()
+    text = serialize_document(doc)
+    assert "(tuples" in text
+    parsed = Counter()
+    parse = document._parse_composite
+
+    def counted(v, tok):
+        parsed[write_value(v)] += 1
+        return parse(v, tok)
+    monkeypatch.setattr(document, "_parse_composite", counted)
+    for _ in range(2):
+        parsed.clear()
+        again = parse_document(text)
+        assert again.order == doc.order and again.objects == doc.objects
+        assert parsed.keys() == {write_value(render_token(t)) for t in composites}
+        assert set(parsed.values()) == {1}
+
+
+@pytest.mark.parametrize("bad, message", [
+    (["bogus", "a"], "expected a token, got (bogus a)"),
+    ([], "expected a token, got ()"),
+    (["set", "a", ["tuple", ["a"]]], "expected a token, got (a)"),
+    (["map", ["x", "a"], ["y"]], "map entry must be a pair, got (y)"),
+    (["map", ["x", "a"], ["x", "b"]], "map gives 'x' two values"),
+], ids=["head", "empty", "member", "map-entry", "map-key"])
+def test_a_bad_token_fails_with_one_message_every_time_it_is_met(bad, message):
+    tok = document._token_parser()
+    good = ["tuple", "a", ["set", "b"]]
+    assert tok(good) is tok(good) == ("a", frozenset({"b"}))
+    text = ("(language L (variables x) (entity-types T) (reference (x T)) (relations (R (x))))\n"
+            f"(model M (language L) (entities a) (incidence (a T)) (extents (R ((x a))"
+            f" ((x {write_value(bad)})))))\n")
+    for _ in range(2):
+        for parse in (tok, parse_token):
+            with pytest.raises(FormError) as err:
+                parse(bad)
+            assert str(err.value) == f"form token: {message}"
+        with pytest.raises(FormError) as err:
+            parse_document(text)
+        assert str(err.value) == f"form M: {message}"
 
 
 @pytest.mark.parametrize("bad", [("a", True), ("a", 1), frozenset({True}), frozenset({1}),
@@ -469,19 +593,39 @@ def _wide_token_document() -> Document:
     return document_of("model", "M", m)
 
 
-def test_serialize_document_writes_what_the_writer_without_memos_wrote():
-    docs = [parse_document(text) for text in CORPUS_TEXTS]
+def _built_documents() -> list:
+    """Documents built in memory: 30 seeded model sums, the fused logics
+    of the practical scenarios, and each corpus document's forms added
+    afresh to an empty document."""
+    docs = []
     rng = random.Random(37)
     for _ in range(30):
         a, b = (rand_model(rng, rand_language(rng, max_rels=3)) for _ in range(2))
         docs.append(document_of("model", "S", a.product(b)))
     for l1, l2, c, t, g1, g2 in practical_scenarios():
         docs.append(document_of("logic", "F", practical_integrate(l1, l2, c, t, g1, g2, 2)[0].fused))
-    docs.append(_wide_token_document())
+    for text in CORPUS_TEXTS:
+        read, doc = parse_document(text), Document()
+        for kind, name in read.order:
+            doc.add(kind, name, read.objects[name])
+        docs.append(doc)
+    return docs
+
+
+def test_serialize_document_writes_what_the_writer_without_memos_wrote():
+    docs = _built_documents() + [_wide_token_document()]
     for doc in docs:
         assert serialize_document(doc) == naive_serialize(doc)
     wide = serialize_document(docs[-1])
     assert f"(tuple {'w' * 61} f)" in wide and f"(tuple {'w' * 61}\n" in wide
+
+
+def test_documents_built_in_memory_read_back_equal():
+    docs = _built_documents()
+    assert len(docs) == 30 + 21 + len(CORPUS_TEXTS)
+    for doc in docs + [_wide_token_document()]:
+        again = parse_document(serialize_document(doc))
+        assert again.order == doc.order and again.objects == doc.objects
 
 
 def test_reader_agrees_with_the_oracle_on_corpus_and_mutated_texts():
