@@ -35,12 +35,20 @@ def _text(v) -> str:
 
 
 def _map(form: str, pairs, what: str) -> dict:
-    """A dict from parsed pairs; a key given two different values is an error."""
+    """A dict from parsed pairs; a key given two different values is an
+    error, which names the key and both values in document syntax."""
     out = {}
     for k, v in pairs:
-        if out.setdefault(k, v) != v:
-            raise FormError(form, f"{what} gives {k!r} two values")
+        first = out.setdefault(k, v)
+        if first != v:
+            raise FormError(form, f"{what} gives {_shown(k)} two values, "
+                                  f"{_shown(first)} and {_shown(v)}")
     return out
+
+
+def _shown(v) -> str:
+    """A parsed token or expression as the document writes it, for a message."""
+    return _text(render_expression(v) if isinstance(v, Expression) else render_token(v))
 
 
 def _pairs(name: str, items, what: str, tok):

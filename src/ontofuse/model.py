@@ -12,22 +12,26 @@ the lax rule "the restriction of the tuple lies in the extent", which
 tokens abstract matters because the free model over a theory has
 relation instances that share a valuation but differ in incidence.
 
-Evaluation reads two indexes that a model builds on first use: for
-each relation type its classified rows (valuations restricted to the
+Evaluation reads indexes that a model builds on first use: for each
+relation type its classified rows (valuations restricted to the
 relation's arity, as value tuples in the language's ``arity_order``),
 and for each entity type its entities in token order.  A model is
 frozen, so the indexes never go stale; a copy made with
-``dataclasses.replace`` builds its own.  The bounded search of
-:mod:`ontofuse.theory` hands the evaluator candidates that carry only
-these two indexes, choosing each relation's rows directly.
+``dataclasses.replace`` builds its own.
 
-An expression is compiled once, by ``_compile``, into a closure over
-those indexes; each caller compiles once and evaluates many times (the
-search once per search, :func:`satisfies` once per call, a tuple test
-once per image).  A quantifier whose body holds another quantifier
-memoises its result on the values of its free variables, and drops the
-memo when it is called on another model or candidate, so nested
-quantifiers cost time linear in their number rather than exponential.
+An expression is compiled once, by ``_compile``, into a closure that
+returns a mask: an int whose bit c says whether the expression holds in
+candidate c.  A model is one candidate, so its masks are 0 and 1.  The
+bounded search of :mod:`ontofuse.theory` hands the same closure a block
+of one skeleton's candidates, whose atom masks set the bit of each
+candidate that holds the row, and so evaluates all of them at once with
+``&``, ``|`` and ``^`` (bit-slicing, after Biham 1997).  Each caller
+compiles once and evaluates many times (the search once per search,
+:func:`satisfies` once per call, a tuple test once per image).  A
+quantifier whose body holds another quantifier memoises its result on
+the values of its free variables, and drops the memo when it is called
+on another model or block, so nested quantifiers cost time linear in
+their number rather than exponential.
 """
 from __future__ import annotations
 
@@ -197,6 +201,15 @@ class Model:
             rows[rho].add(tuple(map(self.tuple_valuation[t].__getitem__, order[rho])))
         return {rho: frozenset(r) for rho, r in rows.items()}
 
+    # The model as the one candidate the evaluator reads (see _compile):
+    # each classified row holds in it.
+    _full = 1
+
+    @cached_property
+    def _masks(self) -> dict:
+        """Relation type -> each of its classified rows -> 1."""
+        return {rho: dict.fromkeys(rows, 1) for rho, rows in self._rows.items()}
+
     @cached_property
     def _pools(self) -> dict:
         """Entity type -> its entities, in token order."""
@@ -241,7 +254,7 @@ def holds(m: Model, t: Mapping, e: Expression) -> bool:
     fv = free_vars(m.language, e)
     if not fv <= set(t):
         raise LaxViolation(f"assignment domain {sorted_tokens(t)} lacks {sorted_tokens(fv - set(t))}")
-    return _compile(m.language, e)(m, t)
+    return _compile(m.language, e)(m, t) == 1
 
 
 def satisfies(m: Model, e: Expression) -> bool:
@@ -254,47 +267,74 @@ def satisfies(m: Model, e: Expression) -> bool:
     return all(f(m, t) for t in m.well_sorted_assignments(free_vars(m.language, e)))
 
 
-def _compile(lang: TypeLanguage, e: Expression) -> Callable[[object, Mapping], bool]:
-    """e over lang as a closure f(m, t): whether e holds in m under t.
+def _compile(lang: TypeLanguage, e: Expression) -> Callable[[object, Mapping], int]:
+    """e over lang as a closure f(m, t): the mask of m's candidates in which
+    e holds under t.
 
-    m is a Model or a search candidate, either of which has ``_rows`` and
-    ``_pools``, and t maps e's free variables to entities.  The tree is
-    walked here, once: an atom bakes in its arity order, a substitution
-    its variable pairs.  A quantifier whose body holds another quantifier
-    runs its body at most once per binding of its own free variables and
-    per model (see the module docstring).
+    m is a Model or a block of search candidates, and t maps e's free
+    variables to entities.  Either kind of m has ``_masks`` (relation type
+    -> row -> the mask of the candidates that hold it; a row absent holds
+    in none), ``_pools`` and ``_full``, the mask of all its candidates.
+    Bit c of a mask stands for candidate c; a Model is one candidate, so
+    its masks are 0 and 1.  The tree is walked here, once: an atom bakes
+    in its arity order, a substitution its variable pairs.  ``and``,
+    ``or`` and ``implies`` skip their right side once the left decides
+    every candidate, and a quantifier stops once its accumulated mask
+    does.  A quantifier whose body holds another quantifier runs its body
+    at most once per binding of its own free variables and per m (see the
+    module docstring).
     """
     def build(e) -> tuple[Callable, bool]:  # the closure, whether e holds a quantifier
         if isinstance(e, Atomic):
             rho, order = e.relation, lang.arity_order[e.relation]
             if len(order) == 1:
                 x, = order
-                return (lambda m, t: (t[x],) in m._rows[rho]), False
+                return (lambda m, t: m._masks[rho].get((t[x],), 0)), False
             if len(order) == 2:
                 x, y = order
-                return (lambda m, t: (t[x], t[y]) in m._rows[rho]), False
-            return (lambda m, t: tuple(map(t.__getitem__, order)) in m._rows[rho]), False
+                return (lambda m, t: m._masks[rho].get((t[x], t[y]), 0)), False
+            return (lambda m, t: m._masks[rho].get(tuple(map(t.__getitem__, order)), 0)), False
         if isinstance(e, Not):
             body, quantified = build(e.body)
-            return (lambda m, t: not body(m, t)), quantified
+            return (lambda m, t: m._full ^ body(m, t)), quantified
         if isinstance(e, (And, Or, Implies)):
             (left, ql), (right, qr) = build(e.left), build(e.right)
             if isinstance(e, And):
-                return (lambda m, t: left(m, t) and right(m, t)), ql or qr
+                def conjunction(m, t):
+                    v = left(m, t)
+                    return v and v & right(m, t)
+                return conjunction, ql or qr
             if isinstance(e, Or):
-                return (lambda m, t: left(m, t) or right(m, t)), ql or qr
-            return (lambda m, t: not left(m, t) or right(m, t)), ql or qr
+                def disjunction(m, t):
+                    v = left(m, t)
+                    return v if v == m._full else v | right(m, t)
+                return disjunction, ql or qr
+
+            def implication(m, t):
+                v = m._full ^ left(m, t)
+                return v if v == m._full else v | right(m, t)
+            return implication, ql or qr
         if isinstance(e, (Exists, Forall)):
             body, nested = build(e.body)
-            var, sort, stop = e.var, lang.reference[e.var], isinstance(e, Exists)
-
-            def quantify(m, t):  # any() for exists, all() for forall
-                bound = dict(t)
-                for c in m._pools[sort]:
-                    bound[var] = c
-                    if body(m, bound) is stop:
-                        return stop
-                return not stop
+            var, sort = e.var, lang.reference[e.var]
+            if isinstance(e, Exists):
+                def quantify(m, t):  # the candidates where some binding holds
+                    bound, acc = dict(t), 0
+                    for c in m._pools[sort]:
+                        bound[var] = c
+                        acc |= body(m, bound)
+                        if acc == m._full:
+                            break
+                    return acc
+            else:
+                def quantify(m, t):  # the candidates where every binding holds
+                    bound, acc = dict(t), m._full
+                    for c in m._pools[sort]:
+                        bound[var] = c
+                        acc &= body(m, bound)
+                        if not acc:
+                            break
+                    return acc
             if not nested:
                 return quantify, True
             key_vars = tuple(sorted_tokens(free_vars(lang, e)))
@@ -353,7 +393,7 @@ def token_satisfies(m: Model, image: Token | Expression) -> Callable[[Token], bo
 
     def test(t):
         val = m.tuple_valuation[t]
-        return fv <= val.keys() and f(m, val)
+        return fv <= val.keys() and f(m, val) == 1
     return test
 
 

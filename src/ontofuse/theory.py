@@ -3,9 +3,13 @@
 Entailment is semantic and undecidable in general; here it is realized
 as bounded countermodel search over finite models whose entity sets are
 prefixes of a canonical token sequence.  Verdicts carry the bound, so
-incompleteness is explicit.  The search evaluates each candidate on the
-rows it chooses, and builds a Model only for a model it yields or a
-countermodel it returns.
+incompleteness is explicit.  The search evaluates each axiom and query
+once per block of a skeleton's candidates, on masks with one bit per
+candidate (see :class:`_Skeleton`), and builds a Model only for a model
+it yields or a countermodel it returns.  A block holds at most 2**16
+candidates, whatever the budget.  The budget still counts candidates,
+each one in enumeration order, as a scan of one candidate at a time
+would reach them.
 
 Enumerating models visits every entity-incidence choice.  Searching for
 countermodels (entails, theory_morphism_valid) visits only the choices
@@ -18,6 +22,7 @@ return the same one.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -85,64 +90,138 @@ class NoCounterexampleUpTo:
 
 # --- bounded model enumeration ---------------------------------------------
 
-class _Candidate:
-    """A candidate model as the evaluator reads it: the skeleton's sort
-    pools and, for each relation type, the rows it chooses.
+# The most candidates of one skeleton evaluated at once: 2**_BLOCK_BITS.
+_BLOCK_BITS = 16
 
-    :meth:`model` builds the Model whose extents are these rows, which has
-    exactly these indexes: its tuples are the rows as assignments, and
-    :meth:`Model.from_extents` classifies them by the lax rule.
-    """
 
-    __slots__ = ("_pools", "_rows", "_skeleton")
+@functools.lru_cache(maxsize=None)
+def _subset_patterns(n: int) -> tuple:
+    """For each of n rows, the 2**n-bit int whose bit j says whether the
+    j-th subset of the rows holds it, subsets ordered by size, then in
+    ``itertools.combinations`` order."""
+    size = 1 << n
+    digits = [bytearray(b"0") * size for _ in range(n)]  # most significant first
+    j = size
+    for k in range(n + 1):
+        for c in itertools.combinations(range(n), k):
+            j -= 1
+            for i in c:
+                digits[i][j] = ord("1")
+    return tuple(int(d, 2) for d in digits)
 
-    def __init__(self, skeleton: "_Skeleton", choice: tuple):
-        self._pools = skeleton.model._pools
-        self._rows = dict(zip(skeleton.rhos, choice))
-        self._skeleton = skeleton
 
-    def axioms_hold(self) -> bool:
-        return all(f(self, t) for f, ts in self._skeleton.axioms for t in ts)
+@functools.lru_cache(maxsize=64)
+def _atom_masks(n: int, start: int, width: int, stride: int, size: int) -> tuple:
+    """For each of n rows, the size-bit mask whose bit c says whether the
+    subset at pool index start + (c // stride) % width holds it.
 
-    def query_holds(self, i: int) -> bool:
-        """Whether the search's i-th query holds under every well-sorted assignment."""
-        f, ts = self._skeleton.queries[i]
-        return all(f(self, t) for t in ts)
+    Each pattern bit of the window is spread to stride bits, and the
+    spread window, of width * stride bits, is tiled by the repunit
+    multiply to size bits."""
+    repunit = ((1 << size) - 1) // ((1 << width * stride) - 1)
+    window = (1 << width) - 1
+    return tuple(int(format(p >> start & window, f"0{width}b")
+                     .replace("1", "1" * stride).replace("0", "0" * stride), 2) * repunit
+                 for p in _subset_patterns(n))
 
-    def model(self) -> Model:
-        m = self._skeleton.model
-        order = m.language.arity_order
-        return Model.from_extents(m.language, m.entities, m.entity_incidence,
-                                  {rho: [zip(order[rho], row) for row in rows]
-                                   for rho, rows in self._rows.items()})
+
+class _Block:
+    """Some consecutive candidates of one skeleton, as the evaluator reads
+    them: for each relation type, each row's mask over the candidates
+    (bit c for the block's candidate c), the sort pools, and the mask of
+    all of them."""
+
+    __slots__ = ("_masks", "_pools", "_full")
+
+    def __init__(self, masks: dict, pools: dict, size: int):
+        self._masks = masks
+        self._pools = pools
+        self._full = (1 << size) - 1
 
 
 @dataclass(frozen=True)
 class _Skeleton:
     """One entity-incidence choice: its Model without relation instances,
-    the relation types in token order, and each axiom and query, compiled
-    once per search, paired with the well-sorted assignments on its free
-    variables."""
+    the relation types in token order with each one's well-sorted rows
+    (value tuples in the arity order, drawn from the sort pools), and
+    each axiom and query, compiled once per search, paired with the
+    well-sorted assignments on its free variables.
+
+    Its candidates come in the order of ``itertools.product`` over the
+    relation types' pools, each pool holding every subset of a type's
+    rows, by size, then in ``combinations`` order: candidate i chooses
+    for the k-th relation type, of n_k rows, the subset at pool index
+    (i // stride_k) % 2**n_k, stride_k being the product of the later
+    pools' sizes.  They are evaluated in aligned blocks of 2**_BLOCK_BITS (or
+    all of them if fewer), so a relation type whose stride spans a
+    block holds each row in none or all of it.
+    """
 
     model: Model
     rhos: list
+    rows: list  # per relation type, its rows
     axioms: list  # of (compiled expression, assignments)
     queries: list  # of (compiled expression, assignments)
 
+    def radix(self) -> list:
+        """Each relation type's number of rows and stride."""
+        bits = [len(rows) for rows in self.rows]
+        return [(n, 1 << sum(bits[k + 1:])) for k, n in enumerate(bits)]
+
+    def block(self, base: int, size: int) -> _Block:
+        """The block of size candidates from base, a multiple of size."""
+        full = (1 << size) - 1
+        masks = {}
+        for rho, rows, (n, stride) in zip(self.rhos, self.rows, self.radix()):
+            start = base // stride % (1 << n)
+            if stride >= size:  # one subset for the whole block
+                masks[rho] = {row: full if p >> start & 1 else 0
+                              for row, p in zip(rows, _subset_patterns(n))}
+            else:
+                masks[rho] = dict(zip(rows, _atom_masks(
+                    n, start, min(1 << n, size // stride), stride, size)))
+        return _Block(masks, self.model._pools, size)
+
+    def model_at(self, i: int) -> Model:
+        """Candidate i's Model: its extents are the subsets it chooses, so
+        :meth:`Model.from_extents` classifies exactly its rows."""
+        m = self.model
+        order = m.language.arity_order
+        extents = {}
+        for rho, rows, (n, stride) in zip(self.rhos, self.rows, self.radix()):
+            j = i // stride % (1 << n)
+            extents[rho] = [zip(order[rho], row)
+                            for row, p in zip(rows, _subset_patterns(n)) if p >> j & 1]
+        return Model.from_extents(m.language, m.entities, m.entity_incidence, extents)
+
+
+def _every(block: _Block, compiled: list, mask: int) -> int:
+    """The candidates of mask in which each compiled expression holds
+    under each of its assignments."""
+    for f, ts in compiled:
+        for t in ts:
+            if not mask:
+                return 0
+            mask &= f(block, t)
+    return mask
+
 
 def _search(t: Theory, max_entities: int, budget: int, queries: Iterable = (),
-            _canonical: bool = False) -> Iterator[_Candidate]:
-    """Every candidate over entity prefixes _e0.._e(n-1), n <= max_entities,
-    that satisfies t's axioms, in enumeration order; each can also test the
-    given queries.
+            _canonical: bool = False) -> Iterator[tuple]:
+    """Every block of candidates over entity prefixes _e0.._e(n-1),
+    n <= max_entities, in enumeration order, as (skeleton, block, base,
+    holds): holds the mask of the block's candidates, from the skeleton's
+    candidate base on, that satisfy t's axioms and lie within the budget.
 
     For each n and entity-incidence choice (a skeleton: each entity's
     membership row over the sorted entity types, rows in entity order, the
     bit vectors in lexicographic order), a candidate chooses a subset of
-    each relation type's well-sorted rows (value tuples in the arity order,
-    drawn from the sort pools) as its extent.
-    Candidates are counted against the budget before the axiom check;
-    BudgetExceeded aborts the whole search.
+    each relation type's well-sorted rows as its extent.  Every axiom is
+    evaluated once per block, on masks (see :class:`_Skeleton`).
+    Candidates are counted against the budget before the axiom check, in
+    full: BudgetExceeded is raised before a block that starts past the
+    budget and, once the consumer resumes the search, after one that
+    ends past it.
 
     With _canonical, which only the countermodel searches of
     :func:`_verdicts` pass, the search visits only the skeletons whose
@@ -173,23 +252,24 @@ def _search(t: Theory, max_entities: int, budget: int, queries: Iterable = (),
                          for a, bit in zip(sorts, row) if bit]
             skeleton = Model.from_extents(lang, entities, incidence, {})
             sk = _Skeleton(skeleton, rhos,
+                           [list(itertools.product(*[skeleton._pools[lang.reference[x]]
+                                                     for x in lang.arity_order[rho]]))
+                            for rho in rhos],
                            [(f, skeleton.well_sorted_assignments(fv))
                             for f, fv in compiled_axioms],
                            [(f, skeleton.well_sorted_assignments(fv))
                             for f, fv in compiled_queries])
-            pools = []
-            for rho in rhos:
-                rows = list(itertools.product(*[skeleton._pools[lang.reference[x]]
-                                                for x in lang.arity_order[rho]]))
-                pools.append([frozenset(c) for k in range(len(rows) + 1)
-                              for c in itertools.combinations(rows, k)])
-            for choice in itertools.product(*pools):
-                seen += 1
+            total = sum(map(len, sk.rows))
+            size = 1 << min(total, _BLOCK_BITS)
+            for base in range(0, 1 << total, size):
+                if seen >= budget:
+                    raise BudgetExceeded(f"model enumeration exceeded {budget} candidates")
+                block = sk.block(base, size)
+                within = block._full if budget - seen >= size else (1 << budget - seen) - 1
+                yield sk, block, base, _every(block, sk.axioms, within)
+                seen += size
                 if seen > budget:
                     raise BudgetExceeded(f"model enumeration exceeded {budget} candidates")
-                cand = _Candidate(sk, choice)
-                if cand.axioms_hold():
-                    yield cand
 
 
 def enumerate_models(t: Theory, max_entities: int,
@@ -199,15 +279,19 @@ def enumerate_models(t: Theory, max_entities: int,
     Every entity-incidence choice is visited, renamings of one another
     included, so this counts more candidates than :func:`entails` does
     for the same bound.  Candidates are counted against the budget
-    before the axiom check; BudgetExceeded aborts the whole enumeration.
+    before the axiom check; BudgetExceeded aborts the whole enumeration
+    once it reaches the first candidate past the budget.
     """
-    for cand in _search(t, max_entities, budget):
-        yield cand.model()
+    for sk, _, base, holds in _search(t, max_entities, budget):
+        bits = format(holds, "b")[::-1]
+        c = bits.find("1")
+        while c >= 0:
+            yield sk.model_at(base + c)
+            c = bits.find("1", c + 1)
 
 
-def _countermodel(t: Theory, cand: _Candidate, e: Expression) -> Model:
-    """The Model of a candidate that satisfies t and fails e, re-checked."""
-    m = cand.model()
+def _countermodel(t: Theory, m: Model, e: Expression) -> Model:
+    """m, a model of t that fails e, re-checked."""
     if not all(satisfies(m, a) for a in t.axioms) or satisfies(m, e):
         raise RuntimeError(f"countermodel to {e!r} fails its re-check")
     return m
@@ -217,18 +301,25 @@ def _verdicts(t: Theory, queries: list, max_entities: int, budget: int) -> dict:
     """Each query's verdict from one search over t's models: Refuted by its
     first countermodel in enumeration order, else NoCounterexampleUpTo.
 
-    The search stops once every query is refuted, so BudgetExceeded is
-    raised exactly when some query has no countermodel within the budget.
+    Each block evaluates each open query once: its first countermodel
+    there is the lowest candidate that satisfies the axioms but not the
+    query.  The search stops once every query is refuted, so
+    BudgetExceeded is raised exactly when some query has no countermodel
+    within the budget.
     """
     for e in queries:
         if not well_formed(t.language, e):
             raise DomainMismatch(f"query {e!r} is not well-formed over the theory's language")
     open_queries = list(range(len(queries)))
     found = {}  # query index -> Refuted
-    for cand in _search(t, max_entities, budget, queries, _canonical=True) if queries else ():
-        for i in [i for i in open_queries if not cand.query_holds(i)]:
-            found[i] = Refuted(_countermodel(t, cand, queries[i]))
-            open_queries.remove(i)
+    for sk, block, base, holds in _search(t, max_entities, budget, queries, _canonical=True) \
+            if queries else ():
+        for i in list(open_queries):
+            refuting = holds ^ _every(block, [sk.queries[i]], holds)
+            if refuting:
+                c = (refuting & -refuting).bit_length() - 1
+                found[i] = Refuted(_countermodel(t, sk.model_at(base + c), queries[i]))
+                open_queries.remove(i)
         if not open_queries:
             break
     return {e: found.get(i, NoCounterexampleUpTo(max_entities)) for i, e in enumerate(queries)}
@@ -266,8 +357,8 @@ def theory_morphism_valid(g: TheoryMorphism, max_entities: int,
 
     Translated axioms literally present in the target axiom set pass
     syntactically (exact, not bound-qualified); the others are decided
-    by one search over the target's models, each as :func:`entails`
-    would decide it alone.  A refuted verdict's detail is ("axiom", a),
+    by one search over the target's models, each distinct one once and
+    as :func:`entails` would decide it alone.  A refuted verdict's detail is ("axiom", a),
     a the token-order-first source axiom whose translate is refuted.
     """
     ok, why = language_morphism_valid(g.language_morphism)
@@ -275,7 +366,7 @@ def theory_morphism_valid(g: TheoryMorphism, max_entities: int,
         return MorphismVerdict(False, (), ("language", why))
     axioms = sorted_tokens(g.source.axioms)
     images = [translate_expression(g.language_morphism, a) for a in axioms]
-    searched = [e for e in images if e not in g.target.axioms]
+    searched = list(dict.fromkeys(e for e in images if e not in g.target.axioms))
     verdicts = _verdicts(g.target, searched, max_entities, budget)
     per_axiom = tuple((a, verdicts.get(e, "syntactic")) for a, e in zip(axioms, images))
     refuted = [a for a, v in per_axiom if not v]

@@ -4,7 +4,8 @@ Everything here is written from first principles with plain loops over
 explicitly materialized sets, on purpose duplicating no code from the
 package under test.  The exceptions are the practical path's earlier
 one-fusion form, the earlier token key, the writer's earlier test for
-extent form and its earlier token renderer and layout, kept as they were
+extent form and its earlier token renderer and layout, and the bounded
+search's earlier scan of one candidate at a time, kept as they were
 so that the present code is compared with the code it replaced, and the
 definitions that only tests read,
 ``compose_theory_morphisms``, ``entity_extent``, ``fusion_invariant`` and
@@ -20,22 +21,24 @@ from types import SimpleNamespace
 from ontofuse.document import _REFERENCES, _RENDERERS, FormError, _name_of
 from ontofuse.language import (And, Atomic, Exists, Forall, Implies, Not, Or,
                                Subst)
-from ontofuse.errors import (AgreementFailure, DomainMismatch, IncompatibleQuotient,
-                             OntofuseError, SoundnessViolation)
+from ontofuse.errors import (AgreementFailure, BudgetExceeded, DomainMismatch,
+                             IncompatibleQuotient, OntofuseError, SoundnessViolation)
 from ontofuse.integration import (IntegrationResult, PracticalReport,
                                   _check_agreement, _relabel_logic, build_alignment,
                                   unify)
-from ontofuse.model import Model, ModelDualInvariant, ModelMorphism, model_morphism_valid
+from ontofuse.model import (Model, ModelDualInvariant, ModelMorphism, _compile,
+                            model_morphism_valid)
 from ontofuse.logic import (Logic, LogicMorphism, _check_span, compose_logic_morphisms,
                             counit, fiber, fusion, identity_logic_morphism,
                             is_sound, logic_dual_quotient,
                             logic_morphism_valid, logic_sum, restrict_logic)
 from ontofuse.language import (LanguageMorphism, TypeLanguage, compose_language_morphisms,
-                               identity_language_morphism, language_morphism_valid,
-                               span_relation)
+                               free_vars, identity_language_morphism,
+                               language_morphism_valid, span_relation, well_formed)
 from ontofuse.sexpr import WIDTH
-from ontofuse.theory import (DEFAULT_BUDGET, Theory, TheoryMorphism,
-                             identity_theory_morphism, theory_morphism_valid)
+from ontofuse.theory import (DEFAULT_BUDGET, NoCounterexampleUpTo, Refuted, Theory,
+                             TheoryMorphism, _countermodel, identity_theory_morphism,
+                             theory_morphism_valid)
 from ontofuse.tokens import FrozenDict, fdict, sorted_tokens, token_key
 
 
@@ -162,6 +165,107 @@ def brute_force_models(theory, bound):
                 if all(naive_satisfies(m, a) for a in theory.axioms):
                     out.append(m)
     return out
+
+
+# --- the bounded search, one candidate at a time --------------------------------
+
+class _Candidate:
+    """A candidate model as the evaluator reads it: the skeleton's sort
+    pools and, for each relation type, the rows it chooses, each held by
+    the one candidate."""
+
+    __slots__ = ("_pools", "_masks", "_rows", "_skeleton")
+    _full = 1
+
+    def __init__(self, skeleton, choice: tuple):
+        self._pools = skeleton.model._pools
+        self._rows = dict(zip(skeleton.rhos, choice))
+        self._masks = {rho: dict.fromkeys(rows, 1) for rho, rows in self._rows.items()}
+        self._skeleton = skeleton
+
+    def axioms_hold(self) -> bool:
+        return all(f(self, t) for f, ts in self._skeleton.axioms for t in ts)
+
+    def query_holds(self, i: int) -> bool:
+        f, ts = self._skeleton.queries[i]
+        return all(f(self, t) for t in ts)
+
+    def model(self) -> Model:
+        m = self._skeleton.model
+        order = m.language.arity_order
+        return Model.from_extents(m.language, m.entities, m.entity_incidence,
+                                  {rho: [zip(order[rho], row) for row in rows]
+                                   for rho, rows in self._rows.items()})
+
+
+def candidate_scan(t, max_entities, budget, queries=(), canonical=False, count=None):
+    """The bounded search as the library first had it: every candidate of
+    every skeleton in enumeration order, each counted against the budget
+    and then evaluated alone; those that satisfy t's axioms are yielded.
+    A one-element list ``count`` is kept at the number counted so far."""
+    count = [0] if count is None else count
+    if max_entities < 0:
+        raise ValueError("max_entities must be >= 0")
+    lang = t.language
+    compiled_axioms = [(_compile(lang, e), free_vars(lang, e)) for e in t.axioms]
+    compiled_queries = [(_compile(lang, e), free_vars(lang, e)) for e in queries]
+    sorts = sorted_tokens(lang.entity_types)
+    rhos = sorted_tokens(lang.relation_types)
+    read = set(lang.reference.values()) if canonical else lang.entity_types
+    memberships = list(itertools.product(*[(False, True) if a in read else (False,)
+                                           for a in sorts]))
+    for n in range(max_entities + 1):
+        entities = [f"_e{i}" for i in range(n)]
+        skeletons = (itertools.combinations_with_replacement(memberships, n) if canonical
+                     else itertools.product(memberships, repeat=n))
+        for membership_rows in skeletons:
+            incidence = [(e, a) for e, row in zip(entities, membership_rows)
+                         for a, bit in zip(sorts, row) if bit]
+            skeleton = Model.from_extents(lang, entities, incidence, {})
+            sk = SimpleNamespace(model=skeleton, rhos=rhos,
+                                 axioms=[(f, skeleton.well_sorted_assignments(fv))
+                                         for f, fv in compiled_axioms],
+                                 queries=[(f, skeleton.well_sorted_assignments(fv))
+                                          for f, fv in compiled_queries])
+            pools = []
+            for rho in rhos:
+                rows = list(itertools.product(*[skeleton._pools[lang.reference[x]]
+                                                for x in lang.arity_order[rho]]))
+                pools.append([frozenset(c) for k in range(len(rows) + 1)
+                              for c in itertools.combinations(rows, k)])
+            for choice in itertools.product(*pools):
+                count[0] += 1
+                if count[0] > budget:
+                    raise BudgetExceeded(f"model enumeration exceeded {budget} candidates")
+                cand = _Candidate(sk, choice)
+                if cand.axioms_hold():
+                    yield cand
+
+
+def candidate_scan_models(t, max_entities, budget=DEFAULT_BUDGET, count=None):
+    """enumerate_models by the one-candidate scan."""
+    for cand in candidate_scan(t, max_entities, budget, count=count):
+        yield cand.model()
+
+
+def candidate_scan_verdicts(t, queries: list, max_entities: int, budget: int,
+                            count=None) -> dict:
+    """theory._verdicts by the one-candidate scan: each query refuted by
+    its first countermodel, re-checked, the scan stopping once every
+    query is refuted."""
+    for e in queries:
+        if not well_formed(t.language, e):
+            raise DomainMismatch(f"query {e!r} is not well-formed over the theory's language")
+    open_queries = list(range(len(queries)))
+    found = {}  # query index -> Refuted
+    for cand in candidate_scan(t, max_entities, budget, queries, True, count) \
+            if queries else ():
+        for i in [i for i in open_queries if not cand.query_holds(i)]:
+            found[i] = Refuted(_countermodel(t, cand.model(), queries[i]))
+            open_queries.remove(i)
+        if not open_queries:
+            break
+    return {e: found.get(i, NoCounterexampleUpTo(max_entities)) for i, e in enumerate(queries)}
 
 
 # --- free-logic brute force ---------------------------------------------------

@@ -167,6 +167,16 @@ def test_check_refuses_an_unknown_clause_or_mixed_model_forms(seed_runs, run, me
     assert seed_runs[run] == Outcome(1, f"extents.iff: fail: {message}\n", "", None)
 
 
+CLASHING_KEY = check_model("(extents (WorksFor ((x (map (k (set b a)) (k (set c a)))) (y acme))))")
+
+
+def test_check_writes_a_key_given_two_values_in_document_syntax_under_every_hash_seed(
+        seed_runs):
+    assert seed_runs[CLASHING_KEY] == Outcome(
+        1, "extents.iff: fail: form M: map gives k two values, (set a b) and (set a c)\n",
+        "", None)
+
+
 REFUTED_MORPHISM = seeded(["check", "refuted.iff"], {"refuted.iff": """\
 (language W (variables x) (entity-types T) (reference (x T)) (relations (R (x))))
 (theory TW (language W) (axioms (exists x (atom R)) (atom R)))

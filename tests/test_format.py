@@ -215,7 +215,7 @@ def test_duplicate_names_rejected():
 def test_conflicting_reference_keys_rejected():
     text = ("(language W (variables x) (entity-types A B) "
             "(reference (x B) (x A)) (relations))")
-    with pytest.raises(FormError, match="'x' two values"):
+    with pytest.raises(FormError, match="^form W: reference gives x two values, B and A$"):
         parse_document(text)
 
 
@@ -224,7 +224,7 @@ def test_conflicting_assignment_keys_rejected():
             "(relations (R (x))))\n"
             "(model M (language W) (entities a b) (incidence (a T) (b T)) "
             "(extents (R ((x a) (x b)))))")
-    with pytest.raises(FormError, match="'x' two values"):
+    with pytest.raises(FormError, match="^form M: assignment gives x two values, a and b$"):
         parse_document(text)
 
 
@@ -542,7 +542,7 @@ def test_parsing_a_model_sum_parses_each_distinct_composite_token_once(monkeypat
     ([], "expected a token, got ()"),
     (["set", "a", ["tuple", ["a"]]], "expected a token, got (a)"),
     (["map", ["x", "a"], ["y"]], "map entry must be a pair, got (y)"),
-    (["map", ["x", "a"], ["x", "b"]], "map gives 'x' two values"),
+    (["map", ["x", "a"], ["x", "b"]], "map gives x two values, a and b"),
 ], ids=["head", "empty", "member", "map-entry", "map-key"])
 def test_a_bad_token_fails_with_one_message_every_time_it_is_met(bad, message):
     tok = document._token_parser()

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from ontofuse import theory
+from ontofuse.document import parse_document
 from ontofuse.errors import BudgetExceeded, DomainMismatch
 from ontofuse.language import (And, Atomic, Exists, Forall, Implies, LanguageEndorelation,
                                LanguageMorphism, Not, TypeLanguage,
@@ -17,10 +18,10 @@ from ontofuse.theory import (NoCounterexampleUpTo, Refuted, Theory,
                              theory_morphism_valid, theory_quotient, theory_sum)
 from ontofuse.tokens import ltag, sorted_tokens
 
-from fixtures import (VARS, rand_expression, rand_theory_morphism, w_language,
+from fixtures import (CORPUS, VARS, rand_expression, rand_theory_morphism, w_language,
                       wp_language)
-from oracles import (brute_force_models, compose_theory_morphisms, model_as_sets,
-                     naive_satisfies)
+from oracles import (brute_force_models, candidate_scan_models, candidate_scan_verdicts,
+                     compose_theory_morphisms, model_as_sets, naive_satisfies)
 
 
 def prop_theory(axioms):
@@ -299,6 +300,122 @@ def test_one_search_per_target_matches_per_axiom_entails():
             assert verdict.ok == all(v for _, v in expected)
             kinds.update(type(v).__name__ for _, v in verdict.per_axiom)
     assert min(kinds[k] for k in ("budget", "str", "Refuted", "NoCounterexampleUpTo")) >= 5
+
+
+# --- the mask search against the one-candidate scan -----------------------------
+
+def scan_theory(rng):
+    """Two or three relation types, one of arity 0, over one or two sorts,
+    with up to two axioms."""
+    sorts = ["A", "B"][:rng.randint(1, 2)]
+    arity = {"P": (), **{f"R{i}": rng.sample(VARS, rng.randint(1, 2))
+                         for i in range(rng.randint(1, 2))}}
+    lang = TypeLanguage.make(VARS, sorts, {x: rng.choice(sorts) for x in VARS}, arity)
+    return Theory.make(lang, [closed_by(rng, lang, Exists) for _ in range(rng.randint(0, 2))])
+
+
+def outcome(search):
+    """A search's result, or the text of the BudgetExceeded it raises."""
+    try:
+        return search()
+    except BudgetExceeded as e:
+        return str(e)
+
+
+def models_outcome(models):
+    """The models an enumeration yields, then the text of the
+    BudgetExceeded it raises, if it raises one."""
+    out = []
+    try:
+        out.extend(models)
+    except BudgetExceeded as e:
+        out.append(str(e))
+    return out
+
+
+def scanned_per_axiom(g, bound, budget, count=None):
+    """theory_morphism_valid's per_axiom by the one-candidate scan."""
+    axioms = sorted_tokens(g.source.axioms)
+    images = [translate_expression(g.language_morphism, a) for a in axioms]
+    searched = list(dict.fromkeys(e for e in images if e not in g.target.axioms))
+    verdicts = candidate_scan_verdicts(g.target, searched, bound, budget, count)
+    return tuple((a, verdicts.get(e, "syntactic")) for a, e in zip(axioms, images))
+
+
+@pytest.mark.parametrize("block_bits", [theory._BLOCK_BITS, 2], ids=["blocks", "block-of-4"])
+def test_mask_search_matches_the_one_candidate_scan(monkeypatch, block_bits):
+    # each search against the scan it replaced, at budgets just below, at
+    # and just past the candidate where the scan stops; with blocks of 4
+    # candidates, block boundaries fall inside one relation type's pool
+    monkeypatch.setattr(theory, "_BLOCK_BITS", block_bits)
+    rng = random.Random(113)
+    cap = 1500
+    cases = Counter()
+    while cases["bound 3"] < 6 or cases["stopped"] < 60:
+        t = scan_theory(rng)
+        bound = rng.randint(0, 3)
+        queries = [closed_by(rng, t.language, Forall) for _ in range(rng.randint(1, 3))]
+        g = TheoryMorphism.make(identity_language_morphism(t.language),
+                                Theory.make(t.language, queries), t)
+        searches = [  # (the library's outcome, the scan's) at a budget, the scan counting
+            (lambda b: models_outcome(enumerate_models(t, bound, b)),
+             lambda b, n=None: models_outcome(candidate_scan_models(t, bound, b, n))),
+            (lambda b: outcome(lambda: entails(t, queries[0], bound, b)),
+             lambda b, n=None: outcome(
+                 lambda: candidate_scan_verdicts(t, queries[:1], bound, b, n)[queries[0]])),
+            (lambda b: outcome(lambda: theory_morphism_valid(g, bound, b).per_axiom),
+             lambda b, n=None: outcome(lambda: scanned_per_axiom(g, bound, b, n))),
+        ]
+        for library, scan in searches:
+            count = [0]
+            expected = scan(cap, count)
+            assert library(cap) == expected
+            if count[0] > cap:
+                continue
+            for budget in (count[0] - 1, count[0], count[0] + 1):
+                assert library(budget) == scan(budget)
+                cases[type(scan(budget)).__name__] += 1
+            cases["stopped"] += 1
+            cases["past a block"] += count[0] > 1 << block_bits
+            cases["refuted"] += "Refuted(" in repr(expected)
+        cases[f"bound {bound}"] += 1
+    assert min(cases["refuted"], cases["str"]) >= 20, cases
+    assert cases["past a block"] >= (20 if block_bits == 2 else 0), cases
+
+
+def test_two_axioms_with_one_image_are_searched_once(monkeypatch):
+    # R and S both go to R, so both source axioms translate to one query;
+    # it is entailed, so its search visits all 4 candidates of bound 1
+    src = TypeLanguage.make(VARS, ["T"], {"x": "T", "y": "T"}, {"R": ("x",), "S": ("x",)})
+    tgt = TypeLanguage.make(VARS, ["T"], {"x": "T", "y": "T"}, {"R": ("x",)})
+    lm = LanguageMorphism.make(src, tgt, {"x": "x", "y": "y"}, {"T": "T"}, {"R": "R", "S": "R"})
+    image = Not(Exists("x", Not(Atomic("R"))))
+    g = TheoryMorphism.make(lm, Theory.make(src, [Not(Exists("x", Not(Atomic(r))))
+                                                  for r in ("R", "S")]),
+                            Theory.make(tgt, [Forall("x", Atomic("R"))]))
+    searched = []
+    verdicts = theory._verdicts
+    monkeypatch.setattr(theory, "_verdicts",
+                        lambda t, queries, *args: searched.append(queries) or
+                        verdicts(t, queries, *args))
+    for budget in (theory.DEFAULT_BUDGET, 4, 3):
+        assert outcome(lambda: theory_morphism_valid(g, 1, budget).per_axiom) == \
+            per_axiom_outcome(g, 1, budget)
+    assert theory_morphism_valid(g, 1, 4).per_axiom == tuple(
+        (a, NoCounterexampleUpTo(1)) for a in sorted_tokens(g.source.axioms))
+    assert per_axiom_outcome(g, 1, 3) == "model enumeration exceeded 3 candidates"
+    assert searched and all(queries == [image] for queries in searched)
+
+
+def test_bound_4_is_within_reach_of_a_larger_budget():
+    # 1 167 719 candidates: the default budget still stops the search
+    t = parse_document((CORPUS / "employment.iff").read_text()).get("TW", "theory")
+    query = Implies(Atomic("WorksFor"), Atomic("Employed"))
+    start = time.perf_counter()
+    assert entails(t, query, 4, budget=2_000_000) == NoCounterexampleUpTo(4)
+    assert time.perf_counter() - start < 10
+    with pytest.raises(BudgetExceeded, match="^model enumeration exceeded 10000 candidates$"):
+        entails(t, query, 4)
 
 
 def test_a_countermodel_that_fails_its_recheck_raises(monkeypatch):
