@@ -13,8 +13,8 @@ from .language import (Atomic, And, Exists, Expression, Forall, Implies,
 from .model import (Model, ModelDualInvariant, ModelMorphism, holds,
                     model_dual_quotient, model_morphism_valid, model_sum,
                     satisfies)
-from .theory import (Theory, TheoryMorphism, entails, enumerate_models,
-                     theory_morphism_valid, theory_quotient, theory_sum)
+from .theory import (Theory, TheoryMorphism, entails, theory_morphism_valid,
+                     theory_quotient, theory_sum)
 from .logic import (Logic, LogicDualInvariant, LogicMorphism, counit, fiber,
                     free_logic, fusion, is_sound, logic_dual_quotient,
                     logic_morphism_valid, logic_sum, restrict_logic,

@@ -11,7 +11,7 @@ import sys
 
 from .document import (Document, _text, document_of, parse_document, parse_expression,
                        parse_token, render_expression, render_token, serialize_document)
-from .errors import OntofuseError
+from .errors import EdgeInvalid, OntofuseError
 from .integration import (build_alignment, practical_integrate, unify)
 from .language import Expression, LanguageEndorelation
 from .logic import (Logic, LogicDualInvariant, free_logic, fusion, is_sound,
@@ -250,7 +250,7 @@ def _limits(p: argparse.ArgumentParser, bound: bool = True) -> None:
     searches for countermodels, and --budget."""
     if bound:
         p.add_argument("--bound", type=_count, default=2,
-                       help="entity cap for entailment and model enumeration")
+                       help="entity cap of the countermodel search")
     p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
                    help="candidate cap for combinatorial enumerations")
 
@@ -333,7 +333,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (OntofuseError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        message = str(e)
+        if isinstance(e, EdgeInvalid) and isinstance(e.witness, tuple):
+            message = f"edge {e.edge} is not a valid morphism: {_witness(e.witness)}"
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

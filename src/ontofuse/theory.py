@@ -5,27 +5,25 @@ as bounded countermodel search over finite models whose entity sets are
 prefixes of a canonical token sequence.  Verdicts carry the bound, so
 incompleteness is explicit.  The search evaluates each axiom and query
 once per block of a skeleton's candidates, on masks with one bit per
-candidate (see :class:`_Skeleton`), and builds a Model only for a model
-it yields or a countermodel it returns.  A block holds at most 2**16
-candidates, whatever the budget.  The budget still counts candidates,
-each one in enumeration order, as a scan of one candidate at a time
-would reach them.
+candidate (see :class:`_Skeleton`), and builds a Model only for a
+countermodel it returns.  A block holds at most 2**16 candidates,
+whatever the budget.  The budget counts candidates, each one in
+enumeration order, as a scan of one candidate at a time would reach
+them.
 
-Enumerating models visits every entity-incidence choice.  Searching for
-countermodels (entails, theory_morphism_valid) visits only the choices
-whose entities' membership rows are sorted and whose entity types that
-no variable refers to are empty (MACE-style symmetry breaking; Claessen
-& Sorensson 2003).  No expression tells a skipped choice from the earlier
-one that sorting its rows or clearing those types gives, so the first
-countermodel in the full order is never skipped, and both searches
-return the same one.
+The search visits only the entity-incidence choices whose entities'
+membership rows are sorted and whose entity types that no variable
+refers to are empty (MACE-style symmetry breaking; Claessen & Sorensson
+2003).  No expression tells a skipped choice from the earlier one that
+sorting its rows or clearing those types gives, so the first
+countermodel over every choice is never skipped.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import BudgetExceeded, DomainMismatch
 from .language import (Expression, LanguageEndorelation, LanguageMorphism,
@@ -88,7 +86,7 @@ class NoCounterexampleUpTo:
         return True
 
 
-# --- bounded model enumeration ---------------------------------------------
+# --- bounded countermodel search --------------------------------------------
 
 # The most candidates of one skeleton evaluated at once: 2**_BLOCK_BITS.
 _BLOCK_BITS = 16
@@ -206,48 +204,58 @@ def _every(block: _Block, compiled: list, mask: int) -> int:
     return mask
 
 
-def _search(t: Theory, max_entities: int, budget: int, queries: Iterable = (),
-            _canonical: bool = False) -> Iterator[tuple]:
-    """Every block of candidates over entity prefixes _e0.._e(n-1),
-    n <= max_entities, in enumeration order, as (skeleton, block, base,
-    holds): holds the mask of the block's candidates, from the skeleton's
-    candidate base on, that satisfy t's axioms and lie within the budget.
+def _countermodel(t: Theory, m: Model, e: Expression) -> Model:
+    """m, a model of t that fails e, re-checked."""
+    if not all(satisfies(m, a) for a in t.axioms) or satisfies(m, e):
+        raise RuntimeError(f"countermodel to {e!r} fails its re-check")
+    return m
 
-    For each n and entity-incidence choice (a skeleton: each entity's
-    membership row over the sorted entity types, rows in entity order, the
-    bit vectors in lexicographic order), a candidate chooses a subset of
-    each relation type's well-sorted rows as its extent.  Every axiom is
-    evaluated once per block, on masks (see :class:`_Skeleton`).
-    Candidates are counted against the budget before the axiom check, in
-    full: BudgetExceeded is raised before a block that starts past the
-    budget and, once the consumer resumes the search, after one that
-    ends past it.
 
-    With _canonical, which only the countermodel searches of
-    :func:`_verdicts` pass, the search visits only the skeletons whose
-    rows are non-decreasing and whose entity types outside the variables'
-    references are empty.  Each skipped candidate has an earlier one with
-    the same truth value for every expression: swapping two out-of-order
-    entities, or clearing an unread type, lowers the bit vector, and
-    entities reach evaluation only through the sort pools and the rows.
-    So the first countermodel in the full order is still visited first.
+def _verdicts(t: Theory, queries: list, max_entities: int, budget: int) -> dict:
+    """Each query's verdict from one search over t's models: Refuted by its
+    first countermodel in enumeration order, else NoCounterexampleUpTo.
+
+    For each n <= max_entities, the search visits the skeletons over the
+    entities _e0.._e(n-1): each entity's membership row over the sorted
+    entity types, the rows non-decreasing in entity order, and every
+    entity type outside the variables' references empty.  Each skipped
+    entity-incidence choice has an earlier one with the same truth value
+    for every expression: swapping two out-of-order entities, or clearing
+    an unread type, lowers the bit vector, and entities reach evaluation
+    only through the sort pools and the rows.
+
+    Each block of a skeleton's candidates (see :class:`_Skeleton`)
+    evaluates every axiom once, then each open query once: the query's
+    first countermodel there is the lowest candidate that satisfies the
+    axioms but not the query.  Candidates are counted against the budget
+    in full, before the axiom check.  BudgetExceeded is raised before a
+    block that starts at or past the budget; the search returns as soon
+    as every query is refuted; otherwise it raises after a block that
+    ends past the budget.  So it raises exactly when some query has no
+    countermodel within the budget.
     """
+    for e in queries:
+        if not well_formed(t.language, e):
+            raise DomainMismatch(f"query {e!r} is not well-formed over the theory's language")
+    verdicts = {e: NoCounterexampleUpTo(max_entities) for e in queries}
+    if not queries:
+        return verdicts
     if max_entities < 0:
         raise ValueError("max_entities must be >= 0")
+    exceeded = f"model enumeration exceeded {budget} candidates"
     lang = t.language
     compiled_axioms = [(_compile(lang, e), free_vars(lang, e)) for e in t.axioms]
     compiled_queries = [(_compile(lang, e), free_vars(lang, e)) for e in queries]
-    seen = 0
     sorts = sorted_tokens(lang.entity_types)
     rhos = sorted_tokens(lang.relation_types)
-    read = set(lang.reference.values()) if _canonical else lang.entity_types
+    read = set(lang.reference.values())
     memberships = list(itertools.product(*[(False, True) if a in read else (False,)
                                            for a in sorts]))
+    open_queries = list(range(len(queries)))
+    seen = 0
     for n in range(max_entities + 1):
         entities = [f"_e{i}" for i in range(n)]
-        skeletons = (itertools.combinations_with_replacement(memberships, n) if _canonical
-                     else itertools.product(memberships, repeat=n))
-        for membership_rows in skeletons:
+        for membership_rows in itertools.combinations_with_replacement(memberships, n):
             incidence = [(e, a) for e, row in zip(entities, membership_rows)
                          for a, bit in zip(sorts, row) if bit]
             skeleton = Model.from_extents(lang, entities, incidence, {})
@@ -263,66 +271,23 @@ def _search(t: Theory, max_entities: int, budget: int, queries: Iterable = (),
             size = 1 << min(total, _BLOCK_BITS)
             for base in range(0, 1 << total, size):
                 if seen >= budget:
-                    raise BudgetExceeded(f"model enumeration exceeded {budget} candidates")
+                    raise BudgetExceeded(exceeded)
                 block = sk.block(base, size)
                 within = block._full if budget - seen >= size else (1 << budget - seen) - 1
-                yield sk, block, base, _every(block, sk.axioms, within)
+                holds = _every(block, sk.axioms, within)
+                for i in list(open_queries):
+                    refuting = holds ^ _every(block, [sk.queries[i]], holds)
+                    if refuting:
+                        c = (refuting & -refuting).bit_length() - 1
+                        verdicts[queries[i]] = Refuted(
+                            _countermodel(t, sk.model_at(base + c), queries[i]))
+                        open_queries.remove(i)
+                if not open_queries:
+                    return verdicts
                 seen += size
                 if seen > budget:
-                    raise BudgetExceeded(f"model enumeration exceeded {budget} candidates")
-
-
-def enumerate_models(t: Theory, max_entities: int,
-                     budget: int = DEFAULT_BUDGET) -> Iterator[Model]:
-    """Yield every model of t over entity prefixes _e0.._e(n-1), n <= max_entities.
-
-    Every entity-incidence choice is visited, renamings of one another
-    included, so this counts more candidates than :func:`entails` does
-    for the same bound.  Candidates are counted against the budget
-    before the axiom check; BudgetExceeded aborts the whole enumeration
-    once it reaches the first candidate past the budget.
-    """
-    for sk, _, base, holds in _search(t, max_entities, budget):
-        bits = format(holds, "b")[::-1]
-        c = bits.find("1")
-        while c >= 0:
-            yield sk.model_at(base + c)
-            c = bits.find("1", c + 1)
-
-
-def _countermodel(t: Theory, m: Model, e: Expression) -> Model:
-    """m, a model of t that fails e, re-checked."""
-    if not all(satisfies(m, a) for a in t.axioms) or satisfies(m, e):
-        raise RuntimeError(f"countermodel to {e!r} fails its re-check")
-    return m
-
-
-def _verdicts(t: Theory, queries: list, max_entities: int, budget: int) -> dict:
-    """Each query's verdict from one search over t's models: Refuted by its
-    first countermodel in enumeration order, else NoCounterexampleUpTo.
-
-    Each block evaluates each open query once: its first countermodel
-    there is the lowest candidate that satisfies the axioms but not the
-    query.  The search stops once every query is refuted, so
-    BudgetExceeded is raised exactly when some query has no countermodel
-    within the budget.
-    """
-    for e in queries:
-        if not well_formed(t.language, e):
-            raise DomainMismatch(f"query {e!r} is not well-formed over the theory's language")
-    open_queries = list(range(len(queries)))
-    found = {}  # query index -> Refuted
-    for sk, block, base, holds in _search(t, max_entities, budget, queries, _canonical=True) \
-            if queries else ():
-        for i in list(open_queries):
-            refuting = holds ^ _every(block, [sk.queries[i]], holds)
-            if refuting:
-                c = (refuting & -refuting).bit_length() - 1
-                found[i] = Refuted(_countermodel(t, sk.model_at(base + c), queries[i]))
-                open_queries.remove(i)
-        if not open_queries:
-            break
-    return {e: found.get(i, NoCounterexampleUpTo(max_entities)) for i, e in enumerate(queries)}
+                    raise BudgetExceeded(exceeded)
+    return verdicts
 
 
 def entails(t: Theory, e: Expression, max_entities: int,
@@ -332,9 +297,8 @@ def entails(t: Theory, e: Expression, max_entities: int,
     m is the first countermodel in enumeration order, built by
     Model.from_extents and re-checked with satisfies.  The search skips
     entity-incidence choices that are renamings of an earlier one or that
-    populate an entity type no variable refers to (see :func:`_search`):
-    none of them can hold the first countermodel, but the budget counts
-    fewer candidates than :func:`enumerate_models` does to the same bound.
+    populate an entity type no variable refers to (see :func:`_verdicts`):
+    none of them can hold the first countermodel.
     """
     return _verdicts(t, [e], max_entities, budget)[e]
 

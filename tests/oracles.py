@@ -243,7 +243,9 @@ def candidate_scan(t, max_entities, budget, queries=(), canonical=False, count=N
 
 
 def candidate_scan_models(t, max_entities, budget=DEFAULT_BUDGET, count=None):
-    """enumerate_models by the one-candidate scan."""
+    """Every model of t over entity prefixes _e0.._e(n-1), n <= max_entities,
+    by the one-candidate scan in the full order: every entity-incidence
+    choice, renamings of one another included."""
     for cand in candidate_scan(t, max_entities, budget, count=count):
         yield cand.model()
 

@@ -220,6 +220,23 @@ def test_check_writes_each_refuted_edge_in_document_syntax(seed_runs):
         "fail: logic-morphism f: theory: axiom (atom R)"]), "", None)
 
 
+# TW has a model with WorksFor empty, which refutes the mediating axiom's translate
+REFUTED_LINK = {"employer.iff": CORPUS_FILES["fixture.iff"].replace(
+    "(theory T (language T-lang) (axioms))",
+    "(theory T (language T-lang) (axioms (exists x (exists y (atom Emp)))))")}
+REFUTED_LINK_INTEGRATE = seeded(["integrate", "employer.iff", "--left", "L1", "--right", "L2",
+                                 "--alignment", "A", "-o", "out.iff"], REFUTED_LINK)
+REFUTED_LINK_CHECK = seeded(["check", "employer.iff"], REFUTED_LINK)
+
+
+def test_integrate_writes_a_refuted_edge_in_document_syntax_as_check_does(seed_runs):
+    witness = "axiom (exists x (exists y (atom Emp)))"
+    assert seed_runs[REFUTED_LINK_INTEGRATE] == Outcome(
+        1, "", f"error: edge left alignment link is not a valid morphism: {witness}\n", None)
+    assert f"employer.iff: fail: alignment A: left-link: {witness}\n" in \
+        seed_runs[REFUTED_LINK_CHECK].out
+
+
 BOGUS_THEORY = ("(language W (variables x) (entity-types T) (reference (x T)) "
                 "(relations (R (x))))\n(theory T (language W) (axioms (bogus (atom R))))\n")
 

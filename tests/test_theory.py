@@ -14,7 +14,7 @@ from ontofuse.language import (And, Atomic, Exists, Forall, Implies, LanguageEnd
                                identity_language_morphism, translate_expression)
 from ontofuse.model import Model, satisfies
 from ontofuse.theory import (NoCounterexampleUpTo, Refuted, Theory,
-                             TheoryMorphism, entails, enumerate_models, identity_theory_morphism,
+                             TheoryMorphism, entails, identity_theory_morphism,
                              theory_morphism_valid, theory_quotient, theory_sum)
 from ontofuse.tokens import ltag, sorted_tokens
 
@@ -30,30 +30,37 @@ def prop_theory(axioms):
     return Theory.make(lang, axioms)
 
 
-# --- model enumeration --------------------------------------------------------
+# --- the bounded search ------------------------------------------------------------
 
 def test_enumerate_zero_entities_negated_proposition():
+    # at zero entities every model of (not p) leaves p empty, and one of
+    # them refutes q
     t = prop_theory([Not(Atomic("p"))])
-    models = [m for m in enumerate_models(t, 0)]
-    assert models
-    assert all(not m.relation_extent("p") for m in models)
+    assert entails(t, Not(Atomic("p")), 0) == NoCounterexampleUpTo(0)
+    verdict = entails(t, Atomic("q"), 0)
+    assert isinstance(verdict, Refuted)
+    assert not verdict.counter_model.relation_extent("p")
 
 
 def test_enumerate_contradiction_is_empty_at_every_bound():
+    # no model, so no countermodel to anything
     t = prop_theory([And(Atomic("p"), Not(Atomic("p")))])
     for k in range(3):
-        assert not list(enumerate_models(t, k))
+        for q in (Atomic("p"), Not(Atomic("p")), Atomic("q")):
+            assert entails(t, q, k) == NoCounterexampleUpTo(k)
 
 
 def test_enumerate_count_matches_hand_enumeration():
     # one entity type, one unary relation, no axioms, at most one entity:
-    # n=0 gives 1 model; n=1 gives 2 incidence choices, and the extent is
-    # any subset of the well-sorted rows (2 rows when _e0: T, else 1)
+    # n=0 gives 1 candidate; n=1 gives 2 incidence choices, and the extent
+    # is any subset of the well-sorted rows (2 rows when _e0: T, else 1);
+    # the query is entailed, so the search visits every candidate
     lang = TypeLanguage.make(["x"], ["T"], {"x": "T"}, {"r": ("x",)})
     t = Theory.make(lang, [])
-    count = sum(1 for _ in enumerate_models(t, 1))
-    # n=1: incidence off -> 1 extent choice; incidence on -> 2 choices
-    assert count == 1 + (1 + 2)
+    query = Implies(Atomic("r"), Atomic("r"))
+    assert entails(t, query, 1, budget=1 + (1 + 2)) == NoCounterexampleUpTo(1)
+    with pytest.raises(BudgetExceeded, match="^model enumeration exceeded 3 candidates$"):
+        entails(t, query, 1, budget=3)
 
 
 def test_enumerate_budget_guard():
@@ -61,14 +68,16 @@ def test_enumerate_budget_guard():
                              {"r": ("x", "y")})
     t = Theory.make(lang, [])
     with pytest.raises(BudgetExceeded):
-        list(enumerate_models(t, 3, budget=5))
+        entails(t, Implies(Atomic("r"), Atomic("r")), 3, budget=5)
 
 
 def test_enumerated_models_satisfy_axioms():
+    # each countermodel the search returns is a model of the axioms
     t = prop_theory([Atomic("p")])
-    models = list(enumerate_models(t, 1))
-    assert models
-    assert all(satisfies(m, Atomic("p")) for m in models)
+    for k in range(3):
+        verdict = entails(t, Atomic("q"), k)
+        assert isinstance(verdict, Refuted)
+        assert satisfies(verdict.counter_model, Atomic("p"))
 
 
 def frozen_model(m):
@@ -96,7 +105,7 @@ def test_enumeration_and_entailment_match_brute_force_oracle():
     for _ in range(80):
         t = small_theory(rng)
         bound = rng.randint(0, 2)
-        found = Counter(frozen_model(m) for m in enumerate_models(t, bound))
+        found = Counter(frozen_model(m) for m in candidate_scan_models(t, bound))
         models = brute_force_models(t, bound)
         assert found == Counter(frozen_model(m) for m in models)
         for _ in range(4):
@@ -129,7 +138,7 @@ def test_quantifier_alternation_is_decided_in_linear_time():
                Not(Exists("x", Forall("y", Atomic("R")))), Atomic("R"), Not(Atomic("R"))]
     shallow = Theory.make(lang, [alternating(12)])
     models = brute_force_models(shallow, 2)
-    found = Counter(frozen_model(m) for m in enumerate_models(shallow, 2))
+    found = Counter(frozen_model(m) for m in candidate_scan_models(shallow, 2))
     assert found == Counter(frozen_model(m) for m in models)
     expected = [entails(shallow, q, 2) for q in queries]
     for q, verdict in zip(queries, expected):
@@ -154,7 +163,7 @@ def test_countermodel_is_the_first_enumerated_model_failing_the_query():
     for _ in range(60):
         t = small_theory(rng)
         bound = rng.randint(0, 2)
-        models = list(enumerate_models(t, bound))
+        models = list(candidate_scan_models(t, bound))
         for _ in range(3):
             q = rand_expression(rng, t.language, rng.randint(1, 3))
             first = next((m for m in models if not naive_satisfies(m, q)), None)
@@ -190,14 +199,14 @@ def membership_rows(m):
 
 def test_countermodel_search_matches_the_full_enumeration():
     # entails and theory_morphism_valid skip renamed skeletons and unread
-    # types; enumerate_models still visits every candidate
+    # types; the full-order scan visits every candidate
     rng = random.Random(83)
     cases = Counter()
     while cases["bound 3"] < 12 or cases["unread"] < 60 or cases["distinct rows"] < 4:
         t = sorted_theory(rng)
         bound = rng.randint(0, 3)
         try:
-            models = list(enumerate_models(t, bound, budget=400))
+            models = list(candidate_scan_models(t, bound, budget=400))
         except BudgetExceeded:
             continue
         found = Counter(frozen_model(m) for m in models)
@@ -232,11 +241,9 @@ def test_budget_counts_every_candidate_before_the_axiom_check():
     query = Not(Atomic("r"))  # entailed, so each search visits every candidate
     g = TheoryMorphism.make(identity_language_morphism(t.language),
                             Theory.make(t.language, [query]), t)
-    assert len(list(enumerate_models(t, 1, budget=4))) == 3
     assert entails(t, query, 1, budget=4) == NoCounterexampleUpTo(1)
     assert theory_morphism_valid(g, 1, budget=4).ok
-    for search in (lambda: list(enumerate_models(t, 1, budget=3)),
-                   lambda: entails(t, query, 1, budget=3),
+    for search in (lambda: entails(t, query, 1, budget=3),
                    lambda: theory_morphism_valid(g, 1, budget=3)):
         with pytest.raises(BudgetExceeded, match="^model enumeration exceeded 3 candidates$"):
             search()
@@ -255,15 +262,13 @@ def test_a_refutation_within_the_budget_is_not_cut_by_it():
 
 
 def test_entailment_counts_one_entity_ordering_per_skeleton():
-    # bound 2, one sort: enumerate_models visits 1 + (1 + 2) + (1 + 2 + 2 + 16)
-    # candidates; a countermodel search skips the skeleton with _e0 in T
-    # and _e1 outside it, a renaming of the one before it
+    # bound 2, one sort: every entity-incidence choice gives
+    # 1 + (1 + 2) + (1 + 2 + 2 + 16) = 25 candidates; the search skips the
+    # skeleton with _e0 in T and _e1 outside it, a renaming of the one
+    # before it, and so counts 23
     lang = TypeLanguage.make(VARS, ["T"], {"x": "T", "y": "T"}, {"r": ("x", "y")})
     t = Theory.make(lang, [])
     query = Implies(Atomic("r"), Atomic("r"))
-    assert len(list(enumerate_models(t, 2, budget=25))) == 25
-    with pytest.raises(BudgetExceeded, match="^model enumeration exceeded 24 candidates$"):
-        list(enumerate_models(t, 2, budget=24))
     assert entails(t, query, 2, budget=23) == NoCounterexampleUpTo(2)
     with pytest.raises(BudgetExceeded, match="^model enumeration exceeded 22 candidates$"):
         entails(t, query, 2, budget=22)
@@ -322,17 +327,6 @@ def outcome(search):
         return str(e)
 
 
-def models_outcome(models):
-    """The models an enumeration yields, then the text of the
-    BudgetExceeded it raises, if it raises one."""
-    out = []
-    try:
-        out.extend(models)
-    except BudgetExceeded as e:
-        out.append(str(e))
-    return out
-
-
 def scanned_per_axiom(g, bound, budget, count=None):
     """theory_morphism_valid's per_axiom by the one-candidate scan."""
     axioms = sorted_tokens(g.source.axioms)
@@ -358,8 +352,6 @@ def test_mask_search_matches_the_one_candidate_scan(monkeypatch, block_bits):
         g = TheoryMorphism.make(identity_language_morphism(t.language),
                                 Theory.make(t.language, queries), t)
         searches = [  # (the library's outcome, the scan's) at a budget, the scan counting
-            (lambda b: models_outcome(enumerate_models(t, bound, b)),
-             lambda b, n=None: models_outcome(candidate_scan_models(t, bound, b, n))),
             (lambda b: outcome(lambda: entails(t, queries[0], bound, b)),
              lambda b, n=None: outcome(
                  lambda: candidate_scan_verdicts(t, queries[:1], bound, b, n)[queries[0]])),
@@ -416,6 +408,19 @@ def test_bound_4_is_within_reach_of_a_larger_budget():
     assert time.perf_counter() - start < 10
     with pytest.raises(BudgetExceeded, match="^model enumeration exceeded 10000 candidates$"):
         entails(t, query, 4)
+
+
+def test_a_negative_bound_is_refused_only_where_a_search_is_needed():
+    t = prop_theory([Atomic("p")])
+    with pytest.raises(ValueError, match="^max_entities must be >= 0$"):
+        entails(t, Atomic("q"), -1)
+    # q is not among the target's axioms, so its image must be searched
+    g = TheoryMorphism.make(identity_language_morphism(t.language),
+                            prop_theory([Atomic("p"), Atomic("q")]), t)
+    with pytest.raises(ValueError, match="^max_entities must be >= 0$"):
+        theory_morphism_valid(g, -1)
+    verdict = theory_morphism_valid(identity_theory_morphism(t), -1)
+    assert verdict.ok and verdict.per_axiom == ((Atomic("p"), "syntactic"),)
 
 
 def test_a_countermodel_that_fails_its_recheck_raises(monkeypatch):
