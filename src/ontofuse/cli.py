@@ -9,11 +9,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .document import (Document, _text, document_of, parse_document, parse_expression,
-                       parse_token, render_expression, render_token, serialize_document)
+from .document import (Document, _shown, document_of, parse_document, parse_expression,
+                       parse_token, serialize_document)
 from .errors import EdgeInvalid, OntofuseError
 from .integration import (build_alignment, practical_integrate, unify)
-from .language import Expression, LanguageEndorelation
+from .language import LanguageEndorelation
 from .logic import (Logic, LogicDualInvariant, free_logic, fusion, is_sound,
                     logic_dual_quotient, logic_morphism_valid, logic_sum,
                     restrict_logic, sound_part)
@@ -68,8 +68,7 @@ def _witness(detail) -> str:
     label, *values = detail
     if label in ("theory", "model", "language"):
         return f"{label}: {_witness(values[0])}"
-    return " ".join([label, *(_text(render_expression(v) if isinstance(v, Expression)
-                                     else render_token(v)) for v in values)])
+    return " ".join([label, *map(_shown, values)])
 
 
 def _form_failure(kind: str, obj, bound: int, budget: int):

@@ -475,7 +475,7 @@ def _extent_faithful(m: Model, extents: dict) -> bool:
     # Each incidence pair (t, rho) is in the lax incidence, since t
     # restricted to rho's arity is a row of rho's extent; so the two are
     # equal when the lax incidence has no more pairs.
-    lax = sum(1 for _ in _lax_incidence(m.language, val, m._rows))
+    lax = sum(1 for _ in _lax_incidence(m.language, val, m._masks))
     return lax == len(m.relation_incidence)
 
 

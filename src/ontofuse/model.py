@@ -12,12 +12,13 @@ the lax rule "the restriction of the tuple lies in the extent", which
 tokens abstract matters because the free model over a theory has
 relation instances that share a valuation but differ in incidence.
 
-Evaluation reads indexes that a model builds on first use: for each
-relation type its classified rows (valuations restricted to the
+Evaluation reads two indexes that a model builds on first use: for
+each relation type its classified rows (valuations restricted to the
 relation's arity, as value tuples in the language's ``arity_order``),
-and for each entity type its entities in token order.  A model is
-frozen, so the indexes never go stale; a copy made with
-``dataclasses.replace`` builds its own.
+each mapped to the mask 1, and for each entity type its entities in
+token order.  The row index also gives ``relation_extent`` and the
+writer's extent test.  A model is frozen, so the indexes never go
+stale; a copy made with ``dataclasses.replace`` builds its own.
 
 An expression is compiled once, by ``_compile``, into a closure that
 returns a mask: an int whose bit c says whether the expression holds in
@@ -191,24 +192,20 @@ class Model:
         """Token -> its arity, the domain of its valuation."""
         return fdict({t: frozenset(val) for t, val in self.tuple_valuation.items()})
 
-    @cached_property
-    def _rows(self) -> dict:
-        """Relation type -> its classified rows: valuations restricted to the
-        relation's arity, as value tuples in the language's arity order."""
-        order = self.language.arity_order
-        rows = {rho: set() for rho in order}
-        for (t, rho) in self.relation_incidence:
-            rows[rho].add(tuple(map(self.tuple_valuation[t].__getitem__, order[rho])))
-        return {rho: frozenset(r) for rho, r in rows.items()}
-
     # The model as the one candidate the evaluator reads (see _compile):
     # each classified row holds in it.
     _full = 1
 
     @cached_property
     def _masks(self) -> dict:
-        """Relation type -> each of its classified rows -> 1."""
-        return {rho: dict.fromkeys(rows, 1) for rho, rows in self._rows.items()}
+        """Relation type -> each of its classified rows (valuations restricted
+        to the relation's arity, as value tuples in the language's arity
+        order) -> 1."""
+        order = self.language.arity_order
+        masks = {rho: {} for rho in order}
+        for (t, rho) in self.relation_incidence:
+            masks[rho][tuple(map(self.tuple_valuation[t].__getitem__, order[rho]))] = 1
+        return masks
 
     @cached_property
     def _pools(self) -> dict:
@@ -226,7 +223,7 @@ class Model:
     def relation_extent(self, rho: Token) -> frozenset:
         """Extent as assignments with domain exactly arity(rho), from incidence."""
         order = self.language.arity_order[rho]
-        return frozenset(fdict(zip(order, row)) for row in self._rows[rho])
+        return frozenset(fdict(zip(order, row)) for row in self._masks[rho])
 
     def tuple_classifies(self, t: Token, rho: Token) -> bool:
         return (t, rho) in self.relation_incidence

@@ -5,11 +5,12 @@ as bounded countermodel search over finite models whose entity sets are
 prefixes of a canonical token sequence.  Verdicts carry the bound, so
 incompleteness is explicit.  The search evaluates each axiom and query
 once per block of a skeleton's candidates, on masks with one bit per
-candidate (see :class:`_Skeleton`), and builds a Model only for a
-countermodel it returns.  A block holds at most 2**16 candidates,
-whatever the budget.  The budget counts candidates, each one in
-enumeration order, as a scan of one candidate at a time would reach
-them.
+candidate (see :class:`_Skeleton`).  A skeleton is a bare Model built
+without validation; a validated Model (by :meth:`Model.from_extents`)
+is built only for a countermodel it returns.  A block holds at most
+2**16 candidates, whatever the budget.  The budget counts candidates,
+each one in enumeration order, as a scan of one candidate at a time
+would reach them.
 
 The search visits only the entity-incidence choices whose entities'
 membership rows are sorted and whose entity types that no variable
@@ -31,7 +32,7 @@ from .language import (Expression, LanguageEndorelation, LanguageMorphism,
                        language_morphism_valid, language_quotient, language_sum,
                        translate_expression, well_formed)
 from .model import Model, _compile, satisfies
-from .tokens import sorted_tokens
+from .tokens import fdict, sorted_tokens
 
 DEFAULT_BUDGET = 10000
 
@@ -139,11 +140,12 @@ class _Block:
 
 @dataclass(frozen=True)
 class _Skeleton:
-    """One entity-incidence choice: its Model without relation instances,
-    the relation types in token order with each one's well-sorted rows
-    (value tuples in the arity order, drawn from the sort pools), and
-    each axiom and query, compiled once per search, paired with the
-    well-sorted assignments on its free variables.
+    """One entity-incidence choice: its bare Model without relation
+    instances, built unvalidated and read for its entities, incidence and
+    sort pools; the relation types in token order with each one's
+    well-sorted rows (value tuples in the arity order, drawn from the
+    sort pools); and each axiom and query, compiled once per search,
+    paired with the well-sorted assignments on its free variables.
 
     Its candidates come in the order of ``itertools.product`` over the
     relation types' pools, each pool holding every subset of a type's
@@ -258,7 +260,8 @@ def _verdicts(t: Theory, queries: list, max_entities: int, budget: int) -> dict:
         for membership_rows in itertools.combinations_with_replacement(memberships, n):
             incidence = [(e, a) for e, row in zip(entities, membership_rows)
                          for a, bit in zip(sorts, row) if bit]
-            skeleton = Model.from_extents(lang, entities, incidence, {})
+            # nothing Model.check rejects can occur: no tuples, every pair in range
+            skeleton = Model(lang, frozenset(entities), frozenset(incidence), fdict(), frozenset())
             sk = _Skeleton(skeleton, rhos,
                            [list(itertools.product(*[skeleton._pools[lang.reference[x]]
                                                      for x in lang.arity_order[rho]]))

@@ -429,6 +429,22 @@ def test_a_countermodel_that_fails_its_recheck_raises(monkeypatch):
         entails(prop_theory([]), Atomic("p"), 0)
 
 
+def test_the_search_validates_only_the_countermodel_it_returns(monkeypatch):
+    # skeletons are built unvalidated; Model.check runs once, in
+    # Model.from_extents, for the countermodel a Refuted verdict holds
+    t = parse_document((CORPUS / "employment.iff").read_text()).get("TW", "theory")
+    calls = []
+    check = Model.check
+    monkeypatch.setattr(Model, "check", lambda m, *args, **kwargs:
+                        calls.append(m) or check(m, *args, **kwargs))
+    query = Implies(Atomic("WorksFor"), Atomic("Employed"))
+    assert entails(t, query, 3) == NoCounterexampleUpTo(3)
+    assert len(calls) == 0
+    query = Implies(Exists("x", Atomic("Employed")), Forall("x", Atomic("Employed")))
+    verdict = entails(t, query, 2)
+    assert isinstance(verdict, Refuted) and calls == [verdict.counter_model]
+
+
 # --- entailment -----------------------------------------------------------------
 
 def test_conjunction_axiom_entails_conjunct():
