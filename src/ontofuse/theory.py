@@ -8,7 +8,9 @@ once per block of a skeleton's candidates, on masks with one bit per
 candidate (see :class:`_Skeleton`).  A skeleton is a bare Model built
 without validation; a validated Model (by :meth:`Model.from_extents`)
 is built only for a countermodel it returns.  A block holds at most
-2**16 candidates, whatever the budget.  The budget counts candidates,
+2**16 candidates, whatever the budget, and lists only the subsets of
+rows they choose, so its masks cost its rows times its size, never
+2**rows.  The budget counts candidates,
 each one in enumeration order, as a scan of one candidate at a time
 would reach them.
 
@@ -93,35 +95,25 @@ class NoCounterexampleUpTo:
 _BLOCK_BITS = 16
 
 
-@functools.lru_cache(maxsize=None)
-def _subset_patterns(n: int) -> tuple:
-    """For each of n rows, the 2**n-bit int whose bit j says whether the
-    j-th subset of the rows holds it, subsets ordered by size, then in
-    ``itertools.combinations`` order."""
-    size = 1 << n
-    digits = [bytearray(b"0") * size for _ in range(n)]  # most significant first
-    j = size
-    for k in range(n + 1):
-        for c in itertools.combinations(range(n), k):
-            j -= 1
-            for i in c:
-                digits[i][j] = ord("1")
-    return tuple(int(d, 2) for d in digits)
-
-
 @functools.lru_cache(maxsize=64)
-def _atom_masks(n: int, start: int, width: int, stride: int, size: int) -> tuple:
+def _row_masks(n: int, start: int, width: int, stride: int, size: int) -> tuple:
     """For each of n rows, the size-bit mask whose bit c says whether the
-    subset at pool index start + (c // stride) % width holds it.
+    subset at pool index start + (c // stride) % width holds it, the pool
+    ordered by subset size, then in ``combinations`` order.
 
-    Each pattern bit of the window is spread to stride bits, and the
-    spread window, of width * stride bits, is tiled by the repunit
-    multiply to size bits."""
+    Only the window's width subsets are listed; each one's bit is spread
+    to stride bits, and the spread window is tiled by the repunit
+    multiply to size bits, so the masks cost n * size bits, never 2**n."""
+    subsets = itertools.islice(itertools.chain.from_iterable(
+        itertools.combinations(range(n), k) for k in range(n + 1)), start, start + width)
+    digits = [bytearray(b"0") * width for _ in range(n)]  # least significant first
+    for j, subset in enumerate(subsets):
+        for i in subset:
+            digits[i][j] = ord("1")
+    one, zero = b"1" * stride, b"0" * stride
     repunit = ((1 << size) - 1) // ((1 << width * stride) - 1)
-    window = (1 << width) - 1
-    return tuple(int(format(p >> start & window, f"0{width}b")
-                     .replace("1", "1" * stride).replace("0", "0" * stride), 2) * repunit
-                 for p in _subset_patterns(n))
+    return tuple(int(d[::-1].replace(b"1", one).replace(b"0", zero), 2) * repunit
+                 for d in digits)
 
 
 class _Block:
@@ -152,46 +144,36 @@ class _Skeleton:
     rows, by size, then in ``combinations`` order: candidate i chooses
     for the k-th relation type, of n_k rows, the subset at pool index
     (i // stride_k) % 2**n_k, stride_k being the product of the later
-    pools' sizes.  They are evaluated in aligned blocks of 2**_BLOCK_BITS (or
-    all of them if fewer), so a relation type whose stride spans a
-    block holds each row in none or all of it.
+    pools' sizes.  They are evaluated in aligned blocks of 2**_BLOCK_BITS
+    (or all of them if fewer), and a block lists, for each relation type,
+    only the subsets its candidates choose (see :func:`_row_masks`).
     """
 
     model: Model
-    rhos: list
-    rows: list  # per relation type, its rows
+    rows: dict  # relation type, in token order -> its rows
     axioms: list  # of (compiled expression, assignments)
     queries: list  # of (compiled expression, assignments)
 
-    def radix(self) -> list:
-        """Each relation type's number of rows and stride."""
-        bits = [len(rows) for rows in self.rows]
-        return [(n, 1 << sum(bits[k + 1:])) for k, n in enumerate(bits)]
-
     def block(self, base: int, size: int) -> _Block:
         """The block of size candidates from base, a multiple of size."""
-        full = (1 << size) - 1
-        masks = {}
-        for rho, rows, (n, stride) in zip(self.rhos, self.rows, self.radix()):
-            start = base // stride % (1 << n)
-            if stride >= size:  # one subset for the whole block
-                masks[rho] = {row: full if p >> start & 1 else 0
-                              for row, p in zip(rows, _subset_patterns(n))}
-            else:
-                masks[rho] = dict(zip(rows, _atom_masks(
-                    n, start, min(1 << n, size // stride), stride, size)))
+        masks, stride = {}, 1
+        for rho, rows in reversed(self.rows.items()):
+            n = len(rows)
+            spread = min(stride, size)  # a stride spanning the block: one subset
+            masks[rho] = dict(zip(rows, _row_masks(
+                n, base // stride % (1 << n), min(1 << n, size // spread), spread, size)))
+            stride <<= n
         return _Block(masks, self.model._pools, size)
 
-    def model_at(self, i: int) -> Model:
-        """Candidate i's Model: its extents are the subsets it chooses, so
-        :meth:`Model.from_extents` classifies exactly its rows."""
+    def model_at(self, block: _Block, c: int) -> Model:
+        """The block's candidate c as a validated Model: its extents are
+        the rows whose block mask has bit c set, so
+        :meth:`Model.from_extents` classifies exactly the subsets it
+        chooses."""
         m = self.model
         order = m.language.arity_order
-        extents = {}
-        for rho, rows, (n, stride) in zip(self.rhos, self.rows, self.radix()):
-            j = i // stride % (1 << n)
-            extents[rho] = [zip(order[rho], row)
-                            for row, p in zip(rows, _subset_patterns(n)) if p >> j & 1]
+        extents = {rho: [zip(order[rho], row) for row, mask in masks.items() if mask >> c & 1]
+                   for rho, masks in block._masks.items()}
         return Model.from_extents(m.language, m.entities, m.entity_incidence, extents)
 
 
@@ -262,15 +244,15 @@ def _verdicts(t: Theory, queries: list, max_entities: int, budget: int) -> dict:
                          for a, bit in zip(sorts, row) if bit]
             # nothing Model.check rejects can occur: no tuples, every pair in range
             skeleton = Model(lang, frozenset(entities), frozenset(incidence), fdict(), frozenset())
-            sk = _Skeleton(skeleton, rhos,
-                           [list(itertools.product(*[skeleton._pools[lang.reference[x]]
-                                                     for x in lang.arity_order[rho]]))
-                            for rho in rhos],
+            sk = _Skeleton(skeleton,
+                           {rho: list(itertools.product(*[skeleton._pools[lang.reference[x]]
+                                                          for x in lang.arity_order[rho]]))
+                            for rho in rhos},
                            [(f, skeleton.well_sorted_assignments(fv))
                             for f, fv in compiled_axioms],
                            [(f, skeleton.well_sorted_assignments(fv))
                             for f, fv in compiled_queries])
-            total = sum(map(len, sk.rows))
+            total = sum(map(len, sk.rows.values()))
             size = 1 << min(total, _BLOCK_BITS)
             for base in range(0, 1 << total, size):
                 if seen >= budget:
@@ -283,7 +265,7 @@ def _verdicts(t: Theory, queries: list, max_entities: int, budget: int) -> dict:
                     if refuting:
                         c = (refuting & -refuting).bit_length() - 1
                         verdicts[queries[i]] = Refuted(
-                            _countermodel(t, sk.model_at(base + c), queries[i]))
+                            _countermodel(t, sk.model_at(block, c), queries[i]))
                         open_queries.remove(i)
                 if not open_queries:
                     return verdicts

@@ -2,6 +2,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -63,12 +64,23 @@ def test_enumerate_count_matches_hand_enumeration():
         entails(t, query, 1, budget=3)
 
 
-def test_enumerate_budget_guard():
-    lang = TypeLanguage.make(VARS, ["T"], {"x": "T", "y": "T"},
-                             {"r": ("x", "y")})
+@pytest.mark.parametrize("arity, budget", [(("x", "y"), 5),
+                                           (("x", "y", "z"), theory.DEFAULT_BUDGET)],
+                         ids=["binary", "ternary"])
+def test_enumerate_budget_guard(arity, budget):
+    # three entities of T give a ternary relation 27 rows, so 2**27
+    # candidates in one skeleton: the budget, not the rows, caps the work
+    lang = TypeLanguage.make(arity, ["T"], {x: "T" for x in arity}, {"r": arity})
     t = Theory.make(lang, [])
-    with pytest.raises(BudgetExceeded):
-        entails(t, Implies(Atomic("r"), Atomic("r")), 3, budget=5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded,
+                           match=f"^model enumeration exceeded {budget} candidates$"):
+            entails(t, Implies(Atomic("r"), Atomic("r")), 3, budget=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
 
 
 def test_enumerated_models_satisfy_axioms():
