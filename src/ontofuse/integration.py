@@ -5,8 +5,8 @@ portal links, a mediating theory with theoretical links into the
 portals' theories, and the derived logical links obtained by the free
 adjunction.  Unification fuses the diagram: the pushout of the logical
 links, the quotient of the portal sum by the invariant they induce,
-which fusion computes as a join of the portals over the free logic
-without building the sum.
+which fusion builds only on the pullback of the links: the portals'
+sum keyed by the links' instance maps.
 
 The practical path restricts both communities to a common part C and
 fuses the two fiber inclusions over it: the C-fusion.  The free fusion
@@ -151,8 +151,8 @@ def practical_integrate(l1: Logic, l2: Logic, c: Iterable, t: Theory,
     here when the links' variable maps differ, as the free fusion can
     then value a merged variable differently where the C-fusion does
     not, and its failure is the call's.  When they are equal, every
-    merged variable class is {ltag v, rtag v}, which the join values
-    alike, and the joined pairs share a mediating intent, so the
+    merged variable class is {ltag v, rtag v}, which the keyed sum values
+    alike, and its pairs share a mediating intent, so the
     comparison holds whenever the C-fusion does.
     """
     c = frozenset(c)

@@ -3,6 +3,8 @@
 This layer carries the integration machinery: soundness, free logics
 and the adjunction, sums, dual quotients, fusion pushouts, restriction
 to a sub-universe, and fiber reclassification along a theory morphism.
+A sum or quotient of logics is that of their models, each theory
+translated along its language morphism; a fusion quotients a keyed sum.
 The adjunction is built from its parts: the transpose of g : T => th(l)
 is the counit of the fiber of l along g, followed by the fiber's
 inclusion into l.
@@ -22,7 +24,7 @@ from .model import (Model, ModelDualInvariant, ModelMorphism, _compile, fdict,
                     model_dual_quotient, model_morphism_valid, model_sum,
                     token_satisfies)
 from .theory import (DEFAULT_BUDGET, MorphismVerdict, Theory, TheoryMorphism,
-                     theory_morphism_valid, theory_quotient, theory_sum)
+                     _translated, theory_morphism_valid)
 from .tokens import sorted_tokens
 
 
@@ -109,8 +111,8 @@ def compose_logic_morphisms(f: LogicMorphism, g: LogicMorphism) -> LogicMorphism
     return LogicMorphism.make(
         f.source, g.target,
         compose_language_morphisms(f.language_morphism, g.language_morphism),
-        {b: f.entity_map[g.entity_map[b]] for b in g.entity_map},
-        {t: f.tuple_map[g.tuple_map[t]] for t in g.tuple_map})
+        {b: f.entity_map[a] for b, a in g.entity_map.items()},
+        {t: f.tuple_map[s] for t, s in g.tuple_map.items()})
 
 
 def logic_morphism_valid(f: LogicMorphism, max_entities: int,
@@ -217,33 +219,37 @@ def transpose(g: TheoryMorphism, l: Logic, budget: int = DEFAULT_BUDGET) -> Logi
 
 # --- sums, quotients, fusion -----------------------------------------------
 
-def logic_sum(l1: Logic, l2: Logic) -> tuple[Logic, LogicMorphism, LogicMorphism]:
-    """Sum of theories and of models; a pair is normal iff both halves are."""
-    st, ti1, ti2 = theory_sum(l1.theory, l2.theory)
-    sm, mi1, mi2 = model_sum(l1.model, l2.model)
-    normal_entities = frozenset(p for p in sm.entities
+def _logic_over_sum(l1: Logic, l2: Logic, s: Model, mu1: ModelMorphism,
+                    mu2: ModelMorphism) -> tuple[Logic, LogicMorphism, LogicMorphism]:
+    """The logic over s, a keyed model sum of l1's and l2's models with
+    injections mu1 and mu2: each theory's axioms translated along its
+    injection's language morphism, and a pair normal iff both halves are."""
+    axioms = _translated(mu1.language_morphism, l1.theory) | \
+        _translated(mu2.language_morphism, l2.theory)
+    normal_entities = frozenset(p for p in s.entities
                                 if p[0] in l1.normal_entities and p[1] in l2.normal_entities)
-    normal_tuples = frozenset(p for p in sm.tuples
+    normal_tuples = frozenset(p for p in s.tuples
                               if p[0] in l1.normal_tuples and p[1] in l2.normal_tuples)
-    s = Logic(st, sm, normal_entities, normal_tuples)
-    nu1 = LogicMorphism.make(l1, s, ti1.language_morphism, mi1.entity_map, mi1.tuple_map)
-    nu2 = LogicMorphism.make(l2, s, ti2.language_morphism, mi2.entity_map, mi2.tuple_map)
-    return s, nu1, nu2
+    out = Logic(Theory(s.language, axioms), s, normal_entities, normal_tuples)
+    return (out, LogicMorphism.make(l1, out, mu1.language_morphism, mu1.entity_map, mu1.tuple_map),
+            LogicMorphism.make(l2, out, mu2.language_morphism, mu2.entity_map, mu2.tuple_map))
+
+
+def logic_sum(l1: Logic, l2: Logic) -> tuple[Logic, LogicMorphism, LogicMorphism]:
+    """The logic over the model sum; a pair is normal iff both halves are."""
+    return _logic_over_sum(l1, l2, *model_sum(l1.model, l2.model))
 
 
 LogicDualInvariant = ModelDualInvariant  # the theory part shares the type relation
 
 
 def logic_dual_quotient(l: Logic, j: ModelDualInvariant) -> tuple[Logic, LogicMorphism]:
-    """Quotient the model and the theory by the same dual invariant."""
+    """Quotient the model by j; translate the theory along its canonical morphism."""
     qm, m_canon = model_dual_quotient(l.model, j)
-    qt, t_canon = theory_quotient(l.theory, j.type_relation)
-    q = Logic(qt, qm,
-              l.normal_entities & qm.entities,
-              l.normal_tuples & qm.tuples)
-    canon = LogicMorphism.make(l, q, t_canon.language_morphism,
-                               m_canon.entity_map, m_canon.tuple_map)
-    return q, canon
+    canon = m_canon.language_morphism
+    q = Logic(Theory(qm.language, _translated(canon, l.theory)), qm,
+              l.normal_entities & qm.entities, l.normal_tuples & qm.tuples)
+    return q, LogicMorphism.make(l, q, canon, m_canon.entity_map, m_canon.tuple_map)
 
 
 def _check_span(f0: LogicMorphism, f1: LogicMorphism) -> None:
@@ -256,14 +262,14 @@ def _check_span(f0: LogicMorphism, f1: LogicMorphism) -> None:
 
 
 def fusion(f0: LogicMorphism, f1: LogicMorphism) -> tuple[Logic, LogicMorphism, LogicMorphism]:
-    """Pushout of a span f0: K => L0, f1: K => L1, computed as a pullback join.
+    """Pushout of a span f0: K => L0, f1: K => L1: the quotient of the sum
+    of L0 and L1 by the invariant the span induces.
 
-    The pushout is the quotient of the sum of L0 and L1 by the invariant
-    the span induces, which keeps the instance pairs on which the
-    backward maps agree: the pullback of the span.
-    The join builds only those pairs, as the product of the two models
-    keyed by each leg's instance maps, and quotients it by the span's
-    type relation.  Returns (fused, injection from L0, injection from L1).
+    That invariant keeps the instance pairs on which the backward maps
+    agree (the span's pullback), so the sum is built on them alone, keyed
+    by the legs' instance maps, and dual-quotiented by the span's type
+    relation.  The sum's injections followed by the quotient's canonical
+    morphism are the pushout's: returns (fused, from L0, from L1).
     """
     for f in (f0, f1):
         if not (is_sound(f.source) and is_sound(f.target)):
@@ -279,21 +285,14 @@ def fusion(f0: LogicMorphism, f1: LogicMorphism) -> tuple[Logic, LogicMorphism, 
                     f"{side} relation map")
         check_total(f.entity_map, m.entities, k.model.entities, f"{side} entity map")
         check_total(f.tuple_map, m.tuples, k.model.tuples, f"{side} tuple map")
+    keys = ((f0.entity_map.__getitem__, f1.entity_map.__getitem__),
+            (f0.tuple_map.__getitem__, f1.tuple_map.__getitem__))
+    s, nu0, nu1 = _logic_over_sum(f0.target, f1.target,
+                                  *model_sum(f0.target.model, f1.target.model, *keys))
     relation = span_relation(f0.language_morphism, f1.language_morphism)
-    st, ti0, ti1 = theory_sum(f0.target.theory, f1.target.theory)
-    joined = f0.target.model.product(
-        f1.target.model, (f0.entity_map.__getitem__, f1.entity_map.__getitem__),
-        (f0.tuple_map.__getitem__, f1.tuple_map.__getitem__))
-    fused, q = logic_dual_quotient(
-        Logic(st, joined, joined.entities, joined.tuples),
-        ModelDualInvariant(joined.entities, joined.tuples, relation))
-
-    def injection(half: int, f: LogicMorphism, inj: TheoryMorphism) -> LogicMorphism:
-        lm = compose_language_morphisms(inj.language_morphism, q.language_morphism)
-        return LogicMorphism.make(f.target, fused, lm,
-                                  {p: p[half] for p in fused.model.entities},
-                                  {t: t[half] for t in fused.model.tuples})
-    return fused, injection(0, f0, ti0), injection(1, f1, ti1)
+    fused, q = logic_dual_quotient(s, ModelDualInvariant(s.model.entities, s.model.tuples,
+                                                         relation))
+    return fused, compose_logic_morphisms(nu0, q), compose_logic_morphisms(nu1, q)
 
 
 # --- restriction and fibers ------------------------------------------------

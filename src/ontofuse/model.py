@@ -1,8 +1,9 @@
 """Finite first-order models over a type language, with lax satisfaction.
 
 A model is an entity classification, a relation classification and an
-instance hypergraph over one language, and its sum and dual quotient
-are built from theirs.  Relation instances are abstract tuple tokens,
+instance hypergraph over one language, and its keyed sum (the sum, or
+the part of it on a span's pullback) and dual quotient are built from
+theirs.  Relation instances are abstract tuple tokens,
 each mapped to a valuation into the entities whose domain is its
 variable-set arity, so the tuple set and the arities are views of that
 one map.  The common case (built by :meth:`Model.from_extents`) uses
@@ -141,34 +142,6 @@ class Model:
                 yield (t, rho), f"relation incidence pair ({t!r}, {rho!r}) out of range"
             elif not self.language.arity[rho] <= self.tuple_valuation[t].keys():
                 yield (t, rho), f"{t!r} classified by {rho!r} of larger arity"
-
-    def product(self, other: "Model", entity_keys: tuple[Callable, Callable] = (unkeyed, unkeyed),
-                tuple_keys: tuple[Callable, Callable] = (unkeyed, unkeyed)) -> "Model":
-        """The instance pairs on which the keys agree, over the sum of the languages.
-
-        Entities pair as in the classification sum and tuples as in the
-        hypergraph product, both over the keys.  A pair is classified by
-        its members' tagged intents, and both tags of a shared variable
-        value a tuple pair, keeping it well-sorted against the tagged
-        reference.  The constant keys (the default) give the model sum;
-        a span's backward instance maps give its pullback.
-        """
-        lang, _, _ = language_sum(self.language, other.language)
-        ents = classification_sum(self.entity_classification(),
-                                  other.entity_classification(), *entity_keys)
-        prod = hypergraph_product(self.instance_hypergraph(), other.instance_hypergraph(),
-                                  entity_keys, tuple_keys)
-        intents_a = tagged_intents(self.relation_classification(), ltag)
-        intents_b = tagged_intents(other.relation_classification(), rtag)
-        valuation, rel_inc = {}, []
-        for tok, pairs in prod.valuation.items():
-            valuation[tok] = fdict({**{ltag(x): v for x, v in pairs.items()},
-                                    **{rtag(x): v for x, v in pairs.items()}})
-            rel_inc.extend((tok, r) for r in intents_a.get(tok[0], ()))
-            rel_inc.extend((tok, r) for r in intents_b.get(tok[1], ()))
-        s = Model(lang, ents.instances, ents.incidence, fdict(valuation), frozenset(rel_inc))
-        s.check(well_sorted=False)
-        return s
 
     def restrict(self, entities: Iterable, tuples: Iterable) -> "Model":
         """The sub-model on the given entities and those given tuples valued among them."""
@@ -429,14 +402,35 @@ def model_morphism_valid(f: ModelMorphism) -> tuple[bool, Optional[tuple]]:
 
 # --- sums and dual quotients ----------------------------------------------
 
-def model_sum(a: Model, b: Model) -> tuple[Model, ModelMorphism, ModelMorphism]:
-    """Sum over a shared variable pool: tagged language, every instance pair.
+def model_sum(a: Model, b: Model, entity_keys: tuple[Callable, Callable] = (unkeyed, unkeyed),
+              tuple_keys: tuple[Callable, Callable] = (unkeyed, unkeyed)
+              ) -> tuple[Model, ModelMorphism, ModelMorphism]:
+    """The instance pairs on which the keys agree, over the sum of the
+    languages; each injection's instance maps project a pair.
 
-    The product of the two models under the constant keys, with the
-    projections of each pair as the injections' instance maps.
+    Entities pair as in the classification sum and tuples as in the
+    hypergraph product, both over the keys.  A pair is classified by
+    its members' tagged intents, and both tags of a shared variable
+    value a tuple pair, keeping it well-sorted against the tagged
+    reference.  The constant keys (the default) give the sum, every
+    instance pair; a span's backward instance maps give the sub-sum on
+    its pullback, which is what fusion quotients.
     """
     lang, inj1, inj2 = language_sum(a.language, b.language)
-    s = a.product(b)
+    ents = classification_sum(a.entity_classification(), b.entity_classification(),
+                              *entity_keys)
+    prod = hypergraph_product(a.instance_hypergraph(), b.instance_hypergraph(),
+                              entity_keys, tuple_keys)
+    intents_a = tagged_intents(a.relation_classification(), ltag)
+    intents_b = tagged_intents(b.relation_classification(), rtag)
+    valuation, rel_inc = {}, []
+    for tok, pairs in prod.valuation.items():
+        valuation[tok] = fdict({**{ltag(x): v for x, v in pairs.items()},
+                                **{rtag(x): v for x, v in pairs.items()}})
+        rel_inc.extend((tok, r) for r in intents_a.get(tok[0], ()))
+        rel_inc.extend((tok, r) for r in intents_b.get(tok[1], ()))
+    s = Model(lang, ents.instances, ents.incidence, fdict(valuation), frozenset(rel_inc))
+    s.check(well_sorted=False)
     nu1 = ModelMorphism.make(inj1, a, s, {p: p[0] for p in s.entities},
                              {t: t[0] for t in s.tuples})
     nu2 = ModelMorphism.make(inj2, b, s, {p: p[1] for p in s.entities},

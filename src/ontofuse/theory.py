@@ -324,16 +324,18 @@ def theory_morphism_valid(g: TheoryMorphism, max_entities: int,
 
 # --- sums and quotients -----------------------------------------------------
 
+def _translated(f: LanguageMorphism, t: Theory) -> frozenset:
+    """t's axioms translated along f, a language morphism out of t's language."""
+    return frozenset(translate_expression(f, a) for a in t.axioms)
+
+
 def theory_sum(t1: Theory, t2: Theory) -> tuple[Theory, TheoryMorphism, TheoryMorphism]:
     lang, i1, i2 = language_sum(t1.language, t2.language)
-    axioms = {translate_expression(i1, a) for a in t1.axioms}
-    axioms |= {translate_expression(i2, a) for a in t2.axioms}
-    s = Theory(lang, frozenset(axioms))
+    s = Theory(lang, _translated(i1, t1) | _translated(i2, t2))
     return s, TheoryMorphism(i1, t1, s), TheoryMorphism(i2, t2, s)
 
 
 def theory_quotient(t: Theory, j: LanguageEndorelation) -> tuple[Theory, TheoryMorphism]:
     lang, canon = language_quotient(t.language, j)
-    axioms = frozenset(translate_expression(canon, a) for a in t.axioms)
-    q = Theory(lang, axioms)
+    q = Theory(lang, _translated(canon, t))
     return q, TheoryMorphism(canon, t, q)

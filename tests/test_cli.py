@@ -451,6 +451,8 @@ def test_integrate_fixture_three_classes(tmp_path, capsys):
 
 PRACTICAL_GOLDEN = corpus_run("integrate", "fixture.iff", "--left", "L1", "--right", "L2",
                               "--alignment", "A", "--practical", "--name", "fused")
+UNIFIED_GOLDEN = corpus_run("integrate", "fixture.iff", "--left", "L1", "--right", "L2",
+                            "--alignment", "A", "--name", "fused")
 REFUTED_GOLDEN = corpus_run("entails", "employment.iff", "--theory", "TW", "--query",
                             "(implies (exists x (atom Employed)) (forall x (atom Employed)))",
                             "--bound", "2")
@@ -461,6 +463,13 @@ def test_integrate_practical_matches_golden(seed_runs):
     assert code == 0
     assert "universe: acme bob" in out
     assert written == (CORPUS / "fused.golden.iff").read_bytes()
+
+
+def test_integrate_unify_matches_golden(seed_runs):
+    code, out, _, written = seed_runs[UNIFIED_GOLDEN]
+    assert code == 0
+    assert out.startswith("integration: 3 type classes (2 entity, 1 relation)")
+    assert written == (CORPUS / "unified.golden.iff").read_bytes()
 
 
 def test_entails_countermodel_matches_golden(seed_runs):

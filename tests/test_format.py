@@ -491,7 +491,7 @@ def _model_sum_document():
     composite tokens it holds."""
     rng = random.Random(56)
     a, b = (rand_model(rng, rand_language(rng, max_rels=3), 4) for _ in range(2))
-    s = a.product(b)
+    s = model_sum(a, b)[0]
     doc = document_of("model", "S", s)
     assert (len(s.entities), len(s.tuples)) == (16, 6)
     lang = s.language
@@ -601,7 +601,7 @@ def _built_documents() -> list:
     rng = random.Random(37)
     for _ in range(30):
         a, b = (rand_model(rng, rand_language(rng, max_rels=3)) for _ in range(2))
-        docs.append(document_of("model", "S", a.product(b)))
+        docs.append(document_of("model", "S", model_sum(a, b)[0]))
     for l1, l2, c, t, g1, g2 in practical_scenarios():
         docs.append(document_of("logic", "F", practical_integrate(l1, l2, c, t, g1, g2, 2)[0].fused))
     for text in CORPUS_TEXTS:

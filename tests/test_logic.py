@@ -349,6 +349,29 @@ def test_fusion_invariant_respects_and_stays_sound_randomized():
         model_dual_quotient(s.model, j)
 
 
+def test_each_construction_gives_its_theory_and_model_one_language():
+    """A sum, a fusion or a quotient builds its language once: the theory,
+    the model and every returned morphism's target share it."""
+    rng = random.Random(139)
+    results = []
+    for _ in range(30):
+        _, f0, f1 = rand_span(rng)
+        results += [logic_sum(f0.target, f1.target), fusion(f0, f1)]
+    s = logic_sum(w_logic(), wp_logic())[0]
+    results.append(logic_dual_quotient(s, LogicDualInvariant.make(
+        {p for p in s.model.entities if p[0] == p[1]},
+        {p for p in s.model.tuples if p[0] == p[1]},
+        LanguageEndorelation.make(
+            entity_pairs=[(ltag("Person"), rtag("Human")), (ltag("Company"), rtag("Firm"))],
+            relation_pairs=[(ltag("WorksFor"), rtag("EmployedBy"))],
+            variable_pairs=[(ltag(x), rtag(x)) for x in VARS]))))
+    for logic, *morphisms in results:
+        assert logic.theory.language is logic.model.language
+        for f in morphisms:
+            assert f.target is logic
+            assert f.language_morphism.target is logic.model.language
+
+
 # --- the join against sum then quotient -----------------------------------------------
 
 def retargeted(f, model, lm=None, normal_entities=None):

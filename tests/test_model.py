@@ -20,7 +20,7 @@ from ontofuse.theory import Theory
 from ontofuse.tokens import fdict, ltag, rtag, sorted_tokens
 
 from fixtures import (VARS, rand_expression, rand_language, rand_logic,
-                      rand_model, relabeled_target, separated_logic,
+                      rand_model, rand_span, relabeled_target, separated_logic,
                       w_language, w_logic, wp_logic)
 from oracles import (all_model_morphisms, entity_extent, model_as_sets,
                      models_isomorphic, morphisms_equal, naive_classes, naive_dual_quotient,
@@ -300,6 +300,28 @@ def test_sum_matches_naive_oracle_randomized():
         assert dict(n2.entity_map) == {p: p[1] for p in s.entities}
         assert dict(n1.tuple_map) == {t: t[0] for t in s.tuples}
         assert dict(n2.tuple_map) == {t: t[1] for t in s.tuples}
+
+
+def test_keyed_sum_is_the_sum_restricted_to_the_pairs_whose_keys_agree():
+    rng = random.Random(61)
+    proper = 0
+    for _ in range(200):
+        _, f0, f1 = rand_span(rng)
+        a, b = f0.target.model, f1.target.model
+        ekeys = [{e: rng.randrange(2) for e in m.entities}.__getitem__ for m in (a, b)]
+        tkeys = [{t: rng.randrange(2) for t in m.tuples}.__getitem__ for m in (a, b)]
+        whole, w1, w2 = model_sum(a, b)
+        kept_entities = {p for p in whole.entities if ekeys[0](p[0]) == ekeys[1](p[1])}
+        kept_tuples = {t for t in whole.tuples if tkeys[0](t[0]) == tkeys[1](t[1])}
+        expected = whole.restrict(kept_entities, kept_tuples)
+        s, n1, n2 = model_sum(a, b, tuple(ekeys), tuple(tkeys))
+        assert s == expected
+        for n, w in ((n1, w1), (n2, w2)):
+            assert n.language_morphism == w.language_morphism
+            assert dict(n.entity_map) == {p: w.entity_map[p] for p in s.entities}
+            assert dict(n.tuple_map) == {t: w.tuple_map[t] for t in s.tuples}
+        proper += s != whole
+    assert proper >= 50
 
 
 def compose(f, g):
