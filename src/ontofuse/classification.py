@@ -85,30 +85,19 @@ def power_classification(s: Iterable) -> Classification:
     return Classification.make(instances, elems, incidence)
 
 
-def unkeyed(_: Token) -> None:
-    """The constant key: a product over it pairs everything."""
-    return None
+def classification_sum(a: Classification, b: Classification,
+                       instances: Optional[Iterable] = None) -> Classification:
+    """Tagged type union over pairs of instances, each pair classified by
+    its members' tagged intents.
 
-
-def keyed_pairs(xs: Iterable, ys: Iterable, key_x: Callable = unkeyed,
-                key_y: Callable = unkeyed) -> list:
-    """The pairs (x, y) on which the keys agree: the pullback of xs and ys
-    over their keys, found by grouping ys by key.  Constant keys give the
-    whole product."""
-    groups: dict = {}
-    for y in ys:
-        groups.setdefault(key_y(y), []).append(y)
-    return [(x, y) for x in xs for y in groups.get(key_x(x), ())]
-
-
-def classification_sum(a: Classification, b: Classification, key_a: Callable = unkeyed,
-                       key_b: Callable = unkeyed) -> Classification:
-    """Tagged type union, instance product.
-
-    With keys, only the instance pairs on which they agree are kept.
+    ``instances`` gives the pairs to keep, every pair by default; a pair
+    outside ``a.instances`` x ``b.instances`` raises DomainMismatch.
     """
+    instances = frozenset(itertools.product(a.instances, b.instances) if instances is None
+                          else instances)
+    if not all(x in a.instances and y in b.instances for x, y in instances):
+        raise DomainMismatch("sum instance pairs not contained in the instance product")
     tags_a, tags_b = tagged_intents(a, ltag), tagged_intents(b, rtag)
-    instances = keyed_pairs(a.instances, b.instances, key_a, key_b)
     incidence = [(p, t) for p in instances
                  for t in itertools.chain(tags_a.get(p[0], ()), tags_b.get(p[1], ()))]
     return Classification.make(instances, [ltag(t) for t in a.types] + [rtag(t) for t in b.types],
@@ -174,29 +163,33 @@ def first_clash(elements: Iterable, cls: Mapping, value: Callable) -> Optional[t
     return None
 
 
-def classification_quotient(c: Classification, j: ClassificationInvariant) -> tuple[Classification, Infomorphism]:
+def classification_quotient(c: Classification, j: ClassificationInvariant,
+                            applies: Callable = lambda a, t: True
+                            ) -> tuple[Classification, Infomorphism]:
     """Quotient types by the closure of j's relation, keep j's instances.
 
-    Raises RespectViolation if some retained instance distinguishes two
-    related types, naming the token-order-first such instance and, in the
-    split class with the token-order-first member, the first member it is
-    classified by and the first it is not.
+    Only the members of a class that ``applies(a, t)`` (every member, by
+    default) bear on instance a.  Raises RespectViolation if some retained
+    instance is classified by some, but not all, of the members of a class
+    that apply to it, naming the token-order-first such instance and, in
+    the split class with the token-order-first member, the first applying
+    member it is classified by and the first it is not.
     """
     if not j.instance_subset <= c.instances:
         raise DomainMismatch("invariant instance subset not contained in instances")
     cls = equivalence_closure(c.types, j.type_relation)
     groups = [members for members in class_groups(cls) if len(members) > 1]
     group_of = {t: g for g, members in enumerate(groups) for t in members}
-    # an instance splits a group it is classified by some, not all, members of
     hits = Counter((a, group_of[t]) for (a, t) in c.incidence
-                   if t in group_of and a in j.instance_subset)
-    split = [(a, g) for (a, g), n in hits.items() if n < len(groups[g])]
+                   if t in group_of and a in j.instance_subset and applies(a, t))
+    split = [(a, g) for (a, g), n in hits.items() if n < sum(applies(a, t) for t in groups[g])]
     if split:
         a = min((a for a, _ in split), key=token_key)
         members = min((sorted_tokens(groups[g]) for b, g in split if b == a),
                       key=lambda ms: token_key(ms[0]))
-        pos = next(t for t in members if c.classifies(a, t))
-        neg = next(t for t in members if not c.classifies(a, t))
+        applying = [t for t in members if applies(a, t)]
+        pos = next(t for t in applying if c.classifies(a, t))
+        neg = next(t for t in applying if not c.classifies(a, t))
         raise RespectViolation(a, pos, neg)
     types = frozenset(cls.values())
     incidence = frozenset((a, cls[t]) for (a, t) in c.incidence if a in j.instance_subset)

@@ -66,9 +66,9 @@ def _pairs(name: str, items, what: str, tok):
 _RESERVED = {"set", "tuple", "map"}
 
 
-def render_token(t, key=token_key):
-    """t as a value; key orders the members of its sets and maps."""
-    return _token_renderer(key)(t)
+def render_token(t):
+    """t as a value, the members of its sets and maps in token order."""
+    return _token_renderer(token_key)(t)
 
 
 def _token_renderer(key):

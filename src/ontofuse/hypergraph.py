@@ -3,16 +3,16 @@
 Each hyperedge carries a tuple function assigning a node to each name
 of its arity, a subset of the name pool; the arity is the tuple
 function's domain, so it is stored only there.  These are the
-instance-side skeleton of models.
+instance-side skeleton of models, and their product picks the instance
+pairs of a model sum: the pairs on which two key functions agree.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .classification import keyed_pairs, unkeyed
 from .errors import NameSetMismatch, raise_first_fault
-from .tokens import FrozenDict, fdict, sorted_tokens
+from .tokens import FrozenDict, Token, fdict, sorted_tokens
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,21 @@ class Hypergraph:
                 yield e, f"edge {e!r} uses names outside the pool"
             elif not self.nodes.issuperset(tup.values()):
                 yield e, f"tuple of {e!r} leaves the node set"
+
+
+def unkeyed(_: Token) -> None:
+    """The constant key: a product over it pairs everything."""
+    return None
+
+
+def keyed_pairs(xs: Iterable, ys: Iterable, key_x: Callable, key_y: Callable) -> list:
+    """The pairs (x, y) on which the keys agree: the pullback of xs and ys
+    over their keys, found by grouping ys by key.  Constant keys give the
+    whole product."""
+    groups: dict = {}
+    for y in ys:
+        groups.setdefault(key_y(y), []).append(y)
+    return [(x, y) for x in xs for y in groups.get(key_x(x), ())]
 
 
 def hypergraph_product(a: Hypergraph, b: Hypergraph,

@@ -1,9 +1,13 @@
 """Finite first-order models over a type language, with lax satisfaction.
 
 A model is an entity classification, a relation classification and an
-instance hypergraph over one language, and its keyed sum (the sum, or
-the part of it on a span's pullback) and dual quotient are built from
-theirs.  Relation instances are abstract tuple tokens,
+instance hypergraph over one language, and its constructions are
+theirs.  Its keyed sum (the sum, or the part of it on a span's
+pullback) is one hypergraph product over the keys, whose nodes and
+edges are the instances of the two classification sums.  Its dual
+quotient quotients the two classifications; on the relation side only
+the types whose arity a tuple's valuation covers bear on the tuple, so
+respect is lax.  Relation instances are abstract tuple tokens,
 each mapped to a valuation into the entities whose domain is its
 variable-set arity, so the tuple set and the arities are views of that
 one map.  The common case (built by :meth:`Model.from_extents`) uses
@@ -38,17 +42,16 @@ their number rather than exponential.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .classification import (Classification, ClassificationInvariant, Infomorphism,
-                             class_groups, classification_quotient,
-                             classification_sum, first_clash, infomorphism_valid,
-                             tagged_intents, unkeyed)
-from .errors import (DomainMismatch, IncompatibleQuotient, LaxViolation,
-                     RespectViolation, check_total, raise_first_fault)
-from .hypergraph import Hypergraph, hypergraph_product
+                             classification_quotient, classification_sum, first_clash,
+                             infomorphism_valid)
+from .errors import (DomainMismatch, IncompatibleQuotient, LaxViolation, check_total,
+                     raise_first_fault)
+from .hypergraph import Hypergraph, hypergraph_product, unkeyed
 from .language import (And, Atomic, Exists, Expression, Forall, Implies,
                        LanguageEndorelation, LanguageMorphism, Not, Or, Subst,
                        TypeLanguage, free_vars, language_morphism_valid,
@@ -408,44 +411,31 @@ def model_sum(a: Model, b: Model, entity_keys: tuple[Callable, Callable] = (unke
     """The instance pairs on which the keys agree, over the sum of the
     languages; each injection's instance maps project a pair.
 
-    Entities pair as in the classification sum and tuples as in the
-    hypergraph product, both over the keys.  A pair is classified by
-    its members' tagged intents, and both tags of a shared variable
-    value a tuple pair, keeping it well-sorted against the tagged
-    reference.  The constant keys (the default) give the sum, every
-    instance pair; a span's backward instance maps give the sub-sum on
-    its pullback, which is what fusion quotients.
+    The pairs are those of the hypergraph product over the keys, and its
+    nodes and edges are the instances of the entity and relation
+    classification sums, which classify a pair by its members' tagged
+    intents.  Both tags of a shared variable value a tuple pair, keeping
+    it well-sorted against the tagged reference.  The constant keys (the
+    default) give the sum, every instance pair; a span's backward
+    instance maps give the sub-sum on its pullback, which is what fusion
+    quotients.
     """
     lang, inj1, inj2 = language_sum(a.language, b.language)
-    ents = classification_sum(a.entity_classification(), b.entity_classification(),
-                              *entity_keys)
     prod = hypergraph_product(a.instance_hypergraph(), b.instance_hypergraph(),
                               entity_keys, tuple_keys)
-    intents_a = tagged_intents(a.relation_classification(), ltag)
-    intents_b = tagged_intents(b.relation_classification(), rtag)
-    valuation, rel_inc = {}, []
-    for tok, pairs in prod.valuation.items():
-        valuation[tok] = fdict({**{ltag(x): v for x, v in pairs.items()},
-                                **{rtag(x): v for x, v in pairs.items()}})
-        rel_inc.extend((tok, r) for r in intents_a.get(tok[0], ()))
-        rel_inc.extend((tok, r) for r in intents_b.get(tok[1], ()))
-    s = Model(lang, ents.instances, ents.incidence, fdict(valuation), frozenset(rel_inc))
+    ents = classification_sum(a.entity_classification(), b.entity_classification(), prod.nodes)
+    rels = classification_sum(a.relation_classification(), b.relation_classification(),
+                              prod.valuation)
+    valuation = {tok: fdict({**{ltag(x): v for x, v in pairs.items()},
+                             **{rtag(x): v for x, v in pairs.items()}})
+                 for tok, pairs in prod.valuation.items()}
+    s = Model(lang, ents.instances, ents.incidence, fdict(valuation), rels.incidence)
     s.check(well_sorted=False)
     nu1 = ModelMorphism.make(inj1, a, s, {p: p[0] for p in s.entities},
                              {t: t[0] for t in s.tuples})
     nu2 = ModelMorphism.make(inj2, b, s, {p: p[1] for p in s.entities},
                              {t: t[1] for t in s.tuples})
     return s, nu1, nu2
-
-
-def _lax_split(m: Model, t: Token, members: list) -> Optional[tuple]:
-    """Lax respect: of the identified relation types that t's arity covers,
-    the first classifying t and the first not, if t splits them."""
-    applicable = [r for r in members if m.language.arity[r] <= m.tuple_valuation[t].keys()]
-    hits = [r for r in applicable if m.tuple_classifies(t, r)]
-    if 0 < len(hits) < len(applicable):
-        return hits[0], next(r for r in applicable if r not in hits)
-    return None
 
 
 @dataclass(frozen=True)
@@ -471,11 +461,14 @@ def model_dual_quotient(a: Model, j: ModelDualInvariant) -> tuple[Model, ModelMo
     """Quotient language and classifications, keep j's instances (tuple-closed).
 
     Tuples referencing dropped entities are dropped (sub-hypergraph
-    closure).  Raises RespectViolation when a retained instance
-    distinguishes two identified types, IncompatibleQuotient when a
-    retained tuple values two merged variables differently; each names
-    the token-order-first such instance, and the types or variable it
-    names are the token-order-first witnesses for that instance.
+    closure).  Both classifications are quotiented by
+    :func:`classification_quotient`, the relation one with the lax rule:
+    a relation type applies to a tuple when the tuple's arity covers the
+    type's.  So RespectViolation is raised, with that function's witness,
+    when a retained instance distinguishes two identified types that
+    apply to it; IncompatibleQuotient when a retained tuple values two
+    merged variables differently, naming the token-order-first such
+    tuple and its token-order-first such variable.
     """
     if not j.entity_subset <= a.entities or not j.tuple_subset <= a.tuples:
         raise DomainMismatch("invariant subsets exceed the model's instances")
@@ -487,14 +480,11 @@ def model_dual_quotient(a: Model, j: ModelDualInvariant) -> tuple[Model, ModelMo
     ents, ent_canon = classification_quotient(
         kept.entity_classification(),
         ClassificationInvariant(kept.entities, j.type_relation.entity_pairs))
-    var_cls, rel_cls = canon.var_map, canon.relation_map
-    rel_groups = [cls for cls in class_groups(rel_cls) if len(cls) > 1]
-    split = [t for t in kept.tuple_valuation if any(_lax_split(a, t, cls) for cls in rel_groups)]
-    if split:
-        t = min(split, key=token_key)
-        groups = sorted(map(sorted_tokens, rel_groups), key=lambda ms: token_key(ms[0]))
-        pos, neg = next(w for w in (_lax_split(a, t, cls) for cls in groups) if w)
-        raise RespectViolation(t, pos, neg)
+    rels, rel_canon = classification_quotient(
+        kept.relation_classification(),
+        ClassificationInvariant(kept.tuples, j.type_relation.relation_pairs),
+        lambda t, r: a.language.arity[r] <= kept.tuple_valuation[t].keys())
+    var_cls = canon.var_map
     valuation, clashes = {}, []
     for t, old in kept.tuple_valuation.items():
         val = {}
@@ -507,11 +497,7 @@ def model_dual_quotient(a: Model, j: ModelDualInvariant) -> tuple[Model, ModelMo
         t = min(clashes, key=token_key)
         x, _ = first_clash(a.tuple_valuation[t], var_cls, a.tuple_valuation[t].__getitem__)
         raise IncompatibleQuotient(x, var_cls[x], f"tuple {t!r} values merged variables differently")
-    q = replace(kept, language=lang, entity_incidence=ents.incidence,
-                tuple_valuation=fdict(valuation),
-                relation_incidence=frozenset((t, rel_cls[r])
-                                             for (t, r) in kept.relation_incidence))
+    q = Model(lang, ents.instances, ents.incidence, fdict(valuation), rels.incidence)
     q.check(well_sorted=False)
-    morphism = ModelMorphism.make(canon, a, q, ent_canon.instance_map,
-                                  {t: t for t in q.tuples})
+    morphism = ModelMorphism.make(canon, a, q, ent_canon.instance_map, rel_canon.instance_map)
     return q, morphism

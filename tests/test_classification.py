@@ -1,5 +1,6 @@
 """Classifications, infomorphisms, power, sum, and quotient."""
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,6 +126,43 @@ def test_sum_injections_valid_exhaustively():
             for (x, y) in s.instances:
                 assert all(s.classifies((x, y), ltag(t)) == a.classifies(x, t) for t in a.types)
                 assert all(s.classifies((x, y), rtag(t)) == b.classifies(y, t) for t in b.types)
+
+
+def test_sum_over_given_pairs_is_the_full_sum_restricted_randomized():
+    rng = random.Random(29)
+    for _ in range(200):
+        a, b = rng.choice(small_classifications()), rng.choice(small_classifications())
+        full = classification_sum(a, b)
+        pairs = {p for p in full.instances if rng.random() < 0.5}
+        s = classification_sum(a, b, pairs)
+        assert s.instances == pairs and s.types == full.types
+        assert s.incidence == {(p, t) for p, t in full.incidence if p in pairs}
+
+
+@pytest.mark.parametrize("pair", [("a0", "ghost"), ("ghost", "b0")])
+def test_sum_pair_outside_the_instance_product_raises(pair):
+    a = Classification.make(["a0"], ["s"], [("a0", "s")])
+    b = Classification.make(["b0"], ["u"], [])
+    with pytest.raises(DomainMismatch):
+        classification_sum(a, b, [("a0", "b0"), pair])
+
+
+def test_quotient_ignores_members_that_do_not_apply():
+    c = Classification.make(["a"], ["s", "t"], [("a", "s")])
+    j = ClassificationInvariant.make(["a"], [("s", "t")])
+    with pytest.raises(RespectViolation):
+        classification_quotient(c, j)
+    q, _ = classification_quotient(c, j, lambda i, t: t == "s")
+    assert q.incidence == {("a", ("s", "t"))}
+
+
+def test_quotient_witness_is_the_first_applying_member_not_classifying():
+    # r1 classifies nothing but does not apply to a; r3 applies and does not classify a
+    c = Classification.make(["a"], ["r1", "r2", "r3"], [("a", "r2")])
+    j = ClassificationInvariant.make(["a"], [("r1", "r2"), ("r2", "r3")])
+    with pytest.raises(RespectViolation) as raised:
+        classification_quotient(c, j, lambda i, t: t != "r1")
+    assert raised.value.witness == ("a", "r2", "r3")
 
 
 def test_quotient_by_empty_relation_is_identity():

@@ -582,6 +582,18 @@ def quotient_errors(*options: str):
                   {"errors.iff": QUOTIENT_ERRORS})
 
 
+# R and S are identified: {'x': 'a'} is classified by R and not S, but S's
+# arity does not cover it, so only the tuple that both arities cover splits them
+LAX_RESPECT = """\
+(language L (variables x y) (entity-types T) (reference (x T) (y T))
+  (relations (P (x y)) (R (x)) (S (y))))
+(theory TL (language L) (axioms))
+(model M (language L) (entities a b) (incidence (a T) (b T))
+  (extents (P ((x b) (y b))) (R ((x a)) ((x b))) (S ((y a)))))
+(logic Lax (theory TL) (model M))
+"""
+
+
 @pytest.mark.parametrize("run, message", [
     (quotient_errors("--of", "Pet", "--identify-relation", "Cat", "Feline",
                      "--identify-relation", "Dog", "Canine", "--identify-relation", "Bird", "Avian"),
@@ -596,8 +608,11 @@ def quotient_errors(*options: str):
      "cannot identify 'b' with 'a': merged variables have unrelated references"),
     (quotient_errors("--of", "TQ", "--identify-relation", "R", "P", "--identify-relation", "U", "V"),
      "cannot identify 'R' with 'P': merged relation types have incompatible arities"),
+    (seeded(["quotient", "lax.iff", "--of", "Lax", "--identify-relation", "R", "S",
+             "--identify-variable", "x", "y", "-o", "out.iff"], {"lax.iff": LAX_RESPECT}),
+     "invariant not respected: {'x': 'b', 'y': 'b'} distinguishes 'R' and 'S'"),
 ], ids=["model-relations", "entity-types", "model-variables", "language-variables",
-        "language-relations"])
+        "language-relations", "model-relations-lax"])
 def test_quotient_error_names_one_witness_under_every_hash_seed(seed_runs, run, message):
     assert seed_runs[run] == Outcome(1, "", f"error: {message}\n", None)
 
