@@ -10,9 +10,9 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Collection, Iterable, Mapping, Optional
 
-from .errors import DomainMismatch, RespectViolation, check_total
+from .errors import DomainMismatch, RespectViolation, check_total, raise_first_fault
 from .tokens import FrozenDict, Token, fdict, ltag, rtag, sorted_tokens, token_key
 
 
@@ -112,7 +112,7 @@ def tagged_intents(c: Classification, tag: Callable) -> dict:
     return intents
 
 
-def equivalence_closure(elements: Iterable, pairs: Iterable) -> dict:
+def equivalence_closure(elements: Iterable, pairs: Collection) -> dict:
     """Reflexive-symmetric-transitive closure as an element -> class map.
 
     Classes are canonically named by the sorted tuple of their members.
@@ -125,9 +125,9 @@ def equivalence_closure(elements: Iterable, pairs: Iterable) -> dict:
             x = parent[x]
         return x
 
+    raise_first_fault(((p, q), f"relation pair ({p!r}, {q!r}) mentions unknown element")
+                      for (p, q) in pairs if p not in parent or q not in parent)
     for (p, q) in pairs:
-        if p not in parent or q not in parent:
-            raise DomainMismatch(f"relation pair ({p!r}, {q!r}) mentions unknown element")
         rp, rq = find(p), find(q)
         if rp != rq:
             parent[rp] = rq

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DomainMismatch, OntofuseError
+from .errors import OntofuseError, raise_first_fault
 from .language import (And, Atomic, Exists, Expression, Forall, Implies,
                        LanguageMorphism, Not, Or, Subst, TypeLanguage)
 from .logic import Logic, LogicMorphism
@@ -323,9 +323,8 @@ def _parse_model(name: str, c: dict, lang: TypeLanguage, tok) -> Model:
                 fdict(_map(name, _pairs(name, sub.get("valuation", ()), "valuation", tok),
                            "valuation")))))
         tuples = _map(name, entries, "tuples")
-        for t, (arity, val) in tuples.items():
-            if val.keys() != arity:
-                raise DomainMismatch(f"tuple of {t!r} not total exactly on its arity")
+        raise_first_fault((t, f"tuple of {t!r} not total exactly on its arity")
+                          for t, (arity, val) in tuples.items() if val.keys() != arity)
         rel_inc = _pairs(name, c.get("relation-incidence", ()), "relation-incidence", tok)
         m = Model(lang, frozenset(entities), frozenset(incidence),
                   fdict({t: v for t, (_, v) in tuples.items()}), frozenset(rel_inc))

@@ -14,6 +14,18 @@ class DomainMismatch(OntofuseError):
     """A map is not total on its stated domain (or leaves its codomain)."""
 
 
+def raise_first_fault(faults: Iterable[tuple]) -> None:
+    """Raise DomainMismatch for the token-order-first of (witness, message)
+    faults, if there are any, so the message does not depend on the order
+    in which a check scans.  These input checks name their offender so:
+    :func:`check_total`, ``TypeLanguage.check``, ``Theory.make``,
+    ``Logic.check``, ``equivalence_closure``, ``Hypergraph.check``,
+    ``Model.from_extents``, ``Model.check`` and the tuples-form reader."""
+    faults = list(faults)
+    if faults:
+        raise DomainMismatch(min(faults, key=lambda f: token_key(f[0]))[1])
+
+
 def check_total(m: Mapping, domain: Collection, codomain: Collection, what: str) -> None:
     """Raise DomainMismatch unless m is total on domain and lands in codomain.
 
@@ -21,23 +33,11 @@ def check_total(m: Mapping, domain: Collection, codomain: Collection, what: str)
     else value outside the codomain.
     """
     keys, domain = set(m), set(domain)
-    if keys != domain:
-        missing = domain - keys
-        kind, witness = ("missing", missing) if missing else ("extra", keys - domain)
-        raise DomainMismatch(f"{what} is not total on its domain: "
-                             f"{kind} {min(witness, key=token_key)!r}")
-    outside = [v for v in m.values() if v not in codomain]
-    if outside:
-        raise DomainMismatch(f"{what} leaves its codomain: {min(outside, key=token_key)!r}")
-
-
-def raise_first_fault(faults: Iterable[tuple]) -> None:
-    """Raise DomainMismatch for the token-order-first of (witness, message)
-    faults, if there are any, so the message does not depend on the order
-    in which a check scans."""
-    faults = list(faults)
-    if faults:
-        raise DomainMismatch(min(faults, key=lambda f: token_key(f[0]))[1])
+    for kind, witnesses in (("missing", domain - keys), ("extra", keys - domain)):
+        raise_first_fault((k, f"{what} is not total on its domain: {kind} {k!r}")
+                          for k in witnesses)
+    raise_first_fault((v, f"{what} leaves its codomain: {v!r}")
+                      for v in m.values() if v not in codomain)
 
 
 class RespectViolation(OntofuseError):

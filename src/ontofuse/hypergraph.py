@@ -78,5 +78,5 @@ def hypergraph_product(a: Hypergraph, b: Hypergraph,
                             lambda f: (edge_b(f), frozenset(b.valuation[f]))):
         tup = {x: (v, b.valuation[f][x]) for x, v in a.valuation[e].items()}
         if all(node_a(v) == node_b(w) for v, w in tup.values()):
-            edges[(e, f)] = tup
-    return Hypergraph.make(a.names, nodes, edges)
+            edges[(e, f)] = fdict(tup)
+    return Hypergraph(a.names, frozenset(nodes), fdict(edges))

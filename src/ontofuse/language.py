@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
-from .errors import CaptureError, DomainMismatch, IncompatibleQuotient, check_total
+from .errors import (CaptureError, DomainMismatch, IncompatibleQuotient, check_total,
+                     raise_first_fault)
 from .classification import equivalence_closure, first_clash
 from .tokens import FrozenDict, Token, fdict, ltag, rtag, sorted_tokens
 
@@ -37,9 +38,8 @@ class TypeLanguage:
 
     def check(self) -> None:
         check_total(self.reference, self.variables, self.entity_types, "reference")
-        for rho in self.relation_types:
-            if not self.arity[rho] <= self.variables:
-                raise DomainMismatch(f"arity of {rho!r} uses unknown variables")
+        raise_first_fault((rho, f"arity of {rho!r} uses unknown variables")
+                          for rho in self.relation_types if not self.arity[rho] <= self.variables)
 
     @cached_property
     def arity_order(self) -> dict:

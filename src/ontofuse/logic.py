@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .classification import power_classification
-from .errors import BudgetExceeded, DomainMismatch, SoundnessViolation, check_total
+from .errors import (BudgetExceeded, DomainMismatch, SoundnessViolation, check_total,
+                     raise_first_fault)
 from .language import (Expression, LanguageMorphism, TypeLanguage,
                        compose_language_morphisms, identity_language_morphism,
                        free_vars, language_morphism_valid, span_relation)
@@ -52,10 +53,10 @@ class Logic:
             raise DomainMismatch("normal entities exceed the universe")
         if not self.normal_tuples <= self.model.tuples:
             raise DomainMismatch("normal tuples exceed the tuples")
-        for t in self.normal_tuples:
-            if any(v not in self.normal_entities
-                   for v in self.model.tuple_valuation[t].values()):
-                raise DomainMismatch(f"normal tuple {t!r} has an abnormal component")
+        valuation = self.model.tuple_valuation
+        raise_first_fault((t, f"normal tuple {t!r} has an abnormal component")
+                          for t in self.normal_tuples
+                          if not self.normal_entities.issuperset(valuation[t].values()))
 
     @property
     def language(self) -> TypeLanguage:
@@ -321,8 +322,9 @@ def fiber(g: TheoryMorphism, p: Logic) -> tuple[Logic, LogicMorphism]:
     instance exactly when p classifies it by the type's image, and tuple
     arities are re-indexed by the varMap preimage.  Returns the fiber
     and its inclusion fiber => p (g on types, identity on instances).
-    g must preserve reference, so the fiber is well-sorted wherever p
-    is; sort membership is not checked, as free logics do not have it.
+    g must preserve reference and arity, so the fiber is well-sorted
+    wherever p is, and a type classifies only tuples whose arity covers
+    its own (its image's arity lies inside the tuple's); it is not checked.
     """
     if g.target != p.theory:
         raise DomainMismatch("g's target theory must be the logic's theory")
@@ -340,10 +342,8 @@ def fiber(g: TheoryMorphism, p: Logic) -> tuple[Logic, LogicMorphism]:
                   frozenset((e, a) for e in m.entities for a in lang.entity_types
                             if m.entity_classifies(e, lm.entity_map[a])),
                   fdict(valuation),
-                  frozenset((t, r) for t, val in valuation.items() for r in lang.relation_types
-                            if lang.arity[r] <= val.keys()
-                            and images[r](t)))
-    model.check(well_sorted=False)
+                  frozenset((t, r) for t in valuation for r in lang.relation_types
+                            if images[r](t)))
     fib = Logic(g.source, model, m.entities, m.tuples)
     return fib, LogicMorphism.make(fib, p, lm, {e: e for e in m.entities},
                                    {t: t for t in m.tuples})

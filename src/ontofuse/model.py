@@ -16,6 +16,8 @@ the lax rule "the restriction of the tuple lies in the extent", which
 ``_lax_incidence`` alone applies, to extents held as rows.  Keeping
 tokens abstract matters because the free model over a theory has
 relation instances that share a valuation but differ in incidence.
+A model is checked where it enters (the reader, :meth:`Model.from_extents`);
+the constructions here and in :mod:`ontofuse.logic` do not check again.
 
 Evaluation reads two indexes that a model builds on first use: for
 each relation type its classified rows (valuations restricted to the
@@ -97,15 +99,13 @@ class Model:
         as hyperedges; incidence is the lax one, derived from each
         extent's rows by :func:`_lax_incidence`.
         """
-        unknown = set(extents) - language.relation_types
-        if unknown:
-            raise DomainMismatch(f"extent of unknown relation type {min(unknown, key=token_key)!r}")
+        raise_first_fault((rho, f"extent of unknown relation type {rho!r}")
+                          for rho in set(extents) - language.relation_types)
         ext = {rho: frozenset(fdict(t) for t in extents.get(rho, ()))
                for rho in language.relation_types}
-        bad = [(rho, t) for rho, rows in ext.items() for t in rows if t.keys() != language.arity[rho]]
-        if bad:
-            rho, t = min(bad, key=token_key)
-            raise DomainMismatch(f"extent row {t!r} of {rho!r} not total exactly on its arity")
+        raise_first_fault(((rho, t), f"extent row {t!r} of {rho!r} not total exactly on its arity")
+                          for rho, rows in ext.items() for t in rows
+                          if t.keys() != language.arity[rho])
         valuation = {t: t for t in itertools.chain(*ext.values())}
         valuation.update((t, t) for t in map(fdict, extra_tuples))
         order = language.arity_order
@@ -123,7 +123,8 @@ class Model:
     def check(self, well_sorted: bool = True) -> None:
         """Structural sanity; pass well_sorted=False to skip sort membership.
 
-        Free models (and their sums and quotients) legitimately value
+        It runs where a model enters, not after the constructions over
+        checked models.  Free models (and their sums and quotients) value
         uncovered coordinates outside their sort's extent.  Each kind of
         fault is checked in turn, and DomainMismatch names the
         token-order-first offender of the first kind found.
@@ -141,9 +142,10 @@ class Model:
 
     def _incidence_faults(self):
         for (t, rho) in self.relation_incidence:
-            if t not in self.tuple_valuation or rho not in self.language.relation_types:
+            val = self.tuple_valuation.get(t)
+            if val is None or rho not in self.language.relation_types:
                 yield (t, rho), f"relation incidence pair ({t!r}, {rho!r}) out of range"
-            elif not self.language.arity[rho] <= self.tuple_valuation[t].keys():
+            elif not self.language.arity[rho] <= val.keys():
                 yield (t, rho), f"{t!r} classified by {rho!r} of larger arity"
 
     def restrict(self, entities: Iterable, tuples: Iterable) -> "Model":
@@ -430,7 +432,6 @@ def model_sum(a: Model, b: Model, entity_keys: tuple[Callable, Callable] = (unke
                              **{rtag(x): v for x, v in pairs.items()}})
                  for tok, pairs in prod.valuation.items()}
     s = Model(lang, ents.instances, ents.incidence, fdict(valuation), rels.incidence)
-    s.check(well_sorted=False)
     nu1 = ModelMorphism.make(inj1, a, s, {p: p[0] for p in s.entities},
                              {t: t[0] for t in s.tuples})
     nu2 = ModelMorphism.make(inj2, b, s, {p: p[1] for p in s.entities},
@@ -498,6 +499,5 @@ def model_dual_quotient(a: Model, j: ModelDualInvariant) -> tuple[Model, ModelMo
         x, _ = first_clash(a.tuple_valuation[t], var_cls, a.tuple_valuation[t].__getitem__)
         raise IncompatibleQuotient(x, var_cls[x], f"tuple {t!r} values merged variables differently")
     q = Model(lang, ents.instances, ents.incidence, fdict(valuation), rels.incidence)
-    q.check(well_sorted=False)
     morphism = ModelMorphism.make(canon, a, q, ent_canon.instance_map, rel_canon.instance_map)
     return q, morphism

@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import BudgetExceeded, DomainMismatch
+from .errors import BudgetExceeded, DomainMismatch, raise_first_fault
 from .language import (Expression, LanguageEndorelation, LanguageMorphism,
                        TypeLanguage, free_vars, identity_language_morphism,
                        language_morphism_valid, language_quotient, language_sum,
@@ -47,9 +47,8 @@ class Theory:
     @staticmethod
     def make(language: TypeLanguage, axioms: Iterable) -> "Theory":
         axioms = frozenset(axioms)
-        for a in axioms:
-            if not well_formed(language, a):
-                raise DomainMismatch(f"axiom {a!r} is not well-formed over the language")
+        raise_first_fault((a, f"axiom {a!r} is not well-formed over the language")
+                          for a in axioms if not well_formed(language, a))
         return Theory(language, axioms)
 
 

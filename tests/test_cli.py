@@ -142,14 +142,36 @@ def test_check_rejects_a_bad_extent_under_every_hash_seed(seed_runs, run, messag
     assert seed_runs[run] == Outcome(1, f"extents.iff: fail: model M: {message}\n", "", None)
 
 
-STRAY_TUPLES = check_model("(extents (WorksFor ((x bob) (y ghost1)) "
-                           "((x bob) (y ghost2)) ((x bob) (y ghost3))))")
+def check_one_sort(text: str):
+    """``ontofuse check`` of text that goes on a one-sort language's opening clauses."""
+    return seeded(["check", "first.iff"], {"first.iff": (
+        "(language L (variables x) (entity-types T) (reference (x T)) " + text)})
 
 
-def test_check_names_the_token_order_first_stray_tuple_under_every_hash_seed(seed_runs):
-    assert seed_runs[STRAY_TUPLES] == Outcome(
-        1, "extents.iff: fail: model M: tuple of {'x': 'bob', 'y': 'ghost1'} "
-           "leaves the node set\n", "", None)
+# each document has several offenders, which a scan in set order meets in an
+# order that depends on the hash seed; the message names the token-order-first
+@pytest.mark.parametrize("run, message", [
+    (check_model("(extents (WorksFor ((x bob) (y ghost1)) "
+                 "((x bob) (y ghost2)) ((x bob) (y ghost3))))"),
+     "extents.iff: fail: model M: tuple of {'x': 'bob', 'y': 'ghost1'} leaves the node set"),
+    (check_one_sort("(relations (A (x q)) (B (x r)) (C (x s)) (D (x t)) (E (x u)) (F (x v))))\n"),
+     "first.iff: fail: language L: arity of 'A' uses unknown variables"),
+    (check_one_sort("(relations (R (x))))\n(theory S (language L) "
+                    "(axioms (atom P) (atom Q) (atom U) (atom V) (atom W) (atom Z)))\n"),
+     "first.iff: fail: theory S: axiom Atomic(relation='P') is not well-formed over the language"),
+    (check_one_sort("(relations (R (x))))\n(theory TL (language L) (axioms))\n"
+                    "(model M (language L) (entities a b c d e f g h)\n"
+                    "  (incidence (a T) (b T) (c T) (d T) (e T) (f T) (g T) (h T))\n"
+                    "  (extents (R ((x a)) ((x b)) ((x c)) ((x d)) ((x e)) ((x f)) ((x g)) "
+                    "((x h)))))\n(logic G (theory TL) (model M) (normal-entities h))\n"),
+     "first.iff: fail: logic G: normal tuple {'x': 'a'} has an abnormal component"),
+    (check_model("(tuples (t2 (arity x y) (valuation (x bob))) "
+                 "(t1 (arity x) (valuation (x bob) (y acme)))) (relation-incidence)"),
+     "extents.iff: fail: model M: tuple of 't1' not total exactly on its arity"),
+], ids=["stray-tuples", "language-arities", "theory-axioms", "logic-normal-tuples",
+        "tuples-form-arities"])
+def test_check_names_the_token_order_first_offender_under_every_hash_seed(seed_runs, run, message):
+    assert seed_runs[run] == Outcome(1, message + "\n", "", None)
 
 
 @pytest.mark.parametrize("run, message", [
@@ -611,8 +633,12 @@ LAX_RESPECT = """\
     (seeded(["quotient", "lax.iff", "--of", "Lax", "--identify-relation", "R", "S",
              "--identify-variable", "x", "y", "-o", "out.iff"], {"lax.iff": LAX_RESPECT}),
      "invariant not respected: {'x': 'b', 'y': 'b'} distinguishes 'R' and 'S'"),
+    (seeded(["quotient", "demo.iff", "--of", "L", "--identify-relation", "Foo", "Bar",
+             "--identify-relation", "Baz", "Qux", "--identify-relation", "Zed", "Cat",
+             "-o", "out.iff"], {"demo.iff": CORPUS_FILES["quotient-demo.iff"]}),
+     "relation pair ('Baz', 'Qux') mentions unknown element"),
 ], ids=["model-relations", "entity-types", "model-variables", "language-variables",
-        "language-relations", "model-relations-lax"])
+        "language-relations", "model-relations-lax", "unknown-relations"])
 def test_quotient_error_names_one_witness_under_every_hash_seed(seed_runs, run, message):
     assert seed_runs[run] == Outcome(1, "", f"error: {message}\n", None)
 

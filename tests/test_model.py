@@ -6,8 +6,10 @@ from dataclasses import replace
 
 import pytest
 
-from ontofuse.errors import (DomainMismatch, IncompatibleQuotient, LaxViolation,
-                             NameSetMismatch, RespectViolation)
+from ontofuse.errors import (AgreementFailure, DomainMismatch, IncompatibleQuotient,
+                             LaxViolation, NameSetMismatch, RespectViolation)
+from ontofuse.hypergraph import hypergraph_product
+from ontofuse.integration import practical_integrate
 from ontofuse.language import (And, Atomic, Exists, Forall, Implies, LanguageEndorelation,
                                LanguageMorphism, Not, Or, Subst, TypeLanguage,
                                compose_language_morphisms, free_vars,
@@ -15,13 +17,13 @@ from ontofuse.language import (And, Atomic, Exists, Forall, Implies, LanguageEnd
 from ontofuse.model import (Model, ModelDualInvariant, ModelMorphism, _compile, holds,
                             model_dual_quotient, model_morphism_valid, model_sum,
                             satisfies, token_satisfies)
-from ontofuse.logic import free_logic
-from ontofuse.theory import Theory
+from ontofuse.logic import fiber, free_logic, fusion
+from ontofuse.theory import Theory, identity_theory_morphism
 from ontofuse.tokens import fdict, ltag, rtag, sorted_tokens
 
-from fixtures import (VARS, rand_expression, rand_language, rand_logic,
-                      rand_model, rand_span, relabeled_target, separated_logic,
-                      w_language, w_logic, wp_logic)
+from fixtures import (VARS, permuted_practical_scenarios, practical_scenarios,
+                      rand_expression, rand_language, rand_logic, rand_model, rand_span,
+                      relabeled_target, separated_logic, w_language, w_logic, wp_logic)
 from oracles import (all_model_morphisms, entity_extent, model_as_sets,
                      models_isomorphic, morphisms_equal, naive_classes, naive_dual_quotient,
                      names_a_witness,
@@ -585,6 +587,57 @@ def test_evaluation_on_sums_quotients_and_free_logics_randomized():
         m = free_logic(Theory.make(lang, axioms)).model
         assert_evaluates_like_naive(rng, m)
         assert_evaluates_like_naive(rng, half_incidence(rng, m))
+
+
+# --- constructions over checked models ----------------------------------------
+
+def test_constructions_over_checked_models_build_checked_models_randomized():
+    """A model is checked where it enters, and the constructions over checked
+    models do not check what they build, so each result must pass the check."""
+    rng = random.Random(97)
+    built = Counter()
+
+    def checked(kind, m):
+        m.check(well_sorted=False)
+        built[kind] += 1
+
+    for _ in range(80):
+        a, b, copied = rand_summand_pair(rng)
+        s, _, _ = model_sum(a, b)
+        checked("sum", s)
+        hypergraph_product(a.instance_hypergraph(), b.instance_hypergraph()).check()
+        entities, tuples, rel = rand_sum_invariant(rng, s, a, b, copied)
+        checked("restrict", s.restrict(entities, tuples))
+        for kept in ((s.entities, s.tuples), (entities, tuples)):
+            try:
+                q, _ = model_dual_quotient(s, ModelDualInvariant.make(*kept, rel))
+            except (RespectViolation, IncompatibleQuotient):
+                continue
+            checked("quotient, every instance" if kept == (s.entities, s.tuples)
+                    else "quotient, some dropped", q)
+    for _ in range(40):
+        k, f0, f1 = rand_span(rng)
+        keys = ((f0.entity_map.__getitem__, f1.entity_map.__getitem__),
+                (f0.tuple_map.__getitem__, f1.tuple_map.__getitem__))
+        m0, m1 = f0.target.model, f1.target.model
+        checked("span-keyed sum", model_sum(m0, m1, *keys)[0])
+        hypergraph_product(m0.instance_hypergraph(), m1.instance_hypergraph(), *keys).check()
+        checked("fusion", fusion(f0, f1)[0].model)
+        checked("fiber", fiber(f0.theory_aspect(), f0.target)[0].model)
+        lang = k.language
+        axioms = [rand_expression(rng, lang, 2) for _ in range(rng.randint(0, 2))] \
+            if lang.relation_types else []
+        free = free_logic(Theory.make(lang, axioms))
+        checked("free logic", free.model)
+        checked("fiber of a free logic", fiber(identity_theory_morphism(free.theory), free)[0].model)
+    for l1, l2, c, t, g1, g2 in practical_scenarios() + permuted_practical_scenarios(103, 40):
+        try:
+            result, _ = practical_integrate(l1, l2, c, t, g1, g2, 1)
+        except (AgreementFailure, DomainMismatch, IncompatibleQuotient):
+            continue
+        checked("practical", result.fused.model)
+        assert result.fused.model.entities == frozenset(c)
+    assert len(built) == 10 and min(built.values()) >= 20, built
 
 
 def quantified_nodes(e, under=False):
