@@ -14,18 +14,19 @@ from hypothesis import example, given, settings, strategies as st
 
 from ontofuse import document
 from ontofuse.cli import main
-from ontofuse.document import (Document, FormError, _extent_faithful, document_of,
+from ontofuse.document import (Alignment, Document, FormError, _extent_faithful, document_of,
                                parse_document, parse_expression, parse_token,
                                render_expression, render_token,
                                serialize_document)
-from ontofuse.language import And, Atomic, Exists, Not, Subst, TypeLanguage
+from ontofuse.language import (And, Atomic, Exists, Forall, Implies, LanguageMorphism, Not,
+                               Or, Subst, TypeLanguage, free_vars)
 from ontofuse.errors import OntofuseError
 from ontofuse.integration import practical_integrate
-from ontofuse.logic import free_logic
+from ontofuse.logic import Logic, LogicMorphism, free_logic
 from ontofuse.model import Model, model_sum
 from ontofuse.sexpr import (MAX_DEPTH, WIDTH, SexprSyntaxError, parse_all,
                             write_all, write_value)
-from ontofuse.theory import Theory
+from ontofuse.theory import Theory, TheoryMorphism
 from ontofuse.tokens import FrozenDict, fdict, sorted_tokens, token_key
 
 from fixtures import (VARS, mutate, partial_span_text, practical_scenarios, rand_language,
@@ -626,6 +627,164 @@ def test_documents_built_in_memory_read_back_equal():
     for doc in docs + [_wide_token_document()]:
         again = parse_document(serialize_document(doc))
         assert again.order == doc.order and again.objects == doc.objects
+
+
+# --- round trip over generated documents --------------------------------------------------
+
+# Symbols, the reserved heads among them, and composite tokens up to a few levels deep.
+_TOKENS = st.recursive(
+    st.sampled_from(["a", "b", "c", "set", "map", "é"]),
+    lambda ts: st.one_of(st.lists(ts, max_size=3).map(tuple), st.frozensets(ts, max_size=3),
+                         st.dictionaries(ts, ts, max_size=2).map(fdict)),
+    max_leaves=4)
+
+
+def _some(tokens, max_size=3, min_size=0):
+    """A set of distinct tokens, drawn from tokens (a strategy or a collection)."""
+    if not isinstance(tokens, st.SearchStrategy):
+        if not tokens:
+            return st.just(frozenset())
+        tokens = st.sampled_from(sorted_tokens(tokens))
+    return st.frozensets(tokens, min_size=min_size, max_size=max_size)
+
+
+def _map_into(keys, values):
+    """A map from some of keys into values, a strategy, a collection or None (no values)."""
+    if values is not None and not isinstance(values, st.SearchStrategy):
+        values = st.sampled_from(sorted_tokens(values)) if values else None
+    if not keys or values is None:
+        return st.just({})
+    return st.dictionaries(st.sampled_from(sorted_tokens(keys)), values)
+
+
+@st.composite
+def _languages(draw):
+    variables = draw(_some(_TOKENS))
+    sorts = sorted_tokens(draw(_some(_TOKENS, 2, min_size=1)))
+    reference = {x: draw(st.sampled_from(sorts)) for x in variables}
+    return TypeLanguage.make(variables, sorts, reference,
+                             {r: draw(_some(variables)) for r in draw(_some(_TOKENS))})
+
+
+def _expressions(lang):
+    """Well-formed expressions over lang, substitutions among them; None if
+    lang has no relation types."""
+    if not lang.relation_types:
+        return None
+    variables = sorted_tokens(lang.variables)
+
+    def subst(e):  # each free variable to a variable of its sort
+        fv = free_vars(lang, e)
+        return st.fixed_dictionaries({x: st.sampled_from(
+            [y for y in variables if lang.reference[y] == lang.reference[x]]) for x in fv}) \
+            .map(lambda mapping: Subst.make(mapping, e))
+
+    def extend(es):
+        out = [es.map(Not), st.builds(And, es, es), st.builds(Or, es, es),
+               st.builds(Implies, es, es)]
+        if variables:
+            out += [st.builds(Exists, st.sampled_from(variables), es),
+                    st.builds(Forall, st.sampled_from(variables), es), es.flatmap(subst)]
+        return st.one_of(out)
+    return st.recursive(st.sampled_from(sorted_tokens(lang.relation_types)).map(Atomic),
+                        extend, max_leaves=4)
+
+
+@st.composite
+def _models(draw, lang):
+    """A model over lang: from extents with extra tuples, or any checked model,
+    which the writer gives in tuples form unless its extents rebuild it."""
+    entities = draw(_some(_TOKENS, 4))
+    pairs = [(e, a) for e in sorted_tokens(entities) for a in sorted_tokens(lang.entity_types)]
+    incidence = draw(_some(pairs, len(pairs)))
+    if draw(st.booleans()):
+        m = Model.from_extents(lang, entities, incidence, {})
+        rows = {rho: m.well_sorted_assignments(lang.arity[rho]) for rho in lang.relation_types}
+        extra = m.well_sorted_assignments(draw(_some(lang.variables)))
+        return Model.from_extents(lang, entities, incidence,
+                                  {rho: draw(_some(r, 3)) for rho, r in rows.items()},
+                                  draw(_some(extra, 2)))
+    valuation = {t: fdict(draw(_map_into(lang.variables, entities)))
+                 for t in draw(_some(_TOKENS))}
+    rel_inc = [(t, rho) for t, val in valuation.items() for rho in lang.relation_types
+               if lang.arity[rho] <= val.keys()]
+    return Model(lang, entities, frozenset(incidence), fdict(valuation),
+                 draw(_some(rel_inc, len(rel_inc))))
+
+
+@st.composite
+def _logics(draw, theory, model):
+    """A logic over theory and model: sound, or with its normal entities,
+    its normal tuples or both narrowed."""
+    narrowed = draw(st.sampled_from(["neither", "entities", "tuples", "both"]))
+    valuation = model.tuple_valuation
+    tuples = draw(_some(model.tuples, len(model.tuples))) \
+        if narrowed in ("tuples", "both") else model.tuples
+    needed = frozenset(e for t in tuples for e in valuation[t].values())
+    entities = needed | draw(_some(model.entities - needed, len(model.entities))) \
+        if narrowed in ("entities", "both") else model.entities
+    return Logic.make(theory, model, entities, tuples)
+
+
+@st.composite
+def _language_maps(draw, source, target):
+    """Maps from some of source's symbols to target's; with the refinement
+    flag, some relations go to expressions over target."""
+    refinement = draw(st.booleans())
+    images = target.relation_types
+    if refinement and images:
+        images = st.one_of(st.sampled_from(sorted_tokens(images)), _expressions(target))
+    return LanguageMorphism.make(
+        source, target, draw(_map_into(source.variables, target.variables)),
+        draw(_map_into(source.entity_types, target.entity_types)),
+        draw(_map_into(source.relation_types, images)), refinement)
+
+
+@st.composite
+def _documents(draw):
+    """A document holding forms of every kind, each named apart, each
+    reference to a form written before it."""
+    doc, theories, logics = Document(), [], []
+    for i in range(draw(st.integers(1, 2))):
+        lang = draw(_languages())
+        axioms = _expressions(lang)
+        axioms = draw(st.lists(axioms, max_size=2)) if axioms is not None else []
+        theory = Theory.make(lang, axioms)
+        model = draw(_models(lang))
+        logics.append(draw(_logics(theory, model)))
+        theories.append(theory)
+        for kind, obj in zip(("language", "theory", "model", "logic"),
+                             (lang, theory, model, logics[-1])):
+            doc.add(kind, f"{kind}{i}", obj)
+
+    def theory_morphism(name, source):
+        target = draw(st.sampled_from(theories))
+        g = TheoryMorphism.make(draw(_language_maps(source.language, target.language)),
+                                source, target)
+        doc.add("theory-morphism", name, g)
+        return g
+    for i in range(draw(st.integers(0, 2))):
+        theory_morphism(f"g{i}", draw(st.sampled_from(theories)))
+    for i in range(draw(st.integers(0, 2))):
+        source, target = draw(st.sampled_from(logics)), draw(st.sampled_from(logics))
+        doc.add("logic-morphism", f"f{i}", LogicMorphism.make(
+            source, target, draw(_language_maps(source.language, target.language)),
+            draw(_map_into(target.model.entities, source.model.entities)),
+            draw(_map_into(target.model.tuples, source.model.tuples))))
+    for i in range(draw(st.integers(0, 1))):
+        t = draw(st.sampled_from(theories))
+        links = [theory_morphism(f"a{i}-{side}", t) for side in "lr"]
+        doc.add("alignment", f"a{i}", Alignment(draw(_some(_TOKENS)), t, *links))
+    return doc
+
+
+@given(_documents())
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_a_generated_document_reads_back_equal_and_its_text_is_a_fixed_point(doc):
+    text = serialize_document(doc)
+    again = parse_document(text)
+    assert again.order == doc.order and again.objects == doc.objects
+    assert serialize_document(again) == text
 
 
 def test_reader_agrees_with_the_oracle_on_corpus_and_mutated_texts():
