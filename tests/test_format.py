@@ -661,9 +661,9 @@ def _map_into(keys, values):
 def _languages(draw):
     variables = draw(_some(_TOKENS))
     sorts = sorted_tokens(draw(_some(_TOKENS, 2, min_size=1)))
-    reference = {x: draw(st.sampled_from(sorts)) for x in variables}
-    return TypeLanguage.make(variables, sorts, reference,
-                             {r: draw(_some(variables)) for r in draw(_some(_TOKENS))})
+    reference = {x: draw(st.sampled_from(sorts)) for x in sorted_tokens(variables)}
+    return TypeLanguage.make(variables, sorts, reference, {
+        r: draw(_some(variables)) for r in sorted_tokens(draw(_some(_TOKENS)))})
 
 
 def _expressions(lang):
@@ -674,10 +674,9 @@ def _expressions(lang):
     variables = sorted_tokens(lang.variables)
 
     def subst(e):  # each free variable to a variable of its sort
-        fv = free_vars(lang, e)
         return st.fixed_dictionaries({x: st.sampled_from(
-            [y for y in variables if lang.reference[y] == lang.reference[x]]) for x in fv}) \
-            .map(lambda mapping: Subst.make(mapping, e))
+            [y for y in variables if lang.reference[y] == lang.reference[x]])
+            for x in sorted_tokens(free_vars(lang, e))}).map(lambda m: Subst.make(m, e))
 
     def extend(es):
         out = [es.map(Not), st.builds(And, es, es), st.builds(Or, es, es),
@@ -699,13 +698,12 @@ def _models(draw, lang):
     incidence = draw(_some(pairs, len(pairs)))
     if draw(st.booleans()):
         m = Model.from_extents(lang, entities, incidence, {})
-        rows = {rho: m.well_sorted_assignments(lang.arity[rho]) for rho in lang.relation_types}
+        extents = {rho: draw(_some(m.well_sorted_assignments(lang.arity[rho]), 3))
+                   for rho in sorted_tokens(lang.relation_types)}
         extra = m.well_sorted_assignments(draw(_some(lang.variables)))
-        return Model.from_extents(lang, entities, incidence,
-                                  {rho: draw(_some(r, 3)) for rho, r in rows.items()},
-                                  draw(_some(extra, 2)))
+        return Model.from_extents(lang, entities, incidence, extents, draw(_some(extra, 2)))
     valuation = {t: fdict(draw(_map_into(lang.variables, entities)))
-                 for t in draw(_some(_TOKENS))}
+                 for t in sorted_tokens(draw(_some(_TOKENS)))}
     rel_inc = [(t, rho) for t, val in valuation.items() for rho in lang.relation_types
                if lang.arity[rho] <= val.keys()]
     return Model(lang, entities, frozenset(incidence), fdict(valuation),
