@@ -2,13 +2,16 @@
 
 A document is an ordered sequence of named top-level forms (language,
 theory, model, logic, theory-morphism, logic-morphism, alignment) with
-unique names and resolved cross-references.  The serializer is
-canonical: sets are sorted, maps are sorted by key, and the layout is
-fixed, so serialize(parse(serialize(d))) == serialize(d).
+unique names and resolved cross-references.  One table, _FORMS, declares
+each form kind's clauses once, in written order; the reader, the writer
+and document_of all derive from it.  The serializer is canonical: sets
+are sorted, maps are sorted by key, and the layout is fixed, so
+serialize(parse(serialize(d))) == serialize(d).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .errors import OntofuseError, raise_first_fault
 from .language import (And, Atomic, Exists, Expression, Forall, Implies,
@@ -78,22 +81,27 @@ def _token_renderer(key):
     The memo is a plain dict, sound because the only tokens rendered are
     symbols, tuples, frozensets and FrozenDicts, among which equal tokens
     render alike; a token holding anything else (an int, or True, equal
-    to 1) raises FormError, and a failure is never kept.
+    to 1) raises FormError, and a failure is never kept.  tok is a method,
+    as a closure that passed itself on would leave its memo in a cycle.
     """
-    memo = {}
+    return _TokenRenderer(key).tok
 
-    def tok(t):
+
+class _TokenRenderer:
+    def __init__(self, key):
+        self.key, self.memo = key, {}
+
+    def tok(self, t):
         if type(t) is str:
             return t
         try:
-            return memo[t]
+            return self.memo[t]
         except KeyError:
             pass
         except TypeError:  # unhashable, so no token: _render_composite says so
-            return _render_composite(t, key, tok)
-        value = memo[t] = _render_composite(t, key, tok)
+            return _render_composite(t, self.key, self.tok)
+        value = self.memo[t] = _render_composite(t, self.key, self.tok)
         return value
-    return tok
 
 
 def _render_composite(t, key, tok):
@@ -103,7 +111,7 @@ def _render_composite(t, key, tok):
     if isinstance(t, frozenset):
         return ["set"] + [tok(x) for x in sorted_tokens(t, key)]
     if isinstance(t, FrozenDict):
-        return ["map"] + [[tok(k), tok(t[k])] for k in sorted_tokens(t, key)]
+        return ["map", *_write_map(t, key, tok)]
     if isinstance(t, tuple):
         return ["tuple"] + [tok(x) for x in t]
     raise FormError("token", f"cannot render token {t!r}")
@@ -122,24 +130,28 @@ def _token_parser():
     a plain dict from the list's id, sound while every list parsed lives:
     parse_document's read tree lives until it returns, and parse_all
     makes equal lists one object, so each distinct list is parsed once.
-    A failure is never kept.
+    A failure is never kept.  tok is a method, as in _token_renderer.
     """
-    tokens, assignments = {}, {}
+    return _TokenParser().tok
 
-    def tok(v, name=None):
+
+class _TokenParser:
+    def __init__(self):
+        self.tokens, self.assignments = {}, {}
+
+    def tok(self, v, name=None):
         if name is not None:
-            a = assignments.get(id(v))
+            a = self.assignments.get(id(v))
             if a is None:
-                a = assignments[id(v)] = fdict(_map(name, _pairs(name, v, "assignment", tok),
-                                                    "assignment"))
+                a = self.assignments[id(v)] = fdict(
+                    _map(name, _pairs(name, v, "assignment", self.tok), "assignment"))
             return a
         if type(v) is str:
             return v
-        t = tokens.get(id(v))
+        t = self.tokens.get(id(v))
         if t is None:
-            t = tokens[id(v)] = _parse_composite(v, tok)
+            t = self.tokens[id(v)] = _parse_composite(v, self.tok)
         return t
-    return tok
 
 
 def _parse_composite(v, tok):
@@ -177,8 +189,7 @@ def render_expression(e: Expression, key=token_key, tok=None):
         head = "exists" if isinstance(e, Exists) else "forall"
         return [head, tok(e.var), render_expression(e.body, key, tok)]
     if isinstance(e, Subst):
-        pairs = [[tok(x), tok(e.mapping[x])] for x in sorted_tokens(e.mapping, key)]
-        return ["subst", pairs, render_expression(e.body, key, tok)]
+        return ["subst", _write_map(e.mapping, key, tok), render_expression(e.body, key, tok)]
     raise FormError("expression", f"cannot render {e!r}")
 
 
@@ -212,32 +223,6 @@ def _parse_expression(v, tok, depth: int = 1):
 
 # --- documents ----------------------------------------------------------------
 
-# Each form kind's references, in written order: (clause, attribute of the
-# object, kind of the form referred to).  The reader resolves them, the
-# writer names them, and document_of adds the forms they need.
-_REFERENCES = {
-    "language": (),
-    "theory": (("language", "language", "language"),),
-    "model": (("language", "language", "language"),),
-    "logic": (("theory", "theory", "theory"), ("model", "model", "model")),
-    "theory-morphism": (("source", "source", "theory"), ("target", "target", "theory")),
-    "logic-morphism": (("source", "source", "logic"), ("target", "target", "logic")),
-    "alignment": (("mediating-theory", "mediating_theory", "theory"),
-                  ("left-link", "left_link", "theory-morphism"),
-                  ("right-link", "right_link", "theory-morphism")),
-}
-
-# Each form kind's clauses, its references' and its own; the reader refuses any other.
-_CLAUSES = {kind: frozenset([c for c, _, _ in _REFERENCES[kind]] + own.split()) for kind, own in {
-    "language": "variables entity-types reference relations",
-    "theory": "axioms",
-    "model": "entities incidence extents extra-tuples tuples relation-incidence",
-    "logic": "normal-entities normal-tuples",
-    "theory-morphism": "variables entity-types relations refinement",
-    "logic-morphism": "variables entity-types relations refinement entity-map tuple-map",
-    "alignment": "universe"}.items()}
-
-
 @dataclass(frozen=True)
 class Alignment:
     """Universe, mediating theory, and the two theoretical links, by value."""
@@ -269,189 +254,108 @@ class Document:
         return self.objects[name]
 
 
-def _clauses(name: str, body, known) -> dict:
-    out = {}
-    for clause in body:
-        if is_symbol(clause) or not clause or not is_symbol(clause[0]):
-            raise FormError(name, f"expected a (key ...) clause, got {_text(clause)}")
-        if clause[0] not in known:
-            raise FormError(name, f"unknown clause {clause[0]}")
-        if clause[0] in out:
-            raise FormError(name, f"duplicate clause {clause[0]}")
-        out[clause[0]] = clause[1:]
-    return out
+# --- clause shapes ------------------------------------------------------------
+
+class _Shape(NamedTuple):
+    """How a clause's items spell a value: read(form name, items, tok) is the
+    value, write(value, key, tok) the items, with tokens parsed or rendered
+    by tok and ordered by key; absent is the value of a clause left out."""
+
+    read: Callable
+    write: Callable
+    absent: object = None
 
 
-def _parse_language(name: str, c: dict, tok) -> TypeLanguage:
-    relations = []
-    for r in c.get("relations", ()):
-        if is_symbol(r) or len(r) != 2 or is_symbol(r[1]):
-            raise FormError(name, f"relation entry must be (R (vars...)), got {_text(r)}")
-        relations.append((tok(r[0]), frozenset(map(tok, r[1]))))
-    return TypeLanguage.make(
-        list(map(tok, c.get("variables", ()))),
-        list(map(tok, c.get("entity-types", ()))),
-        _map(name, _pairs(name, c.get("reference", ()), "reference", tok), "reference"),
-        _map(name, relations, "relations"))
+def _read_entries(name: str, items, tok, what: str, must: str, ok, read) -> FrozenDict:
+    """The map entries (KEY ...) spell, read(name, rest, tok) reading KEY's
+    value from the rest of its entry; `must` says what an entry not ok must be."""
+    entries = []
+    for entry in items:
+        if is_symbol(entry) or not entry or not ok(entry):
+            raise FormError(name, f"{must}, got {_text(entry)}")
+        entries.append((tok(entry[0]), read(name, entry[1:], tok)))
+    return fdict(_map(name, entries, what))
 
 
-def _parse_theory(name: str, c: dict, lang: TypeLanguage, tok) -> Theory:
-    return Theory.make(lang, [_parse_expression(a, tok) for a in c.get("axioms", ())])
+def _entry_map(what: str, must: str, ok, read, write, absent=FrozenDict()) -> _Shape:
+    """A map written as entries (KEY ...), each entry's rest written by write."""
+    return _Shape(lambda name, items, tok: _read_entries(name, items, tok, what, must, ok, read),
+                  lambda m, key, tok: [[tok(k), *write(m[k], key, tok)]
+                                       for k in sorted_tokens(m, key)], absent)
 
 
-def _one(name: str, clauses: dict, key: str) -> str:
-    if key not in clauses or len(clauses[key]) != 1 or not is_symbol(clauses[key][0]):
-        raise FormError(name, f"expected exactly one symbol in ({key} ...)")
-    return clauses[key][0]
+def _write_map(m, key, tok) -> list:
+    """A map, or an assignment, as its (KEY VALUE) pairs in key order."""
+    return [[tok(k), tok(m[k])] for k in sorted_tokens(m, key)]
 
 
-def _parse_model(name: str, c: dict, lang: TypeLanguage, tok) -> Model:
-    entities = list(map(tok, c.get("entities", ())))
-    incidence = _pairs(name, c.get("incidence", ()), "incidence", tok)
-    if "tuples" in c or "relation-incidence" in c:
-        for clause in ("extents", "extra-tuples"):
-            if clause in c:
-                raise FormError(name, f"clause {clause} in a model written in tuples form")
-        entries = []
-        for entry in c.get("tuples", ()):
-            if is_symbol(entry) or len(entry) != 3:
-                raise FormError(name, "tuple entry must be (TOKEN (arity ...) (valuation ...)), "
-                                      f"got {_text(entry)}")
-            sub = _clauses(name, entry[1:], ("arity", "valuation"))
-            entries.append((tok(entry[0]), (
-                frozenset(map(tok, sub.get("arity", ()))),
-                fdict(_map(name, _pairs(name, sub.get("valuation", ()), "valuation", tok),
-                           "valuation")))))
-        tuples = _map(name, entries, "tuples")
-        raise_first_fault((t, f"tuple of {t!r} not total exactly on its arity")
-                          for t, (arity, val) in tuples.items() if val.keys() != arity)
-        rel_inc = _pairs(name, c.get("relation-incidence", ()), "relation-incidence", tok)
-        m = Model(lang, frozenset(entities), frozenset(incidence),
-                  fdict({t: v for t, (_, v) in tuples.items()}), frozenset(rel_inc))
-        m.check(well_sorted=False)
-        return m
-    extents = []
-    for entry in c.get("extents", ()):
-        if is_symbol(entry) or not entry:
-            raise FormError(name, f"extent entry must be (R assignments...), got {_text(entry)}")
-        extents.append((tok(entry[0]), frozenset(tok(a, name) for a in entry[1:])))
-    extra = [tok(a, name) for a in c.get("extra-tuples", ())]
-    return Model.from_extents(lang, entities, incidence, _map(name, extents, "extents"), extra)
+def _pair_map(what: str) -> _Shape:
+    return _Shape(lambda name, items, tok: fdict(_map(name, _pairs(name, items, what, tok), what)),
+                  _write_map, FrozenDict())
 
 
-def _parse_logic(name: str, c: dict, theory: Theory, model: Model, tok) -> Logic:
-    ne = list(map(tok, c["normal-entities"])) if "normal-entities" in c else None
-    nt = list(map(tok, c["normal-tuples"])) if "normal-tuples" in c else None
-    return Logic.make(theory, model, ne, nt)
+def _pair_set(what: str, absent=frozenset()) -> _Shape:
+    return _Shape(lambda name, items, tok: frozenset(_pairs(name, items, what, tok)),
+                  lambda pairs, key, tok: [[tok(a), tok(b)] for a, b in sorted_tokens(pairs, key)],
+                  absent)
 
 
-def _parse_language_maps(name: str, c: dict, source, target, tok) -> LanguageMorphism:
-    """The language morphism between the languages of two theories or logics."""
-    rel = []
-    for p in c.get("relations", ()):
-        if is_symbol(p) or len(p) != 2:
-            raise FormError(name, f"relation map entry must be a pair, got {_text(p)}")
-        img = p[1]
-        if not is_symbol(img) and img and img[0] == "expr":
-            if len(img) != 2:
-                raise FormError(name, "expected (expr EXPRESSION)")
-            rel.append((tok(p[0]), _parse_expression(img[1], tok)))
-        else:
-            rel.append((tok(p[0]), tok(img)))
-    return LanguageMorphism.make(
-        source.language, target.language,
-        _map(name, _pairs(name, c.get("variables", ()), "variable map", tok), "variable map"),
-        _map(name, _pairs(name, c.get("entity-types", ()), "entity map", tok), "entity map"),
-        _map(name, rel, "relation map"), refinement="refinement" in c)
+def _read_image(name: str, rest, tok):
+    """A relation's image: a relation type, or (expr EXPRESSION) in a refinement."""
+    img = rest[0]
+    if is_symbol(img) or not img or img[0] != "expr":
+        return tok(img)
+    if len(img) != 2:
+        raise FormError(name, "expected (expr EXPRESSION)")
+    return _parse_expression(img[1], tok)
 
 
-def _parse_theory_morphism(name: str, c: dict, source: Theory, target: Theory,
-                           tok) -> TheoryMorphism:
-    return TheoryMorphism.make(_parse_language_maps(name, c, source, target, tok),
-                               source, target)
+def _read_tuple(name: str, rest, tok) -> tuple:
+    """A tuple's arity and valuation, from its (arity ...) and (valuation ...)."""
+    sub = _clauses(name, rest, ("arity", "valuation"))
+    return (_TOKENS.read(name, sub.get("arity", ()), tok),
+            _VALUATION.read(name, sub.get("valuation", ()), tok))
 
 
-def _parse_logic_morphism(name: str, c: dict, source: Logic, target: Logic,
-                          tok) -> LogicMorphism:
-    return LogicMorphism.make(
-        source, target, _parse_language_maps(name, c, source, target, tok),
-        _map(name, _pairs(name, c.get("entity-map", ()), "entity map", tok), "entity map"),
-        _map(name, _pairs(name, c.get("tuple-map", ()), "tuple map", tok), "tuple map"))
+_TOKENS = _Shape(lambda name, items, tok: frozenset(map(tok, items)),
+                 lambda ts, key, tok: [tok(t) for t in sorted_tokens(ts, key)], frozenset())
+_NARROWED = _TOKENS._replace(absent=None)  # left out where it is the whole set
+_EXPRESSIONS = _Shape(lambda name, items, tok: [_parse_expression(a, tok) for a in items],
+                      lambda es, key, tok: [render_expression(e, key, tok)
+                                            for e in sorted_tokens(es, key)], ())
+_ASSIGNMENTS = _Shape(lambda name, items, tok: [tok(a, name) for a in items],
+                      lambda assignments, key, tok: [_write_map(a, key, tok)
+                                                     for a in sorted_tokens(assignments, key)])
+_FLAG = _Shape(lambda name, items, tok: True, lambda flag, key, tok: [], False)
+_VALUATION = _pair_map("valuation")
+_ARITIES = _entry_map("relations", "relation entry must be (R (vars...))",
+                      lambda r: len(r) == 2 and not is_symbol(r[1]),
+                      lambda name, rest, tok: frozenset(map(tok, rest[0])),
+                      lambda arity, key, tok: [_TOKENS.write(arity, key, tok)])
+_RELATION_MAP = _entry_map(
+    "relation map", "relation map entry must be a pair", lambda p: len(p) == 2, _read_image,
+    lambda img, key, tok: [["expr", render_expression(img, key, tok)]
+                           if isinstance(img, Expression) else tok(img)])
+_EXTENTS = _entry_map("extents", "extent entry must be (R assignments...)", lambda e: True,
+                      lambda name, rest, tok: frozenset(tok(a, name) for a in rest),
+                      _ASSIGNMENTS.write, absent=None)
+_TUPLES = _entry_map("tuples", "tuple entry must be (TOKEN (arity ...) (valuation ...))",
+                     lambda entry: len(entry) == 3, _read_tuple,
+                     lambda t, key, tok: [["arity", *_TOKENS.write(t[0], key, tok)],
+                                          ["valuation", *_write_map(t[1], key, tok)]],
+                     absent=None)
 
 
-def _parse_alignment(name: str, c: dict, t: Theory, g1: TheoryMorphism,
-                     g2: TheoryMorphism, tok) -> Alignment:
-    if g1.source != t or g2.source != t:
-        raise FormError(name, "alignment links must start at the mediating theory")
-    return Alignment(frozenset(map(tok, c.get("universe", ()))), t, g1, g2)
+# --- the form kinds -------------------------------------------------------------
 
+class _Form(NamedTuple):
+    """A form kind: its clauses in written order, each a shape or the kind of
+    form the clause refers to; build(form name, *the clauses' values), the
+    object; values(object), the clauses' values, None for one left out."""
 
-# kind -> parser(name, clauses, *the objects its references name, in table order, tok),
-# which parses the form's tokens, expressions and assignments with tok
-_PARSERS = {"language": _parse_language, "theory": _parse_theory, "model": _parse_model,
-            "logic": _parse_logic, "theory-morphism": _parse_theory_morphism,
-            "logic-morphism": _parse_logic_morphism, "alignment": _parse_alignment}
-
-
-def parse_document(text: str) -> Document:
-    """The document a text spells.
-
-    One token parser serves the call and goes with it, so each distinct
-    list is parsed once, as a token or as an assignment.  An error in a
-    token or an expression is raised naming the form it is in."""
-    doc = Document()
-    forms = parse_all(text)  # kept until this returns: the parser's memos name its lists by id
-    tok = _token_parser()
-    for form in forms:
-        if is_symbol(form) or len(form) < 2 or not is_symbol(form[0]) or not is_symbol(form[1]):
-            raise FormError("document",
-                            f"top-level form must be (kind name ...), got {_text(form)}")
-        kind, name = form[0], form[1]
-        if kind not in _PARSERS:
-            raise FormError(name, f"unknown form kind {kind}")
-        c = _clauses(name, form[2:], _CLAUSES[kind])
-        refs = [doc.get(_one(name, c, clause), ref_kind)
-                for clause, _, ref_kind in _REFERENCES[kind]]
-        try:
-            obj = _PARSERS[kind](name, c, *refs, tok)
-        except FormError as e:
-            if e.form in ("token", "expression"):  # raised inside this form: name it
-                raise FormError(name, e.message) from None
-            raise
-        except OntofuseError as e:  # a construction error: name its form, keep its class
-            e.args = (f"{kind} {name}: {e}",)
-            raise
-        doc.add(kind, name, obj)
-    return doc
-
-
-# --- rendering ----------------------------------------------------------------
-
-def _render_pairs(clause: str, pairs, tok) -> list:
-    return [clause] + [[tok(a), tok(b)] for (a, b) in pairs]
-
-
-def _render_assignment(a, key, tok) -> list:
-    return [[tok(x), tok(a[x])] for x in sorted_tokens(a, key)]
-
-
-# render_<kind>(name, obj, refs, key, tok) places the rendered reference
-# clauses refs where its kind writes them, orders tokens by key and renders
-# them with tok.
-
-def render_language(name: str, lang: TypeLanguage, refs: list, key, tok) -> list:
-    variables = sorted_tokens(lang.variables, key)
-    return ["language", name, *refs,
-            ["variables"] + [tok(x) for x in variables],
-            ["entity-types"] + [tok(a) for a in sorted_tokens(lang.entity_types, key)],
-            _render_pairs("reference", [(x, lang.reference[x]) for x in variables], tok),
-            ["relations"] + [[tok(r), [tok(x) for x in sorted_tokens(lang.arity[r], key)]]
-                             for r in sorted_tokens(lang.relation_types, key)]]
-
-
-def render_theory(name: str, t: Theory, refs: list, key, tok) -> list:
-    return ["theory", name, *refs,
-            ["axioms"] + [render_expression(a, key, tok) for a in sorted_tokens(t.axioms, key)]]
+    clauses: dict
+    build: Callable
+    values: Callable
 
 
 def _extent_faithful(m: Model, extents: dict) -> bool:
@@ -478,85 +382,160 @@ def _extent_faithful(m: Model, extents: dict) -> bool:
     return lax == len(m.relation_incidence)
 
 
-def render_model(name: str, m: Model, refs: list, key, tok) -> list:
-    out = ["model", name, *refs,
-           ["entities"] + [tok(e) for e in sorted_tokens(m.entities, key)],
-           _render_pairs("incidence", sorted_tokens(m.entity_incidence, key), tok)]
+def _model_values(m: Model) -> tuple:
+    """A model in extent form when its extents rebuild it, else in tuples form."""
     extents = {rho: m.relation_extent(rho) for rho in m.language.relation_types}
     if _extent_faithful(m, extents):
-        rendered = ["extents"]
-        for rho in sorted_tokens(m.language.relation_types, key):
-            rendered.append([tok(rho)] + [_render_assignment(a, key, tok)
-                                          for a in sorted_tokens(extents[rho], key)])
-        out.append(rendered)
         covered = frozenset().union(*extents.values())
-        extra = sorted_tokens([t for t in m.tuples if t not in covered], key)
-        if extra:
-            out.append(["extra-tuples"] + [_render_assignment(t, key, tok) for t in extra])
-        return out
-    tuples = ["tuples"]
-    for t in sorted_tokens(m.tuples, key):
-        val = m.tuple_valuation[t]
-        arity = sorted_tokens(val, key)
-        tuples.append([tok(t),
-                       ["arity"] + [tok(x) for x in arity],
-                       _render_pairs("valuation", [(x, val[x]) for x in arity], tok)])
-    out.append(tuples)
-    out.append(_render_pairs("relation-incidence", sorted_tokens(m.relation_incidence, key),
-                             tok))
+        extra = [t for t in m.tuples if t not in covered]
+        return m.language, m.entities, m.entity_incidence, extents, extra or None, None, None
+    tuples = {t: (val.keys(), val) for t, val in m.tuple_valuation.items()}
+    return m.language, m.entities, m.entity_incidence, None, None, tuples, m.relation_incidence
+
+
+def _build_model(name: str, lang, entities, incidence, extents, extra, tuples, rel_inc) -> Model:
+    if tuples is None and rel_inc is None:
+        return Model.from_extents(lang, entities, incidence, extents or {}, extra or ())
+    for clause, value in (("extents", extents), ("extra-tuples", extra)):
+        if value is not None:
+            raise FormError(name, f"clause {clause} in a model written in tuples form")
+    tuples = tuples or {}
+    raise_first_fault((t, f"tuple of {t!r} not total exactly on its arity")
+                      for t, (arity, val) in tuples.items() if val.keys() != arity)
+    m = Model(lang, entities, incidence, fdict({t: val for t, (_, val) in tuples.items()}),
+              rel_inc or frozenset())
+    m.check(well_sorted=False)
+    return m
+
+
+def _build_alignment(name: str, universe, t: Theory, g1: TheoryMorphism,
+                     g2: TheoryMorphism) -> Alignment:
+    if g1.source != t or g2.source != t:
+        raise FormError(name, "alignment links must start at the mediating theory")
+    return Alignment(universe, t, g1, g2)
+
+
+def _language_maps(lm: LanguageMorphism) -> tuple:
+    return lm.var_map, lm.entity_map, lm.relation_map, lm.refinement or None
+
+
+_LANGUAGE_MAPS = {"variables": _pair_map("variable map"), "entity-types": _pair_map("entity map"),
+                  "relations": _RELATION_MAP, "refinement": _FLAG}
+
+# Each form kind once: the reader, the writer and document_of all derive from it.
+_FORMS = {
+    "language": _Form(
+        {"variables": _TOKENS, "entity-types": _TOKENS, "reference": _pair_map("reference"),
+         "relations": _ARITIES},
+        lambda name, *values: TypeLanguage.make(*values),
+        lambda l: (l.variables, l.entity_types, l.reference, l.arity)),
+    "theory": _Form(
+        {"language": "language", "axioms": _EXPRESSIONS},
+        lambda name, *values: Theory.make(*values),
+        lambda t: (t.language, t.axioms)),
+    "model": _Form(
+        {"language": "language", "entities": _TOKENS, "incidence": _pair_set("incidence"),
+         "extents": _EXTENTS, "extra-tuples": _ASSIGNMENTS, "tuples": _TUPLES,
+         "relation-incidence": _pair_set("relation-incidence", absent=None)},
+        _build_model, _model_values),
+    "logic": _Form(
+        # each normal set is written only where it is narrower than the model's
+        {"theory": "theory", "model": "model", "normal-entities": _NARROWED,
+         "normal-tuples": _NARROWED},
+        lambda name, *values: Logic.make(*values),
+        lambda l: (l.theory, l.model,
+                   None if l.normal_entities == l.model.entities else l.normal_entities,
+                   None if l.normal_tuples == l.model.tuples else l.normal_tuples)),
+    "theory-morphism": _Form(
+        {"source": "theory", "target": "theory", **_LANGUAGE_MAPS},
+        lambda name, s, t, *maps: TheoryMorphism.make(
+            LanguageMorphism.make(s.language, t.language, *maps), s, t),
+        lambda g: (g.source, g.target, *_language_maps(g.language_morphism))),
+    "logic-morphism": _Form(
+        {"source": "logic", "target": "logic", **_LANGUAGE_MAPS,
+         "entity-map": _pair_map("entity map"), "tuple-map": _pair_map("tuple map")},
+        lambda name, s, t, *maps: LogicMorphism.make(
+            s, t, LanguageMorphism.make(s.language, t.language, *maps[:4]), *maps[4:]),
+        lambda f: (f.source, f.target, *_language_maps(f.language_morphism),
+                   f.entity_map, f.tuple_map)),
+    "alignment": _Form(
+        # the universe precedes the references, as in the corpus files
+        {"universe": _TOKENS, "mediating-theory": "theory", "left-link": "theory-morphism",
+         "right-link": "theory-morphism"},
+        _build_alignment,
+        lambda a: (a.universe, a.mediating_theory, a.left_link, a.right_link)),
+}
+
+
+# --- reading --------------------------------------------------------------------
+
+def _clauses(name: str, body, known) -> dict:
+    out = {}
+    for clause in body:
+        if is_symbol(clause) or not clause or not is_symbol(clause[0]):
+            raise FormError(name, f"expected a (key ...) clause, got {_text(clause)}")
+        if clause[0] not in known:
+            raise FormError(name, f"unknown clause {clause[0]}")
+        if clause[0] in out:
+            raise FormError(name, f"duplicate clause {clause[0]}")
+        out[clause[0]] = clause[1:]
     return out
 
 
-def render_logic(name: str, l: Logic, refs: list, key, tok) -> list:
-    out = ["logic", name, *refs]
-    if l.normal_entities != l.model.entities:
-        out.append(["normal-entities"] + [tok(e) for e in sorted_tokens(l.normal_entities, key)])
-    if l.normal_tuples != l.model.tuples:
-        out.append(["normal-tuples"] + [tok(t) for t in sorted_tokens(l.normal_tuples, key)])
+def _read_clause(doc: Document, name: str, clauses: dict, clause: str, shape, tok):
+    """One clause's value; a reference names exactly one earlier form of its kind."""
+    if isinstance(shape, str):
+        items = clauses.get(clause, ())
+        if len(items) != 1 or not is_symbol(items[0]):
+            raise FormError(name, f"expected exactly one symbol in ({clause} ...)")
+        return doc.get(items[0], shape)
+    return shape.read(name, clauses[clause], tok) if clause in clauses else shape.absent
+
+
+def parse_document(text: str) -> Document:
+    """The document a text spells, each form's clauses read in written order.
+
+    One token parser serves the call and goes with it, so each distinct
+    list is parsed once, as a token or as an assignment.  An error in a
+    token or an expression is raised naming the form it is in."""
+    doc = Document()
+    forms = parse_all(text)  # kept until this returns: the parser's memos name its lists by id
+    tok = _token_parser()
+    for form in forms:
+        if is_symbol(form) or len(form) < 2 or not is_symbol(form[0]) or not is_symbol(form[1]):
+            raise FormError("document",
+                            f"top-level form must be (kind name ...), got {_text(form)}")
+        kind, name = form[0], form[1]
+        if kind not in _FORMS:
+            raise FormError(name, f"unknown form kind {kind}")
+        table = _FORMS[kind]
+        c = _clauses(name, form[2:], table.clauses)
+        try:
+            obj = table.build(name, *[_read_clause(doc, name, c, clause, shape, tok)
+                                      for clause, shape in table.clauses.items()])
+        except FormError as e:
+            if e.form in ("token", "expression"):  # raised inside this form: name it
+                raise FormError(name, e.message) from None
+            raise
+        except OntofuseError as e:  # a construction error: name its form, keep its class
+            e.args = (f"{kind} {name}: {e}",)
+            raise
+        doc.add(kind, name, obj)
+    return doc
+
+
+# --- writing --------------------------------------------------------------------
+
+def _render_form(doc: Document, kind: str, name: str, key, tok) -> list:
+    """The form as a value, its tokens ordered by key and rendered by tok."""
+    out = [kind, name]
+    table = _FORMS[kind]
+    for (clause, shape), value in zip(table.clauses.items(), table.values(doc.objects[name])):
+        if isinstance(shape, str):
+            out.append([clause, _name_of(doc, value, shape)])
+        elif value is not None:
+            out.append([clause, *shape.write(value, key, tok)])
     return out
-
-
-def _render_language_maps(lm: LanguageMorphism, key, tok) -> list:
-    rel = ["relations"]
-    for r in sorted_tokens(lm.relation_map, key):
-        img = lm.relation_map[r]
-        rendered = ["expr", render_expression(img, key, tok)] if isinstance(img, Expression) \
-            else tok(img)
-        rel.append([tok(r), rendered])
-    out = [_render_pairs("variables", [(x, lm.var_map[x])
-                                       for x in sorted_tokens(lm.var_map, key)], tok),
-           _render_pairs("entity-types", [(a, lm.entity_map[a])
-                                          for a in sorted_tokens(lm.entity_map, key)], tok),
-           rel]
-    if lm.refinement:
-        out.append(["refinement"])
-    return out
-
-
-def render_theory_morphism(name: str, g: TheoryMorphism, refs: list, key, tok) -> list:
-    return ["theory-morphism", name, *refs] + \
-        _render_language_maps(g.language_morphism, key, tok)
-
-
-def render_logic_morphism(name: str, f: LogicMorphism, refs: list, key, tok) -> list:
-    return ["logic-morphism", name, *refs] + \
-        _render_language_maps(f.language_morphism, key, tok) + \
-        [_render_pairs("entity-map", [(e, f.entity_map[e])
-                                      for e in sorted_tokens(f.entity_map, key)], tok),
-         _render_pairs("tuple-map", [(t, f.tuple_map[t])
-                                     for t in sorted_tokens(f.tuple_map, key)], tok)]
-
-
-def render_alignment(name: str, a: Alignment, refs: list, key, tok) -> list:
-    # the universe precedes the references, as in the corpus files
-    return ["alignment", name,
-            ["universe"] + [tok(e) for e in sorted_tokens(a.universe, key)],
-            *refs]
-
-
-_RENDERERS = {"language": render_language, "theory": render_theory, "model": render_model,
-              "logic": render_logic, "theory-morphism": render_theory_morphism,
-              "logic-morphism": render_logic_morphism, "alignment": render_alignment}
 
 
 def serialize_document(doc: Document) -> str:
@@ -570,13 +549,7 @@ def serialize_document(doc: Document) -> str:
     out each shared list on one line once, wherever that line fits."""
     key = _memo_key()
     tok = _token_renderer(key)
-    forms = []
-    for kind, name in doc.order:
-        obj = doc.objects[name]
-        refs = [[clause, _name_of(doc, getattr(obj, attr), ref_kind)]
-                for clause, attr, ref_kind in _REFERENCES[kind]]
-        forms.append(_RENDERERS[kind](name, obj, refs, key, tok))
-    return write_all(forms)
+    return write_all([_render_form(doc, kind, name, key, tok) for kind, name in doc.order])
 
 
 def _held_name(doc: Document, obj, kind: str):
@@ -600,9 +573,10 @@ def document_of(kind: str, name: str, obj) -> Document:
     doc = Document()
 
     def add(kind, form, obj):
-        for _, attr, ref_kind in _REFERENCES[kind]:
-            if _held_name(doc, getattr(obj, attr), ref_kind) is None:
-                add(ref_kind, f"{name}-{ref_kind}", getattr(obj, attr))
+        table = _FORMS[kind]
+        for ref_kind, value in zip(table.clauses.values(), table.values(obj)):
+            if isinstance(ref_kind, str) and _held_name(doc, value, ref_kind) is None:
+                add(ref_kind, f"{name}-{ref_kind}", value)
         doc.add(kind, form, obj)
 
     add(kind, name, obj)

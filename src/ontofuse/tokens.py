@@ -66,25 +66,33 @@ def _memo_key():
     symbols and such composites: equal tokens of those kinds have equal
     keys, while other tokens can be equal with unequal keys (1 == True).
     """
-    memo = {}
-    unkept = 0  # keys computed and not kept
+    return _MemoKey().key
 
-    def key(t):
-        nonlocal unkept
+
+class _MemoKey:
+    """A memo key's state, its key a method: a closure that passed itself
+    on would refer to itself, and leave its memo to the cyclic collector."""
+
+    __slots__ = ("memo", "unkept")
+
+    def __init__(self):
+        self.memo = {}
+        self.unkept = 0  # keys computed and not kept
+
+    def key(self, t):
         kind = type(t)
         if kind is str:
             return ("str", t)
         if kind is not tuple and kind is not frozenset and kind is not FrozenDict:
-            unkept += 1  # neither t's key nor that of a token holding t is kept
-            return _key(t, key)
-        k = memo.get(t)
+            self.unkept += 1  # neither t's key nor that of a token holding t is kept
+            return _key(t, self.key)
+        k = self.memo.get(t)
         if k is None:
-            before = unkept
-            k = _key(t, key)
-            if unkept == before:
-                memo[t] = k
+            before = self.unkept
+            k = _key(t, self.key)
+            if self.unkept == before:
+                self.memo[t] = k
         return k
-    return key
 
 
 def sorted_tokens(ts: Iterable[Token], key=token_key) -> list:

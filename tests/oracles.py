@@ -18,7 +18,7 @@ import dataclasses
 import itertools
 from types import SimpleNamespace
 
-from ontofuse.document import _REFERENCES, _RENDERERS, FormError, _name_of
+from ontofuse.document import FormError, _render_form
 from ontofuse.language import (And, Atomic, Exists, Forall, Implies, Not, Or,
                                Subst)
 from ontofuse.errors import (AgreementFailure, BudgetExceeded, DomainMismatch,
@@ -820,14 +820,10 @@ def naive_write(v, indent: int) -> tuple[str, str]:
 
 
 def naive_serialize(doc) -> str:
-    """serialize_document with no memo: the forms' renderers given
-    naive_render_token, and their values laid out by naive_write."""
-    forms = []
-    for kind, name in doc.order:
-        obj = doc.objects[name]
-        refs = [[clause, _name_of(doc, getattr(obj, attr), ref_kind)]
-                for clause, attr, ref_kind in _REFERENCES[kind]]
-        forms.append(_RENDERERS[kind](name, obj, refs, token_key, naive_render_token))
+    """serialize_document with no memo: each form rendered with
+    naive_render_token, and its value laid out by naive_write."""
+    forms = [_render_form(doc, kind, name, token_key, naive_render_token)
+             for kind, name in doc.order]
     return "\n\n".join(naive_write(f, 0)[1] for f in forms) + "\n"
 
 
