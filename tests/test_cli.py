@@ -122,6 +122,8 @@ def test_check_rejects_a_tuple_whose_arity_is_not_its_valuations_domain(tmp_path
     assert out == f"{path}: fail: model M: tuple of 'l1' not total exactly on its arity\n"
 
 
+ONE_SORT_LANGUAGE = ("(language W (variables x) (entity-types T) (reference (x T)) "
+                     "(relations (R (x))))\n")
 EXTENTS_LANGUAGE = ("(language W (variables x y) (entity-types Person Company) "
                     "(reference (x Person) (y Company)) (relations (WorksFor (x y))))\n"
                     "(model M (language W) (entities bob acme) "
@@ -183,8 +185,23 @@ def test_check_names_the_token_order_first_offender_under_every_hash_seed(seed_r
      "form M: clause extra-tuples in a model written in tuples form"),
     (check_model("(extents (WorksFor ((x bob) (y acme)))) (relation-incidence)"),
      "form M: clause extents in a model written in tuples form"),
+    (check_model("(tuples (t (arity x y)))"),
+     "form M: tuple entry must be (TOKEN (arity ...) (valuation ...)), got (t (arity x y))"),
+    (check_model("(extents WorksFor)"),
+     "form M: extent entry must be (R assignments...), got WorksFor"),
+    # a form's clauses are read in written order: the extents' fault is met
+    # before the clash of the two model forms
+    (check_model("(extents WorksFor) (tuples)"),
+     "form M: extent entry must be (R assignments...), got WorksFor"),
+    (seeded(["check", "extents.iff"], {"extents.iff": ONE_SORT_LANGUAGE + """\
+(theory T1 (language W) (axioms))
+(theory T2 (language W) (axioms (atom R)))
+(theory-morphism g (source T1) (target T2) (variables (x x)) (entity-types (T T)) (relations (R R)))
+(alignment A (universe) (mediating-theory T2) (left-link g) (right-link g))
+"""}), "form A: alignment links must start at the mediating theory"),
 ], ids=["misspelled", "unknown", "tuple-entry", "extra-tuples-with-tuples",
-        "extents-with-relation-incidence"])
+        "extents-with-relation-incidence", "tuple-entry-shape", "extent-entry",
+        "two-faults-extents-first", "alignment-links"])
 def test_check_refuses_an_unknown_clause_or_mixed_model_forms(seed_runs, run, message):
     assert seed_runs[run] == Outcome(1, f"extents.iff: fail: {message}\n", "", None)
 
@@ -259,8 +276,7 @@ def test_integrate_writes_a_refuted_edge_in_document_syntax_as_check_does(seed_r
         seed_runs[REFUTED_LINK_CHECK].out
 
 
-BOGUS_THEORY = ("(language W (variables x) (entity-types T) (reference (x T)) "
-                "(relations (R (x))))\n(theory T (language W) (axioms (bogus (atom R))))\n")
+BOGUS_THEORY = ONE_SORT_LANGUAGE + "(theory T (language W) (axioms (bogus (atom R))))\n"
 
 
 @pytest.mark.parametrize("run, out, err", [
@@ -273,7 +289,19 @@ BOGUS_THEORY = ("(language W (variables x) (entity-types T) (reference (x T)) "
     (seeded(["entails", "bogus.iff", "--theory", "T", "--query", "(bogus (atom R))"],
             {"bogus.iff": BOGUS_THEORY.replace("(bogus (atom R))", "")}),
      "", "error: form expression: unknown expression form (bogus (atom R))\n"),
-], ids=["expression", "token", "map-entry", "query"])
+    (seeded(["check", "bogus.iff"], {"bogus.iff": BOGUS_THEORY.replace("(bogus (atom R))", "x")}),
+     "bogus.iff: fail: form T: expected an expression, got x\n", ""),
+    (seeded(["check", "bogus.iff"], {"bogus.iff": BOGUS_THEORY.replace("(bogus (atom R))", "") +
+                                     "(theory-morphism g (source T) (target T) (variables (x x))"
+                                     " (entity-types (T T)) (relations (R (expr))))\n"}),
+     "bogus.iff: fail: form g: expected (expr EXPRESSION)\n", ""),
+    # a form's clauses are read in written order: the variables' bad token
+    # is met before the malformed relation entry
+    (seeded(["check", "bogus.iff"], {"bogus.iff": "(language W (variables x (bogus y)) "
+                                     "(entity-types T) (reference (x T)) (relations (R)))\n"}),
+     "bogus.iff: fail: form W: expected a token, got (bogus y)\n", ""),
+], ids=["expression", "token", "map-entry", "query", "axiom-symbol", "expr-image",
+        "two-faults-variables-first"])
 def test_a_bad_token_or_expression_is_named_by_its_form_in_document_syntax(seed_runs, run,
                                                                             out, err):
     assert seed_runs[run] == Outcome(1, out, err, None)

@@ -1,5 +1,6 @@
 """The S-expression ontology format: parsing, canonical serialization."""
 import contextlib
+import gc
 import io
 import pathlib
 import random
@@ -245,10 +246,14 @@ def test_unresolved_reference_rejected():
 
 # --- structured tokens --------------------------------------------------------------
 
+class _Symbol(str):
+    """A str subclass, which the reader and the writer take for a symbol."""
+
+
 def test_token_round_trip():
     for tok in ("plain", frozenset({"a", "b"}), ("pair", "of"),
                 fdict({"x": "bob"}),
-                frozenset({("t", "u"), "v"})):
+                frozenset({("t", "u"), "v"}), _Symbol("sym")):
         assert parse_token(render_token(tok)) == tok
 
 
@@ -562,16 +567,54 @@ def test_a_bad_token_fails_with_one_message_every_time_it_is_met(bad, message):
         assert str(err.value) == f"form M: {message}"
 
 
-@pytest.mark.parametrize("bad", [("a", True), ("a", 1), frozenset({True}), frozenset({1}),
-                                 fdict({"x": True}), ("a", ("b", 1))], ids=repr)
-def test_a_token_holding_a_number_fails_to_render_every_time(bad):
+@pytest.mark.parametrize("bad, shown", [pytest.param(bad, shown, id=repr(bad)) for bad, shown in [
+    (("a", True), "True"), (("a", 1), "1"), (frozenset({True}), "True"), (frozenset({1}), "1"),
+    (fdict({"x": True}), "True"), (("a", ("b", 1)), "1"),
+    # unhashable, so no token
+    (["a"], "['a']"), (("a", ["b"]), "['b']")]])
+def test_a_token_holding_a_number_fails_to_render_every_time(bad, shown):
     tok = document._token_renderer(token_key)
     assert tok(("a", "b")) is tok(("a", "b"))
     for _ in range(2):
-        with pytest.raises(FormError, match="cannot render token"):
-            tok(bad)
-        with pytest.raises(FormError, match="cannot render token"):
-            render_token(bad)
+        for render in (tok, render_token):
+            with pytest.raises(FormError) as err:
+                render(bad)
+            assert str(err.value) == f"form token: cannot render token {shown}"
+
+
+def test_reading_and_writing_leave_nothing_for_the_cyclic_collector():
+    """The reader, the writer and their memos form no reference cycles, so
+    all they make goes as soon as it is no longer used."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for text in CORPUS_TEXTS:
+            serialize_document(parse_document(text))
+        render_token(("a", frozenset({"b"})))
+        parse_token(["tuple", "a", ["set", "b"]])
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _unheld_reference() -> Document:
+    """A theory without the form of its language."""
+    doc = Document()
+    doc.add("theory", "T", Theory.make(w_language(), []))
+    return doc
+
+
+@pytest.mark.parametrize("write, message", [
+    (lambda: render_expression("R"), "form expression: cannot render 'R'"),
+    (lambda: serialize_document(_unheld_reference()),
+     "form language: no language form holds the referenced object"),
+], ids=["not-an-expression", "unheld-reference"])
+def test_the_writer_refuses_what_it_cannot_write(write, message):
+    with pytest.raises(FormError) as err:
+        write()
+    assert str(err.value) == message
 
 
 # --- differential and fuzz --------------------------------------------------------------
