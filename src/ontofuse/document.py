@@ -573,10 +573,11 @@ def document_of(kind: str, name: str, obj) -> Document:
     doc = Document()
 
     def add(kind, form, obj):
-        table = _FORMS[kind]
-        for ref_kind, value in zip(table.clauses.values(), table.values(obj)):
-            if isinstance(ref_kind, str) and _held_name(doc, value, ref_kind) is None:
-                add(ref_kind, f"{name}-{ref_kind}", value)
+        for clause, ref_kind in _FORMS[kind].clauses.items():
+            if isinstance(ref_kind, str):  # named after the attribute that holds its object
+                value = getattr(obj, clause.replace("-", "_"))
+                if _held_name(doc, value, ref_kind) is None:
+                    add(ref_kind, f"{name}-{ref_kind}", value)
         doc.add(kind, form, obj)
 
     add(kind, name, obj)
