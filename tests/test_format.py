@@ -567,19 +567,16 @@ def test_a_bad_token_fails_with_one_message_every_time_it_is_met(bad, message):
         assert str(err.value) == f"form M: {message}"
 
 
-@pytest.mark.parametrize("bad, shown", [pytest.param(bad, shown, id=repr(bad)) for bad, shown in [
-    (("a", True), "True"), (("a", 1), "1"), (frozenset({True}), "True"), (frozenset({1}), "1"),
-    (fdict({"x": True}), "True"), (("a", ("b", 1)), "1"),
-    # unhashable, so no token
-    (["a"], "['a']"), (("a", ["b"]), "['b']")]])
-def test_a_token_holding_a_number_fails_to_render_every_time(bad, shown):
+@pytest.mark.parametrize("bad", [("a", True), ("a", 1), frozenset({True}), frozenset({1}),
+                                 fdict({"x": True}), ("a", ("b", 1))], ids=repr)
+def test_a_token_holding_a_number_fails_to_render_every_time(bad):
     tok = document._token_renderer(token_key)
     assert tok(("a", "b")) is tok(("a", "b"))
     for _ in range(2):
-        for render in (tok, render_token):
-            with pytest.raises(FormError) as err:
-                render(bad)
-            assert str(err.value) == f"form token: cannot render token {shown}"
+        with pytest.raises(FormError, match="cannot render token"):
+            tok(bad)
+        with pytest.raises(FormError, match="cannot render token"):
+            render_token(bad)
 
 
 def test_reading_and_writing_leave_nothing_for_the_cyclic_collector():
@@ -607,10 +604,13 @@ def _unheld_reference() -> Document:
 
 
 @pytest.mark.parametrize("write, message", [
+    # unhashable, so no token
+    (lambda: render_token(["a"]), "form token: cannot render token ['a']"),
+    (lambda: render_token(("a", ["b"])), "form token: cannot render token ['b']"),
     (lambda: render_expression("R"), "form expression: cannot render 'R'"),
     (lambda: serialize_document(_unheld_reference()),
      "form language: no language form holds the referenced object"),
-], ids=["not-an-expression", "unheld-reference"])
+], ids=["unhashable", "unhashable-member", "not-an-expression", "unheld-reference"])
 def test_the_writer_refuses_what_it_cannot_write(write, message):
     with pytest.raises(FormError) as err:
         write()
