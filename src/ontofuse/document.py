@@ -358,6 +358,11 @@ class _Form(NamedTuple):
     values: Callable
 
 
+def _own_valuations(m: Model) -> bool:
+    """Is every tuple a FrozenDict that is its own valuation?"""
+    return all(isinstance(t, FrozenDict) and v == t for t, v in m.tuple_valuation.items())
+
+
 def _extent_faithful(m: Model, extents: dict) -> bool:
     """Does from_extents on the derived extents, with m's other tuples as
     extra tuples, rebuild this exact model?
@@ -368,7 +373,7 @@ def _extent_faithful(m: Model, extents: dict) -> bool:
     every tuple is well-sorted, and the relation incidence is the lax one.
     """
     val = m.tuple_valuation
-    if not all(isinstance(t, FrozenDict) and v == t for t, v in val.items()):
+    if not _own_valuations(m):
         return False
     if not all(row in val for rows in extents.values() for row in rows):
         return False
@@ -384,11 +389,12 @@ def _extent_faithful(m: Model, extents: dict) -> bool:
 
 def _model_values(m: Model) -> tuple:
     """A model in extent form when its extents rebuild it, else in tuples form."""
-    extents = {rho: m.relation_extent(rho) for rho in m.language.relation_types}
-    if _extent_faithful(m, extents):
-        covered = frozenset().union(*extents.values())
-        extra = [t for t in m.tuples if t not in covered]
-        return m.language, m.entities, m.entity_incidence, extents, extra or None, None, None
+    if _own_valuations(m):
+        extents = {rho: m.relation_extent(rho) for rho in m.language.relation_types}
+        if _extent_faithful(m, extents):
+            covered = frozenset().union(*extents.values())
+            extra = [t for t in m.tuples if t not in covered]
+            return m.language, m.entities, m.entity_incidence, extents, extra or None, None, None
     tuples = {t: (val.keys(), val) for t, val in m.tuple_valuation.items()}
     return m.language, m.entities, m.entity_incidence, None, None, tuples, m.relation_incidence
 

@@ -5,9 +5,9 @@ as bounded countermodel search over finite models whose entity sets are
 prefixes of a canonical token sequence.  Verdicts carry the bound, so
 incompleteness is explicit.  The search evaluates each axiom and query
 once per block of a skeleton's candidates, on masks with one bit per
-candidate (see :class:`_Skeleton`).  A skeleton is a bare Model built
-without validation; a validated Model (by :meth:`Model.from_extents`)
-is built only for a countermodel it returns.  A block holds at most
+candidate (see :class:`_Skeleton`).  A skeleton is no Model; a
+validated Model (by :meth:`Model.from_extents`) is built only for a
+countermodel it returns.  A block holds at most
 2**16 candidates, whatever the budget, and lists only the subsets of
 rows they choose, so its masks cost its rows times its size, never
 2**rows.  The budget counts candidates,
@@ -19,12 +19,14 @@ membership rows are sorted and whose entity types that no variable
 refers to are empty (MACE-style symmetry breaking; Claessen & Sorensson
 2003).  No expression tells a skipped choice from the earlier one that
 sorting its rows or clearing those types gives, so the first
-countermodel over every choice is never skipped.
+countermodel over every choice is never skipped.  Nor does it build a
+skeleton that holds an entity of no sort (see :func:`_verdicts`).
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -34,7 +36,7 @@ from .language import (Expression, LanguageEndorelation, LanguageMorphism,
                        language_morphism_valid, language_quotient, language_sum,
                        translate_expression, well_formed)
 from .model import Model, _compile, satisfies
-from .tokens import fdict, sorted_tokens
+from .tokens import sorted_tokens
 
 DEFAULT_BUDGET = 10000
 
@@ -131,12 +133,12 @@ class _Block:
 
 @dataclass(frozen=True)
 class _Skeleton:
-    """One entity-incidence choice: its bare Model without relation
-    instances, built unvalidated and read for its entities, incidence and
-    sort pools; the relation types in token order with each one's
-    well-sorted rows (value tuples in the arity order, drawn from the
-    sort pools); and each axiom and query, compiled once per search,
-    paired with the well-sorted assignments on its free variables.
+    """One entity-incidence choice: its entities and its sort pools,
+    built from their membership rows; the relation types in token
+    order with each one's well-sorted rows (value tuples in the arity
+    order, drawn from the sort pools); and each axiom and query, compiled
+    once per search, paired with the well-sorted assignments on its free
+    variables, plain dicts that the compiled closures only read.
 
     Its candidates come in the order of ``itertools.product`` over the
     relation types' pools, each pool holding every subset of a type's
@@ -148,7 +150,9 @@ class _Skeleton:
     only the subsets its candidates choose (see :func:`_row_masks`).
     """
 
-    model: Model
+    language: TypeLanguage
+    entities: tuple
+    pools: dict  # entity type -> its entities, in token order
     rows: dict  # relation type, in token order -> its rows
     axioms: list  # of (compiled expression, assignments)
     queries: list  # of (compiled expression, assignments)
@@ -162,18 +166,18 @@ class _Skeleton:
             masks[rho] = dict(zip(rows, _row_masks(
                 n, base // stride % (1 << n), min(1 << n, size // spread), spread, size)))
             stride <<= n
-        return _Block(masks, self.model._pools, size)
+        return _Block(masks, self.pools, size)
 
     def model_at(self, block: _Block, c: int) -> Model:
         """The block's candidate c as a validated Model: its extents are
         the rows whose block mask has bit c set, so
         :meth:`Model.from_extents` classifies exactly the subsets it
         chooses."""
-        m = self.model
-        order = m.language.arity_order
+        order = self.language.arity_order
         extents = {rho: [zip(order[rho], row) for row, mask in masks.items() if mask >> c & 1]
                    for rho, masks in block._masks.items()}
-        return Model.from_extents(m.language, m.entities, m.entity_incidence, extents)
+        incidence = [(e, a) for a, es in self.pools.items() for e in es]
+        return Model.from_extents(self.language, self.entities, incidence, extents)
 
 
 def _every(block: _Block, compiled: list, mask: int) -> int:
@@ -205,7 +209,11 @@ def _verdicts(t: Theory, queries: list, max_entities: int, budget: int) -> dict:
     entity-incidence choice has an earlier one with the same truth value
     for every expression: swapping two out-of-order entities, or clearing
     an unread type, lowers the bit vector, and entities reach evaluation
-    only through the sort pools and the rows.
+    only through the sort pools and the rows.  Nor is a skeleton built
+    whose _e0 is of no sort (row ``memberships[0]``, all False): without
+    _e0 it is one at n - 1, searched in full before.  Its candidates
+    still count against the budget, from the pool sizes alone, so the
+    budget stops the search where it would if they were evaluated.
 
     Each block of a skeleton's candidates (see :class:`_Skeleton`)
     evaluates every axiom once, then each open query once: the query's
@@ -227,31 +235,40 @@ def _verdicts(t: Theory, queries: list, max_entities: int, budget: int) -> dict:
         raise ValueError("max_entities must be >= 0")
     exceeded = f"model enumeration exceeded {budget} candidates"
     lang = t.language
-    compiled_axioms = [(_compile(lang, e), free_vars(lang, e)) for e in t.axioms]
-    compiled_queries = [(_compile(lang, e), free_vars(lang, e)) for e in queries]
+    sort = lang.reference
+
+    def compiled(e):  # e compiled, with its free variables in token order and their sorts
+        dom = sorted_tokens(free_vars(lang, e))
+        return _compile(lang, e), dom, [sort[x] for x in dom]
+
+    def assigned(fs, pools):  # each compiled expression with its well-sorted assignments
+        return [(f, [dict(zip(dom, v)) for v in itertools.product(*[pools[a] for a in ss])])
+                for f, dom, ss in fs]
+    axioms, query_forms = list(map(compiled, t.axioms)), list(map(compiled, queries))
+    columns = {rho: [sort[x] for x in lang.arity_order[rho]]
+               for rho in sorted_tokens(lang.relation_types)}
     sorts = sorted_tokens(lang.entity_types)
-    rhos = sorted_tokens(lang.relation_types)
-    read = set(lang.reference.values())
+    read = set(sort.values())
     memberships = list(itertools.product(*[(False, True) if a in read else (False,)
                                            for a in sorts]))
     open_queries = list(range(len(queries)))
     seen = 0
     for n in range(max_entities + 1):
-        entities = [f"_e{i}" for i in range(n)]
-        for membership_rows in itertools.combinations_with_replacement(memberships, n):
-            incidence = [(e, a) for e, row in zip(entities, membership_rows)
-                         for a, bit in zip(sorts, row) if bit]
-            # nothing Model.check rejects can occur: no tuples, every pair in range
-            skeleton = Model(lang, frozenset(entities), frozenset(incidence), fdict(), frozenset())
-            sk = _Skeleton(skeleton,
-                           {rho: list(itertools.product(*[skeleton._pools[lang.reference[x]]
-                                                          for x in lang.arity_order[rho]]))
-                            for rho in rhos},
-                           [(f, skeleton.well_sorted_assignments(fv))
-                            for f, fv in compiled_axioms],
-                           [(f, skeleton.well_sorted_assignments(fv))
-                            for f, fv in compiled_queries])
-            total = sum(map(len, sk.rows.values()))
+        entities = tuple(f"_e{i}" for i in range(n))
+        for membership in itertools.combinations_with_replacement(memberships, n):
+            pools = {a: tuple(sorted_tokens(e for e, row in zip(entities, membership) if row[k]))
+                     for k, a in enumerate(sorts)}
+            total = sum(math.prod(len(pools[a]) for a in cs) for cs in columns.values())
+            if n and membership[0] == memberships[0]:
+                # _e0 is of no sort: its candidates are counted, not evaluated
+                seen += 1 << total
+                if seen > budget:
+                    raise BudgetExceeded(exceeded)
+                continue
+            sk = _Skeleton(lang, entities, pools,
+                           {rho: list(itertools.product(*[pools[a] for a in cs]))
+                            for rho, cs in columns.items()},
+                           assigned(axioms, pools), assigned(query_forms, pools))
             size = 1 << min(total, _BLOCK_BITS)
             for base in range(0, 1 << total, size):
                 if seen >= budget:
@@ -281,8 +298,10 @@ def entails(t: Theory, e: Expression, max_entities: int,
     m is the first countermodel in enumeration order, built by
     Model.from_extents and re-checked with satisfies.  The search skips
     entity-incidence choices that are renamings of an earlier one or that
-    populate an entity type no variable refers to (see :func:`_verdicts`):
-    none of them can hold the first countermodel.
+    populate an entity type no variable refers to, and evaluates no
+    skeleton holding an entity of no sort (see :func:`_verdicts`): none
+    of them can hold the first countermodel.  That skeleton's candidates,
+    none refutable there, still count against the budget.
     """
     return _verdicts(t, [e], max_entities, budget)[e]
 

@@ -1,6 +1,7 @@
 """Theories: bounded entailment, morphism and refinement checks, sums, quotients."""
 import itertools
 import random
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -286,6 +287,47 @@ def test_entailment_counts_one_entity_ordering_per_skeleton():
         entails(t, query, 2, budget=22)
 
 
+@pytest.mark.parametrize("sorts, arity, built", [(["T"], ("x",), 4), (["A", "B"], ("x", "y"), 20)],
+                         ids=["one-sort", "two-sort"])
+def test_no_skeleton_holding_an_entity_of_no_sort_is_built(monkeypatch, sorts, arity, built):
+    # up to 3 entities, each of no sort or of some of the sorts: one sort
+    # gives 4 skeletons whose every entity is of T, two sorts give the
+    # 1 + 3 + 6 + 10 multisets of the 3 non-empty membership rows; each
+    # other skeleton, without its entity of no sort, is one searched before
+    lang = TypeLanguage.make(VARS, sorts, {"x": sorts[0], "y": sorts[-1]}, {"r": arity})
+    t = Theory.make(lang, [])
+    query = Implies(Atomic("r"), Atomic("r"))
+    skeletons = []
+    skeleton = theory._Skeleton
+    monkeypatch.setattr(theory, "_Skeleton", lambda *args: skeletons.append(skeleton(*args)) or
+                        skeletons[-1])
+    assert entails(t, query, 3, budget=100_000) == NoCounterexampleUpTo(3)
+    assert len(skeletons) == built
+    assert all(set(sk.entities) == set().union(*sk.pools.values()) for sk in skeletons)
+
+
+def test_the_budget_counts_the_candidates_of_a_skipped_skeleton():
+    # one unary relation over T: n entities of which k are of T give 2**k
+    # candidates, so bound 3 counts 1 + 3 + 7 + 15 = 26, of which the
+    # skeletons whose every entity is of T hold 1 + 2 + 4 + 8; the budget
+    # of 11 runs out at _e0 .. _e2 all outside T, a skipped skeleton, and
+    # that of 25 at the last one, all in T
+    lang = TypeLanguage.make(["x"], ["T"], {"x": "T"}, {"r": ("x",)})
+    t = Theory.make(lang, [])
+    query = Implies(Atomic("r"), Atomic("r"))
+    assert entails(t, query, 3, budget=26) == NoCounterexampleUpTo(3)
+    for budget in (11, 25):
+        with pytest.raises(BudgetExceeded, match=f"^model enumeration exceeded {budget} candidates$"):
+            entails(t, query, 3, budget=budget)
+
+
+def test_a_query_off_the_theory_language_is_refused_by_its_text():
+    t = parse_document((CORPUS / "employment.iff").read_text()).get("TW", "theory")
+    with pytest.raises(DomainMismatch, match="^" + re.escape(
+            "query Atomic(relation='Nope') is not well-formed over the theory's language") + "$"):
+        entails(t, Atomic("Nope"), 2)
+
+
 def per_axiom_outcome(g, bound, budget):
     """What theory_morphism_valid gave when each axiom had its own search."""
     per_axiom = []
@@ -543,6 +585,14 @@ def test_a_refuted_morphism_names_its_token_order_first_refuted_axiom():
     refuted = [a for a, v in verdict.per_axiom if isinstance(v, Refuted)]
     assert sorted_tokens(refuted) == sorted_tokens([Not(Atomic("p")), Atomic("p")])
     assert verdict.detail == ("axiom", sorted_tokens(refuted)[0])
+
+
+def test_a_morphism_between_other_languages_is_refused_by_its_text():
+    t = prop_theory([])
+    other = Theory.make(w_language(), [])
+    with pytest.raises(DomainMismatch,
+                       match="^language morphism does not connect the theories' languages$"):
+        TheoryMorphism.make(identity_language_morphism(t.language), t, other)
 
 
 def test_refinement_morphism_preserves_axiom():
