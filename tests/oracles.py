@@ -39,7 +39,7 @@ from ontofuse.sexpr import WIDTH
 from ontofuse.theory import (DEFAULT_BUDGET, NoCounterexampleUpTo, Refuted, Theory,
                              TheoryMorphism, _countermodel, identity_theory_morphism,
                              theory_morphism_valid)
-from ontofuse.tokens import FrozenDict, fdict, sorted_tokens, token_key
+from ontofuse.tokens import FrozenDict, fdict, sorted_tokens
 
 
 # --- naive first-order evaluation --------------------------------------------
@@ -788,7 +788,7 @@ def naive_extent_faithful(m, extents):
 
 # --- the writer before its memos ---------------------------------------------------
 
-def naive_render_token(t, key=token_key):
+def naive_render_token(t, key=naive_token_key):
     """t as a value, every member rendered afresh, each time it is met."""
     if isinstance(t, str):
         return t
@@ -822,7 +822,7 @@ def naive_write(v, indent: int) -> tuple[str, str]:
 def naive_serialize(doc) -> str:
     """serialize_document with no memo: each form rendered with
     naive_render_token, and its value laid out by naive_write."""
-    forms = [_render_form(doc, kind, name, token_key, naive_render_token)
+    forms = [_render_form(doc, kind, name, naive_token_key, naive_render_token)
              for kind, name in doc.order]
     return "\n\n".join(naive_write(f, 0)[1] for f in forms) + "\n"
 
