@@ -549,10 +549,11 @@ def serialize_document(doc: Document) -> str:
     the first form of its kind holding an equal object, not the same one.
 
     Two memos serve the call and go with it.  One key orders every token
-    and remembers the keys it works out, and one renderer renders each
-    distinct composite token once, giving every occurrence the same list;
-    the model sums meet each token many times over.  write_all then lays
-    out each shared list on one line once, wherever that line fits."""
+    by its one-string token_key and remembers the key of each token object
+    but a symbol, and one renderer renders each distinct composite token
+    once, giving every occurrence the same list; the model sums meet each
+    token many times over.  write_all then lays out each shared list on
+    one line once, wherever that line fits."""
     key = _memo_key()
     tok = _token_renderer(key)
     return write_all([_render_form(doc, kind, name, key, tok) for kind, name in doc.order])

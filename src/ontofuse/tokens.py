@@ -3,8 +3,9 @@
 Instances, types, variables and entities are opaque hashable tokens:
 plain symbols (strings), positional tags, pairs, frozensets of tokens,
 or tuples of tokens.  Constructions that need a canonical order (class
-naming, serialization) use :func:`token_key`, a total order on the
-token universe that is stable across runs.
+naming, serialization) use :func:`token_key`, which gives each token one
+string, stable across runs: plain string order on these keys is a total
+order on the token universe.
 """
 from __future__ import annotations
 
@@ -25,47 +26,80 @@ def rtag(t: Token) -> Token:
     return (RIGHT, t)
 
 
-def token_key(t: Token) -> tuple:
-    """Total order key over the token universe.
+def token_key(t: Token) -> str:
+    """Total order key over the token universe: one string, so that plain
+    string order on keys is token order.
 
-    Orders by kind first, then recursively; frozensets compare by their
-    sorted member keys, so the order is independent of insertion order.
+    Orders by kind first (bool, dataclass, int, map, set, str, tuple, in
+    the order of those names), then by value: tuples by their members,
+    frozensets and maps by their sorted member and entry keys, so the
+    order is independent of insertion order.
     """
     if type(t) is str:
-        return ("str", t)
+        return _STR + _symbol(t)
     return _key(t, token_key)
 
 
-def _key(t: Token, sub) -> tuple:
+# Each kind's tag, the tags ordered as the kinds' names are.
+_BOOL, _DC, _INT, _MAP, _SET, _STR, _TUPLE = "1234567"
+# Ends a symbol, a composite's members and a dataclass's fields.  It sorts
+# below every other character of a key, so of two keys that agree up to
+# where one ends, that one sorts first.
+_END = "\x00"
+# A symbol's \x00 and \x01 become \x01\x01 and \x01\x02: an escaped symbol
+# holds no _END, and its characters keep their order.
+_ESCAPE = str.maketrans({"\x00": "\x01\x01", "\x01": "\x01\x02"})
+# A negative int's digits, complemented so that larger magnitudes sort lower.
+_COMPLEMENT = str.maketrans("0123456789abcdef", "fedcba9876543210")
+
+
+def _symbol(s: str) -> str:
+    """s escaped, then ended: ordered as the symbols are, and a prefix of no
+    other symbol's."""
+    if "\x00" in s or "\x01" in s:
+        s = s.translate(_ESCAPE)
+    return s + _END
+
+
+def _int(n: int) -> str:
+    """n's sign, then its hex digit count (the count's own length, one hex
+    digit, then the count), then its digits, all complemented when n is
+    negative: prefix-free, and ordered as the ints are."""
+    digits = format(abs(n), "x")
+    count = format(len(digits), "x")
+    magnitude = format(len(count) - 1, "x") + count + digits
+    return "p" + magnitude if n >= 0 else "n" + magnitude.translate(_COMPLEMENT)
+
+
+def _key(t: Token, sub) -> str:
     """t's token_key, with sub giving the keys of its members.  The kinds
     are tested most common first: a token is of at most one of them, but
-    for a bool, which is also an int and so is tested for first."""
+    for a bool, which is also an int and so is tested for first.  Every
+    key is prefix-free, so members' keys joined compare as their tuple."""
     if isinstance(t, tuple):
-        return ("tuple", tuple(map(sub, t)))
+        return _TUPLE + "".join(map(sub, t)) + _END
     if isinstance(t, FrozenDict):
-        return ("map", tuple(sorted(zip(map(sub, t), map(sub, t.values())))))
+        return _MAP + "".join(sorted(map(str.__add__, map(sub, t), map(sub, t.values())))) + _END
     if isinstance(t, frozenset):
-        return ("set", tuple(sorted(map(sub, t))))
+        return _SET + "".join(sorted(map(sub, t))) + _END
     if isinstance(t, str):
-        return ("str", t)
+        return _STR + _symbol(t)
     if isinstance(t, bool):
-        return ("bool", t)
+        return _BOOL + ("1" if t else "0")
     if isinstance(t, int):
-        return ("int", t)
+        return _INT + _int(t)
     if dataclasses.is_dataclass(t) and not isinstance(t, type):
-        return ("dc", type(t).__name__,
-                tuple(sub(getattr(t, f.name)) for f in dataclasses.fields(t)))
+        return (_DC + _symbol(type(t).__name__)
+                + "".join(sub(getattr(t, f.name)) for f in dataclasses.fields(t)) + _END)
     raise TypeError(f"unorderable token: {t!r}")
 
 
 def _memo_key():
-    """A token_key that remembers the key of each composite token it meets,
-    for one piece of work whose sorts meet the same tokens many times.
-
-    It keeps only the keys of tuples, frozensets and FrozenDicts built of
-    symbols and such composites: equal tokens of those kinds have equal
-    keys, while other tokens can be equal with unequal keys (1 == True).
-    """
+    """A token_key that remembers the key of each token object it meets
+    but symbols, for one piece of work whose sorts meet the same tokens
+    many times.  Keys are kept by the token's id, with the token held so
+    that no other token takes its id: equal tokens with unequal keys
+    (1 == True) never share one, and no token is hashed."""
     return _MemoKey().key
 
 
@@ -73,30 +107,25 @@ class _MemoKey:
     """A memo key's state, its key a method: a closure that passed itself
     on would refer to itself, and leave its memo to the cyclic collector."""
 
-    __slots__ = ("memo", "unkept")
+    __slots__ = ("keys", "held")
 
     def __init__(self):
-        self.memo = {}
-        self.unkept = 0  # keys computed and not kept
+        self.keys = {}  # id(t) -> t's key
+        self.held = []  # each token in keys, so that its id is not reused
 
     def key(self, t):
-        kind = type(t)
-        if kind is str:
-            return ("str", t)
-        if kind is not tuple and kind is not frozenset and kind is not FrozenDict:
-            self.unkept += 1  # neither t's key nor that of a token holding t is kept
-            return _key(t, self.key)
-        k = self.memo.get(t)
+        if type(t) is str:
+            return _STR + _symbol(t)
+        k = self.keys.get(id(t))
         if k is None:
-            before = self.unkept
-            k = _key(t, self.key)
-            if self.unkept == before:
-                self.memo[t] = k
+            k = self.keys[id(t)] = _key(t, self.key)
+            self.held.append(t)
         return k
 
 
 def sorted_tokens(ts: Iterable[Token], key=token_key) -> list:
-    """The tokens in token order; key is token_key or one that agrees with it."""
+    """The tokens in token order; key is token_key or one that gives the same
+    strings, such as the _memo_key() of one piece of work."""
     return sorted(ts, key=key)
 
 

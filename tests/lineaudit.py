@@ -24,7 +24,7 @@ import sys
 import tempfile
 
 # The audited modules of the ontofuse package; add a name to audit one more.
-MODULES = ("document", "theory")
+MODULES = ("document", "theory", "tokens")
 
 # (module, a line's text without its indentation) -> why no test runs it.
 ALLOWED: dict = {}

@@ -637,6 +637,29 @@ def _wide_token_document() -> Document:
     return document_of("model", "M", m)
 
 
+def _escaped_symbol_document() -> Document:
+    """A model whose symbols hold \\x00, \\x01 or \\x02, each a prefix of others:
+    the characters the token key escapes, and the first it does not."""
+    names = ["a", "a\x00", "a\x01", "a\x02", "a\x01b", "a\x01\x02", "\x01", "\x02a", "a\x01\x01"]
+    entities = names + [(n, "a\x01") for n in names] + [("a",), ("a", "b")]
+    lang = TypeLanguage.make(["x", "x\x01"], ["T", "T\x01"], {"x": "T", "x\x01": "T\x01"},
+                             {"R": {"x", "x\x01"}, "R\x02": {"x"}})
+    incidence = [(e, "T") for e in entities] + [(e, "T\x01") for e in entities[::2]]
+    rows = [fdict({"x": e, "x\x01": f}) for e in entities[:6] for f in entities[::2]]
+    m = Model.from_extents(lang, entities, incidence,
+                           {"R": rows, "R\x02": [fdict({"x": e}) for e in entities[1::3]]})
+    return document_of("model", "M\x01", m)
+
+
+def test_symbols_holding_escaped_characters_read_back_and_write_as_the_oracle_does():
+    doc = _escaped_symbol_document()
+    text = serialize_document(doc)
+    assert text == naive_serialize(doc)
+    assert "a\x01\x02" in text
+    again = parse_document(text)
+    assert again.order == doc.order and again.objects == doc.objects
+
+
 def _built_documents() -> list:
     """Documents built in memory: 30 seeded model sums, the fused logics
     of the practical scenarios, and each corpus document's forms added
