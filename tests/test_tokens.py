@@ -21,7 +21,8 @@ class Tagged:
 
 
 class Symbol(str):
-    pass
+    def __str__(self):  # a key reads the characters, never str()
+        return "symbol " + str.__str__(self)
 
 
 Pair = namedtuple("Pair", "left right")
