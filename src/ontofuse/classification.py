@@ -152,15 +152,15 @@ def class_groups(cls: Mapping) -> list[list]:
     return list(groups.values())
 
 
-def first_clash(elements: Iterable, cls: Mapping, value: Callable) -> Optional[tuple]:
+def first_clash(elements: Iterable, cls: Mapping, value: Callable) -> tuple:
     """The token-order-first element whose value differs from that of its
-    class's token-order-first member, and that member; None if all agree."""
+    class's token-order-first member, and that member.  Callers call it
+    once they have found a clash, so there is one."""
     firsts: dict = {}
     for e in sorted_tokens(elements):
         first = firsts.setdefault(cls[e], e)
         if value(e) != value(first):
             return e, first
-    return None
 
 
 def classification_quotient(c: Classification, j: ClassificationInvariant,

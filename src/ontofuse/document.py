@@ -20,7 +20,7 @@ from .logic import Logic, LogicMorphism
 from .model import Model, _lax_incidence, fdict
 from .sexpr import MAX_DEPTH, is_symbol, parse_all, write_all, write_value
 from .theory import Theory, TheoryMorphism
-from .tokens import FrozenDict, _memo_key, sorted_tokens, token_key
+from .tokens import FrozenDict, _MemoKey, sorted_tokens, token_key
 
 
 class FormError(OntofuseError):
@@ -71,12 +71,12 @@ _RESERVED = {"set", "tuple", "map"}
 
 def render_token(t):
     """t as a value, the members of its sets and maps in token order."""
-    return _token_renderer(token_key)(t)
+    return _TokenRenderer(token_key).tok(t)
 
 
-def _token_renderer(key):
-    """render_token for one piece of work, which renders each composite
-    token once: equal tokens get one shared list.
+class _TokenRenderer:
+    """Its tok is render_token for one piece of work, which renders each
+    composite token once: equal tokens get one shared list.
 
     The memo is a plain dict, sound because the only tokens rendered are
     symbols, tuples, frozensets and FrozenDicts, among which equal tokens
@@ -84,10 +84,7 @@ def _token_renderer(key):
     to 1) raises FormError, and a failure is never kept.  tok is a method,
     as a closure that passed itself on would leave its memo in a cycle.
     """
-    return _TokenRenderer(key).tok
 
-
-class _TokenRenderer:
     def __init__(self, key):
         self.key, self.memo = key, {}
 
@@ -119,23 +116,21 @@ def _render_composite(t, key, tok):
 
 def parse_token(v):
     """The token the value v spells."""
-    return _token_parser()(v)
+    return _TokenParser().tok(v)
 
 
-def _token_parser():
-    """parse_token for one piece of work, which parses each list once.
+class _TokenParser:
+    """Its tok is parse_token for one piece of work, which parses each
+    list once.
 
     tok(v) is the token v spells; tok(v, name) is instead the assignment
     (a FrozenDict) that v spells in the form named name.  Each is kept in
     a plain dict from the list's id, sound while every list parsed lives:
     parse_document's read tree lives until it returns, and parse_all
     makes equal lists one object, so each distinct list is parsed once.
-    A failure is never kept.  tok is a method, as in _token_renderer.
+    A failure is never kept.  tok is a method, as in _TokenRenderer.
     """
-    return _TokenParser().tok
 
-
-class _TokenParser:
     def __init__(self):
         self.tokens, self.assignments = {}, {}
 
@@ -177,7 +172,7 @@ _QUANT_HEADS = {"exists": Exists, "forall": Forall}
 def render_expression(e: Expression, key=token_key, tok=None):
     """e as a value; key orders tokens and tok, if given, renders them."""
     if tok is None:
-        tok = _token_renderer(key)
+        tok = _TokenRenderer(key).tok
     if isinstance(e, Atomic):
         return ["atom", tok(e.relation)]
     if isinstance(e, Not):
@@ -195,7 +190,7 @@ def render_expression(e: Expression, key=token_key, tok=None):
 
 def parse_expression(v):
     """The expression an S-expression value spells, at most MAX_DEPTH deep."""
-    return _parse_expression(v, _token_parser())
+    return _parse_expression(v, _TokenParser().tok)
 
 
 def _parse_expression(v, tok, depth: int = 1):
@@ -506,7 +501,7 @@ def parse_document(text: str) -> Document:
     token or an expression is raised naming the form it is in."""
     doc = Document()
     forms = parse_all(text)  # kept until this returns: the parser's memos name its lists by id
-    tok = _token_parser()
+    tok = _TokenParser().tok
     for form in forms:
         if is_symbol(form) or len(form) < 2 or not is_symbol(form[0]) or not is_symbol(form[1]):
             raise FormError("document",
@@ -554,8 +549,8 @@ def serialize_document(doc: Document) -> str:
     once, giving every occurrence the same list; the model sums meet each
     token many times over.  write_all then lays out each shared list on
     one line once, wherever that line fits."""
-    key = _memo_key()
-    tok = _token_renderer(key)
+    key = _MemoKey().key
+    tok = _TokenRenderer(key).tok
     return write_all([_render_form(doc, kind, name, key, tok) for kind, name in doc.order])
 
 

@@ -80,10 +80,12 @@ class SoundnessViolation(OntofuseError):
 
 
 class EdgeInvalid(OntofuseError):
-    """A named edge of an alignment diagram failed its validity check."""
+    """A named edge of an alignment diagram failed its validity check; the
+    witness is a sentence, or the detail of the verdict that refutes it."""
 
     def __init__(self, edge, witness):
-        super().__init__(f"edge {edge} is not a valid morphism: {witness!r}")
+        super().__init__(f"edge {edge}: {witness}" if isinstance(witness, str)
+                         else f"edge {edge} is not a valid morphism: {witness!r}")
         self.edge = edge
         self.witness = witness
 

@@ -192,7 +192,9 @@ def counit(l: Logic, budget: int = DEFAULT_BUDGET) -> LogicMorphism:
     """Canonical morphism from the free logic over th(l) back to the sound logic l.
 
     Identity on types; an entity goes to its intent, a tuple to the pair
-    of its arity and its intent, each a token of the free logic.
+    of its arity and its intent, each a token of the free logic.  A tuple
+    whose pair fails an axiom there has no image; SoundnessViolation names
+    the token-order-first such tuple.
     """
     if not is_sound(l):
         raise SoundnessViolation("the counit requires a sound logic")
@@ -201,9 +203,10 @@ def counit(l: Logic, budget: int = DEFAULT_BUDGET) -> LogicMorphism:
     tuple_intent = l.model.relation_classification().intent
     tuple_map = {t: (frozenset(val), tuple_intent(t))
                  for t, val in l.model.tuple_valuation.items()}
-    for tok in tuple_map.values():
-        if tok not in free.model.tuples:
-            raise SoundnessViolation(f"image token {tok!r} was abnormal in the free logic")
+    abnormal = [t for t, tok in tuple_map.items() if tok not in free.model.tuples]
+    if abnormal:
+        raise SoundnessViolation(f"the image of tuple {sorted_tokens(abnormal)[0]!r} "
+                                 "was abnormal in the free logic")
     return LogicMorphism.make(free, l, identity_language_morphism(l.language),
                               {e: entity_intent(e) for e in l.model.entities}, tuple_map)
 

@@ -255,8 +255,10 @@ def _verdicts(t: Theory, queries: list, max_entities: int, budget: int) -> dict:
     seen = 0
     for n in range(max_entities + 1):
         entities = tuple(f"_e{i}" for i in range(n))
+        # each pool filters the entities in token order, where _e10 precedes _e2
+        ranked = [(e, entities.index(e)) for e in sorted_tokens(entities)]
         for membership in itertools.combinations_with_replacement(memberships, n):
-            pools = {a: tuple(sorted_tokens(e for e, row in zip(entities, membership) if row[k]))
+            pools = {a: tuple(e for e, i in ranked if membership[i][k])
                      for k, a in enumerate(sorts)}
             total = sum(math.prod(len(pools[a]) for a in cs) for cs in columns.values())
             if n and membership[0] == memberships[0]:

@@ -94,18 +94,14 @@ def _key(t: Token, sub) -> str:
     raise TypeError(f"unorderable token: {t!r}")
 
 
-def _memo_key():
-    """A token_key that remembers the key of each token object it meets
-    but symbols, for one piece of work whose sorts meet the same tokens
-    many times.  Keys are kept by the token's id, with the token held so
-    that no other token takes its id: equal tokens with unequal keys
-    (1 == True) never share one, and no token is hashed."""
-    return _MemoKey().key
-
-
 class _MemoKey:
-    """A memo key's state, its key a method: a closure that passed itself
-    on would refer to itself, and leave its memo to the cyclic collector."""
+    """Its key is a token_key that remembers the key of each token object
+    it meets but symbols, for one piece of work whose sorts meet the same
+    tokens many times.  Keys are kept by the token's id, with the token
+    held so that no other token takes its id: equal tokens with unequal
+    keys (1 == True) never share one, and no token is hashed.  The key is
+    a method: a closure that passed itself on would refer to itself, and
+    leave its memo to the cyclic collector."""
 
     __slots__ = ("keys", "held")
 
@@ -125,7 +121,7 @@ class _MemoKey:
 
 def sorted_tokens(ts: Iterable[Token], key=token_key) -> list:
     """The tokens in token order; key is token_key or one that gives the same
-    strings, such as the _memo_key() of one piece of work."""
+    strings, such as the _MemoKey().key of one piece of work."""
     return sorted(ts, key=key)
 
 

@@ -1,13 +1,13 @@
-"""The lines of chosen ontofuse modules that a test run leaves unrun.
+"""The lines of the ontofuse package that a test run leaves unrun.
 
 Run as a script, this module runs pytest in this process under a
 ``sys.settrace`` line collector, and in every Python child the tests
 start: a ``sitecustomize`` module put first on ``PYTHONPATH`` starts the
-collector there too.  It then lists each executable line of the modules
-in ``MODULES`` that no process ran, from each code object's
-``co_lines()``, and exits 1 if a listed line is not in ``ALLOWED``.  The
-standard library is all it needs; tracing makes the tests about three
-times slower.
+collector there too.  It then lists each executable line of every
+``*.py`` file of the package that no process ran, from each code
+object's ``co_lines()``, and exits 1 if a listed line is not in
+``ALLOWED``.  The standard library is all it needs; tracing makes the
+tests about three times slower.
 
     PYTHONPATH=src python tests/lineaudit.py [pytest arguments]
 
@@ -23,17 +23,15 @@ import pathlib
 import sys
 import tempfile
 
-# The audited modules of the ontofuse package; add a name to audit one more.
-MODULES = ("document", "theory", "tokens")
-
 # (module, a line's text without its indentation) -> why no test runs it.
 ALLOWED: dict = {}
 
 
 def _module_paths() -> dict:
-    """Each audited module's real path -> its name, found without importing it."""
+    """Each module of the ontofuse package: its real path -> its name, found
+    without importing it."""
     package = pathlib.Path(importlib.util.find_spec("ontofuse").origin).parent
-    return {os.path.realpath(package / f"{m}.py"): m for m in MODULES}
+    return {os.path.realpath(p): p.stem for p in package.glob("*.py")}
 
 
 def start(out_dir: str):

@@ -877,7 +877,7 @@ def two_fusion_practical_integrate(l1, l2, c, t, g1, g2, bound, budget):
     verdict = logic_morphism_valid(comparison, bound, budget)
     if not verdict:
         raise AgreementFailure(f"comparison morphism invalid: {verdict.detail!r}")
-    return result, _report(k, km, comparison, fused, (m1, m2), bound, budget)
+    return result, _report(k, km, comparison, fused, (m1, m2))
 
 
 def one_fusion_practical_integrate(l1, l2, c, t, g1, g2, bound, budget):
@@ -918,13 +918,12 @@ def one_fusion_practical_integrate(l1, l2, c, t, g1, g2, bound, budget):
     result = IntegrationResult(fused, v1, v2,
                                compose_logic_morphisms(link1, v1),
                                compose_logic_morphisms(link2, v2))
-    return result, _report(k, km, comparison, fused, (m1, m2), bound, budget)
+    return result, _report(k, km, comparison, fused, (m1, m2))
 
 
-def _report(k, km, comparison, fused, inclusions, bound, budget):
+def _report(k, km, comparison, fused, inclusions):
     """A practical report whose comparison morphism is the one given,
     stored where the report caches the one it would build on first read."""
-    report = PracticalReport(k, km, fused.theory, fused.model.entities,
-                             fused, inclusions, bound, budget)
+    report = PracticalReport(k, km, fused.theory, fused.model.entities, fused, inclusions)
     vars(report)["comparison"] = comparison
     return report

@@ -173,6 +173,14 @@ def test_quotient_by_empty_relation_is_identity():
     assert infomorphism_valid(canon)[0]
 
 
+def test_quotient_keeps_only_instances_of_the_classification():
+    c = Classification.make(["a"], ["s", "t"], [("a", "s")])
+    j = ClassificationInvariant.make(["a", "ghost"], ())
+    with pytest.raises(DomainMismatch,
+                       match="^invariant instance subset not contained in instances$"):
+        classification_quotient(c, j)
+
+
 def test_quotient_respect_violation():
     c = Classification.make(["a"], ["s", "t"], [("a", "s")])
     j = ClassificationInvariant.make(["a"], [("s", "t")])

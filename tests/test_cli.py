@@ -671,6 +671,160 @@ def test_quotient_error_names_one_witness_under_every_hash_seed(seed_runs, run, 
     assert seed_runs[run] == Outcome(1, "", f"error: {message}\n", None)
 
 
+# --- each input check a command reaches ------------------------------------------------
+
+FIXTURE = CORPUS_FILES["fixture.iff"]
+UNSOUND_L1 = FIXTURE.replace("(logic L1 (theory TW) (model M1))",
+                             "(logic L1 (theory TW) (model M1) (normal-entities acme bob))")
+# T's axiom puts every pair in Emp, and neither community's pair is in its image
+EMP_AXIOM = FIXTURE.replace("(theory T (language T-lang) (axioms))",
+                            "(theory T (language T-lang) (axioms (atom Emp)))").replace(
+    "(extents (WorksFor ((x bob) (y acme))))", "(extents (WorksFor)) (extra-tuples ((x bob) (y acme)))"
+).replace("(extents (EmployedBy ((x bob) (y acme))))",
+          "(extents (EmployedBy)) (extra-tuples ((x bob) (y acme)))")
+
+
+# the fibers of t differ in arity, whose variables are named in token order
+ARITY = """\
+(language W (variables x y) (entity-types T) (reference (x T) (y T)) (relations))
+(theory TW (language W) (axioms))
+(model M1 (language W) (entities a b) (incidence (a T) (b T))
+  (tuples (t (arity x y) (valuation (x a) (y b)))) (relation-incidence))
+(model M2 (language W) (entities a b) (incidence (a T) (b T))
+  (tuples (t (arity y) (valuation (y b)))) (relation-incidence))
+(logic L1 (theory TW) (model M1))
+(logic L2 (theory TW) (model M2))
+(theory-morphism g (source TW) (target TW) (variables (x x) (y y)) (entity-types (T T))
+  (relations))
+(alignment A (universe a b) (mediating-theory TW) (left-link g) (right-link g))
+"""
+
+
+def fixture_run(text: str, command: str, *options: str):
+    """``ontofuse <command> doc.iff <options> -o out.iff``, doc.iff holding text."""
+    return seeded([command, "doc.iff", *options, "-o", "out.iff"], {"doc.iff": text})
+
+
+@pytest.mark.parametrize("run, message", [
+    (fixture_run(FIXTURE, "quotient", "--of", "L1", "--identify-relation", "WorksFor X",
+                 "WorksFor"), "expected one token, got 'WorksFor X'"),
+    (seeded(["entails", "doc.iff", "--theory", "TW", "--query", "(atom WorksFor) (atom WorksFor)"],
+            {"doc.iff": FIXTURE}), "--query must be a single expression"),
+    (fixture_run(FIXTURE, "sum", "--left", "L1", "--right", "TW"),
+     "sum requires two logics or two theories"),
+    (fixture_run(FIXTURE, "quotient", "--of", "M1"), "quotient requires a logic or a theory"),
+    (fixture_run(FIXTURE, "quotient", "--of", "L1", "--keep-entities", "ghost"),
+     "invariant subsets exceed the model's instances"),
+    (fixture_run(FIXTURE, "restrict", "--logic", "L1", "--to", "ghost"),
+     "restriction set is not a subset of the universe"),
+    (fixture_run(FIXTURE, "fiber", "--morphism", "g1", "--logic", "L2"),
+     "g's target theory must be the logic's theory"),
+    (fixture_run(UNSOUND_L1, "fiber", "--morphism", "g1", "--logic", "L1"),
+     "reclassification along g requires a sound logic"),
+    (fixture_run(FIXTURE, "integrate", "--left", "L2", "--right", "L1", "--alignment", "A"),
+     "edge left alignment link: endpoints do not match the diagram"),
+    (fixture_run(UNSOUND_L1, "integrate", "--left", "L1", "--right", "L2", "--alignment", "A"),
+     "edge left community: not sound"),
+    (fixture_run(FIXTURE, "integrate", "--left", "L2", "--right", "L1", "--alignment", "A",
+                 "--practical"), "alignment links must target the community theories"),
+    (fixture_run(EMP_AXIOM, "integrate", "--left", "L1", "--right", "L2", "--alignment", "A",
+                 "--practical"),
+     "the image of tuple {'x': 'bob', 'y': 'acme'} was abnormal in the free logic"),
+    (fixture_run(ARITY, "integrate", "--left", "L1", "--right", "L2", "--alignment", "A",
+                 "--practical"),
+     "community interpretations disagree: tuple arity differ at ('t', ('x', 'y'))"),
+], ids=["cli-token", "query", "sum", "quotient", "keep-entities", "restrict", "fiber-target",
+        "fiber-unsound", "edge-endpoints", "edge-unsound", "practical-targets", "counit",
+        "agreement-arity"])
+def test_a_command_refusing_its_input_says_why_under_every_hash_seed(seed_runs, run, message):
+    assert seed_runs[run] == Outcome(1, "", f"error: {message}\n", None)
+
+
+ONE_LOGIC = """\
+(language W (variables x y) (entity-types T) (reference (x T) (y T))
+  (relations (R (x y)) (S (x))))
+(theory TW (language W) (axioms))
+(model M (language W) (entities a b) (incidence (a T) (b T)) (extents (R ((x a) (y b)))))
+"""
+ENDO = "(theory-morphism g (source TW) (target TW) (variables (x x) (y y)) (entity-types (T T))"
+FORMS_OK = "".join(f"doc.iff: ok: {form}\n" for form in ("language W", "theory TW", "model M"))
+
+
+def check_doc(text: str):
+    return seeded(["check", "doc.iff"], {"doc.iff": text})
+
+
+@pytest.mark.parametrize("run, out", [
+    (check_doc(ONE_LOGIC + "(language V (variables x) (entity-types T) (reference (x T)) "
+               "(relations))\n(theory TV (language V) (axioms))\n(logic L (theory TV) (model M))\n"),
+     "doc.iff: fail: logic L: theory and model do not share a language\n"),
+    (check_doc(ONE_LOGIC + "(logic L (theory TW) (model M) (normal-entities a ghost))\n"),
+     "doc.iff: fail: logic L: normal entities exceed the universe\n"),
+    (check_doc(ONE_LOGIC + "(logic L (theory TW) (model M) (normal-tuples ghost))\n"),
+     "doc.iff: fail: logic L: normal tuples exceed the tuples\n"),
+    (check_doc(ONE_LOGIC + "(model N (language W) (entities a) (incidence (a T)) "
+               "(tuples (t (arity x) (valuation (x a)))) (relation-incidence (t R)))\n"),
+     "doc.iff: fail: model N: 't' classified by 'R' of larger arity\n"),
+    (check_doc(ONE_LOGIC + ENDO + " (relations (R R)))\n"),
+     FORMS_OK + "doc.iff: fail: theory-morphism g: relation map not total on source relation "
+     "types\n"),
+    (check_doc(ONE_LOGIC + ENDO + " (relations (R R) (S (expr (atom S)))))\n"),
+     FORMS_OK + "doc.iff: fail: theory-morphism g: relation 'S' maps to an expression without "
+     "the refinement flag\n"),
+    (check_doc(ONE_LOGIC + ENDO + " (relations (R R) (S (expr (atom Nope)))) (refinement))\n"),
+     FORMS_OK + "doc.iff: fail: theory-morphism g: image of 'S' is not well-formed over the "
+     "target\n"),
+    (check_doc(ONE_LOGIC + ENDO + " (relations (R R) (S Nope)))\n"),
+     FORMS_OK + "doc.iff: fail: theory-morphism g: relation map leaves target relation types "
+     "at 'S'\n"),
+    # y and x both go to x, so x is captured by the binder of y
+    (check_doc(ONE_LOGIC.replace("(axioms)", "(axioms (exists y (atom R)))") +
+               "(theory TS (language W) (axioms))\n(theory-morphism g (source TW) (target TS) "
+               "(variables (x x) (y x)) (entity-types (T T)) (relations (R S) (S S)))\n"),
+     FORMS_OK + "doc.iff: ok: theory TS\n"
+     "doc.iff: fail: theory-morphism g: binder 'y' captures ['x'] under translation\n"),
+    # the substitution's slots x and y both go to x, and their values z and y do not
+    (check_doc("(language Z (variables x y z) (entity-types T) (reference (x T) (y T) (z T)) "
+               "(relations (R (x))))\n(theory TZ (language Z) (axioms))\n"
+               "(theory TS (language Z) (axioms (subst ((x z) (y y)) (atom R))))\n"
+               "(theory-morphism g (source TS) (target TZ) (variables (x x) (y x) (z z)) "
+               "(entity-types (T T)) (relations (R R)))\n"),
+     "doc.iff: ok: language Z\ndoc.iff: ok: theory TZ\ndoc.iff: ok: theory TS\n"
+     "doc.iff: fail: theory-morphism g: substitution slots collide at 'x'\n"),
+    # the image of fN's t has arity {x, y}, the source t {x}; the image of
+    # fP's t, in R, has the source t of the same arity in no relation
+    (check_doc(ONE_LOGIC + """\
+(logic L (theory TW) (model M))
+(model N (language W) (entities a b) (incidence (a T) (b T))
+  (tuples (t (arity x) (valuation (x a)))) (relation-incidence))
+(logic LN (theory TW) (model N))
+(logic-morphism fN (source L) (target LN) (variables (x x) (y y)) (entity-types (T T))
+  (relations (R R) (S S)) (entity-map (a a) (b b)) (tuple-map (t (map (x a) (y b)))))
+(model P (language W) (entities a b) (incidence (a T) (b T))
+  (tuples (t (arity x y) (valuation (x a) (y b)))) (relation-incidence))
+(logic LP (theory TW) (model P))
+(logic-morphism fP (source LP) (target L) (variables (x x) (y y)) (entity-types (T T))
+  (relations (R R) (S S)) (entity-map (a a) (b b)) (tuple-map ((map (x a) (y b)) t)))
+"""),
+     FORMS_OK + "doc.iff: ok: logic L\ndoc.iff: ok: model N\ndoc.iff: ok: logic LN\n"
+     "doc.iff: fail: logic-morphism fN: model: arity-preimage t\n"
+     "doc.iff: ok: model P\ndoc.iff: ok: logic LP\n"
+     "doc.iff: fail: logic-morphism fP: model: relation (map (x a) (y b)) R\n"),
+], ids=["logic-language", "normal-entities", "normal-tuples", "larger-arity",
+        "relation-map-partial", "expression-unflagged", "expression-ill-formed",
+        "relation-outside", "binder-capture", "subst-slots", "logic-morphism-model"])
+def test_check_says_why_a_form_is_refused_under_every_hash_seed(seed_runs, run, out):
+    assert seed_runs[run] == Outcome(1, out, "", None)
+
+
+def test_a_bound_that_is_no_integer_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["check", str(CORPUS / "fixture.iff"), "--bound", "two"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "ontofuse check: error: argument --bound: not an integer: 'two'\n")
+
+
 MUTATION_RNG = random.Random(20)
 MUTATED_CHECKS = [seeded(["check", "mutated.iff"], {"mutated.iff": mutate(
     MUTATION_RNG, MUTATION_RNG.choice(list(CORPUS_FILES.values())))}) for _ in range(30)]

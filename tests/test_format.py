@@ -551,7 +551,7 @@ def test_parsing_a_model_sum_parses_each_distinct_composite_token_once(monkeypat
     (["map", ["x", "a"], ["x", "b"]], "map gives x two values, a and b"),
 ], ids=["head", "empty", "member", "map-entry", "map-key"])
 def test_a_bad_token_fails_with_one_message_every_time_it_is_met(bad, message):
-    tok = document._token_parser()
+    tok = document._TokenParser().tok
     good = ["tuple", "a", ["set", "b"]]
     assert tok(good) is tok(good) == ("a", frozenset({"b"}))
     text = ("(language L (variables x) (entity-types T) (reference (x T)) (relations (R (x))))\n"
@@ -570,7 +570,7 @@ def test_a_bad_token_fails_with_one_message_every_time_it_is_met(bad, message):
 @pytest.mark.parametrize("bad", [("a", True), ("a", 1), frozenset({True}), frozenset({1}),
                                  fdict({"x": True}), ("a", ("b", 1))], ids=repr)
 def test_a_token_holding_a_number_fails_to_render_every_time(bad):
-    tok = document._token_renderer(token_key)
+    tok = document._TokenRenderer(token_key).tok
     assert tok(("a", "b")) is tok(("a", "b"))
     for _ in range(2):
         with pytest.raises(FormError, match="cannot render token"):

@@ -1,6 +1,7 @@
 """End-to-end integration: alignment diagrams, unification, practical path."""
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +11,8 @@ from ontofuse.errors import (AgreementFailure, DomainMismatch, EdgeInvalid,
 from ontofuse.language import (Atomic, Exists, LanguageEndorelation, LanguageMorphism,
                                TypeLanguage)
 from ontofuse import integration, logic
-from ontofuse.integration import build_alignment, practical_integrate, unify
+from ontofuse.integration import (_check_agreement, build_alignment, practical_integrate,
+                                  unify)
 from ontofuse.logic import (Logic, LogicMorphism, compose_logic_morphisms,
                             counit, fiber, fusion,
                             identity_logic_morphism, is_sound, logic_sum,
@@ -21,8 +23,8 @@ from ontofuse.theory import (DEFAULT_BUDGET, Theory, TheoryMorphism,
 from ontofuse.tokens import fdict, ltag, rtag, sorted_tokens
 
 from fixtures import (CORPUS, VARS, alignment_links, permuted_practical_scenarios,
-                      practical_scenarios, rand_span, separated_logic, w_logic, wp_logic,
-                      wp_language)
+                      practical_scenarios, rand_span, separated_logic, w_language, w_logic,
+                      wp_logic, wp_language)
 from oracles import (logics_isomorphic, morphisms_equal,
                      one_fusion_practical_integrate, self_integration,
                      trivial_integration, two_fusion_practical_integrate)
@@ -111,10 +113,31 @@ def test_unsound_community_rejected():
     l1, l2, t, g1, g2 = alignment_links()
     partial = Logic(l1.theory, l1.model, frozenset({"bob", "acme"}),
                     l1.model.tuples)
-    with pytest.raises(EdgeInvalid):
+    with pytest.raises(EdgeInvalid) as err:
         build_alignment(partial, l2, partial, l2,
                         identity_logic_morphism(partial),
                         identity_logic_morphism(l2), t, g1, g2, 1)
+    assert str(err.value) == "edge left community: not sound"
+
+
+def test_a_portal_link_between_other_logics_is_rejected_by_name():
+    l1, l2, t, g1, g2 = alignment_links()
+    with pytest.raises(EdgeInvalid) as err:
+        build_alignment(l1, l2, l1, l2, identity_logic_morphism(l2),
+                        identity_logic_morphism(l2), t, g1, g2, 1)
+    assert str(err.value) == "edge left portal link: endpoints do not match the diagram"
+
+
+def test_an_invalid_portal_link_is_rejected_by_name_and_witness():
+    l1, l2, t, g1, g2 = alignment_links()
+    f = identity_logic_morphism(l1)
+    bad = LogicMorphism.make(l1, l1, f.language_morphism, {**f.entity_map, "acme": "bob"},
+                             f.tuple_map)
+    with pytest.raises(EdgeInvalid) as err:
+        build_alignment(l1, l2, l1, l2, bad, identity_logic_morphism(l2), t, g1, g2, 1)
+    witness = ("model", ("entity", "acme", "Company"))
+    assert (err.value.edge, err.value.witness) == ("left portal link", witness)
+    assert str(err.value) == f"edge left portal link is not a valid morphism: {witness!r}"
 
 
 # --- unification -----------------------------------------------------------------
@@ -297,6 +320,58 @@ def test_practical_keeps_only_diagonal_tuples():
     assert (result, report) == two_fusion_practical_integrate(*scenario, 1, DEFAULT_BUDGET)
 
 
+def test_practical_links_must_join_the_mediating_theory_to_the_communities():
+    l1, l2, c, t, g1, g2 = practical_fixture()
+    other = Theory.make(t.language, [Exists("x", Exists("y", Atomic("Emp")))])
+    with pytest.raises(DomainMismatch,
+                       match="^alignment links must start at the mediating theory$"):
+        practical_integrate(l1, l2, c, other, g1, g2, 1)
+    with pytest.raises(DomainMismatch,
+                       match="^alignment links must target the community theories$"):
+        practical_integrate(l1, l2, c, t, g2, g1, 1)
+
+
+def agreement_logic(**fields):
+    """A fiber-like logic over bob, acme and zoe with one tuple t, all of it
+    normal, the given fields of its model replaced."""
+    lang = w_language()
+    m = replace(Model(lang, frozenset({"acme", "bob", "zoe"}),
+                      frozenset({("acme", "Company"), ("bob", "Person"), ("zoe", "Person")}),
+                      fdict({"t": fdict({"x": "bob", "y": "acme"})}),
+                      frozenset({("t", "WorksFor")})), **fields)
+    return Logic(Theory.make(lang, []), m, m.entities, m.tuples)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"entities": frozenset({"acme", "ann", "bob", "zoe"})}, "entities differ at 'ann'"),
+    ({"entity_incidence": frozenset({("acme", "Company"), ("bob", "Person"), ("zoe", "Person"),
+                                     ("zoe", "Company")})},
+     "entity incidence differ at ('zoe', 'Company')"),
+    ({"tuple_valuation": fdict({"t": fdict({"x": "bob", "y": "acme"}),
+                                "u": fdict({"x": "zoe", "y": "acme"})})},
+     "tuples differ at 'u'"),
+    # the relation incidence differs too, and is named only after the arity
+    ({"tuple_valuation": fdict({"t": fdict({"y": "acme"})}), "relation_incidence": frozenset()},
+     "tuple arity differ at ('t', ('x', 'y'))"),
+    ({"tuple_valuation": fdict({"t": fdict({"x": "zoe", "y": "acme"})})},
+     "tuple valuation differ at ('t', {'x': 'bob', 'y': 'acme'})"),
+    ({"relation_incidence": frozenset()}, "relation incidence differ at ('t', 'WorksFor')"),
+], ids=["entities", "entity-incidence", "tuples", "tuple-arity", "tuple-valuation",
+        "relation-incidence"])
+def test_the_fibers_agreement_names_the_first_field_that_differs(fields, message):
+    assert _check_agreement(agreement_logic(), agreement_logic()) is None
+    with pytest.raises(AgreementFailure) as err:
+        _check_agreement(agreement_logic(), agreement_logic(**fields))
+    assert str(err.value) == f"community interpretations disagree: {message}"
+
+
+def test_a_practical_report_equals_no_other_kind_of_value():
+    _, report = practical_integrate(*practical_fixture(), 1)
+    assert report.__eq__(object()) is NotImplemented
+    assert report != "report"
+    assert "comparison" not in vars(report)
+
+
 def test_practical_requires_shared_tokens():
     l1, l2, _, t, g1, g2 = practical_fixture()
     with pytest.raises(DomainMismatch):
@@ -357,7 +432,7 @@ def test_practical_fuses_once_like_fusing_twice():
 
 def _report_fields(report):
     return (report.mediating_logic, report.free_to_mediating, report.fusion_theory,
-            report.universe, report.fused, report.inclusions, report.bound, report.budget)
+            report.universe, report.fused, report.inclusions)
 
 
 def test_practical_builds_the_free_fusion_only_when_needed_like_fusing_once():

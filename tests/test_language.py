@@ -1,11 +1,12 @@
 """Type languages, expressions, morphisms, sums, quotients."""
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ontofuse.errors import IncompatibleQuotient
-from ontofuse.language import (And, Atomic, Exists, Forall,
+from ontofuse.errors import DomainMismatch, IncompatibleQuotient
+from ontofuse.language import (And, Atomic, Exists, Expression, Forall,
                                LanguageEndorelation, LanguageMorphism, Or,
                                Subst, TypeLanguage, compose_language_morphisms,
                                free_vars, identity_language_morphism,
@@ -35,6 +36,27 @@ def test_free_vars_subst_image():
     assert free_vars(lang, e) == {"z"}
 
 
+def test_a_subst_is_well_formed_over_a_well_formed_body_and_a_covering_sorted_map():
+    lang = w_language()
+    for e, expected in [
+            (Subst.make({"x": "x", "y": "y"}, Atomic("WorksFor")), True),
+            (Subst.make({"x": "x", "y": "y"}, Atomic("Nope")), False),  # no relation type of lang
+            (Subst.make({"x": "x"}, Atomic("WorksFor")), False),  # the free y is unmapped
+            (Subst.make({"x": "y", "y": "y"}, Atomic("WorksFor")), False)]:  # x, y of two sorts
+        assert well_formed(lang, e) is expected
+
+
+@pytest.mark.parametrize("e", ["WorksFor", Expression()], ids=repr)
+def test_a_value_of_no_expression_form_is_refused(e):
+    lang = w_language()
+    assert well_formed(lang, e) is False
+    message = f"^{re.escape(f'not an expression: {e!r}')}$"
+    with pytest.raises(TypeError, match=message):
+        free_vars(lang, e)
+    with pytest.raises(TypeError, match=message):
+        translate_expression(identity_language_morphism(lang), e)
+
+
 def test_identity_morphism_valid():
     assert language_morphism_valid(identity_language_morphism(w_language()))[0]
 
@@ -59,6 +81,34 @@ def test_refinement_to_expression_with_matching_arity():
                               {"Person": "Person", "Company": "Company"},
                               {"WorksFor": image}, refinement=True)
     assert language_morphism_valid(m)[0]
+
+
+def test_a_refinement_composes_by_translating_its_image():
+    mid = TypeLanguage.make(["x", "y", "z"], ["Person", "Company"],
+                            {"x": "Person", "y": "Company", "z": "Person"},
+                            {"Hires": ("z", "y"), "Knows": ("x", "z")})
+    m1 = LanguageMorphism.make(w_language(), mid, {"x": "x", "y": "y"},
+                               {"Person": "Person", "Company": "Company"},
+                               {"WorksFor": Exists("z", And(Atomic("Knows"), Atomic("Hires")))},
+                               refinement=True)
+    tgt = TypeLanguage.make(["u", "v", "w"], ["P", "C"], {"u": "P", "v": "C", "w": "P"},
+                            {"H": ("w", "v"), "K": ("u", "w")})
+    m2 = LanguageMorphism.make(mid, tgt, {"x": "u", "y": "v", "z": "w"},
+                               {"Person": "P", "Company": "C"}, {"Hires": "H", "Knows": "K"})
+    m = compose_language_morphisms(m1, m2)
+    assert m.relation_map == {"WorksFor": Exists("w", And(Atomic("K"), Atomic("H")))}
+    assert m.refinement and language_morphism_valid(m) == (True, None)
+    e = Forall("x", Atomic("WorksFor"))
+    assert translate_expression(m, e) == translate_expression(m2, translate_expression(m1, e)) \
+        == Forall("u", Exists("w", And(Atomic("K"), Atomic("H"))))
+
+
+def test_language_morphisms_compose_only_where_one_ends_and_the_next_starts():
+    m = LanguageMorphism.make(w_language(), wp_language(), {"x": "x", "y": "y"},
+                              {"Person": "Human", "Company": "Firm"},
+                              {"WorksFor": "EmployedBy"})
+    with pytest.raises(DomainMismatch, match="^language morphisms not composable$"):
+        compose_language_morphisms(m, m)
 
 
 def test_translate_identity_unchanged():

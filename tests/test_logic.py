@@ -76,6 +76,12 @@ def test_aspects_share_one_language_morphism():
     assert f.model_aspect().language_morphism is f.language_morphism
 
 
+def test_logic_morphisms_compose_only_where_one_ends_and_the_next_starts():
+    f, g = identity_logic_morphism(w_logic()), identity_logic_morphism(wp_logic())
+    with pytest.raises(DomainMismatch, match="^logic morphisms not composable$"):
+        compose_logic_morphisms(f, g)
+
+
 # --- free logic ------------------------------------------------------------------
 
 def test_free_logic_over_relation_free_language():
@@ -175,6 +181,22 @@ def test_counit_requires_soundness():
                          normal_tuples=l.model.tuples)
     with pytest.raises(SoundnessViolation):
         counit(partial)
+
+
+@pytest.mark.parametrize("people", [("zoe", "bob"), ("bob", "zoe")], ids="-".join)
+def test_counit_names_the_first_tuple_whose_image_fails_an_axiom(people):
+    # a sound logic whose model leaves two tuples, built in either order,
+    # out of WorksFor, which its theory's axiom puts every pair in: their
+    # free tokens are abnormal
+    lang = w_language()
+    m = Model.from_extents(lang, ["acme", "bob", "zoe"],
+                           [("acme", "Company"), ("bob", "Person"), ("zoe", "Person")], {},
+                           [{"x": x, "y": "acme"} for x in people])
+    l = Logic.make(Theory.make(lang, [Atomic("WorksFor")]), m)
+    with pytest.raises(SoundnessViolation) as err:
+        counit(l)
+    assert str(err.value) == \
+        "the image of tuple {'x': 'bob', 'y': 'acme'} was abnormal in the free logic"
 
 
 def test_transpose_of_identity_is_counit():

@@ -1,6 +1,7 @@
 """Models: lax satisfaction, morphisms, sums, dual quotients."""
 import itertools
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ from ontofuse.errors import (AgreementFailure, DomainMismatch, IncompatibleQuoti
                              LaxViolation, NameSetMismatch, RespectViolation)
 from ontofuse.hypergraph import hypergraph_product
 from ontofuse.integration import practical_integrate
-from ontofuse.language import (And, Atomic, Exists, Forall, Implies, LanguageEndorelation,
+from ontofuse.language import (And, Atomic, Exists, Expression, Forall, Implies, LanguageEndorelation,
                                LanguageMorphism, Not, Or, Subst, TypeLanguage,
                                compose_language_morphisms, free_vars,
                                identity_language_morphism)
@@ -206,7 +207,9 @@ def faulty_model(**fields):
      "tuple 't00' ill-sorted at 'x'"),
     ({"relation_incidence": frozenset((f"t{i:02}", "Foo") for i in range(12))},
      "relation incidence pair ('t00', 'Foo') out of range"),
-], ids=["entity-incidence", "ill-sorted", "relation-incidence"])
+    ({"tuple_valuation": fdict({f"t{i:02}": fdict({"x": "bob"}) for i in reversed(range(12))})},
+     "'t00' classified by 'WorksFor' of larger arity"),
+], ids=["entity-incidence", "ill-sorted", "relation-incidence", "larger-arity"])
 def test_check_names_the_token_order_first_offender(fields, message):
     with pytest.raises(DomainMismatch) as err:
         faulty_model(**fields).check()
@@ -234,6 +237,30 @@ def test_broken_entity_infomorphism_reported_with_witness():
     ok, witness = model_morphism_valid(bad)
     assert not ok
     assert witness[0] == "entity"
+
+
+def test_a_model_morphism_over_an_invalid_language_morphism_is_refuted_by_it():
+    m = w_model()
+    lm = LanguageMorphism.make(m.language, m.language, {x: x for x in VARS},
+                               {"Person": "Company", "Company": "Company"},
+                               {"WorksFor": "WorksFor"})
+    f = ModelMorphism.make(lm, m, m, {e: e for e in m.entities}, {t: t for t in m.tuples})
+    assert model_morphism_valid(f) == (False, ("language", ("reference", "x")))
+
+
+def test_a_model_morphism_whose_language_morphism_joins_other_languages_is_refused():
+    m, other = w_model(), wp_logic().model
+    f = ModelMorphism.make(identity_language_morphism(other.language), m, m,
+                           {e: e for e in m.entities}, {t: t for t in m.tuples})
+    with pytest.raises(DomainMismatch,
+                       match="^language morphism does not connect the models' languages$"):
+        model_morphism_valid(f)
+
+
+@pytest.mark.parametrize("e", ["WorksFor", Expression()], ids=repr)
+def test_evaluating_a_value_of_no_expression_form_fails(e):
+    with pytest.raises(TypeError, match=f"^{re.escape(f'not an expression: {e!r}')}$"):
+        satisfies(w_model(), e)
 
 
 # --- sums ---------------------------------------------------------------------

@@ -306,6 +306,21 @@ def test_no_skeleton_holding_an_entity_of_no_sort_is_built(monkeypatch, sorts, a
     assert all(set(sk.entities) == set().union(*sk.pools.values()) for sk in skeletons)
 
 
+def test_each_sort_pool_lists_its_entities_in_token_order_past_ten_entities(monkeypatch):
+    # a nullary relation gives each skeleton two candidates, so bound 11 is
+    # in reach; there _e10 precedes _e2 in token order, not in index order
+    lang = TypeLanguage.make(VARS, ["A", "B"], {"x": "A", "y": "B"}, {"p": ()})
+    t = Theory.make(lang, [])
+    skeletons = []
+    skeleton = theory._Skeleton
+    monkeypatch.setattr(theory, "_Skeleton", lambda *args: skeletons.append(skeleton(*args)) or
+                        skeletons[-1])
+    assert entails(t, Implies(Atomic("p"), Atomic("p")), 11) == NoCounterexampleUpTo(11)
+    pools = [pool for sk in skeletons for pool in sk.pools.values()]
+    assert all(list(pool) == sorted_tokens(pool) for pool in pools)
+    assert ("_e0", "_e1", "_e10", "_e2") in {pool[:4] for pool in pools}
+
+
 def test_the_budget_counts_the_candidates_of_a_skipped_skeleton():
     # one unary relation over T: n entities of which k are of T give 2**k
     # candidates, so bound 3 counts 1 + 3 + 7 + 15 = 26, of which the

@@ -5,7 +5,7 @@ from dataclasses import dataclass, make_dataclass
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ontofuse.tokens import _memo_key, fdict, sorted_tokens, token_key
+from ontofuse.tokens import _MemoKey, fdict, sorted_tokens, token_key
 
 from oracles import naive_token_key
 
@@ -87,7 +87,7 @@ def test_token_key_agrees_with_the_isinstance_chain(t):
 @example(DATACLASSES)
 @settings(derandomize=True, max_examples=200, deadline=None)
 def test_one_memoised_key_agrees_with_the_isinstance_chain_where_tokens_repeat(ts):
-    key = _memo_key()
+    key = _MemoKey().key
     first = ts[0]
     nested = [*ts, tuple(ts), (first, tuple(ts)), fdict({first: tuple(ts)}),
               frozenset(ts), Tagged(first, tuple(ts)), *ts]
@@ -98,7 +98,7 @@ def test_one_memoised_key_agrees_with_the_isinstance_chain_where_tokens_repeat(t
 
 
 def test_a_memoised_key_holds_each_token_so_that_no_id_is_reused():
-    key = _memo_key()
+    key = _MemoKey().key
     for i in range(50):  # each tuple is freed at once but for the memo
         assert key((str(i),)) == token_key((str(i),))
 
@@ -108,7 +108,7 @@ def test_a_token_of_no_kind_is_unorderable():
         with pytest.raises(TypeError, match="unorderable token"):
             token_key(t)
         with pytest.raises(TypeError, match="unorderable token"):
-            _memo_key()(t)
+            _MemoKey().key(t)
 
 
 # --- FrozenDict -------------------------------------------------------------------
