@@ -115,7 +115,9 @@ def tagged_intents(c: Classification, tag: Callable) -> dict:
 def equivalence_closure(elements: Iterable, pairs: Collection) -> dict:
     """Reflexive-symmetric-transitive closure as an element -> class map.
 
-    Classes are canonically named by the sorted tuple of their members.
+    Classes are canonically named by the sorted tuple of their members, a
+    singleton by its member.  A class named as an element left alone would
+    merge with it: DomainMismatch names the token-order-first such class.
     """
     parent: dict = {e: e for e in elements}
 
@@ -141,6 +143,9 @@ def equivalence_closure(elements: Iterable, pairs: Collection) -> dict:
         cls = members[0] if len(members) == 1 else tuple(sorted_tokens(members))
         for m in members:
             out[m] = cls
+    # a merged class (named apart from its members) named as an element left alone
+    raise_first_fault((cls, f"quotient class of {list(cls)!r} collides with {cls!r}")
+                      for m, cls in out.items() if m != cls and out.get(cls) == cls)
     return out
 
 

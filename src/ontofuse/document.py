@@ -17,7 +17,7 @@ from .errors import OntofuseError, raise_first_fault
 from .language import (And, Atomic, Exists, Expression, Forall, Implies,
                        LanguageMorphism, Not, Or, Subst, TypeLanguage)
 from .logic import Logic, LogicMorphism
-from .model import Model, _lax_incidence, fdict
+from .model import Model, fdict
 from .sexpr import MAX_DEPTH, is_symbol, parse_all, write_all, write_value
 from .theory import Theory, TheoryMorphism
 from .tokens import FrozenDict, _MemoKey, sorted_tokens, token_key
@@ -353,43 +353,12 @@ class _Form(NamedTuple):
     values: Callable
 
 
-def _own_valuations(m: Model) -> bool:
-    """Is every tuple a FrozenDict that is its own valuation?"""
-    return all(isinstance(t, FrozenDict) and v == t for t, v in m.tuple_valuation.items())
-
-
-def _extent_faithful(m: Model, extents: dict) -> bool:
-    """Does from_extents on the derived extents, with m's other tuples as
-    extra tuples, rebuild this exact model?
-
-    For a model whose entity incidence is in range, as in every model
-    the library builds, it does exactly when every tuple is a FrozenDict
-    that is its own valuation, every extent row is one of the tuples,
-    every tuple is well-sorted, and the relation incidence is the lax one.
-    """
-    val = m.tuple_valuation
-    if not _own_valuations(m):
-        return False
-    if not all(row in val for rows in extents.values() for row in rows):
-        return False
-    sort = m.language.reference
-    if not all((e, sort.get(x)) in m.entity_incidence for t in val for x, e in t.items()):
-        return False
-    # Each incidence pair (t, rho) is in the lax incidence, since t
-    # restricted to rho's arity is a row of rho's extent; so the two are
-    # equal when the lax incidence has no more pairs.
-    lax = sum(1 for _ in _lax_incidence(m.language, val, m._masks))
-    return lax == len(m.relation_incidence)
-
-
 def _model_values(m: Model) -> tuple:
     """A model in extent form when its extents rebuild it, else in tuples form."""
-    if _own_valuations(m):
-        extents = {rho: m.relation_extent(rho) for rho in m.language.relation_types}
-        if _extent_faithful(m, extents):
-            covered = frozenset().union(*extents.values())
-            extra = [t for t in m.tuples if t not in covered]
-            return m.language, m.entities, m.entity_incidence, extents, extra or None, None, None
+    form = m.extent_form()
+    if form is not None:
+        extents, extra = form
+        return m.language, m.entities, m.entity_incidence, extents, extra or None, None, None
     tuples = {t: (val.keys(), val) for t, val in m.tuple_valuation.items()}
     return m.language, m.entities, m.entity_incidence, None, None, tuples, m.relation_incidence
 

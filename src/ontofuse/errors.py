@@ -20,7 +20,8 @@ def raise_first_fault(faults: Iterable[tuple]) -> None:
     in which a check scans.  These input checks name their offender so:
     :func:`check_total`, ``TypeLanguage.check``, ``Theory.make``,
     ``Logic.check``, ``equivalence_closure``, ``Hypergraph.check``,
-    ``Model.from_extents``, ``Model.check`` and the tuples-form reader."""
+    ``Model.from_extents``, ``Model.check``, ``language_morphism_valid``'s
+    relation map and the tuples-form reader."""
     faults = list(faults)
     if faults:
         raise DomainMismatch(min(faults, key=lambda f: token_key(f[0]))[1])

@@ -185,24 +185,27 @@ def compose_language_morphisms(m1: LanguageMorphism, m2: LanguageMorphism) -> La
         rel, refinement=m1.refinement or m2.refinement)
 
 
+def _image_faults(m: LanguageMorphism):
+    """Each relation whose image is neither a target relation type nor, under
+    the refinement flag, an expression well-formed over the target."""
+    for r, img in m.relation_map.items():
+        if img in m.target.relation_types:
+            continue
+        if not isinstance(img, Expression):
+            yield r, f"relation map leaves target relation types at {r!r}"
+        elif not m.refinement:
+            yield r, f"relation {r!r} maps to an expression without the refinement flag"
+        elif not well_formed(m.target, img):
+            yield r, f"image of {r!r} is not well-formed over the target"
+
+
 def language_morphism_valid(m: LanguageMorphism) -> tuple[bool, Optional[tuple]]:
     """Reference and arity preservation; returns (ok, first counterexample)."""
     check_total(m.var_map, m.source.variables, m.target.variables, "variable map")
     check_total(m.entity_map, m.source.entity_types, m.target.entity_types, "entity map")
     if set(m.relation_map) != set(m.source.relation_types):
         raise DomainMismatch("relation map not total on source relation types")
-    for r, img in m.relation_map.items():
-        # only an image that is not a target relation type needs the
-        # refinement flag
-        if img in m.target.relation_types:
-            continue
-        if isinstance(img, Expression):
-            if not m.refinement:
-                raise DomainMismatch(f"relation {r!r} maps to an expression without the refinement flag")
-            if not well_formed(m.target, img):
-                raise DomainMismatch(f"image of {r!r} is not well-formed over the target")
-        else:
-            raise DomainMismatch(f"relation map leaves target relation types at {r!r}")
+    raise_first_fault(_image_faults(m))
     for x in sorted_tokens(m.source.variables):
         if m.target.reference[m.var_map[x]] != m.entity_map[m.source.reference[x]]:
             return False, ("reference", x)
@@ -239,7 +242,8 @@ def translate_expression(m: LanguageMorphism, e: Expression) -> Expression:
     if isinstance(e, Subst):
         body = translate_expression(m, e.body)
         mapping: dict = {}
-        for x, y in e.mapping.items():
+        for x in sorted_tokens(e.mapping):
+            y = e.mapping[x]
             prior = mapping.setdefault(m.var_map[x], m.var_map[y])
             if prior != m.var_map[y]:
                 raise CaptureError(f"substitution slots collide at {m.var_map[x]!r}")

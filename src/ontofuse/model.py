@@ -13,7 +13,9 @@ variable-set arity, so the tuple set and the arities are views of that
 one map.  The common case (built by :meth:`Model.from_extents`) uses
 well-sorted assignments as their own tokens, with incidence derived by
 the lax rule "the restriction of the tuple lies in the extent", which
-``_lax_incidence`` alone applies, to extents held as rows.  Keeping
+``_lax_incidence`` alone applies, to extents held as rows; its inverse,
+:meth:`Model.extent_form`, gives the extents that rebuild a model, if
+any, and so decides the form the writer gives it.  Keeping
 tokens abstract matters because the free model over a theory has
 relation instances that share a valuation but differ in incidence.
 A model is checked where it enters (the reader, :meth:`Model.from_extents`);
@@ -23,9 +25,9 @@ Evaluation reads two indexes that a model builds on first use: for
 each relation type its classified rows (valuations restricted to the
 relation's arity, as value tuples in the language's ``arity_order``),
 each mapped to the mask 1, and for each entity type its entities in
-token order.  The row index also gives ``relation_extent`` and the
-writer's extent test.  A model is frozen, so the indexes never go
-stale; a copy made with ``dataclasses.replace`` builds its own.
+token order.  The row index also gives ``relation_extent`` and
+:meth:`Model.extent_form`'s count.  A model is frozen, so the indexes
+never go stale; a copy made with ``dataclasses.replace`` builds its own.
 
 An expression is compiled once, by ``_compile``, into a closure that
 returns a mask: an int whose bit c says whether the expression holds in
@@ -202,6 +204,34 @@ class Model:
         """Extent as assignments with domain exactly arity(rho), from incidence."""
         order = self.language.arity_order[rho]
         return frozenset(fdict(zip(order, row)) for row in self._masks[rho])
+
+    def extent_form(self) -> Optional[tuple[dict, list]]:
+        """The extents and extra tuples from which :meth:`from_extents`
+        rebuilds this exact model, or None if there are none.
+
+        A relation type's extent is the tuples it classifies of exactly its
+        arity.  They rebuild the model when every tuple is a well-sorted
+        FrozenDict that is its own valuation, each extent is as large as its
+        type's rows (of which it is a subset), and the lax rule derives from
+        the rows no more pairs than the relation incidence (it derives each
+        of them).  The entity incidence must be in range, as :meth:`check`
+        ensures.
+        """
+        val, lang, sort = self.tuple_valuation, self.language, self.language.reference
+        if not all(isinstance(t, FrozenDict) and v == t and
+                   all((e, sort.get(x)) in self.entity_incidence for x, e in t.items())
+                   for t, v in val.items()):
+            return None
+        extents = {rho: set() for rho in lang.relation_types}
+        for (t, rho) in self.relation_incidence:
+            if len(t) == len(lang.arity[rho]):  # its arity covers rho's (check)
+                extents[rho].add(t)
+        masks = self._masks
+        if any(len(ts) != len(masks[rho]) for rho, ts in extents.items()) or \
+                sum(1 for _ in _lax_incidence(lang, val, masks)) != len(self.relation_incidence):
+            return None
+        covered = set().union(*extents.values())
+        return extents, [t for t in val if t not in covered]
 
     def tuple_classifies(self, t: Token, rho: Token) -> bool:
         return (t, rho) in self.relation_incidence

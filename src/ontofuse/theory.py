@@ -5,9 +5,9 @@ as bounded countermodel search over finite models whose entity sets are
 prefixes of a canonical token sequence.  Verdicts carry the bound, so
 incompleteness is explicit.  The search evaluates each axiom and query
 once per block of a skeleton's candidates, on masks with one bit per
-candidate (see :class:`_Skeleton`).  A skeleton is no Model; a
+candidate (see :func:`_block`).  A skeleton is plain data, no Model; a
 validated Model (by :meth:`Model.from_extents`) is built only for a
-countermodel it returns.  A block holds at most
+countermodel the search returns.  A block holds at most
 2**16 candidates, whatever the budget, and lists only the subsets of
 rows they choose, so its masks cost its rows times its size, never
 2**rows.  The budget counts candidates,
@@ -131,53 +131,29 @@ class _Block:
         self._full = (1 << size) - 1
 
 
-@dataclass(frozen=True)
-class _Skeleton:
-    """One entity-incidence choice: its entities and its sort pools,
-    built from their membership rows; the relation types in token
-    order with each one's well-sorted rows (value tuples in the arity
-    order, drawn from the sort pools); and each axiom and query, compiled
-    once per search, paired with the well-sorted assignments on its free
-    variables, plain dicts that the compiled closures only read.
+def _block(rows: dict, pools: dict, base: int, size: int) -> _Block:
+    """The block of size candidates from base, a multiple of size, of the
+    skeleton whose relation types, in token order, have the given rows
+    (value tuples in the arity order, drawn from the sort pools).
 
-    Its candidates come in the order of ``itertools.product`` over the
-    relation types' pools, each pool holding every subset of a type's
-    rows, by size, then in ``combinations`` order: candidate i chooses
-    for the k-th relation type, of n_k rows, the subset at pool index
-    (i // stride_k) % 2**n_k, stride_k being the product of the later
-    pools' sizes.  They are evaluated in aligned blocks of 2**_BLOCK_BITS
-    (or all of them if fewer), and a block lists, for each relation type,
-    only the subsets its candidates choose (see :func:`_row_masks`).
+    A skeleton's candidates come in the order of ``itertools.product``
+    over the relation types' pools, each pool holding every subset of a
+    type's rows, by size, then in ``combinations`` order: candidate i
+    chooses for the k-th relation type, of n_k rows, the subset at pool
+    index (i // stride_k) % 2**n_k, stride_k being the product of the
+    later pools' sizes.  They are evaluated in aligned blocks of
+    2**_BLOCK_BITS (or all of them if fewer), and a block lists, for each
+    relation type, only the subsets its candidates choose (see
+    :func:`_row_masks`).
     """
-
-    language: TypeLanguage
-    entities: tuple
-    pools: dict  # entity type -> its entities, in token order
-    rows: dict  # relation type, in token order -> its rows
-    axioms: list  # of (compiled expression, assignments)
-    queries: list  # of (compiled expression, assignments)
-
-    def block(self, base: int, size: int) -> _Block:
-        """The block of size candidates from base, a multiple of size."""
-        masks, stride = {}, 1
-        for rho, rows in reversed(self.rows.items()):
-            n = len(rows)
-            spread = min(stride, size)  # a stride spanning the block: one subset
-            masks[rho] = dict(zip(rows, _row_masks(
-                n, base // stride % (1 << n), min(1 << n, size // spread), spread, size)))
-            stride <<= n
-        return _Block(masks, self.pools, size)
-
-    def model_at(self, block: _Block, c: int) -> Model:
-        """The block's candidate c as a validated Model: its extents are
-        the rows whose block mask has bit c set, so
-        :meth:`Model.from_extents` classifies exactly the subsets it
-        chooses."""
-        order = self.language.arity_order
-        extents = {rho: [zip(order[rho], row) for row, mask in masks.items() if mask >> c & 1]
-                   for rho, masks in block._masks.items()}
-        incidence = [(e, a) for a, es in self.pools.items() for e in es]
-        return Model.from_extents(self.language, self.entities, incidence, extents)
+    masks, stride = {}, 1
+    for rho, rs in reversed(rows.items()):
+        n = len(rs)
+        spread = min(stride, size)  # a stride spanning the block: one subset
+        masks[rho] = dict(zip(rs, _row_masks(
+            n, base // stride % (1 << n), min(1 << n, size // spread), spread, size)))
+        stride <<= n
+    return _Block(masks, pools, size)
 
 
 def _every(block: _Block, compiled: list, mask: int) -> int:
@@ -215,15 +191,20 @@ def _verdicts(t: Theory, queries: list, max_entities: int, budget: int) -> dict:
     still count against the budget, from the pool sizes alone, so the
     budget stops the search where it would if they were evaluated.
 
-    Each block of a skeleton's candidates (see :class:`_Skeleton`)
+    A skeleton is its entities, its sort pools (built from the membership
+    rows), each relation type's well-sorted rows, and each axiom and
+    query, compiled once per search, paired with the well-sorted
+    assignments on its free variables, plain dicts that the compiled
+    closures only read.  Each block of its candidates (see :func:`_block`)
     evaluates every axiom once, then each open query once: the query's
     first countermodel there is the lowest candidate that satisfies the
-    axioms but not the query.  Candidates are counted against the budget
-    in full, before the axiom check.  BudgetExceeded is raised before a
-    block that starts at or past the budget; the search returns as soon
-    as every query is refuted; otherwise it raises after a block that
-    ends past the budget.  So it raises exactly when some query has no
-    countermodel within the budget.
+    axioms but not the query, built by :meth:`Model.from_extents` from
+    the rows it chooses and re-checked.  Candidates are counted against
+    the budget in full, before the axiom check.  BudgetExceeded is raised
+    before a block that starts at or past the budget; the search returns
+    as soon as every query is refuted; otherwise it raises after a block
+    that ends past the budget.  So it raises exactly when some query has
+    no countermodel within the budget.
     """
     for e in queries:
         if not well_formed(t.language, e):
@@ -267,23 +248,27 @@ def _verdicts(t: Theory, queries: list, max_entities: int, budget: int) -> dict:
                 if seen > budget:
                     raise BudgetExceeded(exceeded)
                 continue
-            sk = _Skeleton(lang, entities, pools,
-                           {rho: list(itertools.product(*[pools[a] for a in cs]))
-                            for rho, cs in columns.items()},
-                           assigned(axioms, pools), assigned(query_forms, pools))
+            rows = {rho: list(itertools.product(*[pools[a] for a in cs]))
+                    for rho, cs in columns.items()}
+            axiom_ts, query_ts = assigned(axioms, pools), assigned(query_forms, pools)
             size = 1 << min(total, _BLOCK_BITS)
             for base in range(0, 1 << total, size):
                 if seen >= budget:
                     raise BudgetExceeded(exceeded)
-                block = sk.block(base, size)
+                block = _block(rows, pools, base, size)
                 within = block._full if budget - seen >= size else (1 << budget - seen) - 1
-                holds = _every(block, sk.axioms, within)
+                holds = _every(block, axiom_ts, within)
                 for i in list(open_queries):
-                    refuting = holds ^ _every(block, [sk.queries[i]], holds)
+                    refuting = holds ^ _every(block, [query_ts[i]], holds)
                     if refuting:
+                        # candidate c's extents are the rows whose block mask has bit c
                         c = (refuting & -refuting).bit_length() - 1
-                        verdicts[queries[i]] = Refuted(
-                            _countermodel(t, sk.model_at(block, c), queries[i]))
+                        extents = {rho: [zip(lang.arity_order[rho], row)
+                                         for row, mask in masks.items() if mask >> c & 1]
+                                   for rho, masks in block._masks.items()}
+                        incidence = [(e, a) for a, es in pools.items() for e in es]
+                        m = Model.from_extents(lang, entities, incidence, extents)
+                        verdicts[queries[i]] = Refuted(_countermodel(t, m, queries[i]))
                         open_queries.remove(i)
                 if not open_queries:
                     return verdicts

@@ -1,6 +1,7 @@
 """Classifications, infomorphisms, power, sum, and quotient."""
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,6 +187,29 @@ def test_quotient_respect_violation():
     j = ClassificationInvariant.make(["a"], [("s", "t")])
     with pytest.raises(RespectViolation):
         classification_quotient(c, j)
+
+
+@pytest.mark.parametrize("types, pairs, message", [
+    (["s", "t", ("s", "t")], [("s", "t")], "quotient class of ['s', 't'] collides with ('s', 't')"),
+    # of two such classes the token-order-first is named
+    (["s", "t", "u", "v", ("s", "t"), ("u", "v")], [("u", "v"), ("s", "t")],
+     "quotient class of ['s', 't'] collides with ('s', 't')"),
+], ids=["one", "token-order-first"])
+def test_a_quotient_class_named_as_a_type_left_alone_is_refused(types, pairs, message):
+    # the merged class of s and t is named ('s', 't'), and so is a type of its own
+    c = Classification.make(["a"], types, [("a", t) for t in types])
+    with pytest.raises(DomainMismatch, match=f"^{re.escape(message)}$"):
+        classification_quotient(c, ClassificationInvariant.make(["a"], pairs))
+
+
+def test_a_type_named_as_a_quotient_class_may_join_another_class():
+    # ('s', 't') merges with u, so its name is free for the class of s and t
+    types = ["s", "t", "u", ("s", "t")]
+    c = Classification.make(["a"], types, [("a", t) for t in types])
+    q, canon = classification_quotient(
+        c, ClassificationInvariant.make(["a"], [("s", "t"), (("s", "t"), "u")]))
+    assert q.types == {("s", "t"), ("u", ("s", "t"))}
+    assert canon.type_map["s"] == ("s", "t") and canon.type_map[("s", "t")] == ("u", ("s", "t"))
 
 
 def test_quotient_incidence_matches_representative_oracle():

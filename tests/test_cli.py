@@ -704,6 +704,14 @@ def fixture_run(text: str, command: str, *options: str):
     """``ontofuse <command> doc.iff <options> -o out.iff``, doc.iff holding text."""
     return seeded([command, "doc.iff", *options, "-o", "out.iff"], {"doc.iff": text})
 
+# identifying a and b names their class (tuple a b), the name of a type left alone
+COLLIDING = """\
+(language L (variables x) (entity-types a b (tuple a b)) (reference (x a)) (relations))
+(theory T (language L) (axioms))
+(model M (language L) (entities e f) (incidence (e a) (e b) (e (tuple a b))))
+(logic G (theory T) (model M))
+"""
+
 
 @pytest.mark.parametrize("run, message", [
     (fixture_run(FIXTURE, "quotient", "--of", "L1", "--identify-relation", "WorksFor X",
@@ -733,9 +741,15 @@ def fixture_run(text: str, command: str, *options: str):
     (fixture_run(ARITY, "integrate", "--left", "L1", "--right", "L2", "--alignment", "A",
                  "--practical"),
      "community interpretations disagree: tuple arity differ at ('t', ('x', 'y'))"),
+    (fixture_run(COLLIDING, "quotient", "--of", "G", "--identify-entity", "a", "b"),
+     "quotient class of ['a', 'b'] collides with ('a', 'b')"),
+    # e is not in (tuple a b), which a merge of the two classes would not respect
+    (fixture_run(COLLIDING.replace(" (e (tuple a b))", ""), "quotient", "--of", "G",
+                 "--identify-entity", "a", "b"),
+     "quotient class of ['a', 'b'] collides with ('a', 'b')"),
 ], ids=["cli-token", "query", "sum", "quotient", "keep-entities", "restrict", "fiber-target",
         "fiber-unsound", "edge-endpoints", "edge-unsound", "practical-targets", "counit",
-        "agreement-arity"])
+        "agreement-arity", "class-collision", "class-collision-unrespected"])
 def test_a_command_refusing_its_input_says_why_under_every_hash_seed(seed_runs, run, message):
     assert seed_runs[run] == Outcome(1, "", f"error: {message}\n", None)
 
@@ -777,6 +791,10 @@ def check_doc(text: str):
     (check_doc(ONE_LOGIC + ENDO + " (relations (R R) (S Nope)))\n"),
      FORMS_OK + "doc.iff: fail: theory-morphism g: relation map leaves target relation types "
      "at 'S'\n"),
+    # both images leave the target's relation types: R, first in token order, is named
+    (check_doc(ONE_LOGIC + ENDO + " (relations (S Nope) (R Nope)))\n"),
+     FORMS_OK + "doc.iff: fail: theory-morphism g: relation map leaves target relation types "
+     "at 'R'\n"),
     # y and x both go to x, so x is captured by the binder of y
     (check_doc(ONE_LOGIC.replace("(axioms)", "(axioms (exists y (atom R)))") +
                "(theory TS (language W) (axioms))\n(theory-morphism g (source TW) (target TS) "
@@ -791,6 +809,14 @@ def check_doc(text: str):
                "(entity-types (T T)) (relations (R R)))\n"),
      "doc.iff: ok: language Z\ndoc.iff: ok: theory TZ\ndoc.iff: ok: theory TS\n"
      "doc.iff: fail: theory-morphism g: substitution slots collide at 'x'\n"),
+    # slots c and d collide at c, a and b at a: the slots are read in token order
+    (check_doc("(language Z (variables a b c d e f) (entity-types T) (reference (a T) (b T) "
+               "(c T) (d T) (e T) (f T)) (relations (R (a))))\n(theory TZ (language Z) (axioms))\n"
+               "(theory TS (language Z) (axioms (subst ((c e) (d f) (a e) (b f)) (atom R))))\n"
+               "(theory-morphism g (source TS) (target TZ) (variables (a a) (b a) (c c) (d c) "
+               "(e e) (f f)) (entity-types (T T)) (relations (R R)))\n"),
+     "doc.iff: ok: language Z\ndoc.iff: ok: theory TZ\ndoc.iff: ok: theory TS\n"
+     "doc.iff: fail: theory-morphism g: substitution slots collide at 'a'\n"),
     # the image of fN's t has arity {x, y}, the source t {x}; the image of
     # fP's t, in R, has the source t of the same arity in no relation
     (check_doc(ONE_LOGIC + """\
@@ -812,7 +838,8 @@ def check_doc(text: str):
      "doc.iff: fail: logic-morphism fP: model: relation (map (x a) (y b)) R\n"),
 ], ids=["logic-language", "normal-entities", "normal-tuples", "larger-arity",
         "relation-map-partial", "expression-unflagged", "expression-ill-formed",
-        "relation-outside", "binder-capture", "subst-slots", "logic-morphism-model"])
+        "relation-outside", "relation-outside-token-order", "binder-capture", "subst-slots",
+        "subst-slots-token-order", "logic-morphism-model"])
 def test_check_says_why_a_form_is_refused_under_every_hash_seed(seed_runs, run, out):
     assert seed_runs[run] == Outcome(1, out, "", None)
 

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ontofuse import document
 from ontofuse.cli import main
-from ontofuse.document import (Alignment, Document, FormError, _extent_faithful, document_of,
+from ontofuse.document import (Alignment, Document, FormError, document_of,
                                parse_document, parse_expression, parse_token,
                                render_expression, render_token,
                                serialize_document)
@@ -380,13 +380,24 @@ def _seeded_models(seed):
     return models
 
 
+def _extent_form(m):
+    """m's extent form, which, when there is one, holds m's extents and
+    rebuilds m."""
+    form = m.extent_form()
+    if form is not None:
+        extents, extra = form
+        assert extents == _extents(m)
+        assert Model.from_extents(m.language, m.entities, m.entity_incidence,
+                                  extents, extra) == m
+    return form
+
+
 def test_extent_form_is_chosen_as_rebuilding_the_model_chooses_it():
     seen = Counter()
     for seed in range(80):
         for m in _seeded_models(seed):
-            extents = _extents(m)
-            faithful = _extent_faithful(m, extents)
-            assert faithful == naive_extent_faithful(m, extents), (seed, m)
+            faithful = _extent_form(m) is not None
+            assert faithful == naive_extent_faithful(m, _extents(m)), (seed, m)
             seen[faithful] += 1
     assert seen[True] >= 50 and seen[False] >= 50, seen
 
@@ -418,8 +429,7 @@ _XA, _XAYB = fdict({"x": "a"}), fdict({"x": "a", "y": "b"})
     (_two_variable_model("ab", {_XA: _XA, _XAYB: _XAYB}, {(_XA, "R"), (_XAYB, "S")}), False),
 ], ids=["extents", "token", "restriction", "ill-sorted", "incidence"])
 def test_a_model_that_extents_do_not_rebuild_is_written_in_tuples_form(m, faithful):
-    extents = _extents(m)
-    assert _extent_faithful(m, extents) == naive_extent_faithful(m, extents) == faithful
+    assert (_extent_form(m) is not None) == naive_extent_faithful(m, _extents(m)) == faithful
     text = serialize_document(document_of("model", "M", m))
     assert ("(tuples" in text) != faithful
     assert parse_document(text).get("M", "model") == m
@@ -849,6 +859,9 @@ def test_a_generated_document_reads_back_equal_and_its_text_is_a_fixed_point(doc
     again = parse_document(text)
     assert again.order == doc.order and again.objects == doc.objects
     assert serialize_document(again) == text
+    for kind, name in doc.order:
+        if kind == "model":
+            _extent_form(doc.objects[name])
 
 
 def test_reader_agrees_with_the_oracle_on_corpus_and_mutated_texts():

@@ -287,6 +287,19 @@ def test_entailment_counts_one_entity_ordering_per_skeleton():
         entails(t, query, 2, budget=22)
 
 
+def _skeleton_pools(monkeypatch) -> list:
+    """The sort pools of each skeleton the search builds, in search order,
+    as its first block (from candidate 0) is built."""
+    pools, block = [], theory._block
+
+    def spy(rows, skeleton_pools, base, size):
+        if base == 0:
+            pools.append(skeleton_pools)
+        return block(rows, skeleton_pools, base, size)
+    monkeypatch.setattr(theory, "_block", spy)
+    return pools
+
+
 @pytest.mark.parametrize("sorts, arity, built", [(["T"], ("x",), 4), (["A", "B"], ("x", "y"), 20)],
                          ids=["one-sort", "two-sort"])
 def test_no_skeleton_holding_an_entity_of_no_sort_is_built(monkeypatch, sorts, arity, built):
@@ -297,13 +310,13 @@ def test_no_skeleton_holding_an_entity_of_no_sort_is_built(monkeypatch, sorts, a
     lang = TypeLanguage.make(VARS, sorts, {"x": sorts[0], "y": sorts[-1]}, {"r": arity})
     t = Theory.make(lang, [])
     query = Implies(Atomic("r"), Atomic("r"))
-    skeletons = []
-    skeleton = theory._Skeleton
-    monkeypatch.setattr(theory, "_Skeleton", lambda *args: skeletons.append(skeleton(*args)) or
-                        skeletons[-1])
+    pools = _skeleton_pools(monkeypatch)
     assert entails(t, query, 3, budget=100_000) == NoCounterexampleUpTo(3)
-    assert len(skeletons) == built
-    assert all(set(sk.entities) == set().union(*sk.pools.values()) for sk in skeletons)
+    assert len(pools) == built
+    # every entity is of some sort: the pools hold _e0 .. _e(k-1), k entities
+    for skeleton in pools:
+        held = set().union(*skeleton.values())
+        assert held == {f"_e{i}" for i in range(len(held))}
 
 
 def test_each_sort_pool_lists_its_entities_in_token_order_past_ten_entities(monkeypatch):
@@ -311,12 +324,9 @@ def test_each_sort_pool_lists_its_entities_in_token_order_past_ten_entities(monk
     # in reach; there _e10 precedes _e2 in token order, not in index order
     lang = TypeLanguage.make(VARS, ["A", "B"], {"x": "A", "y": "B"}, {"p": ()})
     t = Theory.make(lang, [])
-    skeletons = []
-    skeleton = theory._Skeleton
-    monkeypatch.setattr(theory, "_Skeleton", lambda *args: skeletons.append(skeleton(*args)) or
-                        skeletons[-1])
+    skeletons = _skeleton_pools(monkeypatch)
     assert entails(t, Implies(Atomic("p"), Atomic("p")), 11) == NoCounterexampleUpTo(11)
-    pools = [pool for sk in skeletons for pool in sk.pools.values()]
+    pools = [pool for skeleton in skeletons for pool in skeleton.values()]
     assert all(list(pool) == sorted_tokens(pool) for pool in pools)
     assert ("_e0", "_e1", "_e10", "_e2") in {pool[:4] for pool in pools}
 
