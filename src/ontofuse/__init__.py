@@ -19,7 +19,7 @@ from .logic import (Logic, LogicDualInvariant, LogicMorphism, counit, fiber,
                     free_logic, fusion, is_sound, logic_dual_quotient,
                     logic_morphism_valid, logic_sum, restrict_logic,
                     sound_part, transpose)
-from .integration import (AlignmentDiagram, IntegrationResult, PracticalReport,
+from .integration import (AlignmentDiagram, IntegrationResult, PracticalReport, align,
                           build_alignment, practical_integrate, unify)
 from .document import Document, parse_document, serialize_document
 

@@ -12,7 +12,7 @@ import sys
 from .document import (Document, _shown, document_of, parse_document, parse_expression,
                        parse_token, serialize_document)
 from .errors import EdgeInvalid, OntofuseError
-from .integration import (build_alignment, practical_integrate, unify)
+from .integration import align, practical_integrate, unify
 from .language import LanguageEndorelation
 from .logic import (Logic, LogicDualInvariant, free_logic, fusion, is_sound,
                     logic_dual_quotient, logic_morphism_valid, logic_sum,
@@ -203,20 +203,15 @@ def cmd_integrate(args) -> int:
     l1 = doc.get(args.left, "logic")
     l2 = doc.get(args.right, "logic")
     a = doc.get(args.alignment, "alignment")
+    inputs = (l1, l2, a.universe, a.mediating_theory, a.left_link, a.right_link,
+              args.bound, args.budget)
     if args.practical:
-        result, report = practical_integrate(l1, l2, a.universe, a.mediating_theory,
-                                             a.left_link, a.right_link,
-                                             args.bound, args.budget)
+        result, report = practical_integrate(*inputs)
         _emit(args, "practical integration", result.fused,
               f"universe: {' '.join(str(e) for e in sorted_tokens(report.universe))}",
               f"fusion theory axioms: {len(report.fusion_theory.axioms)}")
     else:
-        p1, link1 = restrict_logic(l1, a.universe)
-        p2, link2 = restrict_logic(l2, a.universe)
-        diagram = build_alignment(l1, l2, p1, p2, link1, link2,
-                                  a.mediating_theory, a.left_link, a.right_link,
-                                  args.bound, args.budget)
-        _emit(args, "integration", unify(diagram).fused)
+        _emit(args, "integration", unify(align(*inputs)).fused)
     return 0
 
 

@@ -1,19 +1,19 @@
 """End-to-end ontology integration: alignment, fusion, and the practical path.
 
-Alignment builds the W-shaped diagram: community logics, portals,
-portal links, a mediating theory with theoretical links into the
-portals' theories, and the derived logical links obtained by the free
-adjunction.  Unification fuses the diagram: the pushout of the logical
-links, the quotient of the portal sum by the invariant they induce,
-which fusion builds only on the pullback of the links: the portals'
-sum keyed by the links' instance maps.
+Alignment builds the W-shaped diagram, each input edge checked once:
+community logics, portals, portal links, a mediating theory with
+alignment links into the portals' theories, checked by the bounded
+countermodel search, and the logical links, built on first read by the
+free adjunction.  `align` restricts both communities to a common part
+C, and both pipelines start from its diagram.  Unification fuses it:
+the pushout of the logical links, a quotient of the portals' sum that
+fusion builds on the links' pullback alone, keyed by their instance maps.
 
-The practical path restricts both communities to a common part C and
-fuses the two fiber inclusions over it: the C-fusion.  The free fusion
-of the transposes is built only when the report's comparison morphism
-is read, which happens before the call returns when the links'
-variable maps differ.  Only inputs are checked: what is built from
-them here is valid by construction.
+The practical path fuses the two fiber inclusions of the diagram over
+C: the C-fusion.  The free fusion of the transposes is built only when
+the report's comparison morphism is read, which happens before the call
+returns when the links' variable maps differ.  Only inputs are checked:
+what is built from them here is valid by construction.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
-from .errors import AgreementFailure, DomainMismatch, EdgeInvalid
+from .errors import AgreementFailure, EdgeInvalid
 from .language import identity_language_morphism
 from .logic import (Logic, LogicMorphism, compose_logic_morphisms, counit, fiber,
                     fusion, is_sound, logic_morphism_valid, restrict_logic,
@@ -42,8 +42,15 @@ class AlignmentDiagram:
     mediating_theory: Theory
     theoretical_link_left: TheoryMorphism  # T => th(P1)
     theoretical_link_right: TheoryMorphism  # T => th(P2)
-    logical_link_left: LogicMorphism  # log(T) => P1, derived
-    logical_link_right: LogicMorphism  # log(T) => P2, derived
+    budget: int  # caps log(T), out of which the logical links are built
+
+    @cached_property
+    def logical_link_left(self) -> LogicMorphism:  # log(T) => P1, the transpose of g1
+        return transpose(self.theoretical_link_left, self.portal_left, self.budget)
+
+    @cached_property
+    def logical_link_right(self) -> LogicMorphism:  # log(T) => P2, the transpose of g2
+        return transpose(self.theoretical_link_right, self.portal_right, self.budget)
 
 
 @dataclass(frozen=True)
@@ -59,27 +66,37 @@ def build_alignment(l1: Logic, l2: Logic, p1: Logic, p2: Logic,
                     link1: LogicMorphism, link2: LogicMorphism,
                     t: Theory, g1: TheoryMorphism, g2: TheoryMorphism,
                     bound: int, budget: int = DEFAULT_BUDGET) -> AlignmentDiagram:
-    """Validate every edge and derive the logical links, valid by
-    construction, as the transposes of the alignment links."""
-    for l, name in ((l1, "left community"), (l2, "right community"),
-                    (p1, "left portal"), (p2, "right portal")):
+    """The diagram over general portals, which are checked with their links."""
+    return _checked(AlignmentDiagram(l1, l2, p1, p2, link1, link2, t, g1, g2, budget), bound,
+                    ((p1, "left portal"), (p2, "right portal")),
+                    ((link1, l1, p1, "left portal link"), (link2, l2, p2, "right portal link")))
+
+
+def align(l1: Logic, l2: Logic, c: Iterable, t: Theory, g1: TheoryMorphism,
+          g2: TheoryMorphism, bound: int, budget: int = DEFAULT_BUDGET) -> AlignmentDiagram:
+    """The diagram whose portals restrict both communities to C, by valid inclusions."""
+    (p1, link1), (p2, link2) = restrict_logic(l1, c), restrict_logic(l2, c)
+    return _checked(AlignmentDiagram(l1, l2, p1, p2, link1, link2, t, g1, g2, budget), bound)
+
+
+def _checked(d: AlignmentDiagram, bound: int, portals=(), portal_links=()) -> AlignmentDiagram:
+    """d, if the communities and given portals are sound and the given portal links and
+    both alignment links join d's logics and hold up to the bound; else the first EdgeInvalid."""
+    for l, name in ((d.community_left, "left community"),
+                    (d.community_right, "right community"), *portals):
         if not is_sound(l):
             raise EdgeInvalid(name, "not sound")
-    for link, src, tgt, name in ((link1, l1, p1, "left portal link"),
-                                 (link2, l2, p2, "right portal link")):
-        if link.source != src or link.target != tgt:
+    t = d.mediating_theory
+    for link, source, target, name in (
+            *portal_links, (d.theoretical_link_left, t, d.portal_left.theory, "left alignment link"),
+            (d.theoretical_link_right, t, d.portal_right.theory, "right alignment link")):
+        if link.source != source or link.target != target:
             raise EdgeInvalid(name, "endpoints do not match the diagram")
-        verdict = logic_morphism_valid(link, bound, budget)
+        valid = logic_morphism_valid if isinstance(link, LogicMorphism) else theory_morphism_valid
+        verdict = valid(link, bound, d.budget)
         if not verdict:
             raise EdgeInvalid(name, verdict.detail)
-    for g, p, name in ((g1, p1, "left alignment link"), (g2, p2, "right alignment link")):
-        if g.source != t or g.target != p.theory:
-            raise EdgeInvalid(name, "endpoints do not match the diagram")
-        verdict = theory_morphism_valid(g, bound, budget)
-        if not verdict:
-            raise EdgeInvalid(name, verdict.detail)
-    return AlignmentDiagram(l1, l2, p1, p2, link1, link2, t, g1, g2,
-                            transpose(g1, p1, budget), transpose(g2, p2, budget))
+    return d
 
 
 def unify(d: AlignmentDiagram) -> IntegrationResult:
@@ -130,10 +147,10 @@ class PracticalReport:
 def practical_integrate(l1: Logic, l2: Logic, c: Iterable, t: Theory,
                         g1: TheoryMorphism, g2: TheoryMorphism, bound: int,
                         budget: int = DEFAULT_BUDGET) -> tuple[IntegrationResult, PracticalReport]:
-    """Restrict both communities to C, check the fiber agreement, fuse over it.
+    """Align over C, check the fiber agreement, fuse over it.
 
     The three agreements: the mediating universe is C, the mediating
-    theory is t, and both fiber images of the restricted portals are the
+    theory is t, and both fiber images of the diagram's portals are the
     same logic.  The C-fusion fuses the two fiber inclusions; each is the
     identity on instances, so the keyed sum pairs exactly (x, x) for x in
     C, and it is relabelled (x, x) -> x so its universe is literally C.
@@ -145,20 +162,12 @@ def practical_integrate(l1: Logic, l2: Logic, c: Iterable, t: Theory,
     then value a merged variable differently where the C-fusion does
     not, and its failure is the call's.  When they are equal, every
     merged variable class is {ltag v, rtag v}, which the keyed sum values
-    alike, so the free fusion succeeds wherever the C-fusion does.  No
-    step searches for countermodels, so the bound changes no outcome.
+    alike, so the free fusion succeeds wherever the C-fusion does.  The
+    bound caps only `align`'s search of g1 and g2 for countermodels.
     """
-    c = frozenset(c)
-    if not c <= l1.model.entities & l2.model.entities:
-        raise DomainMismatch("C must be a subset of both universes")
-    p1, link1 = restrict_logic(l1, c)
-    p2, link2 = restrict_logic(l2, c)
-    if g1.source != t or g2.source != t:
-        raise DomainMismatch("alignment links must start at the mediating theory")
-    if g1.target != p1.theory or g2.target != p2.theory:
-        raise DomainMismatch("alignment links must target the community theories")
-    k, m1 = fiber(g1, p1)  # the mediating logic L@C and its inclusion
-    fib2, m2 = fiber(g2, p2)
+    d = align(l1, l2, c, t, g1, g2, bound, budget)
+    k, m1 = fiber(g1, d.portal_left)  # the mediating logic L@C and its inclusion
+    fib2, m2 = fiber(g2, d.portal_right)
     _check_agreement(k, fib2)
     km = counit(k, budget)
     pairs, v1, v2 = fusion(m1, m2)
@@ -166,8 +175,8 @@ def practical_integrate(l1: Logic, l2: Logic, c: Iterable, t: Theory,
     relabel = _diagonal(pairs, fused)
     v1, v2 = (compose_logic_morphisms(f, relabel) for f in (v1, v2))
     result = IntegrationResult(fused, v1, v2,
-                               compose_logic_morphisms(link1, v1),
-                               compose_logic_morphisms(link2, v2))
+                               compose_logic_morphisms(d.portal_link_left, v1),
+                               compose_logic_morphisms(d.portal_link_right, v2))
     report = PracticalReport(k, km, fused.theory, fused.model.entities, fused, (m1, m2))
     if g1.language_morphism.var_map != g2.language_morphism.var_map:
         report.comparison  # builds the free fusion now

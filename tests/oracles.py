@@ -24,14 +24,14 @@ from ontofuse.language import (And, Atomic, Exists, Forall, Implies, Not, Or,
 from ontofuse.errors import (AgreementFailure, BudgetExceeded, DomainMismatch,
                              IncompatibleQuotient, OntofuseError, SoundnessViolation)
 from ontofuse.integration import (IntegrationResult, PracticalReport,
-                                  _check_agreement, _relabel_logic, build_alignment,
-                                  unify)
+                                  _check_agreement, _relabel_logic, align,
+                                  build_alignment, unify)
 from ontofuse.model import (Model, ModelDualInvariant, ModelMorphism, _compile,
                             model_morphism_valid)
 from ontofuse.logic import (Logic, LogicMorphism, _check_span, compose_logic_morphisms,
                             counit, fiber, fusion, identity_logic_morphism,
                             is_sound, logic_dual_quotient,
-                            logic_morphism_valid, logic_sum, restrict_logic)
+                            logic_morphism_valid, logic_sum)
 from ontofuse.language import (LanguageMorphism, TypeLanguage, compose_language_morphisms,
                                free_vars, identity_language_morphism,
                                language_morphism_valid, span_relation, well_formed)
@@ -832,18 +832,11 @@ def naive_serialize(doc) -> str:
 def two_fusion_practical_integrate(l1, l2, c, t, g1, g2, bound, budget):
     """The practical path as two fusions: the C-fusion of the fiber
     inclusions, then the free fusion of the transposes, compared by the
-    diagonal morphism.  Built from the library's fiber, fusion and
-    counit, it checks that the single-fusion path reproduces the
+    diagonal morphism.  Built from the library's align, fiber, fusion
+    and counit, it checks that the single-fusion path reproduces the
     results and the failures of fusing twice."""
-    c = frozenset(c)
-    if not c <= l1.model.entities & l2.model.entities:
-        raise DomainMismatch("C must be a subset of both universes")
-    p1, link1 = restrict_logic(l1, c)
-    p2, link2 = restrict_logic(l2, c)
-    if g1.source != t or g2.source != t:
-        raise DomainMismatch("alignment links must start at the mediating theory")
-    if g1.target != p1.theory or g2.target != p2.theory:
-        raise DomainMismatch("alignment links must target the community theories")
+    d = align(l1, l2, c, t, g1, g2, bound, budget)  # the library's input checks
+    p1, link1, p2, link2 = d.portal_left, d.portal_link_left, d.portal_right, d.portal_link_right
     k, m1 = fiber(g1, p1)
     fib2, m2 = fiber(g2, p2)
     _check_agreement(k, fib2)
@@ -860,7 +853,7 @@ def two_fusion_practical_integrate(l1, l2, c, t, g1, g2, bound, budget):
     result = IntegrationResult(fused, v1, v2,
                                compose_logic_morphisms(link1, v1),
                                compose_logic_morphisms(link2, v2))
-    if fused.model.entities != c:
+    if fused.model.entities != frozenset(c):
         raise AgreementFailure("fused universe differs from C")
     km = counit(k, budget)
     free_fused, _, _ = fusion(compose_logic_morphisms(km, m1),
@@ -884,15 +877,8 @@ def one_fusion_practical_integrate(l1, l2, c, t, g1, g2, bound, budget):
     """The practical path as one free fusion restricted to its diagonal:
     the library's path before the C-fusion was built directly, which
     builds and validates the comparison morphism on every call."""
-    c = frozenset(c)
-    if not c <= l1.model.entities & l2.model.entities:
-        raise DomainMismatch("C must be a subset of both universes")
-    p1, link1 = restrict_logic(l1, c)
-    p2, link2 = restrict_logic(l2, c)
-    if g1.source != t or g2.source != t:
-        raise DomainMismatch("alignment links must start at the mediating theory")
-    if g1.target != p1.theory or g2.target != p2.theory:
-        raise DomainMismatch("alignment links must target the community theories")
+    d = align(l1, l2, c, t, g1, g2, bound, budget)  # the library's input checks
+    p1, link1, p2, link2 = d.portal_left, d.portal_link_left, d.portal_right, d.portal_link_right
     k, m1 = fiber(g1, p1)  # the mediating logic L@C and its inclusion
     fib2, m2 = fiber(g2, p2)
     _check_agreement(k, fib2)
@@ -905,7 +891,7 @@ def one_fusion_practical_integrate(l1, l2, c, t, g1, g2, bound, budget):
     fused = _relabel_logic(Logic(free_fused.theory, diag,
                                  free_fused.normal_entities & diag.entities,
                                  free_fused.normal_tuples & diag.tuples))
-    if fused.model.entities != c:
+    if fused.model.entities != frozenset(c):
         raise AgreementFailure("fused universe differs from C")
     comparison = LogicMorphism.make(free_fused, fused,
                                     identity_language_morphism(fused.language),

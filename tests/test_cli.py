@@ -682,6 +682,10 @@ EMP_AXIOM = FIXTURE.replace("(theory T (language T-lang) (axioms))",
     "(extents (WorksFor ((x bob) (y acme))))", "(extents (WorksFor)) (extra-tuples ((x bob) (y acme)))"
 ).replace("(extents (EmployedBy ((x bob) (y acme))))",
           "(extents (EmployedBy)) (extra-tuples ((x bob) (y acme)))")
+# T's axiom alone: both communities' pairs are in its image, and g1 is still refuted
+EMP_IN_T = FIXTURE.replace("(theory T (language T-lang) (axioms))",
+                           "(theory T (language T-lang) (axioms (atom Emp)))")
+EMP_REFUTED = "edge left alignment link is not a valid morphism: axiom (atom Emp)"
 
 
 # the fibers of t differ in arity, whose variables are named in token order
@@ -734,10 +738,18 @@ COLLIDING = """\
     (fixture_run(UNSOUND_L1, "integrate", "--left", "L1", "--right", "L2", "--alignment", "A"),
      "edge left community: not sound"),
     (fixture_run(FIXTURE, "integrate", "--left", "L2", "--right", "L1", "--alignment", "A",
-                 "--practical"), "alignment links must target the community theories"),
+                 "--practical"), "edge left alignment link: endpoints do not match the diagram"),
     (fixture_run(EMP_AXIOM, "integrate", "--left", "L1", "--right", "L2", "--alignment", "A",
-                 "--practical"),
-     "the image of tuple {'x': 'bob', 'y': 'acme'} was abnormal in the free logic"),
+                 "--practical"), EMP_REFUTED),
+    (fixture_run(EMP_AXIOM, "integrate", "--left", "L1", "--right", "L2", "--alignment", "A"),
+     EMP_REFUTED),
+    # zoe, L1's abnormal entity, lies outside C, and the community is still checked
+    (fixture_run(UNSOUND_L1, "integrate", "--left", "L1", "--right", "L2", "--alignment", "A",
+                 "--practical"), "edge left community: not sound"),
+    (fixture_run(EMP_IN_T, "integrate", "--left", "L1", "--right", "L2", "--alignment", "A"),
+     EMP_REFUTED),
+    (fixture_run(EMP_IN_T, "integrate", "--left", "L1", "--right", "L2", "--alignment", "A",
+                 "--practical"), EMP_REFUTED),
     (fixture_run(ARITY, "integrate", "--left", "L1", "--right", "L2", "--alignment", "A",
                  "--practical"),
      "community interpretations disagree: tuple arity differ at ('t', ('x', 'y'))"),
@@ -749,6 +761,7 @@ COLLIDING = """\
      "quotient class of ['a', 'b'] collides with ('a', 'b')"),
 ], ids=["cli-token", "query", "sum", "quotient", "keep-entities", "restrict", "fiber-target",
         "fiber-unsound", "edge-endpoints", "edge-unsound", "practical-targets", "counit",
+        "emp-axiom-unify", "practical-unsound", "emp-in-t-unify", "emp-in-t-practical",
         "agreement-arity", "class-collision", "class-collision-unrespected"])
 def test_a_command_refusing_its_input_says_why_under_every_hash_seed(seed_runs, run, message):
     assert seed_runs[run] == Outcome(1, "", f"error: {message}\n", None)

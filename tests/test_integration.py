@@ -11,8 +11,8 @@ from ontofuse.errors import (AgreementFailure, DomainMismatch, EdgeInvalid,
 from ontofuse.language import (Atomic, Exists, LanguageEndorelation, LanguageMorphism,
                                TypeLanguage)
 from ontofuse import integration, logic
-from ontofuse.integration import (_check_agreement, build_alignment, practical_integrate,
-                                  unify)
+from ontofuse.integration import (_check_agreement, align, build_alignment,
+                                  practical_integrate, unify)
 from ontofuse.logic import (Logic, LogicMorphism, compose_logic_morphisms,
                             counit, fiber, fusion,
                             identity_logic_morphism, is_sound, logic_sum,
@@ -83,6 +83,37 @@ def test_alignment_searches_each_alignment_link_once(monkeypatch):
                        a.left_link, a.right_link]
     assert d.logical_link_left.theory_aspect() == a.left_link
     assert d.logical_link_right.theory_aspect() == a.right_link
+
+
+def test_align_searches_each_alignment_link_once_and_transposes_only_for_unify(monkeypatch):
+    # the restriction portal links are valid by construction and never
+    # checked; align builds no free logic, unify transposes each link once,
+    # and the practical path builds only the mediating counit's free logic
+    checked, transposed, free = [], [], []
+    for module in (integration, logic):
+        def counted(g, *args, valid=module.theory_morphism_valid, **kwargs):
+            checked.append(g)
+            return valid(g, *args, **kwargs)
+        monkeypatch.setattr(module, "theory_morphism_valid", counted)
+    monkeypatch.setattr(integration, "logic_morphism_valid",
+                        lambda f, *args: checked.append(f) or logic_morphism_valid(f, *args))
+    monkeypatch.setattr(integration, "transpose",
+                        lambda g, p, *args: transposed.append((g, p)) or transpose(g, p, *args))
+    monkeypatch.setattr(logic, "free_logic", lambda t, *args, built=logic.free_logic:
+                        free.append(t) or built(t, *args))
+    doc = parse_document((CORPUS / "fixture.iff").read_text())
+    l1, l2, a = doc.get("L1", "logic"), doc.get("L2", "logic"), doc.get("A", "alignment")
+    inputs = (l1, l2, a.universe, a.mediating_theory, a.left_link, a.right_link, 2)
+    d = align(*inputs)
+    assert checked == [a.left_link, a.right_link]
+    assert transposed == [] and free == []
+    unify(d)
+    assert transposed == [(a.left_link, d.portal_left), (a.right_link, d.portal_right)]
+    assert checked == [a.left_link, a.right_link] and len(free) == 2
+    checked.clear(), transposed.clear(), free.clear()
+    practical_integrate(*inputs)
+    assert checked == [a.left_link, a.right_link]
+    assert transposed == [] and free == [a.mediating_theory]
 
 
 def test_invalid_alignment_link_rejected_by_name():
@@ -323,11 +354,10 @@ def test_practical_keeps_only_diagonal_tuples():
 def test_practical_links_must_join_the_mediating_theory_to_the_communities():
     l1, l2, c, t, g1, g2 = practical_fixture()
     other = Theory.make(t.language, [Exists("x", Exists("y", Atomic("Emp")))])
-    with pytest.raises(DomainMismatch,
-                       match="^alignment links must start at the mediating theory$"):
+    edge = "^edge left alignment link: endpoints do not match the diagram$"
+    with pytest.raises(EdgeInvalid, match=edge):
         practical_integrate(l1, l2, c, other, g1, g2, 1)
-    with pytest.raises(DomainMismatch,
-                       match="^alignment links must target the community theories$"):
+    with pytest.raises(EdgeInvalid, match=edge):
         practical_integrate(l1, l2, c, t, g2, g1, 1)
 
 
@@ -415,7 +445,8 @@ def _practical_outcome(run, scenario):
 def test_practical_fuses_once_like_fusing_twice():
     # the single free fusion, restricted to its diagonal, gives what the
     # C-fusion and the free fusion gave together; a right link that
-    # swaps the variables makes some cases fail, and both fail alike
+    # swaps the variables makes some cases fail, and both fail alike,
+    # some at the alignment link's check
     outcomes = []
     for scenario in practical_scenarios() + permuted_practical_scenarios(211, 120):
         expected = _practical_outcome(two_fusion_practical_integrate, scenario)
@@ -428,6 +459,7 @@ def test_practical_fuses_once_like_fusing_twice():
         outcomes.append(type(got))
     assert outcomes.count(tuple) > 21
     assert IncompatibleQuotient in outcomes and AgreementFailure in outcomes
+    assert EdgeInvalid in outcomes and DomainMismatch not in outcomes
 
 
 def _report_fields(report):
@@ -464,7 +496,7 @@ def test_practical_builds_the_free_fusion_only_when_needed_like_fusing_once():
     assert kinds["fixed", IncompatibleQuotient] > 2
     assert kinds["same permutation", "lazy"] > 60
     assert kinds["same permutation", "eager"] == 0
-    assert kinds["same permutation", DomainMismatch] > 10
+    assert kinds["same permutation", EdgeInvalid] > 10
     assert kinds["same permutation", AgreementFailure] > 0
 
 

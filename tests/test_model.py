@@ -7,8 +7,9 @@ from dataclasses import replace
 
 import pytest
 
-from ontofuse.errors import (AgreementFailure, DomainMismatch, IncompatibleQuotient,
-                             LaxViolation, NameSetMismatch, RespectViolation)
+from ontofuse.errors import (AgreementFailure, DomainMismatch, EdgeInvalid,
+                             IncompatibleQuotient, LaxViolation, NameSetMismatch,
+                             RespectViolation)
 from ontofuse.hypergraph import hypergraph_product
 from ontofuse.integration import practical_integrate
 from ontofuse.language import (And, Atomic, Exists, Expression, Forall, Implies, LanguageEndorelation,
@@ -660,7 +661,7 @@ def test_constructions_over_checked_models_build_checked_models_randomized():
     for l1, l2, c, t, g1, g2 in practical_scenarios() + permuted_practical_scenarios(103, 40):
         try:
             result, _ = practical_integrate(l1, l2, c, t, g1, g2, 1)
-        except (AgreementFailure, DomainMismatch, IncompatibleQuotient):
+        except (AgreementFailure, DomainMismatch, EdgeInvalid, IncompatibleQuotient):
             continue
         checked("practical", result.fused.model)
         assert result.fused.model.entities == frozenset(c)
